@@ -1,12 +1,13 @@
-//! Autoregressive decoding: greedy and beam search over a [`Seq2Seq`].
+//! Autoregressive decoding: greedy, beam search and teacher-forced scoring
+//! over a [`Seq2Seq`].
 //!
-//! The public [`greedy_decode`] / [`beam_search`] entry points run the fast
-//! inference path: the source is encoded once, per-layer self/cross K/V are
-//! cached incrementally, and all live beam hypotheses advance as a single
-//! `[width, 1, d]` decoder batch per step on a forward-only tape. The
-//! `*_reference` variants keep the original full-prefix recompute (one
-//! decoder pass over the whole prefix per step) for equivalence testing;
-//! both paths produce bit-identical logits, so token outputs match exactly.
+//! The public [`greedy_decode`] / [`beam_search`] / [`forced_score`] entry
+//! points are one-job [`MicroBatcher`] runs: the batcher's per-job drivers
+//! are the only cached decode control flow, so a single request and a
+//! request served beside others take the same path. The `*_reference`
+//! variants keep the original full-prefix recompute (one decoder pass over
+//! the whole prefix per step) as independent oracles for equivalence
+//! testing.
 
 use rpt_rng::SeedableRng;
 use rpt_rng::SmallRng;
@@ -15,6 +16,7 @@ use rpt_tensor::{ParamStore, Tape};
 use crate::batch::{Sequence, TokenBatch};
 use crate::metrics::{argmax, log_softmax_row};
 use crate::module::Ctx;
+use crate::multidecode::{JobOutput, JobSpec, MicroBatcher};
 use crate::seq2seq::Seq2Seq;
 
 /// Beam-search settings.
@@ -55,8 +57,20 @@ pub(crate) fn finish(prefix: &[usize], logp: f32, cfg: &BeamConfig) -> Hypothesi
     }
 }
 
-/// Greedy decoding of a single source (`src.b == 1`) on the KV-cached fast
-/// path. Returns the generated token ids (without BOS/EOS).
+/// Runs `spec` as the only job of a fresh [`MicroBatcher`] and returns its
+/// output — the one decode engine behind the single-request entry points.
+fn run_alone(model: &Seq2Seq, params: &mut ParamStore, spec: JobSpec) -> JobOutput {
+    let mut batcher = MicroBatcher::new(model, params);
+    batcher.admit(model, params, 0, spec);
+    loop {
+        if let Some((_, out)) = batcher.step(model, params).pop() {
+            return out;
+        }
+    }
+}
+
+/// Greedy decoding of a single source (`src.b == 1`): a one-job
+/// [`MicroBatcher`] run. Returns the generated token ids (without BOS/EOS).
 pub fn greedy_decode(
     model: &Seq2Seq,
     params: &mut ParamStore,
@@ -65,26 +79,20 @@ pub fn greedy_decode(
     eos: usize,
     max_steps: usize,
 ) -> Vec<usize> {
-    assert_eq!(src.b, 1, "greedy_decode expects a single source");
     let obs = &*crate::obs::DECODE_OBS;
     let _t = rpt_obs::span("decode.greedy", &obs.call_ms);
     let started = rpt_obs::metrics_enabled().then(std::time::Instant::now);
-    let mut state = model.begin_decode(params, src);
-    let mut prefix = vec![bos];
-    for _ in 0..max_steps {
-        let logits = model.decode_step(params, &mut state, &[*prefix.last().unwrap()]);
-        let lp = log_softmax_row(logits.data());
-        let next = argmax(&lp);
-        if next == eos {
-            break;
-        }
-        prefix.push(next);
-        if prefix.len() >= model.config().max_len {
-            break;
-        }
-    }
-    record_decode_rate(obs, started, prefix.len() - 1);
-    prefix[1..].to_vec()
+    let spec = JobSpec::Greedy {
+        src: src.clone(),
+        bos,
+        eos,
+        max_steps,
+    };
+    let JobOutput::Greedy { tokens } = run_alone(model, params, spec) else {
+        unreachable!("a greedy job yields greedy output");
+    };
+    record_decode_rate(obs, started, tokens.len());
+    tokens
 }
 
 /// Records generated-token count and the resulting tokens/sec gauge for
@@ -103,14 +111,9 @@ fn record_decode_rate(
     }
 }
 
-/// Beam search over a single source on the KV-cached fast path: every live
-/// hypothesis advances as one row of a `[width, 1, d]` decoder batch per
-/// step. Returns hypotheses best-first.
-///
-/// Control flow mirrors [`beam_search_reference`] statement for statement
-/// (same candidate ordering, same stable sorts, same early exit), and the
-/// batched logits are bit-identical to the per-hypothesis recompute, so the
-/// two return identical hypotheses.
+/// Beam search over a single source: a one-job [`MicroBatcher`] run, where
+/// every live hypothesis advances as one row of the fused decoder batch.
+/// Returns hypotheses best-first, identical to [`beam_search_reference`].
 pub fn beam_search(
     model: &Seq2Seq,
     params: &mut ParamStore,
@@ -119,91 +122,27 @@ pub fn beam_search(
     eos: usize,
     cfg: &BeamConfig,
 ) -> Vec<Hypothesis> {
-    assert_eq!(src.b, 1, "beam_search expects a single source");
-    assert!(cfg.width > 0, "beam width must be positive");
     let obs = &*crate::obs::DECODE_OBS;
     let _t = rpt_obs::span("decode.beam", &obs.call_ms);
     let started = rpt_obs::metrics_enabled().then(std::time::Instant::now);
-    let v = model.config().vocab_size;
-    let mut state = model.begin_decode(params, src);
-    // (prefix including BOS, cumulative log-prob). Invariant: the KV cache
-    // holds every prefix token except the newest, which the next step feeds.
-    let mut beams: Vec<(Vec<usize>, f32)> = vec![(vec![bos], 0.0)];
-    let mut done: Vec<Hypothesis> = Vec::new();
-
-    for _ in 0..cfg.max_steps {
-        // Split the beams into finished (at max_len) and live; drop the
-        // finished ones' cache rows so the live set advances as one batch.
-        let live: Vec<usize> = (0..beams.len())
-            .filter(|&i| beams[i].0.len() < model.config().max_len)
-            .collect();
-        let logits = if live.is_empty() {
-            None
-        } else {
-            if live.len() != state.width() || live.iter().enumerate().any(|(j, &i)| j != i) {
-                state.select_beams(&live);
-            }
-            let newest: Vec<usize> = live.iter().map(|&i| *beams[i].0.last().unwrap()).collect();
-            Some(model.decode_step(params, &mut state, &newest))
-        };
-
-        let mut candidates: Vec<(Vec<usize>, f32)> = Vec::new();
-        // Index into `live` (== cache row) of each candidate's parent.
-        let mut parents: Vec<usize> = Vec::new();
-        let mut row = 0usize;
-        for (prefix, logp) in &beams {
-            if prefix.len() >= model.config().max_len {
-                done.push(finish(prefix, *logp, cfg));
-                continue;
-            }
-            let data = logits.as_ref().expect("live beam implies a batch").data();
-            let lp = log_softmax_row(&data[row * v..(row + 1) * v]);
-            for (tok, cand_logp) in top_candidates(&lp, cfg.width) {
-                if tok == eos {
-                    done.push(finish(prefix, logp + cand_logp, cfg));
-                } else {
-                    let mut next = prefix.clone();
-                    next.push(tok);
-                    candidates.push((next, logp + cand_logp));
-                    parents.push(row);
-                }
-            }
-            row += 1;
-        }
-        if candidates.is_empty() {
-            break;
-        }
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
-        order.sort_by(|&a, &b| candidates[b].1.total_cmp(&candidates[a].1));
-        order.truncate(cfg.width);
-        beams = order.iter().map(|&i| candidates[i].clone()).collect();
-        let kept_parents: Vec<usize> = order.iter().map(|&i| parents[i]).collect();
-        state.select_beams(&kept_parents);
-        // Early exit: enough finished hypotheses that beat all live beams.
-        if done.len() >= cfg.width {
-            let best_live = beams.first().map(|(_, l)| *l).unwrap_or(f32::NEG_INFINITY);
-            done.sort_by(|a, b| b.score.total_cmp(&a.score));
-            if done[cfg.width - 1].score >= best_live {
-                break;
-            }
-        }
-    }
-    for (prefix, logp) in beams {
-        done.push(finish(&prefix, logp, cfg));
-    }
-    done.sort_by(|a, b| b.score.total_cmp(&a.score));
-    done.truncate(cfg.width);
-    record_decode_rate(obs, started, done.first().map_or(0, |h| h.tokens.len()));
-    done
+    let spec = JobSpec::Beam {
+        src: src.clone(),
+        bos,
+        eos,
+        cfg: cfg.clone(),
+    };
+    let JobOutput::Beam { hypotheses } = run_alone(model, params, spec) else {
+        unreachable!("a beam job yields beam output");
+    };
+    let best_len = hypotheses.first().map_or(0, |h| h.tokens.len());
+    record_decode_rate(obs, started, best_len);
+    hypotheses
 }
 
-/// Teacher-forced scoring of a fixed target sequence on the KV-cached fast
-/// path: feeds `[bos, targets…]` one token at a time and accumulates the
-/// log-probability of each target token plus the closing `eos`. Returns
-/// `(total_logprob, per_token_logprobs)`; scoring stops early if the
-/// forced prefix reaches `max_len`. This is the single-request oracle for
-/// the fused decoder's `Forced` jobs (the `/v1/match` cross-reconstruction
-/// score).
+/// Teacher-forced scoring (the `/v1/match` cross-reconstruction score): a
+/// one-job [`MicroBatcher`] run that feeds `[bos, targets…]` and returns
+/// `(total_logprob, per_token_logprobs)` over the targets plus the closing
+/// `eos`, stopping early if the forced prefix reaches `max_len`.
 pub fn forced_score(
     model: &Seq2Seq,
     params: &mut ParamStore,
@@ -212,27 +151,20 @@ pub fn forced_score(
     eos: usize,
     targets: &[usize],
 ) -> (f32, Vec<f32>) {
-    assert_eq!(src.b, 1, "forced_score expects a single source");
-    let mut state = model.begin_decode(params, src);
-    let mut prefix = vec![bos];
-    let mut per_token = Vec::with_capacity(targets.len() + 1);
-    let mut total = 0.0f32;
-    let goals: Vec<usize> = targets
-        .iter()
-        .copied()
-        .chain(std::iter::once(eos))
-        .collect();
-    for &goal in &goals {
-        let logits = model.decode_step(params, &mut state, &[*prefix.last().unwrap()]);
-        let lp = log_softmax_row(logits.data());
-        per_token.push(lp[goal]);
-        total += lp[goal];
-        prefix.push(goal);
-        if prefix.len() >= model.config().max_len {
-            break;
-        }
-    }
-    (total, per_token)
+    let spec = JobSpec::Forced {
+        src: src.clone(),
+        bos,
+        eos,
+        targets: targets.to_vec(),
+    };
+    let JobOutput::Forced {
+        total_logprob,
+        per_token,
+    } = run_alone(model, params, spec)
+    else {
+        unreachable!("a forced job yields forced output");
+    };
+    (total_logprob, per_token)
 }
 
 /// The top-`width` next tokens of one log-prob row, best first (stable in
@@ -360,14 +292,44 @@ pub fn beam_search_reference(
     done
 }
 
+/// Reference teacher-forced scoring: one full decoder pass over the whole
+/// forced prefix per goal token (no KV cache), with the source encoded
+/// **once** per call. Kept as the semantic baseline for [`forced_score`].
+pub fn forced_score_reference(
+    model: &Seq2Seq,
+    params: &mut ParamStore,
+    src: &TokenBatch,
+    bos: usize,
+    eos: usize,
+    targets: &[usize],
+) -> (f32, Vec<f32>) {
+    assert_eq!(src.b, 1, "forced_score expects a single source");
+    let tape = Tape::inference();
+    let mut rng = SmallRng::seed_from_u64(0);
+    let mut ctx = Ctx::new(&tape, params, &mut rng, false);
+    let enc = model.encode(&mut ctx, src);
+    let mut prefix = vec![bos];
+    let mut per_token = Vec::with_capacity(targets.len() + 1);
+    for &goal in targets.iter().chain(std::iter::once(&eos)) {
+        let lp = next_logprobs_reference(model, &mut ctx, enc, src, &prefix);
+        per_token.push(lp[goal]);
+        prefix.push(goal);
+        if prefix.len() >= model.config().max_len {
+            break;
+        }
+    }
+    (per_token.iter().sum(), per_token)
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::seq2seq::TransformerConfig;
     use rpt_tensor::{clip_global_norm, Adam, AdamConfig};
 
-    /// Trains a tiny copy model: output = input tokens.
-    fn trained_copy_model() -> (Seq2Seq, ParamStore) {
+    /// Trains a tiny copy model: output = input tokens. Shared by this
+    /// crate's decode and micro-batcher unit tests.
+    pub(crate) fn trained_copy_model() -> (Seq2Seq, ParamStore) {
         let mut params = ParamStore::new();
         let mut rng = SmallRng::seed_from_u64(0);
         let model = Seq2Seq::new(&mut params, TransformerConfig::tiny(12), &mut rng);
@@ -383,7 +345,6 @@ mod tests {
             vec![10, 11],
             vec![11, 10],
         ];
-        let mut rng2 = SmallRng::seed_from_u64(1);
         for _ in 0..150 {
             let srcs: Vec<Sequence> = examples
                 .iter()
@@ -414,7 +375,6 @@ mod tests {
             let mut pg = params.collect_grads(&mut grads);
             clip_global_norm(&mut pg, 1.0);
             opt.step(&mut params, &pg);
-            let _ = &mut rng2;
         }
         (model, params)
     }

@@ -17,9 +17,10 @@
 //!
 //! Plus the supporting pieces: [`module`] (Linear / Embedding / LayerNorm
 //! and the per-step [`Ctx`]), [`attention`], [`transformer`] stacks,
-//! [`batch`] padding-and-masking helpers, [`decode`] (KV-cached greedy +
-//! batched beam search with uncached reference paths), [`schedule`] (Noam
-//! warmup), and [`metrics`].
+//! [`batch`] padding-and-masking helpers, [`decode`] (greedy, beam and
+//! forced scoring as one-job runs of the [`multidecode`] micro-batcher,
+//! with uncached reference paths), [`schedule`] (Noam warmup), and
+//! [`metrics`].
 
 pub mod attention;
 pub mod batch;
@@ -38,8 +39,8 @@ pub use attention::MultiHeadAttention;
 pub use batch::{Sequence, TokenBatch};
 pub use classifier::{EncoderClassifier, SpanExtractor};
 pub use decode::{
-    beam_search, beam_search_reference, forced_score, greedy_decode, greedy_decode_reference,
-    BeamConfig, Hypothesis,
+    beam_search, beam_search_reference, forced_score, forced_score_reference, greedy_decode,
+    greedy_decode_reference, BeamConfig, Hypothesis,
 };
 pub use module::{Ctx, Embedding, LayerNorm, Linear};
 pub use multidecode::{JobOutput, JobSpec, MicroBatcher};

@@ -1,18 +1,20 @@
-//! Fused multi-request decoding: the dynamic micro-batcher behind
-//! `rpt-serve`.
+//! Fused multi-request decoding: the one decode engine behind both
+//! single-request decoding and `rpt-serve`.
 //!
-//! PR 3's batched beam search advances many *hypotheses* of one request as
-//! a single `[width, 1, d]` decoder batch per step. [`MicroBatcher`]
-//! generalizes that to many *requests*: every live row of every admitted
-//! job — one row per greedy/forced job, one per live beam hypothesis —
-//! advances through **one** fused [`Seq2Seq::decode_step_rows`] call per
-//! token, so the per-step matmuls and `bmm`s see the whole batch at once.
+//! [`MicroBatcher`] advances every live row of every admitted job — one row
+//! per greedy/forced job, one per live beam hypothesis — through **one**
+//! fused [`Seq2Seq::decode_step_rows`] call per token, so the per-step
+//! matmuls and `bmm`s see the whole batch at once. Its per-job drivers are
+//! the only cached greedy, beam and forced control flow in the crate:
+//! [`crate::greedy_decode`], [`crate::beam_search`] and
+//! [`crate::forced_score`] are one-job runs of this batcher, and the
+//! full-prefix `*_reference` recomputes are the independent oracles.
 //!
 //! ## Cache-slot pooling
 //!
 //! Each admitted request owns a contiguous block of rows ("slot") in the
 //! fused per-layer KV caches (`[rows*h, t, dh]`). Admission encodes the
-//! request's source exactly as `begin_decode` would, zero-pads its
+//! request's source with [`Seq2Seq::begin_request`], zero-pads its
 //! cross-attention K/V from its own source length to the fused source
 //! width — the longest *live* source, grown on demand when a longer one
 //! arrives (masked with `NEG_INF`, so the padding is softmax-invisible) —
@@ -28,25 +30,14 @@
 //!
 //! ## Bit-identity
 //!
-//! Responses are byte-identical to single-request [`greedy_decode`],
-//! [`beam_search`], and [`forced_score`] on the same parameters:
-//!
-//! * every row-level op in the step (embedding row gather, linear /
-//!   layer-norm / attention / logit matmul rows, softmax rows) computes a
-//!   row's output from that row alone, in the same scalar accumulation
-//!   order regardless of how many other rows share the batch (the PR-2/6
-//!   row-block + fixed-order-reduction invariant);
-//! * masked padding keys score exactly `NEG_INF` (their keys are zero, so
-//!   the dot product contributes `±0.0`), which `exp` underflows to
-//!   exactly `+0.0`; a `+0.0` softmax weight times a zero value row adds
-//!   `±0.0` terms to sums whose accumulators start at `+0.0` — bit-exact
-//!   no-ops (see DESIGN.md §Serving for the full argument);
-//! * the per-job drivers below replay the exact control flow of the
-//!   single-request loops — same candidate ordering, same stable sorts,
-//!   same early exits — so token selection consumes identical logits
-//!   through identical decisions.
-//!
-//! Locked down by this module's unit tests and `tests/serve_equivalence.rs`.
+//! A job's output is byte-identical whether it runs alone (the
+//! single-request entry points) or beside any mix of other jobs: every
+//! row-level op computes a row from that row alone in a fixed accumulation
+//! order, masked zero padding keys are exact softmax no-ops, and each
+//! driver decides from its own logit rows only. DESIGN.md §Serving gives
+//! the full argument. This module's unit tests and
+//! `tests/serve_equivalence.rs` lock it down; `tests/decode_equivalence.rs`
+//! checks the engine against the references.
 
 use rpt_tensor::{ParamStore, Tensor};
 
@@ -60,7 +51,7 @@ use crate::NEG_INF;
 /// One decode job for the micro-batcher. `src.b` must be 1.
 #[derive(Debug, Clone)]
 pub enum JobSpec {
-    /// Greedy decoding — the fused twin of [`crate::greedy_decode`].
+    /// Greedy decoding, as in [`crate::greedy_decode`].
     Greedy {
         /// Source batch (`b == 1`).
         src: TokenBatch,
@@ -71,7 +62,7 @@ pub enum JobSpec {
         /// Maximum generated tokens.
         max_steps: usize,
     },
-    /// Beam search — the fused twin of [`crate::beam_search`].
+    /// Beam search, as in [`crate::beam_search`].
     Beam {
         /// Source batch (`b == 1`).
         src: TokenBatch,
@@ -82,7 +73,7 @@ pub enum JobSpec {
         /// Beam settings.
         cfg: BeamConfig,
     },
-    /// Teacher-forced scoring — the fused twin of [`crate::forced_score`].
+    /// Teacher-forced scoring, as in [`crate::forced_score`].
     Forced {
         /// Source batch (`b == 1`).
         src: TokenBatch,
@@ -149,7 +140,7 @@ enum Post {
     Continue { parents: Vec<usize> },
 }
 
-/// Per-job state machine replaying the single-request decode loop.
+/// Per-job decode state machine: one `pre`/`consume` pair per token.
 enum Driver {
     Greedy(GreedyDriver),
     Beam(BeamDriver),
@@ -174,7 +165,7 @@ impl Driver {
     }
 }
 
-/// Replays the [`crate::greedy_decode`] loop one `consume` per iteration.
+/// Greedy decoding: argmax until EOS, the step budget or `max_len`.
 struct GreedyDriver {
     prefix: Vec<usize>,
     eos: usize,
@@ -216,7 +207,7 @@ impl GreedyDriver {
     }
 }
 
-/// Replays the [`crate::forced_score`] loop.
+/// Teacher-forced scoring: log-prob of each goal, then feed the goal.
 struct ForcedDriver {
     prefix: Vec<usize>,
     /// Targets followed by EOS.
@@ -260,11 +251,11 @@ impl ForcedDriver {
     }
 }
 
-/// Replays the [`crate::beam_search`] loop. One `pre`/`consume` pair per
-/// loop iteration; statement order (candidate enumeration, stable sorts,
-/// the mid-loop `done` sort of the early exit, and the double-push of
-/// max-length beams on the empty-candidate break) mirrors the original
-/// exactly so scores and tie-breaks are bit-identical.
+/// Beam search. One `pre`/`consume` pair per iteration of
+/// [`crate::beam_search_reference`]'s loop; statement order (candidate
+/// enumeration, stable sorts, the mid-loop `done` sort of the early exit,
+/// and the double-push of max-length beams on the empty-candidate break)
+/// mirrors it exactly so tokens and tie-breaks match the reference.
 struct BeamDriver {
     /// (prefix including BOS, cumulative log-prob) — cache rows align with
     /// this vector's order at every step boundary.
@@ -277,7 +268,7 @@ struct BeamDriver {
 }
 
 impl BeamDriver {
-    /// The post-loop tail of `beam_search`: flush remaining beams, sort,
+    /// The post-loop tail of the reference: flush remaining beams, sort,
     /// truncate.
     fn finalize(&mut self) -> JobOutput {
         for (prefix, logp) in &self.beams {
@@ -435,7 +426,7 @@ impl MicroBatcher {
         self.slots.is_empty()
     }
 
-    /// Admits a job: encodes its source (identically to `begin_decode`),
+    /// Admits a job: encodes its source ([`Seq2Seq::begin_request`]),
     /// pads its cross K/V to the fused width, front-pads its self K/V to
     /// the current fused decode length, and appends its rows to the pooled
     /// caches. `id` tags the job's entry in [`Self::step`] results.
@@ -450,7 +441,6 @@ impl MicroBatcher {
         let h = self.n_heads;
         let dh = self.d_head;
         for (li, mut lk) in req_layers.into_iter().enumerate() {
-            lk.cross_k = pad_dim1(&lk.cross_k, self.t_src);
             lk.cross_v = pad_dim1(&lk.cross_v, self.t_src);
             lk.cross_kt = pad_dim2(&lk.cross_kt, self.t_src);
             if self.t_dec > 0 {
@@ -637,7 +627,7 @@ impl MicroBatcher {
     }
 
     /// Reorders/replicates/drops fused cache rows; `rows` indexes current
-    /// slot rows (head expansion happens here, as in `select_beams`).
+    /// slot rows (each expands to its `h` head rows).
     fn select_rows(&mut self, rows: &[usize]) {
         crate::obs::DECODE_OBS.beam_reorders.inc();
         let h = self.n_heads;
@@ -664,7 +654,6 @@ impl MicroBatcher {
     /// longest source actually live).
     fn grow_src(&mut self, t_src: usize) {
         for layer in &mut self.layers {
-            layer.cross_k = pad_dim1(&layer.cross_k, t_src);
             layer.cross_v = pad_dim1(&layer.cross_v, t_src);
             layer.cross_kt = pad_dim2(&layer.cross_kt, t_src);
         }
@@ -767,7 +756,6 @@ fn pad_dim2(t: &Tensor, t_target: usize) -> Tensor {
 
 /// Appends one request's padded cache rows onto the fused layer cache.
 fn fused_append(fused: &mut LayerKv, req: &LayerKv) {
-    fused.cross_k = fused.cross_k.concat_dim0(&req.cross_k);
     fused.cross_kt = fused.cross_kt.concat_dim0(&req.cross_kt);
     fused.cross_v = fused.cross_v.concat_dim0(&req.cross_v);
     match (&fused.self_k, &req.self_k) {
@@ -786,71 +774,32 @@ fn fused_append(fused: &mut LayerKv, req: &LayerKv) {
 mod tests {
     use super::*;
     use crate::batch::Sequence;
+    use crate::decode::tests::trained_copy_model;
     use crate::decode::{beam_search, forced_score, greedy_decode};
-    use crate::module::Ctx;
-    use rpt_rng::{SeedableRng, SmallRng};
-    use rpt_tensor::{clip_global_norm, Adam, AdamConfig, ParamStore, Tape};
 
     const BOS: usize = 1;
     const EOS: usize = 2;
 
-    /// Trains a tiny copy model (output = input) — the decode.rs recipe.
-    fn trained_copy_model() -> (Seq2Seq, ParamStore) {
-        let mut params = ParamStore::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let model = Seq2Seq::new(
-            &mut params,
-            crate::seq2seq::TransformerConfig::tiny(12),
-            &mut rng,
-        );
-        let mut opt = Adam::new(AdamConfig {
-            lr: 3e-3,
-            ..Default::default()
-        });
-        let examples: Vec<Vec<usize>> = vec![
-            vec![9, 10],
-            vec![10, 9],
-            vec![11, 9],
-            vec![9, 11],
-            vec![10, 11],
-            vec![11, 10],
-        ];
-        for _ in 0..150 {
-            let srcs: Vec<Sequence> = examples
-                .iter()
-                .map(|e| Sequence::from_ids(e.clone()))
-                .collect();
-            let src = TokenBatch::from_sequences(&srcs, 16, 0);
-            let tgt_in: Vec<Sequence> = examples
-                .iter()
-                .map(|e| {
-                    let mut v = vec![BOS];
-                    v.extend(e);
-                    Sequence::from_ids(v)
-                })
-                .collect();
-            let tgt_in = TokenBatch::from_sequences(&tgt_in, 16, 0);
-            let mut tgt_out = vec![0usize; tgt_in.b * tgt_in.t];
-            for (bi, e) in examples.iter().enumerate() {
-                for (i, &tok) in e.iter().enumerate() {
-                    tgt_out[bi * tgt_in.t + i] = tok;
-                }
-                tgt_out[bi * tgt_in.t + e.len()] = EOS;
-            }
-            let tape = Tape::new();
-            let mut rng3 = SmallRng::seed_from_u64(2);
-            let mut ctx = Ctx::new(&tape, &mut params, &mut rng3, true);
-            let loss = model.reconstruction_loss(&mut ctx, &src, &tgt_in, &tgt_out, 0);
-            let mut grads = tape.backward(loss);
-            let mut pg = params.collect_grads(&mut grads);
-            clip_global_norm(&mut pg, 1.0);
-            opt.step(&mut params, &pg);
-        }
-        (model, params)
-    }
-
     fn src_of(ids: &[usize]) -> TokenBatch {
         TokenBatch::from_sequences(&[Sequence::from_ids(ids.to_vec())], 16, 0)
+    }
+
+    fn greedy(ids: &[usize]) -> JobSpec {
+        JobSpec::Greedy {
+            src: src_of(ids),
+            bos: BOS,
+            eos: EOS,
+            max_steps: 8,
+        }
+    }
+
+    fn beam(ids: &[usize], cfg: &BeamConfig) -> JobSpec {
+        JobSpec::Beam {
+            src: src_of(ids),
+            bos: BOS,
+            eos: EOS,
+            cfg: cfg.clone(),
+        }
     }
 
     /// Drives the batcher until every admitted job has finished.
@@ -908,17 +857,7 @@ mod tests {
             .collect();
         let mut mb = MicroBatcher::new(&model, &mut params);
         for (i, ids) in srcs.iter().enumerate() {
-            mb.admit(
-                &model,
-                &mut params,
-                i as u64,
-                JobSpec::Greedy {
-                    src: src_of(ids),
-                    bos: BOS,
-                    eos: EOS,
-                    max_steps: 8,
-                },
-            );
+            mb.admit(&model, &mut params, i as u64, greedy(ids));
         }
         assert_eq!(mb.slots_in_use(), 4);
         let results = drain(&mut mb, &model, &mut params);
@@ -944,17 +883,7 @@ mod tests {
             .collect();
         let mut mb = MicroBatcher::new(&model, &mut params);
         for (i, ids) in srcs.iter().enumerate() {
-            mb.admit(
-                &model,
-                &mut params,
-                i as u64,
-                JobSpec::Beam {
-                    src: src_of(ids),
-                    bos: BOS,
-                    eos: EOS,
-                    cfg: cfg.clone(),
-                },
-            );
+            mb.admit(&model, &mut params, i as u64, beam(ids, &cfg));
         }
         let results = drain(&mut mb, &model, &mut params);
         assert_eq!(results.len(), 3);
@@ -1025,54 +954,14 @@ mod tests {
         let b2 = beam_search(&model, &mut params, &src_of(&[9, 11]), BOS, EOS, &cfg);
 
         let mut mb = MicroBatcher::new(&model, &mut params);
-        mb.admit(
-            &model,
-            &mut params,
-            1,
-            JobSpec::Greedy {
-                src: src_of(&[9, 10, 11]),
-                bos: BOS,
-                eos: EOS,
-                max_steps: 8,
-            },
-        );
-        mb.admit(
-            &model,
-            &mut params,
-            2,
-            JobSpec::Beam {
-                src: src_of(&[10, 9]),
-                bos: BOS,
-                eos: EOS,
-                cfg: cfg.clone(),
-            },
-        );
+        mb.admit(&model, &mut params, 1, greedy(&[9, 10, 11]));
+        mb.admit(&model, &mut params, 2, beam(&[10, 9], &cfg));
         let mut results = Vec::new();
         results.extend(mb.step(&model, &mut params));
         results.extend(mb.step(&model, &mut params));
         // Two tokens decoded: the next admissions see a nonzero lead pad.
-        mb.admit(
-            &model,
-            &mut params,
-            3,
-            JobSpec::Greedy {
-                src: src_of(&[11, 9]),
-                bos: BOS,
-                eos: EOS,
-                max_steps: 8,
-            },
-        );
-        mb.admit(
-            &model,
-            &mut params,
-            4,
-            JobSpec::Beam {
-                src: src_of(&[9, 11]),
-                bos: BOS,
-                eos: EOS,
-                cfg: cfg.clone(),
-            },
-        );
+        mb.admit(&model, &mut params, 3, greedy(&[11, 9]));
+        mb.admit(&model, &mut params, 4, beam(&[9, 11], &cfg));
         results.extend(drain(&mut mb, &model, &mut params));
         results.sort_by_key(|(id, _)| *id);
         assert_eq!(results.len(), 4);
@@ -1117,39 +1006,9 @@ mod tests {
         let g3_want = greedy_decode(&model, &mut params, &src_of(&[11, 9]), BOS, EOS, 8);
 
         let mut mb = MicroBatcher::new(&model, &mut params);
-        mb.admit(
-            &model,
-            &mut params,
-            1,
-            JobSpec::Greedy {
-                src: src_of(&[9, 10, 11]),
-                bos: BOS,
-                eos: EOS,
-                max_steps: 8,
-            },
-        );
-        mb.admit(
-            &model,
-            &mut params,
-            2,
-            JobSpec::Beam {
-                src: src_of(&[10, 9]),
-                bos: BOS,
-                eos: EOS,
-                cfg: cfg.clone(),
-            },
-        );
-        mb.admit(
-            &model,
-            &mut params,
-            3,
-            JobSpec::Greedy {
-                src: src_of(&[11, 9]),
-                bos: BOS,
-                eos: EOS,
-                max_steps: 8,
-            },
-        );
+        mb.admit(&model, &mut params, 1, greedy(&[9, 10, 11]));
+        mb.admit(&model, &mut params, 2, beam(&[10, 9], &cfg));
+        mb.admit(&model, &mut params, 3, greedy(&[11, 9]));
         // Two fused steps in, the middle job's client disconnects. Its
         // beam occupies multiple rows by now — the gather has to close a
         // multi-row hole.
@@ -1179,17 +1038,7 @@ mod tests {
         let want = greedy_decode(&model, &mut params, &src_of(&[10, 11]), BOS, EOS, 8);
         let mut mb = MicroBatcher::new(&model, &mut params);
         for id in 0..3u64 {
-            mb.admit(
-                &model,
-                &mut params,
-                id,
-                JobSpec::Greedy {
-                    src: src_of(&[10, 11]),
-                    bos: BOS,
-                    eos: EOS,
-                    max_steps: 8,
-                },
-            );
+            mb.admit(&model, &mut params, id, greedy(&[10, 11]));
         }
         mb.step(&model, &mut params);
         for id in 0..3u64 {
@@ -1198,17 +1047,7 @@ mod tests {
         assert!(mb.is_idle());
         assert_eq!(mb.rows(), 0);
         // The reset batcher must accept and serve fresh work identically.
-        mb.admit(
-            &model,
-            &mut params,
-            7,
-            JobSpec::Greedy {
-                src: src_of(&[10, 11]),
-                bos: BOS,
-                eos: EOS,
-                max_steps: 8,
-            },
-        );
+        mb.admit(&model, &mut params, 7, greedy(&[10, 11]));
         let results = drain(&mut mb, &model, &mut params);
         assert_eq!(expect_greedy(&results[0].1), want.as_slice());
     }
@@ -1219,17 +1058,7 @@ mod tests {
         let want = greedy_decode(&model, &mut params, &src_of(&[9, 10]), BOS, EOS, 8);
         let mut mb = MicroBatcher::new(&model, &mut params);
         for round in 0..2u64 {
-            mb.admit(
-                &model,
-                &mut params,
-                round,
-                JobSpec::Greedy {
-                    src: src_of(&[9, 10]),
-                    bos: BOS,
-                    eos: EOS,
-                    max_steps: 8,
-                },
-            );
+            mb.admit(&model, &mut params, round, greedy(&[9, 10]));
             let results = drain(&mut mb, &model, &mut params);
             assert_eq!(expect_greedy(&results[0].1), want.as_slice());
             assert_eq!(mb.rows(), 0);

@@ -262,32 +262,28 @@ impl Seq2Seq {
             .cross_entropy(logits, tgt_out, Some(pad_id), self.cfg.label_smoothing)
     }
 
-    /// Starts an incremental decode: encodes the source **once** on a
-    /// forward-only tape, precomputes every decoder layer's cross-attention
-    /// K/V and the tied output projection `Eᵀ`, and returns the state that
-    /// [`Self::decode_step`] advances one token at a time.
-    ///
-    /// `src.b` must be 1 (one source per decode call); the hypothesis batch
-    /// grows via [`IncrementalState::select_beams`].
+    /// Starts a width-1 incremental decode of one source (`src.b == 1`):
+    /// [`Self::begin_request`] plus `Eᵀ` and the `[h, 1, t_src]` cross mask,
+    /// advanced one token at a time by [`Self::decode_step`]. The crate's
+    /// decoders run through [`crate::MicroBatcher`]; this per-token API
+    /// serves callers that drive or time single steps.
     pub fn begin_decode(&self, params: &mut ParamStore, src: &TokenBatch) -> IncrementalState {
         let (layers, cross_mask_row) = self.begin_request(params, src);
-        let et = self.tied_projection(params);
+        let t_src = cross_mask_row.len();
+        let h = self.cfg.n_heads;
         IncrementalState {
             layers,
-            et,
-            cross_mask_row,
-            cross_mask_cache: None,
+            et: self.tied_projection(params),
+            cross_mask: Tensor::from_vec(cross_mask_row.repeat(h), &[h, 1, t_src])
+                .expect("cross mask shape"),
             pos: 0,
-            width: 1,
-            n_heads: self.cfg.n_heads,
         }
     }
 
     /// Encodes one source (`src.b == 1`) and builds its per-layer KV caches
     /// and additive cross-attention mask row (`0.0` for valid source keys,
     /// `NEG_INF` for padding) — the per-request half of [`Self::begin_decode`],
-    /// exposed so the fused multi-request decoder can pool cache slots from
-    /// many independent requests.
+    /// which [`crate::MicroBatcher`] pools into its fused cache slots.
     pub fn begin_request(
         &self,
         params: &mut ParamStore,
@@ -323,50 +319,40 @@ impl Seq2Seq {
         ctx.tape.value(et_var)
     }
 
-    /// One incremental decode step. `tokens` holds the newest token of each
-    /// hypothesis (all at position `state.decoded_len()`); returns
-    /// next-token logits `[width, vocab]` through the tied projection.
-    ///
-    /// Each step runs on its own forward-only tape, so the per-step graph is
-    /// dropped as soon as the logits are extracted.
+    /// One incremental decode step: feeds `tokens[0]`, the newest token,
+    /// at position `state.decoded_len()` and returns next-token logits
+    /// `[1, vocab]` through the tied projection.
     pub fn decode_step(
         &self,
         params: &mut ParamStore,
         state: &mut IncrementalState,
         tokens: &[usize],
     ) -> Tensor {
-        assert_eq!(
-            tokens.len(),
-            state.width,
-            "decode_step expects one token per hypothesis"
-        );
-        let b = tokens.len();
-        let pos_id = state.pos.min(self.cfg.max_len - 1);
-        let positions = vec![pos_id; b];
-        let cross_mask = state.cross_mask();
-        let et = state.et.clone();
+        assert_eq!(tokens.len(), 1, "decode_step advances one hypothesis");
+        let positions = [state.pos.min(self.cfg.max_len - 1)];
         let out = self.decode_step_rows(
             params,
             &mut state.layers,
             tokens,
             &positions,
             None,
-            &cross_mask,
-            &et,
+            &state.cross_mask,
+            &state.et,
         );
         state.pos += 1;
         out
     }
 
-    /// One incremental decode step over an arbitrary row batch: row `i`
-    /// embeds `tokens[i]` at `positions[i]`, advances through the decoder
-    /// against `layers` (whose `[rows*h, ·, dh]` caches it appends to), and
-    /// projects through `et`. This is [`Self::decode_step`] generalized to
-    /// rows that belong to *different* requests — per-row positions, an
+    /// One incremental decode step over an arbitrary row batch, on its own
+    /// forward-only tape: row `i` embeds `tokens[i]` at `positions[i]`,
+    /// advances through the decoder against `layers` (whose
+    /// `[rows*h, ·, dh]` caches it appends to), and projects through `et`.
+    /// Rows may belong to *different* requests — per-row positions, an
     /// optional self-attention mask (hiding fused-cache positions that
     /// predate a request's admission), and a per-row cross mask. Every
-    /// per-row computation is identical to the single-request path, so the
-    /// returned `[rows, vocab]` logits are bit-identical row for row.
+    /// per-row computation is independent of the other rows, so the
+    /// returned `[rows, vocab]` logits are bit-identical row for row to a
+    /// one-row step.
     #[allow(clippy::too_many_arguments)]
     pub fn decode_step_rows(
         &self,
@@ -410,32 +396,21 @@ impl Seq2Seq {
     }
 }
 
-/// State carried across incremental decode steps: per-layer KV caches, the
-/// materialized tied projection, and the source-validity mask row. Created
-/// by [`Seq2Seq::begin_decode`].
+/// State carried across width-1 incremental decode steps: per-layer KV
+/// caches, the materialized tied projection and the cross-attention mask.
+/// Created by [`Seq2Seq::begin_decode`].
 pub struct IncrementalState {
     layers: Vec<LayerKv>,
     /// Tied output projection `Eᵀ` (`[d, vocab]`), materialized once.
     et: Tensor,
-    /// Additive cross-attention mask over source keys (`0.0` for valid,
-    /// `NEG_INF` for padding), one entry per source position.
-    cross_mask_row: Vec<f32>,
-    /// Materialized `[width*h, 1, t_src]` mask for the current width,
-    /// rebuilt lazily after [`Self::select_beams`] changes the width.
-    cross_mask_cache: Option<Tensor>,
+    /// `[h, 1, t_src]` additive cross-attention mask (`0.0` for valid
+    /// source keys, `NEG_INF` for padding), built once.
+    cross_mask: Tensor,
     /// Tokens fed so far — the position index of the next token.
     pos: usize,
-    /// Hypotheses currently advanced as one batch.
-    width: usize,
-    n_heads: usize,
 }
 
 impl IncrementalState {
-    /// Number of hypotheses currently advanced per step.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Number of tokens decoded (and cached) so far.
     pub fn decoded_len(&self) -> usize {
         self.pos
@@ -444,46 +419,6 @@ impl IncrementalState {
     /// Per-layer KV caches (exposed for tests).
     pub fn layers(&self) -> &[LayerKv] {
         &self.layers
-    }
-
-    /// Reorders/replicates every cached K/V along the hypothesis dimension:
-    /// `parents[i]` names the current hypothesis that new hypothesis `i`
-    /// extends. The new width is `parents.len()`.
-    pub fn select_beams(&mut self, parents: &[usize]) {
-        crate::obs::DECODE_OBS.beam_reorders.inc();
-        let h = self.n_heads;
-        let rows: Vec<usize> = parents
-            .iter()
-            .flat_map(|&p| {
-                assert!(p < self.width, "parent {p} out of width {}", self.width);
-                (0..h).map(move |head| p * h + head)
-            })
-            .collect();
-        for layer in &mut self.layers {
-            layer.select_rows(&rows);
-        }
-        if self.width != parents.len() {
-            self.cross_mask_cache = None;
-        }
-        self.width = parents.len();
-    }
-
-    /// The `[width*h, 1, t_src]` additive cross-attention mask for the
-    /// current width — the same per-row values the reference path's
-    /// `cross_attn_mask` produces.
-    fn cross_mask(&mut self) -> Tensor {
-        if let Some(m) = &self.cross_mask_cache {
-            return m.clone();
-        }
-        let t_k = self.cross_mask_row.len();
-        let rows = self.width * self.n_heads;
-        let mut data = Vec::with_capacity(rows * t_k);
-        for _ in 0..rows {
-            data.extend_from_slice(&self.cross_mask_row);
-        }
-        let m = Tensor::from_vec(data, &[rows, 1, t_k]).expect("mask shape");
-        self.cross_mask_cache = Some(m.clone());
-        m
     }
 }
 

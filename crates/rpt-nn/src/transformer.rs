@@ -93,31 +93,24 @@ impl EncoderLayer {
 ///
 /// Cross-attention keys/values are projected once from the encoder output
 /// when the cache is created; self-attention keys/values start empty and
-/// grow by one time step per [`DecoderLayer::forward_step`]. All four
-/// tensors are `[width*h, t, dh]`, where `width` is the number of
-/// hypotheses currently advanced as a batch.
+/// grow by one time step per [`DecoderLayer::forward_step`]. Rows are
+/// `rows*h`, where `rows` is the number of decoder rows advanced as a batch.
 #[derive(Debug, Clone)]
 pub struct LayerKv {
-    /// Cached self-attention keys over the decoded prefix (`None` before
-    /// the first step).
+    /// Cached self-attention keys over the decoded prefix, `[rows*h, t, dh]`
+    /// (`None` before the first step).
     pub self_k: Option<Tensor>,
     /// Cached self-attention values over the decoded prefix.
     pub self_v: Option<Tensor>,
-    /// Cross-attention keys over the (fixed) encoder output.
-    pub cross_k: Tensor,
-    /// `cross_k` pre-transposed to `[width*h, dh, t_src]`, computed once at
-    /// cache-build time so each decode step skips the transpose op.
+    /// Cross-attention keys over the (fixed) encoder output, stored
+    /// pre-transposed as `[rows*h, dh, t_src]` so each decode step skips the
+    /// transpose op.
     pub cross_kt: Tensor,
-    /// Cross-attention values over the encoder output.
+    /// Cross-attention values over the encoder output, `[rows*h, t_src, dh]`.
     pub cross_v: Tensor,
 }
 
 impl LayerKv {
-    /// Number of decoded positions currently cached.
-    pub fn decoded_len(&self) -> usize {
-        self.self_k.as_ref().map_or(0, |k| k.shape()[1])
-    }
-
     fn append_self(&mut self, k_new: Tensor, v_new: Tensor) {
         crate::obs::DECODE_OBS.cache_appends.inc();
         self.self_k = Some(match self.self_k.take() {
@@ -139,7 +132,6 @@ impl LayerKv {
         if let Some(v) = &self.self_v {
             self.self_v = Some(v.gather_batches(rows));
         }
-        self.cross_k = self.cross_k.gather_batches(rows);
         self.cross_kt = self.cross_kt.gather_batches(rows);
         self.cross_v = self.cross_v.gather_batches(rows);
     }
@@ -224,13 +216,12 @@ impl DecoderLayer {
     /// output, starting an empty self-attention cache.
     pub fn begin_cache(&self, ctx: &mut Ctx<'_>, enc_out: Var) -> LayerKv {
         let (cross_k, cross_v) = self.cross_attn.project_kv(ctx, enc_out);
-        let kv = ctx.tape.constant(cross_k.clone());
+        let kv = ctx.tape.constant(cross_k);
         let ktv = ctx.tape.transpose_last(kv);
         let cross_kt = ctx.tape.value(ktv);
         LayerKv {
             self_k: None,
             self_v: None,
-            cross_k,
             cross_kt,
             cross_v,
         }

@@ -722,9 +722,19 @@ mod tests {
     // distinct span names so concurrent tests cannot confuse each other's
     // assertions beyond ring sharing (assertions filter by name).
 
+    /// Holds the process-global trace gate at `on` for one test. Tests run
+    /// on parallel threads, so without the lock one test could re-enable
+    /// tracing inside another's dark window.
+    fn gate(on: bool) -> std::sync::MutexGuard<'static, ()> {
+        static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let guard = GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        set_trace_enabled(on);
+        guard
+    }
+
     #[test]
     fn spans_nest_and_reconstruct() {
-        set_trace_enabled(true);
+        let _gate = gate(true);
         let tid = next_trace_id();
         let _ctx = trace_context(tid, 0);
         let outer_id;
@@ -753,9 +763,9 @@ mod tests {
     #[test]
     fn disabled_tracing_records_nothing() {
         // Use explicit emits with a sentinel name; flip the gate off just
-        // around them (other tests may re-enable concurrently, so scan
-        // for the sentinel rather than asserting global emptiness).
-        set_trace_enabled(false);
+        // around them (scan for the sentinel rather than asserting global
+        // emptiness: tests that leave the gate on share the ring).
+        let _gate = gate(false);
         let before = trace_events()
             .iter()
             .filter(|e| e.name == "t.dark.never")
@@ -777,7 +787,7 @@ mod tests {
 
     #[test]
     fn emit_span_records_cross_thread_stages() {
-        set_trace_enabled(true);
+        let _gate = gate(true);
         let tid = next_trace_id();
         let root = begin_span(tid, 0, "t.stage.root", 100);
         let sid = emit_span(tid, root, "t.stage.queue_wait", 120, 200);
@@ -800,7 +810,7 @@ mod tests {
 
     #[test]
     fn profile_aggregates_self_time() {
-        set_trace_enabled(true);
+        let _gate = gate(true);
         let tid = next_trace_id();
         let root = begin_span(tid, 0, "t.prof.root", 0);
         emit_span(tid, root, "t.prof.child", 10, 40);
@@ -833,7 +843,7 @@ mod tests {
 
     #[test]
     fn ring_wrap_counts_overwritten_events() {
-        set_trace_enabled(true);
+        let _gate = gate(true);
         let stats = trace_stats();
         assert_eq!(stats.capacity, RING_CAPACITY as u64);
         assert_eq!(stats.overwritten, stats.recorded.saturating_sub(stats.capacity));
@@ -841,7 +851,7 @@ mod tests {
 
     #[test]
     fn dump_round_trips_through_rpt_json() {
-        set_trace_enabled(true);
+        let _gate = gate(true);
         let tid = next_trace_id();
         emit_span(tid, 0, "t.dump.span", 5, 15);
         let text = trace_dump_json().to_string_pretty();
@@ -856,7 +866,7 @@ mod tests {
 
     #[test]
     fn dump_parses_back_into_spans() {
-        set_trace_enabled(true);
+        let _gate = gate(true);
         let tid = next_trace_id();
         let root = begin_span(tid, 0, "t.parse.root", 10);
         emit_span(tid, root, "t.parse.stage", 20, 60);
@@ -876,7 +886,7 @@ mod tests {
 
     #[test]
     fn tracez_reports_recent_traces() {
-        set_trace_enabled(true);
+        let _gate = gate(true);
         let tid = next_trace_id();
         let root = begin_span(tid, 0, "t.tracez.request", 1000);
         emit_span(tid, root, "t.tracez.decode", 1100, 1900);

@@ -3,11 +3,12 @@
 #
 # 1. Offline release build + full workspace test suite (the tier-1 bar).
 # 2. The equivalence suites re-run with a 4-thread global pool, proving
-#    that (a) the data-parallel trainer and parallel matmul kernels and
-#    (b) the KV-cached incremental decoder are bit-identical to their
-#    serial/uncached reference paths when threading is actually on (the
-#    suites also construct explicit pools internally, so this doubles as
-#    an env-var plumbing check for RPT_THREADS).
+#    that the data-parallel trainer and parallel matmul kernels are
+#    bit-identical to their serial reference paths when threading is
+#    actually on (the suites also construct explicit pools internally, so
+#    this doubles as an env-var plumbing check for RPT_THREADS); the
+#    cached decode engine is checked against the uncached reference
+#    decoders under every RPT_SIMD x RPT_THREADS combination.
 # 3. The SIMD gate: the kernel equivalence suite and the parallel
 #    trainer equivalence re-run under RPT_SIMD=0 and RPT_SIMD=1, proving
 #    the AVX2 kernels are bit-identical to the scalar path end to end.
@@ -20,10 +21,11 @@
 # 6. A metrics smoke drive: the same CLI run with --metrics-out must
 #    leave a parseable snapshot containing the core training, decode,
 #    thread-pool, and checkpoint-IO metric names.
-# 7. The serving gate: the batched-server bit-identity suite at 1 and 4
-#    threads, a fast-mode load-generator run whose artifact must parse
-#    and show real batch occupancy, and a CLI `rpt serve` smoke drive
-#    over raw TCP covering every endpoint plus the serve.* metrics.
+# 7. The serving gate: the batched-server bit-identity suite under every
+#    RPT_SIMD x RPT_THREADS combination, a fast-mode load-generator run
+#    whose artifact must parse and show real batch occupancy, and a CLI
+#    `rpt serve` smoke drive over raw TCP covering every endpoint plus
+#    the serve.* metrics.
 # 8. The quantization gate: the int8 equivalence suite under every
 #    RPT_SIMD x RPT_THREADS combination with a cross-process decode
 #    fingerprint diff, a fast-mode quant bench whose artifact must parse
@@ -53,7 +55,6 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
 RPT_THREADS=4 cargo test -q --offline --test parallel_equivalence
-RPT_THREADS=4 cargo test -q --offline --test decode_equivalence
 RPT_THREADS=4 cargo test -q --offline --release --test resume_equivalence
 
 # Streaming-corpus gate: disk-backed sharded training (prefetch on and
@@ -63,10 +64,18 @@ RPT_THREADS=4 cargo test -q --offline --release --test resume_equivalence
 RPT_THREADS=4 cargo test -q --offline --release --test streaming_equivalence
 RPT_THREADS=4 cargo test -q --offline --release --test streaming_fault_injection
 
-# Serving bit-identity gate: the micro-batched server must return
-# byte-identical decodes with and without a threaded global pool.
-RPT_THREADS=1 cargo test -q --offline --test serve_equivalence
-RPT_THREADS=4 cargo test -q --offline --test serve_equivalence
+# Decode and serving bit-identity gate, under every RPT_SIMD x
+# RPT_THREADS combination: the one decode engine must match the
+# full-prefix reference decoders, and the micro-batched server must return
+# byte-identical decodes to single-request decoding.
+for simd in 0 1; do
+    for threads in 1 4; do
+        RPT_SIMD=$simd RPT_THREADS=$threads \
+            cargo test -q --offline --test decode_equivalence
+        RPT_SIMD=$simd RPT_THREADS=$threads \
+            cargo test -q --offline --test serve_equivalence
+    done
+done
 
 # Tracing bit-identity gate: training and serving with every instrument
 # lit (trace ring, metrics, snapshots, summary headers) must match the

@@ -1,6 +1,7 @@
-//! Shared serving-test harness: the tiny trained copy model and a
-//! one-shot HTTP client. Used by `serve_equivalence.rs` (fusion
-//! invisibility) and `obs_determinism.rs` (tracing invisibility).
+//! Shared test harness: the tiny trained copy model and a one-shot HTTP
+//! client. Used by `decode_equivalence.rs` (engine vs reference decoders),
+//! `serve_equivalence.rs` (fusion invisibility) and `obs_determinism.rs`
+//! (tracing invisibility).
 
 // Each including test binary uses a subset of these helpers.
 #![allow(dead_code)]
@@ -16,7 +17,7 @@ pub const BOS: usize = 1;
 pub const EOS: usize = 2;
 
 /// Trains a tiny copy model (output = input tokens) — the same recipe as
-/// `tests/decode_equivalence.rs`, so decodes are non-trivial. Fully
+/// the rpt-nn decode unit tests, so decodes are non-trivial. Fully
 /// deterministic: two calls produce bit-identical weights.
 pub fn trained_copy_model() -> (Seq2Seq, ParamStore) {
     let mut params = ParamStore::new();

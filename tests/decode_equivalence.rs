@@ -1,73 +1,24 @@
 //! Fast-path / reference decoding equivalence.
 //!
-//! The KV-cached incremental decoder (`greedy_decode` / `beam_search`) must
-//! produce **token-identical** output to the full-prefix reference
-//! recompute (`greedy_decode_reference` / `beam_search_reference`) on
-//! trained models, with hypothesis scores within 1e-4. Also unit-tests the
-//! KV cache itself: single-token append shape/content and beam-row
-//! replication.
+//! The cached decode engine (`greedy_decode` / `beam_search` /
+//! `forced_score`, one-job `MicroBatcher` runs) must produce
+//! **token-identical** output to the full-prefix reference recomputes
+//! (`greedy_decode_reference` / `beam_search_reference` /
+//! `forced_score_reference`) on trained models, with hypothesis scores and
+//! per-token log-probabilities within 1e-4. Also unit-tests the KV cache
+//! itself: single-token append shape/content and beam-row replication.
 
+mod common;
+
+use common::{trained_copy_model, BOS, EOS};
 use rpt::core::cleaning::{CleaningConfig, MaskPolicy, RptC};
 use rpt::core::vocabulary::build_vocab;
 use rpt::nn::{
-    beam_search, beam_search_reference, greedy_decode, greedy_decode_reference, BeamConfig,
-    Ctx, Hypothesis, Seq2Seq, Sequence, TokenBatch, TransformerConfig,
+    beam_search, beam_search_reference, forced_score, forced_score_reference, greedy_decode,
+    greedy_decode_reference, BeamConfig, Hypothesis, Seq2Seq, Sequence, TokenBatch,
 };
 use rpt::table::{Schema, Table, Value};
-use rpt::tensor::{clip_global_norm, Adam, AdamConfig, ParamStore, Tape};
-use rpt_rng::{SeedableRng, SmallRng};
-
-const BOS: usize = 1;
-const EOS: usize = 2;
-
-/// Trains a tiny copy model (output = input tokens) — same recipe as the
-/// rpt-nn decode unit tests.
-fn trained_copy_model() -> (Seq2Seq, ParamStore) {
-    let mut params = ParamStore::new();
-    let mut rng = SmallRng::seed_from_u64(0);
-    let model = Seq2Seq::new(&mut params, TransformerConfig::tiny(12), &mut rng);
-    let mut opt = Adam::new(AdamConfig {
-        lr: 3e-3,
-        ..Default::default()
-    });
-    let examples: Vec<Vec<usize>> = vec![
-        vec![9, 10],
-        vec![10, 9],
-        vec![11, 9],
-        vec![9, 11],
-        vec![10, 11],
-        vec![11, 10],
-    ];
-    for _ in 0..150 {
-        let srcs: Vec<Sequence> = examples.iter().map(|e| Sequence::from_ids(e.clone())).collect();
-        let src = TokenBatch::from_sequences(&srcs, 16, 0);
-        let tgt_in: Vec<Sequence> = examples
-            .iter()
-            .map(|e| {
-                let mut v = vec![BOS];
-                v.extend(e);
-                Sequence::from_ids(v)
-            })
-            .collect();
-        let tgt_in = TokenBatch::from_sequences(&tgt_in, 16, 0);
-        let mut tgt_out = vec![0usize; tgt_in.b * tgt_in.t];
-        for (bi, e) in examples.iter().enumerate() {
-            for (i, &tok) in e.iter().enumerate() {
-                tgt_out[bi * tgt_in.t + i] = tok;
-            }
-            tgt_out[bi * tgt_in.t + e.len()] = EOS;
-        }
-        let tape = Tape::new();
-        let mut rng3 = SmallRng::seed_from_u64(2);
-        let mut ctx = Ctx::new(&tape, &mut params, &mut rng3, true);
-        let loss = model.reconstruction_loss(&mut ctx, &src, &tgt_in, &tgt_out, 0);
-        let mut grads = tape.backward(loss);
-        let mut pg = params.collect_grads(&mut grads);
-        clip_global_norm(&mut pg, 1.0);
-        opt.step(&mut params, &pg);
-    }
-    (model, params)
-}
+use rpt::tensor::{ParamStore, Tensor};
 
 /// Pretrains a tiny RPT-C denoising model on an FD table (brand → maker).
 fn trained_denoising_model() -> (RptC, Table) {
@@ -107,6 +58,24 @@ fn assert_beams_match(fast: &[Hypothesis], reference: &[Hypothesis]) {
             r.score
         );
     }
+}
+
+/// Scores `targets` on both forced paths: per-token log-probs within 1e-4,
+/// same count. Returns the count.
+fn assert_forced_matches(
+    model: &Seq2Seq,
+    params: &mut ParamStore,
+    src: &TokenBatch,
+    targets: &[usize],
+) -> usize {
+    let (total, per_token) = forced_score(model, params, src, BOS, EOS, targets);
+    let (ref_total, ref_per_token) = forced_score_reference(model, params, src, BOS, EOS, targets);
+    assert_eq!(per_token.len(), ref_per_token.len(), "scored count");
+    for (i, (f, r)) in per_token.iter().zip(&ref_per_token).enumerate() {
+        assert!((f - r).abs() <= 1e-4, "token {i} drifted: {f} vs {r}");
+    }
+    assert!((total - ref_total).abs() <= 1e-4 * per_token.len() as f32);
+    per_token.len()
 }
 
 #[test]
@@ -164,6 +133,44 @@ fn decoding_matches_reference_on_denoising_model() {
         let fast = beam_search(model, params, src, BOS, EOS, &cfg);
         let reference = beam_search_reference(model, params, src, BOS, EOS, &cfg);
         assert_beams_match(&fast, &reference);
+    }
+}
+
+/// Forced scoring matches the reference on both models, including targets
+/// long enough that scoring stops at `max_len`.
+#[test]
+fn forced_score_matches_reference_on_both_models() {
+    let (model, mut params) = trained_copy_model();
+    let max_len = model.config().max_len;
+    let long: Vec<usize> = (0..max_len + 4).map(|i| 9 + i % 3).collect();
+    for (ids, targets) in [
+        (vec![10, 9], vec![10, 9]),
+        (vec![9, 11], vec![11, 11]),
+        (vec![11], vec![]),
+        (vec![9, 10], long.clone()),
+    ] {
+        let src = TokenBatch::from_sequences(&[Sequence::from_ids(ids)], 16, 0);
+        let n = assert_forced_matches(&model, &mut params, &src, &targets);
+        assert_eq!(n, (targets.len() + 1).min(max_len - 1));
+    }
+
+    let (mut rptc, t) = trained_denoising_model();
+    let max_len = rptc.config().model.max_len;
+    let srcs: Vec<TokenBatch> = [0, 2, 5]
+        .iter()
+        .map(|&row| {
+            let seq = rptc.masked_source(t.schema(), t.row(row), 1);
+            TokenBatch::from_sequences(&[seq], max_len, 0)
+        })
+        .collect();
+    let (model, params) = rptc.decode_parts();
+    let vocab = model.config().vocab_size;
+    let long: Vec<usize> = (0..max_len + 4).map(|i| 3 + i % (vocab - 3)).collect();
+    for src in &srcs {
+        let greedy = greedy_decode(model, params, src, BOS, EOS, 8);
+        assert_forced_matches(model, params, src, &greedy);
+        let n = assert_forced_matches(model, params, src, &long);
+        assert_eq!(n, max_len - 1, "long target must stop at max_len");
     }
 }
 
@@ -230,15 +237,14 @@ fn kv_cache_appends_one_position_per_step() {
     let t_src = src.t;
 
     let mut state = model.begin_decode(&mut params, &src);
-    assert_eq!(state.width(), 1);
     assert_eq!(state.decoded_len(), 0);
     assert_eq!(state.layers().len(), cfg.n_dec_layers);
     for layer in state.layers() {
         assert!(layer.self_k.is_none(), "self cache starts empty");
-        assert_eq!(layer.cross_k.shape(), &[h, t_src, dh]);
+        assert_eq!(layer.cross_kt.shape(), &[h, dh, t_src]);
         assert_eq!(layer.cross_v.shape(), &[h, t_src, dh]);
     }
-    let cross_k_before = state.layers()[0].cross_k.data().to_vec();
+    let cross_kt_before = state.layers()[0].cross_kt.data().to_vec();
 
     let _ = model.decode_step(&mut params, &mut state, &[BOS]);
     assert_eq!(state.decoded_len(), 1);
@@ -262,13 +268,14 @@ fn kv_cache_appends_one_position_per_step() {
         assert_eq!(row, before, "append rewrote cached position 0, head {head}");
     }
     assert_eq!(
-        layer.cross_k.data(),
-        &cross_k_before[..],
+        layer.cross_kt.data(),
+        &cross_kt_before[..],
         "cross K must never change across steps"
     );
 }
 
-/// KV-cache unit test: beam selection replicates/reorders cached rows.
+/// KV-cache unit test: the row gather behind beam reordering and slot
+/// reclaim (`LayerKv::select_rows`) replicates/reorders cached rows.
 #[test]
 fn kv_cache_select_beams_replicates_rows() {
     let (model, mut params) = trained_copy_model();
@@ -280,19 +287,34 @@ fn kv_cache_select_beams_replicates_rows() {
     let _ = model.decode_step(&mut params, &mut state, &[BOS]);
     let base_k = state.layers()[0].self_k.as_ref().unwrap().data().to_vec();
 
-    state.select_beams(&[0, 0]);
-    assert_eq!(state.width(), 2);
-    let layer = &state.layers()[0];
-    let k = layer.self_k.as_ref().unwrap();
+    // hypothesis 0 twice: each hypothesis row expands to its h head rows
+    let rows: Vec<usize> = (0..h).chain(0..h).collect();
+    let mut layers = state.layers().to_vec();
+    for layer in &mut layers {
+        layer.select_rows(&rows);
+    }
+    let k = layers[0].self_k.as_ref().unwrap();
     assert_eq!(k.shape(), &[2 * h, 1, dh]);
-    assert_eq!(layer.cross_k.shape()[0], 2 * h);
+    assert_eq!(layers[0].cross_kt.shape()[0], 2 * h);
+    assert_eq!(layers[0].cross_v.shape()[0], 2 * h);
     // both replicas carry the parent's rows
     assert_eq!(&k.data()[..h * dh], &base_k[..]);
     assert_eq!(&k.data()[h * dh..], &base_k[..]);
 
     // the widened batch keeps decoding: same token in both rows gives the
-    // same logits row twice
-    let logits = model.decode_step(&mut params, &mut state, &[10, 10]);
+    // same logits row twice (the unpadded source masks nothing)
+    let cross_mask = Tensor::zeros(&[2 * h, 1, src.t]);
+    let et = model.tied_projection(&mut params);
+    let (tokens, positions) = ([10, 10], [1, 1]);
+    let logits = model.decode_step_rows(
+        &mut params,
+        &mut layers,
+        &tokens,
+        &positions,
+        None,
+        &cross_mask,
+        &et,
+    );
     assert_eq!(logits.shape(), &[2, cfg.vocab_size]);
     let v = cfg.vocab_size;
     assert_eq!(&logits.data()[..v], &logits.data()[v..]);
