@@ -1,18 +1,21 @@
 //! Microbenchmarks for the substrate layers: tensor kernels, attention
 //! forward/backward, tuple tokenization, blocking, the ZeroER EM step,
-//! and FD profiling. These track the cost of the pieces the experiment
-//! binaries are built from.
+//! and FD profiling, plus the decode, serving, quantization, tracing and
+//! streaming artifacts under `bench_results/bench_*.json`.
 //!
 //! The harness is std-only (`harness = false`; no criterion so the
-//! workspace stays dependency-free): each benchmark warms up for ~0.5 s,
-//! then runs 20 timed samples and reports the median, min, and max
-//! per-iteration time. Run with `cargo bench --offline`.
-
-use std::time::{Duration, Instant};
+//! workspace stays dependency-free). Every timing goes through
+//! [`rpt_bench::measure`] (warm-up, then interleaved samples per arm,
+//! reported as median and p10/p90), and every artifact through
+//! [`rpt_bench::emit`] (the `rpt-bench-v2` provenance header). Run with
+//! `cargo bench --offline -p rpt-bench --bench micro [-- <group>]`;
+//! `RPT_BENCH_FAST=1` takes a smoke-sized run.
 
 use rpt_baselines::ZeroEr;
+use rpt_bench::{emit, fast_mode, harness_params, measure, source_ids, Spread, MAX_STEPS};
 use rpt_core::er::Blocker;
 use rpt_datagen::standard_benchmarks;
+use rpt_json::{json, Json};
 use rpt_nn::{
     beam_search, beam_search_reference, greedy_decode, greedy_decode_reference, BeamConfig, Ctx,
     MultiHeadAttention, Seq2Seq, Sequence, TokenBatch, TransformerConfig,
@@ -22,198 +25,69 @@ use rpt_table::TableProfile;
 use rpt_tensor::{init, ParamStore, Tape, Tensor};
 use rpt_tokenizer::{EncoderOptions, TupleEncoder, VocabBuilder};
 
-/// Mirrors the old criterion config: 20 samples, ~2 s measurement,
-/// ~500 ms warm-up. Setting `RPT_BENCH_FAST` (any value) shrinks this to a
-/// smoke run (5 samples, ~200 ms) so CI can exercise the harness and the
-/// artifact schema without paying full measurement time.
-const SAMPLES: usize = 20;
-const MEASURE: Duration = Duration::from_secs(2);
-const WARM_UP: Duration = Duration::from_millis(500);
+use std::hint::black_box;
 
-fn fast_mode() -> bool {
-    static FAST: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FAST.get_or_init(|| std::env::var_os("RPT_BENCH_FAST").is_some())
-}
-
-fn harness_params() -> (usize, Duration, Duration) {
-    if fast_mode() {
-        (5, Duration::from_millis(200), Duration::from_millis(50))
-    } else {
-        (SAMPLES, MEASURE, WARM_UP)
-    }
-}
-
-fn human(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns >= 1_000_000_000 {
-        format!("{:.3} s", d.as_secs_f64())
-    } else if ns >= 1_000_000 {
-        format!("{:.3} ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.3} us", ns as f64 / 1e3)
-    } else {
-        format!("{ns} ns")
-    }
-}
-
-/// Times `f`, printing criterion-style name + median [min .. max] stats.
-/// Returns the median per-iteration time so callers can derive ratios
-/// (e.g. the thread-scaling artifact).
-fn bench_function(name: &str, mut f: impl FnMut()) -> Duration {
-    let (n_samples, measure, warm_up) = harness_params();
-    // warm-up, and estimate how many iterations fill a sample
-    let warm_start = Instant::now();
-    let mut iters_done = 0u64;
-    while warm_start.elapsed() < warm_up {
-        f();
-        iters_done += 1;
-    }
-    let per_iter = warm_start.elapsed().as_secs_f64() / iters_done as f64;
-    let per_sample = measure.as_secs_f64() / n_samples as f64;
-    let iters = ((per_sample / per_iter).ceil() as u64).max(1);
-
-    let mut samples: Vec<Duration> = (0..n_samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            t0.elapsed() / iters as u32
-        })
-        .collect();
-    samples.sort_unstable();
-    println!(
-        "{name:<34} {:>12} [{} .. {}]  ({iters} iters/sample)",
-        human(samples[n_samples / 2]),
-        human(samples[0]),
-        human(samples[n_samples - 1]),
-    );
-    samples[n_samples / 2]
+/// [`source_ids`] as a one-row batch.
+fn source_batch(max_len: usize) -> TokenBatch {
+    TokenBatch::from_sequences(&[Sequence::from_ids(source_ids())], max_len, 0)
 }
 
 /// Single-thread matmul kernel cost, including the logit-projection shape
-/// that `bench_parallel` scales across threads (the PR-3 "floor" this PR's
-/// SIMD microkernel attacks). Writes `bench_results/bench_matmul.json`
-/// recording the medians and whether the AVX2 path was active.
-/// Times several closures by interleaving their samples round-robin
-/// rather than finishing one before starting the next. Sequential groups
-/// let clock drift on a busy host penalize whichever candidate runs last
-/// — enough to measure identical code paths >5% apart — which matters
-/// when the artifact asserts ratios between them (the thread-scaling
-/// speedups). Interleaving spreads the drift over every candidate
-/// equally. Returns each closure's median per-iteration time.
-fn bench_interleaved(names: &[&str], fs: &mut [&mut dyn FnMut()]) -> Vec<Duration> {
-    let (n_samples, measure, warm_up) = harness_params();
-    let k = fs.len();
-    assert_eq!(names.len(), k);
-    let mut iters_each = Vec::with_capacity(k);
-    for f in fs.iter_mut() {
-        let t0 = Instant::now();
-        let budget = warm_up / k as u32;
-        let mut done = 0u64;
-        while t0.elapsed() < budget {
-            f();
-            done += 1;
-        }
-        let per_iter = t0.elapsed().as_secs_f64() / done as f64;
-        let per_sample = measure.as_secs_f64() / (n_samples * k) as f64;
-        iters_each.push(((per_sample / per_iter).ceil() as u64).max(1));
-    }
-    let mut samples = vec![Vec::with_capacity(n_samples); k];
-    for _ in 0..n_samples {
-        for (fi, f) in fs.iter_mut().enumerate() {
-            let iters = iters_each[fi];
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            samples[fi].push(t0.elapsed() / iters as u32);
-        }
-    }
-    names
-        .iter()
-        .zip(samples.iter_mut())
-        .zip(iters_each.iter())
-        .map(|((name, s), iters)| {
-            s.sort_unstable();
-            println!(
-                "{name:<34} {:>12} [{} .. {}]  ({iters} iters/sample, interleaved)",
-                human(s[n_samples / 2]),
-                human(s[0]),
-                human(s[n_samples - 1]),
-            );
-            s[n_samples / 2]
-        })
-        .collect()
-}
-
+/// that `bench_parallel` scales across threads. Writes
+/// `bench_results/bench_matmul.json`.
 fn bench_matmul() {
     let mut rng = SmallRng::seed_from_u64(1);
     let a = init::normal(&[64, 64], 1.0, &mut rng);
     let b = init::normal(&[64, 64], 1.0, &mut rng);
-    let m64 = bench_function("tensor/matmul_64x64", || {
-        std::hint::black_box(a.matmul2d(&b));
-    });
     let a3 = init::normal(&[16, 32, 32], 1.0, &mut rng);
     let b3 = init::normal(&[16, 32, 32], 1.0, &mut rng);
-    let mbmm = bench_function("tensor/bmm_16x32x32", || {
-        std::hint::black_box(a3.bmm(&b3));
-    });
     let al = init::normal(&[256, 64], 1.0, &mut rng);
     let bl = init::normal(&[64, 2000], 1.0, &mut rng);
     let pool = rpt_par::ThreadPool::new(1);
-    let mlogit = bench_function("tensor/matmul_256x64x2000_t1", || {
-        std::hint::black_box(al.matmul2d_with(&bl, &pool));
+    let names = [
+        "tensor/matmul_64x64",
+        "tensor/bmm_16x32x32",
+        "tensor/matmul_256x64x2000_t1",
+    ];
+    let spreads = measure(names, |arm| {
+        black_box(match arm {
+            0 => a.matmul2d(&b),
+            1 => a3.bmm(&b3),
+            _ => al.matmul2d_with(&bl, &pool),
+        });
     });
-
-    let mut runs = Vec::new();
-    for (name, med) in [
-        ("matmul_64x64", m64),
-        ("bmm_16x32x32", mbmm),
-        ("matmul_256x64x2000_t1", mlogit),
-    ] {
-        let mut e = rpt_json::Map::new();
-        e.insert("name".into(), rpt_json::Json::from(name));
-        e.insert(
-            "median_ns".into(),
-            rpt_json::Json::from(med.as_nanos() as u64),
-        );
-        runs.push(rpt_json::Json::Object(e));
-    }
-    let mut root = rpt_json::Map::new();
-    root.insert("bench".into(), rpt_json::Json::from("matmul_single_thread"));
-    root.insert(
-        "simd".into(),
-        rpt_json::Json::from(rpt_tensor::simd::simd_enabled()),
+    let runs: Vec<Json> = names
+        .iter()
+        .zip(&spreads)
+        .map(|(name, s)| {
+            let name = name.trim_start_matches("tensor/");
+            json!({"name": name, "median_ns": s.median as u64, "median_ns_spread": *s})
+        })
+        .collect();
+    emit(
+        "bench_matmul",
+        json!({
+            "bench": "matmul_single_thread",
+            "runs": runs,
+            "single_thread_logit_matmul_ns": spreads[2].median as u64,
+        }),
     );
-    root.insert(
-        "cpu_features".into(),
-        rpt_json::Json::from(rpt_tensor::simd::cpu_features()),
-    );
-    root.insert(
-        "hardware_threads".into(),
-        rpt_json::Json::from(std::thread::available_parallelism().map_or(1, |n| n.get())),
-    );
-    root.insert("runs".into(), rpt_json::Json::Array(runs));
-    root.insert(
-        "single_thread_logit_matmul_ns".into(),
-        rpt_json::Json::from(mlogit.as_nanos() as u64),
-    );
-    rpt_bench::emit_artifact("bench_matmul", &rpt_json::Json::Object(root));
 }
 
 fn bench_softmax_layernorm() {
     let mut rng = SmallRng::seed_from_u64(2);
     let x = init::normal(&[64, 64], 1.0, &mut rng);
-    bench_function("tensor/softmax_64x64", || {
-        std::hint::black_box(x.softmax_last());
-    });
-    bench_function("tape/layer_norm_fwd_bwd", || {
+    let names = ["tensor/softmax_64x64", "tape/layer_norm_fwd_bwd"];
+    measure(names, |arm| {
+        if arm == 0 {
+            black_box(x.softmax_last());
+            return;
+        }
         let tape = Tape::new();
         let v = tape.leaf(x.clone());
         let n = tape.layer_norm(v, 1e-5);
         let loss = tape.sum_all(tape.mul(n, n));
-        std::hint::black_box(tape.backward(loss));
+        black_box(tape.backward(loss));
     });
 }
 
@@ -222,21 +96,22 @@ fn bench_attention() {
     let mut params = ParamStore::new();
     let mha = MultiHeadAttention::new(&mut params, "mha", 64, 4, 0.0, &mut rng);
     let x = init::normal(&[4, 32, 64], 1.0, &mut rng);
-    bench_function("nn/attention_fwd_b4_t32_d64", || {
+    let names = [
+        "nn/attention_fwd_b4_t32_d64",
+        "nn/attention_fwd_bwd_b4_t32_d64",
+    ];
+    measure(names, |arm| {
+        let backward = arm == 1;
         let tape = Tape::new();
         let mut r = SmallRng::seed_from_u64(0);
-        let mut ctx = Ctx::new(&tape, &mut params, &mut r, false);
-        let v = tape.leaf(x.clone());
-        std::hint::black_box(tape.value(mha.forward(&mut ctx, v, v, None)));
-    });
-    bench_function("nn/attention_fwd_bwd_b4_t32_d64", || {
-        let tape = Tape::new();
-        let mut r = SmallRng::seed_from_u64(0);
-        let mut ctx = Ctx::new(&tape, &mut params, &mut r, true);
+        let mut ctx = Ctx::new(&tape, &mut params, &mut r, backward);
         let v = tape.leaf(x.clone());
         let out = mha.forward(&mut ctx, v, v, None);
-        let loss = tape.sum_all(out);
-        std::hint::black_box(tape.backward(loss));
+        if backward {
+            black_box(tape.backward(tape.sum_all(out)));
+        } else {
+            black_box(tape.value(out));
+        }
     });
 }
 
@@ -250,47 +125,43 @@ fn bench_tokenizer() {
             vb.add_text(&v.render());
         }
     }
-    let vocab = vb.build(1, 5000);
-    let enc = TupleEncoder::new(vocab, EncoderOptions::default());
-    let mut i = 0;
-    bench_function("tokenizer/encode_tuple", || {
-        let t = table.row(i % table.len());
-        i += 1;
-        std::hint::black_box(enc.encode_tuple(table.schema(), t));
-    });
-    let mut i = 0;
-    bench_function("tokenizer/encode_pair", || {
+    let enc = TupleEncoder::new(vb.build(1, 5000), EncoderOptions::default());
+    let mut next = [0usize; 2];
+    let names = ["tokenizer/encode_tuple", "tokenizer/encode_pair"];
+    measure(names, |arm| {
+        let i = next[arm];
+        next[arm] += 1;
         let a = table.row(i % table.len());
-        let b = table.row((i * 7 + 3) % table.len());
-        i += 1;
-        std::hint::black_box(enc.encode_pair(table.schema(), a, table.schema(), b));
+        if arm == 0 {
+            black_box(enc.encode_tuple(table.schema(), a));
+        } else {
+            let b = table.row((i * 7 + 3) % table.len());
+            black_box(enc.encode_pair(table.schema(), a, table.schema(), b));
+        }
     });
 }
 
 fn bench_blocking_and_em() {
     let mut rng = SmallRng::seed_from_u64(5);
     let (_, benches) = standard_benchmarks(80, &mut rng);
-    let bench0 = benches[0].clone();
-    {
-        let blocker = Blocker::default();
-        bench_function("er/blocking_80x~90", || {
-            std::hint::black_box(blocker.candidates(&bench0.table_a, &bench0.table_b));
-        });
-    }
+    let bench0 = &benches[0];
     let blocker = Blocker::default();
     let candidates = blocker.candidates(&bench0.table_a, &bench0.table_b);
-    bench_function("baselines/zeroer_em_fit", || {
-        let mut z = ZeroEr::with(10, None);
-        std::hint::black_box(z.fit_predict(&bench0, &candidates));
+    measure(["er/blocking_80x~90", "baselines/zeroer_em_fit"], |arm| {
+        if arm == 0 {
+            black_box(blocker.candidates(&bench0.table_a, &bench0.table_b));
+        } else {
+            black_box(ZeroEr::with(10, None).fit_predict(bench0, &candidates));
+        }
     });
 }
 
 fn bench_profiling() {
     let mut rng = SmallRng::seed_from_u64(6);
     let (_, benches) = standard_benchmarks(100, &mut rng);
-    let table = benches[2].table_a.clone();
-    bench_function("table/fd_profile_100x5", || {
-        std::hint::black_box(TableProfile::compute(&table, 0.8, 3));
+    let table = &benches[2].table_a;
+    measure(["table/fd_profile_100x5"], |_| {
+        black_box(TableProfile::compute(table, 0.8, 3));
     });
 }
 
@@ -298,14 +169,16 @@ fn bench_batching() {
     let seqs: Vec<Sequence> = (0..16)
         .map(|i| Sequence::from_ids((0..(20 + i % 10)).collect()))
         .collect();
-    bench_function("nn/token_batch_and_masks", || {
-        let b = TokenBatch::from_sequences(&seqs, 64, 0);
-        let m = b.self_attn_mask(4);
-        std::hint::black_box((b, m));
-    });
     let x = Tensor::zeros(&[1024]);
-    bench_function("tensor/clone_is_cheap", || {
-        std::hint::black_box(x.clone());
+    let names = ["nn/token_batch_and_masks", "tensor/clone_is_cheap"];
+    measure(names, |arm| {
+        if arm == 0 {
+            let b = TokenBatch::from_sequences(&seqs, 64, 0);
+            let m = b.self_attn_mask(4);
+            black_box((b, m));
+        } else {
+            black_box(x.clone());
+        }
     });
 }
 
@@ -317,14 +190,10 @@ fn bench_parallel() {
     let mut rng = SmallRng::seed_from_u64(7);
     let a = init::normal(&[256, 64], 1.0, &mut rng);
     let b = init::normal(&[64, 2000], 1.0, &mut rng);
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let reference = a.matmul2d_with(&b, &rpt_par::ThreadPool::new(1));
     let thread_counts = [1usize, 2, 4];
-    let pools: Vec<rpt_par::ThreadPool> = thread_counts
-        .iter()
-        .map(|&t| rpt_par::ThreadPool::new(t))
-        .collect();
+    let pools = thread_counts.map(rpt_par::ThreadPool::new);
     for (&threads, pool) in thread_counts.iter().zip(&pools) {
         let out = a.matmul2d_with(&b, pool);
         assert_eq!(
@@ -337,76 +206,37 @@ fn bench_parallel() {
             "parallel matmul must be bit-identical at {threads} threads"
         );
     }
-    let names: Vec<String> = thread_counts
+    let names = thread_counts.map(|t| format!("parallel/matmul_256x64x2000_t{t}"));
+    let spreads = measure(names.each_ref().map(String::as_str), |arm| {
+        black_box(a.matmul2d_with(&b, &pools[arm]));
+    });
+    let runs: Vec<Json> = thread_counts
         .iter()
-        .map(|t| format!("parallel/matmul_256x64x2000_t{t}"))
+        .zip(&spreads)
+        .map(|(&t, s)| json!({"threads": t, "median_ns": s.median as u64, "median_ns_spread": *s}))
         .collect();
-    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let mut closures: Vec<Box<dyn FnMut()>> = pools
-        .iter()
-        .map(|pool| {
-            Box::new(|| {
-                std::hint::black_box(a.matmul2d_with(&b, pool));
-            }) as Box<dyn FnMut()>
-        })
-        .collect();
-    let mut closure_refs: Vec<&mut dyn FnMut()> = closures
-        .iter_mut()
-        .map(|c| c.as_mut() as &mut dyn FnMut())
-        .collect();
-    let meds = bench_interleaved(&name_refs, &mut closure_refs);
-
-    let mut entries = Vec::new();
-    let mut medians = Vec::new();
-    for (&threads, &med) in thread_counts.iter().zip(&meds) {
-        medians.push(med.as_secs_f64());
-        let mut e = rpt_json::Map::new();
-        // integer-valued fields serialize as JSON integers (not "4.0")
-        e.insert("threads".into(), rpt_json::Json::from(threads));
-        e.insert(
-            "median_ns".into(),
-            rpt_json::Json::from(med.as_nanos() as u64),
-        );
-        entries.push(rpt_json::Json::Object(e));
-    }
-    let mut root = rpt_json::Map::new();
-    root.insert("bench".into(), rpt_json::Json::from("matmul_256x64x2000"));
-    root.insert(
-        "simd".into(),
-        rpt_json::Json::from(rpt_tensor::simd::simd_enabled()),
+    emit(
+        "bench_parallel",
+        json!({
+            "bench": "matmul_256x64x2000",
+            "runs": runs,
+            "speedup_2": spreads[0].median / spreads[1].median,
+            "speedup_4": spreads[0].median / spreads[2].median,
+        }),
     );
-    root.insert("hardware_threads".into(), rpt_json::Json::from(hw));
-    root.insert("runs".into(), rpt_json::Json::Array(entries));
-    root.insert(
-        "speedup_2".into(),
-        rpt_json::Json::from(medians[0] / medians[1]),
-    );
-    root.insert(
-        "speedup_4".into(),
-        rpt_json::Json::from(medians[0] / medians[2]),
-    );
-    rpt_bench::emit_artifact("bench_parallel", &rpt_json::Json::Object(root));
 }
 
 /// Decode throughput: KV-cached incremental decoding vs. the full-prefix
 /// reference recompute, greedy and beam (width 4), at the default
 /// Table-1-scale model shape (d=64, vocab=1000, 2+2 layers) over a
 /// 24-token source. EOS is set past the vocabulary so every decode runs
-/// the full `max_steps`, making tokens/sec well-defined. Verifies the two
-/// paths emit identical tokens, then writes
-/// `bench_results/bench_decode.json`.
+/// the full `MAX_STEPS`, making tokens/sec well-defined. Verifies the two
+/// paths emit identical tokens, then times all four arms interleaved and
+/// writes `bench_results/bench_decode.json`.
 fn bench_decode() {
-    let cfg = TransformerConfig {
-        max_cols: 0,
-        dropout: 0.0,
-        ..TransformerConfig::default()
-    };
-    let mut rng = SmallRng::seed_from_u64(8);
-    let mut params = ParamStore::new();
-    let model = Seq2Seq::new(&mut params, cfg.clone(), &mut rng);
-    let src_ids: Vec<usize> = (0..24).map(|i| 9 + (i * 7) % 900).collect();
-    let src = TokenBatch::from_sequences(&[Sequence::from_ids(src_ids)], cfg.max_len, 0);
-    const MAX_STEPS: usize = 32;
+    let (model, mut params) = rpt_bench::table1_model(8);
+    let cfg = model.config().clone();
+    let src = source_batch(cfg.max_len);
     const WIDTH: usize = 4;
     let (bos, eos) = (1usize, cfg.vocab_size); // eos unreachable by argmax
     let beam_cfg = BeamConfig {
@@ -421,429 +251,166 @@ fn bench_decode() {
     assert_eq!(fast, reference, "cached greedy diverged from reference");
     assert_eq!(fast.len(), MAX_STEPS, "eos sentinel must be unreachable");
 
-    fn section(cached: Duration, uncached: Duration, tokens: f64) -> rpt_json::Json {
-        let mut e = rpt_json::Map::new();
-        e.insert(
-            "cached_ns".into(),
-            rpt_json::Json::from(cached.as_nanos() as u64),
-        );
-        e.insert(
-            "uncached_ns".into(),
-            rpt_json::Json::from(uncached.as_nanos() as u64),
-        );
-        e.insert(
-            "cached_tokens_per_sec".into(),
-            rpt_json::Json::from(tokens / cached.as_secs_f64()),
-        );
-        e.insert(
-            "uncached_tokens_per_sec".into(),
-            rpt_json::Json::from(tokens / uncached.as_secs_f64()),
-        );
-        e.insert(
-            "speedup".into(),
-            rpt_json::Json::from(uncached.as_secs_f64() / cached.as_secs_f64()),
-        );
-        rpt_json::Json::Object(e)
-    }
-
-    let g_cached = bench_function("decode/greedy_32steps_cached", || {
-        std::hint::black_box(greedy_decode(
-            &model,
-            &mut params,
-            &src,
-            bos,
-            eos,
-            MAX_STEPS,
-        ));
-    });
-    let g_uncached = bench_function("decode/greedy_32steps_uncached", || {
-        std::hint::black_box(greedy_decode_reference(
-            &model,
-            &mut params,
-            &src,
-            bos,
-            eos,
-            MAX_STEPS,
-        ));
-    });
-    let greedy = section(g_cached, g_uncached, MAX_STEPS as f64);
-
-    let b_cached = bench_function("decode/beam_w4_32steps_cached", || {
-        std::hint::black_box(beam_search(&model, &mut params, &src, bos, eos, &beam_cfg));
-    });
-    let b_uncached = bench_function("decode/beam_w4_32steps_uncached", || {
-        std::hint::black_box(beam_search_reference(
-            &model,
-            &mut params,
-            &src,
-            bos,
-            eos,
-            &beam_cfg,
-        ));
-    });
-    let beam = section(b_cached, b_uncached, (WIDTH * MAX_STEPS) as f64);
-
-    let mut root = rpt_json::Map::new();
-    root.insert(
-        "bench".into(),
-        rpt_json::Json::from("decode_src24_d64_2+2layers"),
-    );
-    root.insert(
-        "hardware_threads".into(),
-        rpt_json::Json::from(std::thread::available_parallelism().map_or(1, |n| n.get())),
-    );
-    root.insert("max_steps".into(), rpt_json::Json::from(MAX_STEPS));
-    root.insert("beam_width".into(), rpt_json::Json::from(WIDTH));
-    root.insert("greedy".into(), greedy);
-    root.insert("beam".into(), beam);
-    rpt_bench::emit_artifact("bench_decode", &rpt_json::Json::Object(root));
-}
-
-/// Keep-alive serve load-generator client: owns one connection and
-/// issues `/v1/clean` requests back-to-back over it, so per-request
-/// connect and connection-thread-spawn costs don't dilute the throughput
-/// ratios the artifacts assert. With `trace_header` the client opts into
-/// the `x-rpt-trace` stage-summary response header, so the traced arm of
-/// `bench_obs` pays the header-render cost too. Returns per-request
-/// latencies.
-fn serve_load_client(addr: &str, body: &str, reqs: usize, trace_header: bool) -> Vec<Duration> {
-    use std::io::{Read, Write};
-
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    let trace = if trace_header { "x-rpt-trace: 1\r\n" } else { "" };
-    let req = format!(
-        "POST /v1/clean HTTP/1.1\r\nHost: bench\r\n{trace}Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    let mut lats = Vec::with_capacity(reqs);
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    for _ in 0..reqs {
-        let t0 = Instant::now();
-        stream.write_all(req.as_bytes()).expect("write");
-        // read one response: headers, then content-length body bytes
-        let header_end = loop {
-            if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos + 4;
-            }
-            let n = stream.read(&mut chunk).expect("read");
-            assert!(n > 0, "server closed mid-response");
-            buf.extend_from_slice(&chunk[..n]);
-        };
-        let head = String::from_utf8_lossy(&buf[..header_end]).to_string();
-        assert!(
-            head.starts_with("HTTP/1.1 200"),
-            "request failed: {}",
-            head.lines().next().unwrap_or("")
-        );
-        let len: usize = head
-            .lines()
-            .find_map(|l| {
-                let (k, v) = l.split_once(':')?;
-                k.eq_ignore_ascii_case("content-length")
-                    .then(|| v.trim().parse().ok())?
-            })
-            .expect("content-length");
-        while buf.len() < header_end + len {
-            let n = stream.read(&mut chunk).expect("read body");
-            assert!(n > 0, "server closed mid-body");
-            buf.extend_from_slice(&chunk[..n]);
+    let names = [
+        "decode/greedy_32steps_cached",
+        "decode/greedy_32steps_uncached",
+        "decode/beam_w4_32steps_cached",
+        "decode/beam_w4_32steps_uncached",
+    ];
+    let [greedy, greedy_ref, beam, beam_ref] = measure(names, |arm| {
+        let p = &mut params;
+        if arm < 2 {
+            let decode = [greedy_decode, greedy_decode_reference][arm];
+            black_box(decode(&model, p, &src, bos, eos, MAX_STEPS));
+        } else {
+            let search = [beam_search, beam_search_reference][arm - 2];
+            black_box(search(&model, p, &src, bos, eos, &beam_cfg));
         }
-        buf.drain(..header_end + len);
-        lats.push(t0.elapsed());
-    }
-    lats
+    });
+    let section = |cached: Spread, uncached: Spread, tokens: f64| {
+        json!({
+            "cached_ns": cached.median as u64,
+            "cached_ns_spread": cached,
+            "uncached_ns": uncached.median as u64,
+            "uncached_ns_spread": uncached,
+            "cached_tokens_per_sec": tokens * 1e9 / cached.median,
+            "uncached_tokens_per_sec": tokens * 1e9 / uncached.median,
+            "speedup": uncached.median / cached.median,
+        })
+    };
+    emit(
+        "bench_decode",
+        json!({
+            "bench": "decode_src24_d64_2+2layers",
+            "max_steps": MAX_STEPS,
+            "beam_width": WIDTH,
+            "greedy": section(greedy, greedy_ref, MAX_STEPS as f64),
+            "beam": section(beam, beam_ref, (WIDTH * MAX_STEPS) as f64),
+        }),
+    );
 }
 
-/// Server load generator: an in-process `rpt-serve` instance at
-/// `max_batch = 16` over the same Table-1-scale model as `bench_decode`,
-/// driven by 1 / 4 / 16 concurrent HTTP clients issuing greedy decode
-/// (`/v1/clean`) requests. Each level pushes the same total request
-/// count and — by the bit-identity contract — decodes the same tokens,
-/// so throughput ratios isolate the micro-batching win. Writes
-/// `bench_results/bench_serve.json` with tokens/sec (decoded rows from
-/// the `serve.tokens` counter delta), client-side p50/p99 latency, and
-/// the average batch occupancy (rows per fused step, from the
-/// `serve.tokens` / `serve.batch_steps` deltas).
+/// Server load generator: the [`rpt_bench::ServeRig`] driven by 1 / 4 /
+/// 16 concurrent clients, one window per level per round, round-robin.
+/// Each level pushes the same request count and — by the bit-identity
+/// contract — decodes the same tokens, so throughput ratios isolate the
+/// micro-batching win. Writes `bench_results/bench_serve.json` with the
+/// per-window tokens/sec (median and spread), client-side p50/p99 latency
+/// and the median batch occupancy (rows per fused step).
 fn bench_serve() {
-    let cfg = TransformerConfig {
-        max_cols: 0,
-        dropout: 0.0,
-        ..TransformerConfig::default()
-    };
-    let mut rng = SmallRng::seed_from_u64(9);
-    let mut params = ParamStore::new();
-    let model = Seq2Seq::new(&mut params, cfg.clone(), &mut rng);
-    let server = rpt_serve::Server::start(
-        model,
-        params,
-        rpt_serve::ServeConfig {
-            max_batch: 16,
-            queue_cap: 64,
-            ..Default::default()
-        },
-    )
-    .expect("server starts");
-    let addr = server.addr().to_string();
-
-    const MAX_STEPS: usize = 32;
-    let src: Vec<String> = (0..24).map(|i| (9 + (i * 7) % 900).to_string()).collect();
-    let body = format!(
-        r#"{{"src": [{}], "max_steps": {MAX_STEPS}}}"#,
-        src.join(", ")
-    );
-
-    // Round-robin over the concurrency levels and take per-level medians
-    // — the bench_interleaved rationale: host noise during any one window
-    // would otherwise skew the throughput ratio the artifact asserts.
-    // Each round pushes enough requests that ramp-up/drain (occupancy
-    // below max_batch at the edges) is a small fraction of the window.
-    let (rounds, reqs_per_round): (usize, usize) = if fast_mode() { (2, 32) } else { (5, 128) };
-    serve_load_client(&addr, &body, 2, false); // warm-up: first requests pay allocator/page cost
-
-    let tokens_ctr = rpt_obs::counter("serve.tokens");
-    let steps_ctr = rpt_obs::counter("serve.batch_steps");
+    let rig = rpt_bench::ServeRig::start();
+    // Enough requests per window that ramp-up/drain (occupancy below
+    // max_batch at the edges) is a small fraction of it.
+    let (rounds, reqs) = if fast_mode() { (5, 32) } else { (5, 128) };
     let concs = [1usize, 4, 16];
-    let mut tputs = vec![Vec::with_capacity(rounds); concs.len()];
-    let mut occs = vec![Vec::with_capacity(rounds); concs.len()];
-    let mut lats_by_conc = vec![Vec::new(); concs.len()];
+    let mut windows = vec![(Vec::new(), Vec::new(), Vec::new()); concs.len()];
     for _round in 0..rounds {
-        for (ci, &conc) in concs.iter().enumerate() {
-            let reqs_per_client = (reqs_per_round / conc).max(1);
-            let (tokens0, steps0) = (tokens_ctr.value(), steps_ctr.value());
-            let t0 = Instant::now();
-            let lats: Vec<Duration> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..conc)
-                    .map(|_| {
-                        let (addr, body) = (addr.clone(), body.clone());
-                        s.spawn(move || serve_load_client(&addr, &body, reqs_per_client, false))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("client"))
-                    .collect()
-            });
-            let elapsed = t0.elapsed();
-            let (tokens1, steps1) = (tokens_ctr.value(), steps_ctr.value());
-            tputs[ci].push((tokens1 - tokens0) as f64 / elapsed.as_secs_f64());
-            occs[ci].push((tokens1 - tokens0) as f64 / (steps1 - steps0).max(1) as f64);
-            lats_by_conc[ci].extend(lats);
+        for (&conc, (tputs, occs, lats)) in concs.iter().zip(&mut windows) {
+            let (tput, occ, l) = rig.window(conc, reqs, false);
+            tputs.push(tput);
+            occs.push(occ);
+            lats.extend(l);
         }
     }
-    server.shutdown();
+    rig.shutdown();
 
-    let median = |v: &mut Vec<f64>| -> f64 {
-        v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
-        v[v.len() / 2]
-    };
     let mut runs = Vec::new();
     let mut tput_by_conc = Vec::new();
-    for (ci, &conc) in concs.iter().enumerate() {
-        let tokens_per_sec = median(&mut tputs[ci]);
-        let occupancy = median(&mut occs[ci]);
-        let lats = &mut lats_by_conc[ci];
+    for (&conc, (tputs, occs, mut lats)) in concs.iter().zip(windows) {
+        let tput = Spread::of(tputs);
+        let occupancy = Spread::of(occs).median;
         lats.sort_unstable();
-        let p50 = lats[lats.len() / 2];
-        let p99 = lats[((lats.len() as f64 * 0.99).ceil() as usize).min(lats.len()) - 1];
+        let p50 = rpt_bench::nearest_rank(&lats, 50);
+        let p99 = rpt_bench::nearest_rank(&lats, 99);
         println!(
-            "serve/clean_greedy_c{conc:<2}            {:>12}/req p50, {} p99, {tokens_per_sec:.0} tok/s, occupancy {occupancy:.2}",
-            human(p50),
-            human(p99),
+            "serve/clean_greedy_c{conc:<2}            {p50:>12.3?}/req p50, {p99:.3?} p99, {:.0} tok/s, occupancy {occupancy:.2}",
+            tput.median,
         );
-        tput_by_conc.push((conc, tokens_per_sec));
-        let mut e = rpt_json::Map::new();
-        e.insert("concurrency".into(), rpt_json::Json::from(conc));
-        e.insert(
-            "requests".into(),
-            rpt_json::Json::from(rounds * (reqs_per_round / conc).max(1) * conc),
-        );
-        e.insert(
-            "tokens_per_sec".into(),
-            rpt_json::Json::from(tokens_per_sec),
-        );
-        e.insert(
-            "p50_ms".into(),
-            rpt_json::Json::from(p50.as_secs_f64() * 1e3),
-        );
-        e.insert(
-            "p99_ms".into(),
-            rpt_json::Json::from(p99.as_secs_f64() * 1e3),
-        );
-        e.insert(
-            "avg_batch_occupancy".into(),
-            rpt_json::Json::from(occupancy),
-        );
-        runs.push(rpt_json::Json::Object(e));
+        tput_by_conc.push(tput.median);
+        runs.push(json!({
+            "concurrency": conc,
+            "requests": lats.len(),
+            "tokens_per_sec": tput.median,
+            "tokens_per_sec_spread": tput,
+            "p50_ms": p50.as_secs_f64() * 1e3,
+            "p99_ms": p99.as_secs_f64() * 1e3,
+            "avg_batch_occupancy": occupancy,
+        }));
     }
-
-    let tput1 = tput_by_conc[0].1;
-    let tput16 = tput_by_conc[2].1;
-    let mut root = rpt_json::Map::new();
-    root.insert(
-        "bench".into(),
-        rpt_json::Json::from("serve_clean_greedy_src24_d64"),
+    emit(
+        "bench_serve",
+        json!({
+            "bench": "serve_clean_greedy_src24_d64",
+            "max_batch": 16,
+            "max_steps": MAX_STEPS,
+            "runs": runs,
+            "batch16_speedup": tput_by_conc[2] / tput_by_conc[0],
+        }),
     );
-    root.insert(
-        "cpu_features".into(),
-        rpt_json::Json::from(rpt_tensor::simd::cpu_features()),
-    );
-    root.insert(
-        "hardware_threads".into(),
-        rpt_json::Json::from(std::thread::available_parallelism().map_or(1, |n| n.get())),
-    );
-    root.insert("max_batch".into(), rpt_json::Json::from(16usize));
-    root.insert("max_steps".into(), rpt_json::Json::from(MAX_STEPS));
-    root.insert("runs".into(), rpt_json::Json::Array(runs));
-    root.insert(
-        "batch16_speedup".into(),
-        rpt_json::Json::from(tput16 / tput1),
-    );
-    rpt_bench::emit_artifact("bench_serve", &rpt_json::Json::Object(root));
 }
 
-/// Observability overhead gate: the `bench_serve` load generator at a
-/// fixed concurrency of 4, with per-request tracing alternately dark and
-/// enabled round-robin (the `bench_interleaved` rationale: host noise
-/// during either arm's window would otherwise masquerade as tracing
-/// overhead). Traced rounds also request the `x-rpt-trace` summary
-/// header so its render cost is charged to the instrumented arm. Writes
-/// `bench_results/bench_obs.json` with the per-arm median tokens/sec,
-/// the relative throughput degradation, and the trace ring's occupancy
-/// and dropped-event count after the run; `scripts/verify.sh` gates on
-/// the degradation staying under 3%.
+/// Observability overhead gate: the [`rpt_bench::ServeRig`] at a fixed
+/// concurrency of 4, with per-request tracing alternately dark and
+/// enabled round-robin (host noise during either arm's window would
+/// otherwise masquerade as tracing overhead). Traced windows also request
+/// the `x-rpt-trace` summary header so its render cost is charged to the
+/// instrumented arm. Writes `bench_results/bench_obs.json` with the
+/// per-arm median tokens/sec and spread, the relative throughput
+/// degradation, and the trace ring's occupancy and dropped-event count
+/// after the run; `scripts/verify.sh` gates on the degradation staying
+/// under 3%.
 fn bench_obs() {
-    let cfg = TransformerConfig {
-        max_cols: 0,
-        dropout: 0.0,
-        ..TransformerConfig::default()
-    };
-    let mut rng = SmallRng::seed_from_u64(9);
-    let mut params = ParamStore::new();
-    let model = Seq2Seq::new(&mut params, cfg, &mut rng);
-    let server = rpt_serve::Server::start(
-        model,
-        params,
-        rpt_serve::ServeConfig {
-            max_batch: 16,
-            queue_cap: 64,
-            ..Default::default()
-        },
-    )
-    .expect("server starts");
-    let addr = server.addr().to_string();
-
-    const MAX_STEPS: usize = 32;
     const CONC: usize = 4;
-    let src: Vec<String> = (0..24).map(|i| (9 + (i * 7) % 900).to_string()).collect();
-    let body = format!(
-        r#"{{"src": [{}], "max_steps": {MAX_STEPS}}}"#,
-        src.join(", ")
-    );
-
+    let rig = rpt_bench::ServeRig::start();
     // Odd round count so the medians come from windows in the same
     // position of the dark/traced alternation.
-    let (rounds, reqs_per_round): (usize, usize) = if fast_mode() { (3, 32) } else { (7, 128) };
-    let reqs_per_client = (reqs_per_round / CONC).max(1);
-    serve_load_client(&addr, &body, 2, false); // warm-up
-
+    let (rounds, reqs) = if fast_mode() { (5, 32) } else { (7, 128) };
     rpt_obs::clear_trace();
-    let tokens_ctr = rpt_obs::counter("serve.tokens");
-    let mut dark_tputs = Vec::with_capacity(rounds);
-    let mut traced_tputs = Vec::with_capacity(rounds);
+    let mut arms = [Vec::new(), Vec::new()];
+    let mut requests = 0;
     for _round in 0..rounds {
-        for traced in [false, true] {
+        for (traced, tputs) in [false, true].into_iter().zip(&mut arms) {
             rpt_obs::set_trace_enabled(traced);
-            let tokens0 = tokens_ctr.value();
-            let t0 = Instant::now();
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..CONC)
-                    .map(|_| {
-                        let (addr, body) = (addr.clone(), body.clone());
-                        s.spawn(move || serve_load_client(&addr, &body, reqs_per_client, traced))
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().expect("client");
-                }
-            });
-            let elapsed = t0.elapsed();
-            let tput = (tokens_ctr.value() - tokens0) as f64 / elapsed.as_secs_f64();
-            if traced {
-                traced_tputs.push(tput);
-            } else {
-                dark_tputs.push(tput);
-            }
+            let (tput, _, lats) = rig.window(CONC, reqs, traced);
+            tputs.push(tput);
+            requests += lats.len();
         }
     }
     rpt_obs::set_trace_enabled(false);
     let stats = rpt_obs::trace_stats();
-    server.shutdown();
+    rig.shutdown();
 
-    let median = |v: &mut Vec<f64>| -> f64 {
-        v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
-        v[v.len() / 2]
-    };
-    let dark = median(&mut dark_tputs);
-    let instrumented = median(&mut traced_tputs);
-    let degradation = 1.0 - instrumented / dark;
+    let [dark, traced] = arms.map(Spread::of);
+    let degradation = 1.0 - traced.median / dark.median;
     let occupied = stats.recorded.min(stats.capacity);
     println!(
-        "obs/serve_dark_c{CONC}                {dark:.0} tok/s, traced {instrumented:.0} tok/s, degradation {:.2}%",
-        degradation * 100.0
+        "obs/serve_dark_c{CONC}                {:.0} tok/s, traced {:.0} tok/s, degradation {:.2}%\n\
+         obs/trace_ring                  {occupied}/{} events occupied, {} dropped to wrap",
+        dark.median,
+        traced.median,
+        degradation * 100.0,
+        stats.capacity,
+        stats.overwritten
     );
-    println!(
-        "obs/trace_ring                  {occupied}/{} events occupied, {} dropped to wrap",
-        stats.capacity, stats.overwritten
+    emit(
+        "bench_obs",
+        json!({
+            "bench": "obs_serve_trace_overhead",
+            "concurrency": CONC,
+            "max_steps": MAX_STEPS,
+            "rounds": rounds,
+            "requests_per_arm": requests / 2,
+            "dark_tokens_per_sec": dark.median,
+            "dark_tokens_per_sec_spread": dark,
+            "instrumented_tokens_per_sec": traced.median,
+            "instrumented_tokens_per_sec_spread": traced,
+            "throughput_degradation": degradation,
+            "ring_capacity": stats.capacity,
+            "ring_events_recorded": stats.recorded,
+            "ring_occupancy": occupied as f64 / stats.capacity as f64,
+            "dropped_events": stats.overwritten,
+        }),
     );
-
-    let mut root = rpt_json::Map::new();
-    root.insert(
-        "bench".into(),
-        rpt_json::Json::from("obs_serve_trace_overhead"),
-    );
-    root.insert(
-        "cpu_features".into(),
-        rpt_json::Json::from(rpt_tensor::simd::cpu_features()),
-    );
-    root.insert(
-        "hardware_threads".into(),
-        rpt_json::Json::from(std::thread::available_parallelism().map_or(1, |n| n.get())),
-    );
-    root.insert("fast_mode".into(), rpt_json::Json::from(fast_mode()));
-    root.insert("concurrency".into(), rpt_json::Json::from(CONC));
-    root.insert("max_steps".into(), rpt_json::Json::from(MAX_STEPS));
-    root.insert("rounds".into(), rpt_json::Json::from(rounds));
-    root.insert(
-        "requests_per_arm".into(),
-        rpt_json::Json::from(rounds * reqs_per_client * CONC),
-    );
-    root.insert("dark_tokens_per_sec".into(), rpt_json::Json::from(dark));
-    root.insert(
-        "instrumented_tokens_per_sec".into(),
-        rpt_json::Json::from(instrumented),
-    );
-    root.insert(
-        "throughput_degradation".into(),
-        rpt_json::Json::from(degradation),
-    );
-    root.insert(
-        "ring_capacity".into(),
-        rpt_json::Json::from(stats.capacity),
-    );
-    root.insert(
-        "ring_events_recorded".into(),
-        rpt_json::Json::from(stats.recorded),
-    );
-    root.insert(
-        "ring_occupancy".into(),
-        rpt_json::Json::from(occupied as f64 / stats.capacity as f64),
-    );
-    root.insert(
-        "dropped_events".into(),
-        rpt_json::Json::from(stats.overwritten),
-    );
-    rpt_bench::emit_artifact("bench_obs", &rpt_json::Json::Object(root));
 }
 
 /// Quantized decode throughput: greedy decode with f32 weights vs. the
@@ -855,7 +422,8 @@ fn bench_obs() {
 /// models the quantized path exists for do (at d=64, per-step tape
 /// overhead drowns the kernels and no weight format can matter). EOS is
 /// unreachable so tokens/sec is well-defined. Checks the int8 decode is
-/// run-to-run deterministic, then writes
+/// run-to-run deterministic, then times the two arms interleaved on one
+/// model (attaching and detaching the int8 set per call) and writes
 /// `bench_results/bench_quant.json` with both throughputs and the
 /// speedup (target ≥ 1.8x single-thread; run with `RPT_THREADS=1`).
 fn bench_quant() {
@@ -871,30 +439,23 @@ fn bench_quant() {
     let mut rng = SmallRng::seed_from_u64(10);
     let mut params = ParamStore::new();
     let mut model = Seq2Seq::new(&mut params, cfg.clone(), &mut rng);
-    let src_ids: Vec<usize> = (0..24).map(|i| 9 + (i * 7) % 900).collect();
-    let src = TokenBatch::from_sequences(&[Sequence::from_ids(src_ids)], cfg.max_len, 0);
-    const MAX_STEPS: usize = 32;
+    let src = source_batch(cfg.max_len);
     let (bos, eos) = (1usize, cfg.vocab_size); // eos unreachable by argmax
+    let int8 = std::sync::Arc::new(rpt_nn::build_quant_set(&params));
 
-    let f32_med = bench_function("quant/greedy_32steps_f32_d256", || {
-        std::hint::black_box(greedy_decode(
-            &model,
-            &mut params,
-            &src,
-            bos,
-            eos,
-            MAX_STEPS,
-        ));
-    });
-
-    model.set_quant(Some(std::sync::Arc::new(rpt_nn::build_quant_set(&params))));
+    model.set_quant(Some(int8.clone()));
     let once = greedy_decode(&model, &mut params, &src, bos, eos, MAX_STEPS);
     let twice = greedy_decode(&model, &mut params, &src, bos, eos, MAX_STEPS);
     assert_eq!(once, twice, "int8 greedy decode must be deterministic");
     assert_eq!(once.len(), MAX_STEPS, "eos sentinel must be unreachable");
 
-    let q_med = bench_function("quant/greedy_32steps_int8_d256", || {
-        std::hint::black_box(greedy_decode(
+    let names = [
+        "quant/greedy_32steps_f32_d256",
+        "quant/greedy_32steps_int8_d256",
+    ];
+    let [f32_s, q_s] = measure(names, |arm| {
+        model.set_quant((arm == 1).then(|| int8.clone()));
+        black_box(greedy_decode(
             &model,
             &mut params,
             &src,
@@ -903,65 +464,39 @@ fn bench_quant() {
             MAX_STEPS,
         ));
     });
-
-    let speedup = f32_med.as_secs_f64() / q_med.as_secs_f64();
+    let speedup = f32_s.median / q_s.median;
     println!("quant/int8_vs_f32_speedup          {speedup:>11.2}x");
-    let mut root = rpt_json::Map::new();
-    root.insert(
-        "bench".into(),
-        rpt_json::Json::from("quant_greedy_src24_d256_ff1024_v8000_2+2layers"),
+    emit(
+        "bench_quant",
+        json!({
+            "bench": "quant_greedy_src24_d256_ff1024_v8000_2+2layers",
+            "max_steps": MAX_STEPS,
+            "f32_ns": f32_s.median as u64,
+            "f32_ns_spread": f32_s,
+            "quant_ns": q_s.median as u64,
+            "quant_ns_spread": q_s,
+            "f32_tokens_per_sec": MAX_STEPS as f64 * 1e9 / f32_s.median,
+            "quant_tokens_per_sec": MAX_STEPS as f64 * 1e9 / q_s.median,
+            "speedup": speedup,
+        }),
     );
-    root.insert(
-        "simd".into(),
-        rpt_json::Json::from(rpt_tensor::simd::simd_enabled()),
-    );
-    root.insert(
-        "cpu_features".into(),
-        rpt_json::Json::from(rpt_tensor::simd::cpu_features()),
-    );
-    root.insert(
-        "threads".into(),
-        rpt_json::Json::from(rpt_par::ThreadPool::global().num_threads()),
-    );
-    root.insert(
-        "hardware_threads".into(),
-        rpt_json::Json::from(std::thread::available_parallelism().map_or(1, |n| n.get())),
-    );
-    root.insert("max_steps".into(), rpt_json::Json::from(MAX_STEPS));
-    root.insert(
-        "f32_ns".into(),
-        rpt_json::Json::from(f32_med.as_nanos() as u64),
-    );
-    root.insert(
-        "quant_ns".into(),
-        rpt_json::Json::from(q_med.as_nanos() as u64),
-    );
-    root.insert(
-        "f32_tokens_per_sec".into(),
-        rpt_json::Json::from(MAX_STEPS as f64 / f32_med.as_secs_f64()),
-    );
-    root.insert(
-        "quant_tokens_per_sec".into(),
-        rpt_json::Json::from(MAX_STEPS as f64 / q_med.as_secs_f64()),
-    );
-    root.insert("speedup".into(), rpt_json::Json::from(speedup));
-    rpt_bench::emit_artifact("bench_quant", &rpt_json::Json::Object(root));
 }
 
 /// Streaming-corpus pretraining throughput: tokens/sec training over a
 /// sharded on-disk corpus — with and without the background prefetch
 /// thread — against the same logical corpus held fully in memory, plus
 /// the `corpus.overlap_ratio` the prefetcher achieved (fraction of
-/// shard-load time hidden behind training). The three arms are
-/// bit-identical by construction (asserted on the loss curves), so any
-/// gap is pure transport cost. Writes
+/// shard-load time hidden behind training) over the last sampled
+/// prefetch runs. The three arms are bit-identical by construction
+/// (asserted on fresh models' loss curves before timing), so any gap is
+/// pure transport cost. Each arm then trains its own model on, one
+/// `pretrain_stream` call per iteration. Writes
 /// `bench_results/bench_streaming.json`.
 fn bench_streaming() {
     use rpt_core::cleaning::{CleaningConfig, RptC, StreamOpts};
     use rpt_core::corpus::{self, DiskCorpus, InMemoryCorpus, ShardSource};
     use rpt_core::train::TrainOpts;
     use rpt_core::vocabulary::build_vocab;
-    use rpt_table::Table;
 
     rpt_obs::set_metrics_enabled(true);
     let (steps, rows) = if fast_mode() { (4, 30) } else { (30, 120) };
@@ -970,20 +505,19 @@ fn bench_streaming() {
     let mut rng = SmallRng::seed_from_u64(6);
     let (_u, mut benches) = standard_benchmarks(rows, &mut rng);
     let b = benches.remove(0);
-    let tables = vec![b.table_a, b.table_b];
-    let refs: Vec<&Table> = tables.iter().collect();
+    let refs = [&b.table_a, &b.table_b];
     let vocab = build_vocab(&refs, &[], 1, 8000);
     let encoder = TupleEncoder::new(vocab.clone(), EncoderOptions::default());
     let examples = corpus::encode_tables(&encoder, &refs);
-    let mean_ids = examples.iter().map(|e| e.ids.len()).sum::<usize>() as f64
-        / examples.len().max(1) as f64;
+    let mean_ids =
+        examples.iter().map(|e| e.ids.len()).sum::<usize>() as f64 / examples.len().max(1) as f64;
     let shards = corpus::split_shards(examples, shard_size);
     let dir = std::env::temp_dir().join("rpt-bench-streaming-corpus");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let manifest = corpus::write_corpus(&dir, &shards, &vocab).unwrap();
 
-    let cfg = || {
+    let new_model = || {
         let mut cfg = CleaningConfig::tiny();
         cfg.train = TrainOpts {
             steps,
@@ -993,109 +527,71 @@ fn bench_streaming() {
             peak_lr: 3e-3,
             ..Default::default()
         };
-        cfg
+        RptC::new(vocab.clone(), cfg)
     };
-    // examples consumed per run x mean tokens per example — the tokens/sec
-    // denominator every arm shares
-    let tokens_per_run = (steps * 8) as f64 * mean_ids;
-    let mut run = |source: Box<dyn ShardSource>, prefetch: bool| -> (Duration, Vec<u32>) {
+    // arms: in-memory, disk without prefetch, disk with prefetch
+    let run = |model: &mut RptC, arm: usize| -> Vec<u32> {
+        let source: Box<dyn ShardSource> = match arm {
+            0 => Box::new(InMemoryCorpus::new(shards.clone(), &vocab)),
+            _ => Box::new(DiskCorpus::open(&dir).unwrap()),
+        };
         let opts = StreamOpts {
             accum_steps: 1,
-            prefetch,
+            prefetch: arm == 2,
             stop_after_micro: None,
         };
-        let mut model = RptC::new(vocab.clone(), cfg());
-        let t0 = Instant::now();
         let losses = model.pretrain_stream(source, &opts, None, None).unwrap();
-        let elapsed = t0.elapsed();
-        (elapsed, losses.iter().map(|x| x.to_bits()).collect())
+        losses.iter().map(|x| x.to_bits()).collect()
     };
+    let curves: Vec<Vec<u32>> = (0..3).map(|arm| run(&mut new_model(), arm)).collect();
+    assert_eq!(curves[0], curves[1], "disk-sync arm diverged from memory");
+    assert_eq!(curves[0], curves[2], "prefetch arm diverged from memory");
 
-    let (mem_t, mem_losses) = run(
-        Box::new(InMemoryCorpus::new(shards.clone(), &vocab)),
-        false,
-    );
-    let (sync_t, sync_losses) = run(Box::new(DiskCorpus::open(&dir).unwrap()), false);
-    let (pf_t, pf_losses) = run(Box::new(DiskCorpus::open(&dir).unwrap()), true);
-    let overlap = rpt_obs::gauge("corpus.overlap_ratio").value();
+    let mut models = [new_model(), new_model(), new_model()];
+    let mut overlaps = Vec::new();
+    let names = [
+        "streaming/in_memory",
+        "streaming/disk_sync",
+        "streaming/disk_prefetch",
+    ];
+    let [mem, sync, pf] = measure(names, |arm| {
+        run(&mut models[arm], arm);
+        if arm == 2 {
+            overlaps.push(rpt_obs::gauge("corpus.overlap_ratio").value());
+        }
+    });
     std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(mem_losses, sync_losses, "disk-sync arm diverged from memory");
-    assert_eq!(mem_losses, pf_losses, "prefetch arm diverged from memory");
+    let overlap = Spread::of(overlaps.split_off(overlaps.len() - pf.n));
+    println!(
+        "streaming/prefetch_overlap_ratio   {:>12.3}",
+        overlap.median
+    );
 
-    let tps = |d: Duration| tokens_per_run / d.as_secs_f64();
-    println!(
-        "streaming/in_memory                {:>12}  ({:.0} tokens/s)",
-        human(mem_t),
-        tps(mem_t)
+    // examples consumed per run x mean tokens per example — the tokens/sec
+    // numerator every arm shares
+    let tokens_per_run = (steps * 8) as f64 * mean_ids;
+    let tps = |s: Spread| tokens_per_run * 1e9 / s.median;
+    emit(
+        "bench_streaming",
+        json!({
+            "bench": format!("streaming_pretrain_{steps}steps_b8_shard{shard_size}"),
+            "steps": steps,
+            "shards": manifest.shards.len(),
+            "tuples": manifest.total_tuples(),
+            "tokens_per_run": tokens_per_run,
+            "in_memory_ns": mem.median as u64,
+            "in_memory_ns_spread": mem,
+            "disk_sync_ns": sync.median as u64,
+            "disk_sync_ns_spread": sync,
+            "disk_prefetch_ns": pf.median as u64,
+            "disk_prefetch_ns_spread": pf,
+            "in_memory_tokens_per_sec": tps(mem),
+            "disk_sync_tokens_per_sec": tps(sync),
+            "disk_prefetch_tokens_per_sec": tps(pf),
+            "overlap_ratio": overlap.median,
+            "overlap_ratio_spread": overlap,
+        }),
     );
-    println!(
-        "streaming/disk_sync                {:>12}  ({:.0} tokens/s)",
-        human(sync_t),
-        tps(sync_t)
-    );
-    println!(
-        "streaming/disk_prefetch            {:>12}  ({:.0} tokens/s)",
-        human(pf_t),
-        tps(pf_t)
-    );
-    println!("streaming/prefetch_overlap_ratio   {overlap:>12.3}");
-
-    let mut root = rpt_json::Map::new();
-    root.insert(
-        "bench".into(),
-        rpt_json::Json::from(format!(
-            "streaming_pretrain_{steps}steps_b8_shard{shard_size}"
-        )),
-    );
-    root.insert(
-        "simd".into(),
-        rpt_json::Json::from(rpt_tensor::simd::simd_enabled()),
-    );
-    root.insert(
-        "cpu_features".into(),
-        rpt_json::Json::from(rpt_tensor::simd::cpu_features()),
-    );
-    root.insert(
-        "threads".into(),
-        rpt_json::Json::from(rpt_par::ThreadPool::global().num_threads()),
-    );
-    root.insert("fast_mode".into(), rpt_json::Json::from(fast_mode()));
-    root.insert("steps".into(), rpt_json::Json::from(steps));
-    root.insert(
-        "shards".into(),
-        rpt_json::Json::from(manifest.shards.len()),
-    );
-    root.insert(
-        "tuples".into(),
-        rpt_json::Json::from(manifest.total_tuples()),
-    );
-    root.insert("tokens_per_run".into(), rpt_json::Json::from(tokens_per_run));
-    root.insert(
-        "in_memory_ns".into(),
-        rpt_json::Json::from(mem_t.as_nanos() as u64),
-    );
-    root.insert(
-        "disk_sync_ns".into(),
-        rpt_json::Json::from(sync_t.as_nanos() as u64),
-    );
-    root.insert(
-        "disk_prefetch_ns".into(),
-        rpt_json::Json::from(pf_t.as_nanos() as u64),
-    );
-    root.insert(
-        "in_memory_tokens_per_sec".into(),
-        rpt_json::Json::from(tps(mem_t)),
-    );
-    root.insert(
-        "disk_sync_tokens_per_sec".into(),
-        rpt_json::Json::from(tps(sync_t)),
-    );
-    root.insert(
-        "disk_prefetch_tokens_per_sec".into(),
-        rpt_json::Json::from(tps(pf_t)),
-    );
-    root.insert("overlap_ratio".into(), rpt_json::Json::from(overlap));
-    rpt_bench::emit_artifact("bench_streaming", &rpt_json::Json::Object(root));
 }
 
 fn main() {
@@ -1119,7 +615,7 @@ fn main() {
     ];
     let (samples, measure, warm_up) = harness_params();
     println!(
-        "micro benchmarks: {samples} samples, ~{measure:?} measurement, {warm_up:?} warm-up\n"
+        "micro benchmarks: {samples} interleaved samples per arm, ~{measure:?} measurement, {warm_up:?} warm-up\n"
     );
     for (name, run) in groups {
         if filter.as_deref().map_or(true, |f| name.contains(f)) {

@@ -105,7 +105,7 @@ pub fn cmd_profile(path: &str) -> Result<String, CliError> {
 }
 
 /// Options for `rpt clean` / `rpt detect`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CleanOptions {
     /// Only fill this column (by name); default: every column with NULLs.
     pub column: Option<String>,
@@ -639,9 +639,9 @@ pub enum Command {
     /// `rpt profile <csv>`
     Profile(String),
     /// `rpt clean <csv> [flags]`
-    Clean(String, CleanOptionsSpec),
+    Clean(String, CleanOptions),
     /// `rpt detect <csv> [flags]`
-    Detect(String, CleanOptionsSpec),
+    Detect(String, CleanOptions),
     /// `rpt match <csv> <csv> [--threshold T]`
     Match(String, String, f32),
     /// `rpt serve <csv> [flags]`
@@ -656,39 +656,6 @@ pub enum Command {
     TraceReport(String),
     /// `rpt help`
     Help,
-}
-
-/// The flag subset shared by clean/detect (kept `PartialEq` for tests).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CleanOptionsSpec {
-    /// `--column`
-    pub column: Option<String>,
-    /// `--steps`
-    pub steps: usize,
-    /// `--load`
-    pub load: Option<String>,
-    /// `--save`
-    pub save: Option<String>,
-    /// `--output`
-    pub output: Option<String>,
-    /// `--checkpoint-dir`
-    pub checkpoint_dir: Option<String>,
-    /// `--resume`
-    pub resume: Option<String>,
-}
-
-impl From<CleanOptionsSpec> for CleanOptions {
-    fn from(s: CleanOptionsSpec) -> Self {
-        CleanOptions {
-            column: s.column,
-            steps: s.steps,
-            load: s.load,
-            save: s.save,
-            output: s.output,
-            checkpoint_dir: s.checkpoint_dir,
-            resume: s.resume,
-        }
-    }
 }
 
 /// The help text.
@@ -851,16 +818,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let Some(cmd) = it.next() else {
         return Ok(Command::Help);
     };
-    let parse_clean_flags = |rest: &[String]| -> Result<CleanOptionsSpec, CliError> {
-        let mut spec = CleanOptionsSpec {
-            column: None,
-            steps: 400,
-            load: None,
-            save: None,
-            output: None,
-            checkpoint_dir: None,
-            resume: None,
-        };
+    // `detect` fills nothing, so it takes neither `--column` nor `--output`
+    let parse_clean_flags = |rest: &[String], detect: bool| -> Result<CleanOptions, CliError> {
+        let mut opts = CleanOptions::default();
         let mut i = 0;
         while i < rest.len() {
             let flag = rest[i].as_str();
@@ -868,22 +828,22 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 .get(i + 1)
                 .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
             match flag {
-                "--column" => spec.column = Some(value.clone()),
+                "--column" if !detect => opts.column = Some(value.clone()),
                 "--steps" => {
-                    spec.steps = value
+                    opts.steps = value
                         .parse()
                         .map_err(|_| CliError::Usage(format!("bad --steps {value}")))?
                 }
-                "--load" => spec.load = Some(value.clone()),
-                "--save" => spec.save = Some(value.clone()),
-                "--output" => spec.output = Some(value.clone()),
-                "--checkpoint-dir" => spec.checkpoint_dir = Some(value.clone()),
-                "--resume" => spec.resume = Some(value.clone()),
+                "--load" => opts.load = Some(value.clone()),
+                "--save" => opts.save = Some(value.clone()),
+                "--output" if !detect => opts.output = Some(value.clone()),
+                "--checkpoint-dir" => opts.checkpoint_dir = Some(value.clone()),
+                "--resume" => opts.resume = Some(value.clone()),
                 other => return Err(CliError::Usage(format!("unknown flag {other}"))),
             }
             i += 2;
         }
-        Ok(spec)
+        Ok(opts)
     };
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
@@ -899,11 +859,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 .ok_or_else(|| CliError::Usage(format!("{cmd} needs a file")))?
                 .clone();
             let rest: Vec<String> = it.cloned().collect();
-            let spec = parse_clean_flags(&rest)?;
             if cmd == "clean" {
-                Ok(Command::Clean(path, spec))
+                Ok(Command::Clean(path, parse_clean_flags(&rest, false)?))
             } else {
-                Ok(Command::Detect(path, spec))
+                Ok(Command::Detect(path, parse_clean_flags(&rest, true)?))
             }
         }
         "match" => {
@@ -1105,13 +1064,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
 
 /// Runs a parsed command, returning the report to print.
 pub fn run(cmd: Command) -> Result<String, CliError> {
-    // deterministic seeding for the on-the-fly training paths
-    let _rng = SmallRng::seed_from_u64(0);
     match cmd {
         Command::Help => Ok(USAGE.to_string()),
         Command::Profile(path) => cmd_profile(&path),
-        Command::Clean(path, spec) => cmd_clean(&path, &spec.into()),
-        Command::Detect(path, spec) => cmd_detect(&path, &spec.into()),
+        Command::Clean(path, opts) => cmd_clean(&path, &opts),
+        Command::Detect(path, opts) => cmd_detect(&path, &opts),
         Command::Match(a, b, t) => cmd_match(&a, &b, t),
         Command::Serve(path, opts) => cmd_serve(&path, &opts),
         Command::Quantize(input, output) => cmd_quantize(&input, &output),
@@ -1457,6 +1414,13 @@ mod tests {
             parse_args(&s(&["clean", "x.csv", "--steps", "NaN"])),
             Err(CliError::Usage(_))
         ));
+        // detect fills nothing: the clean-only flags are unknown to it
+        for flag in ["--column", "--output"] {
+            match parse_args(&s(&["detect", "x.csv", flag, "v"])) {
+                Err(CliError::Usage(msg)) => assert_eq!(msg, format!("unknown flag {flag}")),
+                other => panic!("detect accepted {flag}: {other:?}"),
+            }
+        }
     }
 
     #[test]

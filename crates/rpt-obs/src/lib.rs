@@ -39,9 +39,8 @@
 //! * [`Gauge`] — last-written `f64`.
 //! * [`Histogram`] — fixed-bucket counts plus sum/count; the standard
 //!   instance uses [`DURATION_MS_BOUNDS`] and records milliseconds.
-//! * [`span`] — a scoped guard that times a region, records the duration
-//!   into a histogram on drop, and maintains a per-thread nesting stack
-//!   ([`span_path`]) for log context.
+//! * [`span`] — a scoped guard that times a region and records the
+//!   duration into a histogram on drop.
 //!
 //! Handles are cheap `Arc` clones; call sites cache them in
 //! `std::sync::LazyLock` statics so the registry lock is only taken once
@@ -69,8 +68,8 @@ pub use logging::{
 };
 pub use metrics::{
     counter, flush_snapshot, gauge, histogram, histogram_with, metrics_enabled, metrics_text,
-    set_metrics_enabled, set_snapshot_output, snapshot, span, span_path, tick_snapshot,
-    write_snapshot, Counter, Gauge, Histogram, Span, COUNT_BOUNDS, DURATION_MS_BOUNDS,
+    set_metrics_enabled, set_snapshot_output, snapshot, span, tick_snapshot, write_snapshot,
+    Counter, Gauge, Histogram, Span, COUNT_BOUNDS, DURATION_MS_BOUNDS,
 };
 pub use trace::{
     begin_span, clear_trace, collect_spans, emit_span, end_span, next_trace_id, now_ns,

@@ -2,7 +2,6 @@
 //! and fixed-bucket histograms behind atomics, plus scoped timing spans
 //! and JSON snapshots. See the crate docs for the model.
 
-use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex};
@@ -142,7 +141,7 @@ impl Histogram {
     }
 
     /// Starts an anonymous timer that records elapsed milliseconds into
-    /// this histogram when dropped (no span-stack entry).
+    /// this histogram when dropped.
     pub fn time(&self) -> Span {
         if !metrics_enabled() {
             return Span::disabled();
@@ -150,7 +149,6 @@ impl Histogram {
         Span {
             hist: Some(self.clone()),
             start: Some(Instant::now()),
-            pushed: false,
         }
     }
 
@@ -305,18 +303,11 @@ pub fn histogram_with(name: &str, bounds: &[f64]) -> Histogram {
     )
 }
 
-thread_local! {
-    /// Names of the spans currently open on this thread, outermost first.
-    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A scoped region: created by [`span`] (named, on the per-thread stack)
-/// or [`Histogram::time`] (anonymous). On drop it records the elapsed
-/// wall time in milliseconds into its histogram.
+/// A scoped region: created by [`span`] or [`Histogram::time`]. On drop
+/// it records the elapsed wall time in milliseconds into its histogram.
 pub struct Span {
     hist: Option<Histogram>,
     start: Option<Instant>,
-    pushed: bool,
 }
 
 impl Span {
@@ -324,43 +315,29 @@ impl Span {
         Span {
             hist: None,
             start: None,
-            pushed: false,
         }
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.pushed {
-            SPAN_STACK.with(|s| {
-                s.borrow_mut().pop();
-            });
-        }
         if let (Some(hist), Some(start)) = (&self.hist, self.start) {
             hist.record(start.elapsed().as_secs_f64() * 1e3);
         }
     }
 }
 
-/// Opens a named scoped span: pushes `name` onto the per-thread span stack
-/// (see [`span_path`]) and times the region into `hist` on drop. When
-/// metrics are disabled this is a no-op (no clock read, no stack push).
-pub fn span(name: &'static str, hist: &Histogram) -> Span {
+/// Opens a scoped span that times the region into `hist` on drop; the
+/// name only labels the call site. When metrics are disabled this is a
+/// no-op (no clock read).
+pub fn span(_name: &'static str, hist: &Histogram) -> Span {
     if !metrics_enabled() {
         return Span::disabled();
     }
-    SPAN_STACK.with(|s| s.borrow_mut().push(name));
     Span {
         hist: Some(hist.clone()),
         start: Some(Instant::now()),
-        pushed: true,
     }
-}
-
-/// The `/`-joined names of the spans open on this thread (empty when
-/// none — including always when metrics are disabled).
-pub fn span_path() -> String {
-    SPAN_STACK.with(|s| s.borrow().join("/"))
 }
 
 fn unix_ms() -> u64 {
@@ -579,23 +556,18 @@ mod tests {
     }
 
     #[test]
-    fn span_nesting_tracks_the_path_and_records_both() {
+    fn span_nesting_records_both() {
         set_metrics_enabled(true);
         let outer = histogram("test.span.outer_ms");
         let inner = histogram("test.span.inner_ms");
-        assert_eq!(span_path(), "");
         {
             let _o = span("outer", &outer);
-            assert_eq!(span_path(), "outer");
             {
                 let _i = span("inner", &inner);
-                assert_eq!(span_path(), "outer/inner");
             }
-            assert_eq!(span_path(), "outer", "inner span must pop on drop");
             assert_eq!(inner.count(), 1);
             assert_eq!(outer.count(), 0, "outer records only on drop");
         }
-        assert_eq!(span_path(), "");
         assert_eq!(outer.count(), 1);
     }
 

@@ -15,7 +15,10 @@
 # 4. A fast-mode smoke run of the decode, matmul, and thread-scaling
 #    microbenches, checking the fast decode path still beats the
 #    reference, the artifacts get written and parse, and the 4-thread
-#    matmul is not slower than serial (the PR-3 regression).
+#    matmul is not slower than serial (the PR-3 regression). After the
+#    serve, obs, quant and streaming smoke runs below, all seven fast
+#    artifacts must carry the rpt-bench-v2 provenance header and
+#    well-formed 5-sample `*_spread` objects.
 # 5. A crash-recovery smoke drive of the CLI: train with a checkpoint
 #    directory, then resume from the rolling train-state file.
 # 6. A metrics smoke drive: the same CLI run with --metrics-out must
@@ -263,6 +266,42 @@ for key in ("in_memory_tokens_per_sec", "disk_sync_tokens_per_sec",
     assert s[key] > 0, f"bench_streaming {key} not positive"
 assert 0.0 <= s["overlap_ratio"] <= 1.0, "overlap_ratio out of range"
 print(f"verify: streaming bench OK (overlap {s['overlap_ratio']:.3f})")
+PY
+fi
+
+# Provenance and spread gate over the seven fast-mode artifacts above:
+# each must carry the full rpt-bench-v2 header stamped in fast mode, and
+# every `*_spread` object must summarise the 5 interleaved fast-mode
+# samples with p10 <= median <= p90.
+if command -v python3 >/dev/null 2>&1; then
+    python3 - "$smoke_dir" <<'PY'
+import json, sys
+d = sys.argv[1]
+header = ("schema", "git_rev", "cpu_features", "simd", "threads",
+          "hardware_threads", "fast_mode")
+def spreads(node, path):
+    if isinstance(node, dict):
+        for k, v in node.items():
+            if k.endswith("_spread"):
+                yield f"{path}.{k}", v
+            else:
+                yield from spreads(v, f"{path}.{k}")
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from spreads(v, f"{path}[{i}]")
+for name in ("bench_decode", "bench_matmul", "bench_parallel", "bench_serve",
+             "bench_obs", "bench_quant", "bench_streaming"):
+    doc = json.load(open(f"{d}/{name}.json"))
+    missing = [k for k in header if k not in doc]
+    assert not missing, f"{name} missing header keys {missing}"
+    assert doc["schema"] == "rpt-bench-v2", f"{name} schema {doc['schema']}"
+    assert doc["fast_mode"] is True, f"{name} not stamped fast_mode"
+    found = list(spreads(doc, name))
+    assert found, f"{name} carries no spreads"
+    for where, s in found:
+        assert s["n"] == 5, f"{where}: n={s['n']}, expected 5"
+        assert s["p10"] <= s["median"] <= s["p90"], f"{where}: unordered {s}"
+print("verify: bench provenance and spreads OK")
 PY
 fi
 
