@@ -572,6 +572,23 @@ impl Default for ServeOptions {
     }
 }
 
+/// The server settings `rpt serve` runs with: the `RPT_SERVE_*` /
+/// `RPT_QUANT` defaults overridden by the given flags. `--max-batch` also
+/// sizes the default queue (`4 * max_batch`).
+pub fn serve_config(opts: &ServeOptions) -> rpt_serve::ServeConfig {
+    let mut cfg = match opts.max_batch {
+        Some(max_batch) => rpt_serve::ServeConfig::with_max_batch(max_batch),
+        None => rpt_serve::ServeConfig::default(),
+    };
+    cfg.addr = opts.addr.clone();
+    cfg.quant |= opts.quant; // RPT_QUANT=1 set the default; the flag wins
+    cfg.checkpoint = opts
+        .checkpoint_dir
+        .as_ref()
+        .map(|dir| Path::new(dir).join(SERVE_MODEL_FILE));
+    cfg
+}
+
 /// `rpt serve` — train (or load) a cleaning model over the file, then
 /// serve it over HTTP until killed. Prints `listening on ADDR` once the
 /// socket is bound, then blocks forever.
@@ -586,20 +603,10 @@ pub fn cmd_serve(path: &str, opts: &ServeOptions) -> Result<String, CliError> {
         },
     )?;
     let (mut model, params) = model.into_serve_parts();
-    let mut cfg = rpt_serve::ServeConfig {
-        addr: opts.addr.clone(),
-        ..Default::default()
-    };
-    if opts.quant {
-        cfg.quant = true; // RPT_QUANT=1 set the default above; the flag wins
-    }
-    if let Some(max_batch) = opts.max_batch {
-        cfg.max_batch = max_batch.max(1);
-    }
+    let cfg = serve_config(opts);
     if let Some(dir) = &opts.checkpoint_dir {
         std::fs::create_dir_all(dir)
             .map_err(|e| CliError::Data(format!("cannot create checkpoint dir {dir}: {e}")))?;
-        cfg.checkpoint = Some(Path::new(dir).join(SERVE_MODEL_FILE));
     }
     if cfg.quant {
         if let Some(path) = &opts.load {
@@ -812,6 +819,39 @@ pub fn finish_observability() {
     }
 }
 
+/// The next positional argument; `missing` is the usage error when argv
+/// ends or the next word is a `--flag`.
+fn positional<'a>(
+    it: &mut impl Iterator<Item = &'a String>,
+    missing: &str,
+) -> Result<String, CliError> {
+    match it.next() {
+        Some(arg) if !arg.starts_with("--") => Ok(arg.clone()),
+        _ => Err(CliError::Usage(missing.to_string())),
+    }
+}
+
+/// Rejects whatever argv holds after a command's last positional.
+fn no_more<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<(), CliError> {
+    match it.next() {
+        Some(extra) => Err(CliError::Usage(format!("unexpected argument {extra}"))),
+        None => Ok(()),
+    }
+}
+
+/// The `--flag` at `rest[i]` and its value; a word that is not a flag is a
+/// stray positional.
+fn flag_value(rest: &[String], i: usize) -> Result<(&str, &String), CliError> {
+    let flag = rest[i].as_str();
+    if !flag.starts_with("--") {
+        return Err(CliError::Usage(format!("unexpected argument {flag}")));
+    }
+    let value = rest
+        .get(i + 1)
+        .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
+    Ok((flag, value))
+}
+
 /// Parses argv (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut it = args.iter();
@@ -823,10 +863,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         let mut opts = CleanOptions::default();
         let mut i = 0;
         while i < rest.len() {
-            let flag = rest[i].as_str();
-            let value = rest
-                .get(i + 1)
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
+            let (flag, value) = flag_value(rest, i)?;
             match flag {
                 "--column" if !detect => opts.column = Some(value.clone()),
                 "--steps" => {
@@ -848,16 +885,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "profile" => {
-            let path = it
-                .next()
-                .ok_or_else(|| CliError::Usage("profile needs a file".into()))?;
-            Ok(Command::Profile(path.clone()))
+            let path = positional(&mut it, "profile needs a file")?;
+            no_more(it)?;
+            Ok(Command::Profile(path))
         }
         "clean" | "detect" => {
-            let path = it
-                .next()
-                .ok_or_else(|| CliError::Usage(format!("{cmd} needs a file")))?
-                .clone();
+            let path = positional(&mut it, &format!("{cmd} needs a file"))?;
             let rest: Vec<String> = it.cloned().collect();
             if cmd == "clean" {
                 Ok(Command::Clean(path, parse_clean_flags(&rest, false)?))
@@ -866,38 +899,26 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             }
         }
         "match" => {
-            let a = it
-                .next()
-                .ok_or_else(|| CliError::Usage("match needs two files".into()))?
-                .clone();
-            let b = it
-                .next()
-                .ok_or_else(|| CliError::Usage("match needs two files".into()))?
-                .clone();
+            let a = positional(&mut it, "match needs two files")?;
+            let b = positional(&mut it, "match needs two files")?;
             let rest: Vec<String> = it.cloned().collect();
             let mut threshold = 0.5f32;
             let mut i = 0;
             while i < rest.len() {
-                match rest[i].as_str() {
-                    "--threshold" => {
-                        let v = rest
-                            .get(i + 1)
-                            .ok_or_else(|| CliError::Usage("--threshold needs a value".into()))?;
+                match flag_value(&rest, i)? {
+                    ("--threshold", v) => {
                         threshold = v
                             .parse()
                             .map_err(|_| CliError::Usage(format!("bad --threshold {v}")))?;
                     }
-                    other => return Err(CliError::Usage(format!("unknown flag {other}"))),
+                    (other, _) => return Err(CliError::Usage(format!("unknown flag {other}"))),
                 }
                 i += 2;
             }
             Ok(Command::Match(a, b, threshold))
         }
         "serve" => {
-            let path = it
-                .next()
-                .ok_or_else(|| CliError::Usage("serve needs a file".into()))?
-                .clone();
+            let path = positional(&mut it, "serve needs a file")?;
             let rest: Vec<String> = it.cloned().collect();
             let mut opts = ServeOptions::default();
             let mut i = 0;
@@ -908,9 +929,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     i += 1;
                     continue;
                 }
-                let value = rest
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
+                let (flag, value) = flag_value(&rest, i)?;
                 match flag {
                     "--addr" => opts.addr = value.clone(),
                     "--max-batch" => {
@@ -936,32 +955,18 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             Ok(Command::Serve(path, opts))
         }
         "quantize" => {
-            let input = it
-                .next()
-                .ok_or_else(|| CliError::Usage("quantize needs an input and an output".into()))?
-                .clone();
-            let output = it
-                .next()
-                .ok_or_else(|| CliError::Usage("quantize needs an input and an output".into()))?
-                .clone();
-            if let Some(extra) = it.next() {
-                return Err(CliError::Usage(format!("unexpected argument {extra}")));
-            }
+            let input = positional(&mut it, "quantize needs an input and an output")?;
+            let output = positional(&mut it, "quantize needs an input and an output")?;
+            no_more(it)?;
             Ok(Command::Quantize(input, output))
         }
         "shard" => {
-            let out_dir = it
-                .next()
-                .ok_or_else(|| CliError::Usage("shard needs an output directory".into()))?
-                .clone();
+            let out_dir = positional(&mut it, "shard needs an output directory")?;
             let rest: Vec<String> = it.cloned().collect();
             let mut opts = ShardOptions::default();
             let mut i = 0;
             while i < rest.len() {
-                let flag = rest[i].as_str();
-                let value = rest
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
+                let (flag, value) = flag_value(&rest, i)?;
                 match flag {
                     "--shard-size" => {
                         let n: usize = value
@@ -989,10 +994,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             Ok(Command::Shard(out_dir, opts))
         }
         "pretrain" => {
-            let corpus_dir = it
-                .next()
-                .ok_or_else(|| CliError::Usage("pretrain needs a corpus directory".into()))?
-                .clone();
+            let corpus_dir = positional(&mut it, "pretrain needs a corpus directory")?;
             let rest: Vec<String> = it.cloned().collect();
             let mut opts = PretrainOptions::default();
             let mut i = 0;
@@ -1003,9 +1005,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     i += 1;
                     continue;
                 }
-                let value = rest
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
+                let (flag, value) = flag_value(&rest, i)?;
                 match flag {
                     "--steps" => {
                         opts.steps = value
@@ -1049,13 +1049,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             Ok(Command::Pretrain(corpus_dir, opts))
         }
         "trace-report" => {
-            let path = it
-                .next()
-                .ok_or_else(|| CliError::Usage("trace-report needs a dump file".into()))?
-                .clone();
-            if let Some(extra) = it.next() {
-                return Err(CliError::Usage(format!("unexpected argument {extra}")));
-            }
+            let path = positional(&mut it, "trace-report needs a dump file")?;
+            no_more(it)?;
             Ok(Command::TraceReport(path))
         }
         other => Err(CliError::Usage(format!("unknown command {other}"))),
@@ -1421,6 +1416,27 @@ mod tests {
                 other => panic!("detect accepted {flag}: {other:?}"),
             }
         }
+        // a flag is never taken for the file, and stray words are rejected
+        let usage = |args: &[&str]| match parse_args(&s(args)) {
+            Err(CliError::Usage(msg)) => msg,
+            other => panic!("{args:?} parsed: {other:?}"),
+        };
+        assert_eq!(usage(&["clean", "--steps", "3"]), "clean needs a file");
+        assert_eq!(usage(&["clean", "t.csv", "extra"]), "unexpected argument extra");
+        assert_eq!(usage(&["profile", "t.csv", "--bogus"]), "unexpected argument --bogus");
+        assert_eq!(usage(&["profile", "t.csv", "extra", "args"]), "unexpected argument extra");
+        assert_eq!(usage(&["serve", "t.csv", "--quant", "extra"]), "unexpected argument extra");
+        assert_eq!(usage(&["match", "a.csv", "b.csv", "c.csv"]), "unexpected argument c.csv");
+    }
+
+    #[test]
+    fn serve_max_batch_sizes_the_default_queue() {
+        let cfg = serve_config(&ServeOptions {
+            max_batch: Some(64),
+            ..ServeOptions::default()
+        });
+        assert_eq!(cfg.max_batch, 64);
+        assert_eq!(cfg.queue_cap, 256, "documented default is 4 * max_batch");
     }
 
     #[test]

@@ -540,6 +540,10 @@ impl RptC {
                 // One `"model"` draw keys every dropout seed of the window.
                 None => (0, self.rng.gen()),
             };
+            // One step span per optimizer window, as `step_data_parallel`
+            // opens in the in-memory loop: forward/backward and
+            // reduce/apply nest under it.
+            let step_span = rpt_obs::span("train.step", &TRAIN_OBS.step_ms);
             let step_started = rpt_obs::metrics_enabled().then(std::time::Instant::now);
             let mut step_tokens = 0u64;
             while micro_done < accum {
@@ -617,6 +621,7 @@ impl RptC {
                 return Ok(trainer.losses().to_vec());
             }
             let loss = trainer.accum_apply(&mut self.params);
+            drop(step_span);
             if let Some(t0) = step_started {
                 TRAIN_OBS.tokens.add(step_tokens);
                 let secs = t0.elapsed().as_secs_f64();

@@ -630,6 +630,12 @@ pub struct ShardStream {
     wait_ms: f64,
 }
 
+/// Milliseconds since `started`; 0 when metrics were off at the start, so
+/// a dark stream reads no clock.
+fn elapsed_ms(started: Option<std::time::Instant>) -> f64 {
+    started.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3)
+}
+
 fn load_next(
     source: &mut dyn ShardSource,
     epoch: &mut u64,
@@ -638,9 +644,9 @@ fn load_next(
     let n = source.manifest().shards.len() as u64;
     let (e, s) = (*epoch, *shard);
     let _t = rpt_obs::trace_span("corpus.shard_load");
-    let started = std::time::Instant::now();
+    let started = rpt_obs::metrics_enabled().then(std::time::Instant::now);
     let examples = source.load_shard(s as usize)?;
-    let ms = started.elapsed().as_secs_f64() * 1e3;
+    let ms = elapsed_ms(started);
     OBS.load_ms.record(ms);
     if s + 1 == n {
         *epoch += 1;
@@ -697,11 +703,11 @@ impl ShardStream {
             } => load_next(source.as_mut(), epoch, shard)?,
             ShardFeed::Prefetch(p) => {
                 let _t = rpt_obs::trace_span("corpus.prefetch_wait");
-                let started = std::time::Instant::now();
+                let started = rpt_obs::metrics_enabled().then(std::time::Instant::now);
                 let item = p
                     .next()?
                     .ok_or_else(|| format_err("prefetch stream ended unexpectedly"))?;
-                let waited = started.elapsed().as_secs_f64() * 1e3;
+                let waited = elapsed_ms(started);
                 OBS.prefetch_wait_ms.record(waited);
                 self.wait_ms += waited;
                 item?

@@ -134,7 +134,6 @@ impl Trainer {
     /// from `params` (via [`rpt_nn::Ctx`]).
     pub fn step(&mut self, tape: &Tape, params: &mut ParamStore, loss: Var) -> f32 {
         let _t = rpt_obs::span("train.step", &TRAIN_OBS.step_ms);
-        let _trace = rpt_obs::trace_span("train.step");
         let loss_value = tape.value(loss).data()[0];
         let mut grads = tape.backward(loss);
         let pg = params.collect_grads(&mut grads);
@@ -184,7 +183,6 @@ impl Trainer {
             "step_data_parallel inside an open accumulation window"
         );
         let _t = rpt_obs::span("train.step", &TRAIN_OBS.step_ms);
-        let _trace = rpt_obs::trace_span("train.step");
         self.accum_micro_step(pool, params, shards, shard_weight, forward);
         self.accum_apply(params)
     }

@@ -107,13 +107,6 @@ impl Json {
         parse(text)
     }
 
-    /// Compact serialization.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        write::compact(self, &mut out);
-        out
-    }
-
     /// Pretty serialization (2-space indent, like `serde_json`).
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
@@ -189,9 +182,12 @@ impl Json {
     }
 }
 
+/// Compact serialization; `to_string()` comes from here.
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_string())
+        let mut out = String::new();
+        write::compact(self, &mut out);
+        f.write_str(&out)
     }
 }
 

@@ -579,20 +579,15 @@ impl MicroBatcher {
         obs.fused_rows.add(rows as u64);
         let cross_mask = self.cross_mask(rows);
         let self_mask = self.self_mask(rows);
-        // One trace span per fused token step, in the batcher thread's
-        // ambient trace; per-request stage spans live in rpt-serve.
-        let logits = {
-            let _step_trace = rpt_obs::trace_span("decode.fused_step");
-            model.decode_step_rows(
-                params,
-                &mut self.layers,
-                &tokens,
-                &positions,
-                self_mask.as_ref(),
-                &cross_mask,
-                &self.et,
-            )
-        };
+        let logits = model.decode_step_rows(
+            params,
+            &mut self.layers,
+            &tokens,
+            &positions,
+            self_mask.as_ref(),
+            &cross_mask,
+            &self.et,
+        );
         self.t_dec += 1;
 
         // Phase B: each driver consumes its logit rows; build the combined

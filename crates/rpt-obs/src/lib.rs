@@ -39,8 +39,6 @@
 //! * [`Gauge`] — last-written `f64`.
 //! * [`Histogram`] — fixed-bucket counts plus sum/count; the standard
 //!   instance uses [`DURATION_MS_BOUNDS`] and records milliseconds.
-//! * [`span`] — a scoped guard that times a region and records the
-//!   duration into a histogram on drop.
 //!
 //! Handles are cheap `Arc` clones; call sites cache them in
 //! `std::sync::LazyLock` statics so the registry lock is only taken once
@@ -54,9 +52,18 @@
 //!
 //! A separately gated ([`set_trace_enabled`], or `RPT_TRACE=1` via the
 //! CLI) ring buffer of timestamped span events plus an on-demand
-//! self-time profiler — see the [`trace_span`] / [`tracez_json`] /
-//! [`profile_json`] family and the `trace` module docs. Same dark-path
-//! contract as metrics: one relaxed atomic load and out.
+//! self-time profiler — see [`tracez_json`], [`profile_json`] and the
+//! `trace` module docs. Same dark-path contract as metrics: one relaxed
+//! atomic load and out.
+//!
+//! ## Spans
+//!
+//! One guard, [`Span`], times a region into a histogram when metrics are
+//! on and into the ring when tracing is on: [`span`]`(name, &hist)` arms
+//! both halves, [`trace_span`] only the ring half, and
+//! [`Histogram::time`] only the histogram half (per-kernel timers too
+//! frequent to trace). Served requests carry their own trace ids across
+//! threads with [`emit_span`] / [`begin_span`] instead.
 
 mod logging;
 mod metrics;
@@ -68,15 +75,14 @@ pub use logging::{
 };
 pub use metrics::{
     counter, flush_snapshot, gauge, histogram, histogram_with, metrics_enabled, metrics_text,
-    set_metrics_enabled, set_snapshot_output, snapshot, span, tick_snapshot, write_snapshot,
-    Counter, Gauge, Histogram, Span, COUNT_BOUNDS, DURATION_MS_BOUNDS,
+    set_metrics_enabled, set_snapshot_output, snapshot, tick_snapshot, write_snapshot, Counter,
+    Gauge, Histogram, COUNT_BOUNDS, DURATION_MS_BOUNDS,
 };
 pub use trace::{
     begin_span, clear_trace, collect_spans, emit_span, end_span, next_trace_id, now_ns,
-    profile_json, profile_spans, set_trace_enabled, spans_from_dump, trace_context,
-    trace_dump_json, trace_enabled,
-    trace_events, trace_instant, trace_span, trace_stats, tracez_json, SpanRec, TraceCtx,
-    TraceEvent, TraceSpan, TraceStats, RING_CAPACITY,
+    profile_json, profile_spans, set_trace_enabled, span, spans_from_dump, trace_dump_json,
+    trace_enabled, trace_events, trace_span, trace_stats, tracez_json, Span, SpanRec,
+    TraceEvent, TraceStats, RING_CAPACITY,
 };
 
 /// Core log macro: checks the filter before formatting anything.

@@ -1,6 +1,6 @@
 //! The metrics half of rpt-obs: a global registry of counters, gauges,
-//! and fixed-bucket histograms behind atomics, plus scoped timing spans
-//! and JSON snapshots. See the crate docs for the model.
+//! and fixed-bucket histograms behind atomics, plus JSON snapshots. See
+//! the crate docs for the model.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -8,6 +8,8 @@ use std::sync::{Arc, LazyLock, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use rpt_json::{Json, Map};
+
+use crate::trace::Span;
 
 /// Global record gate. All recording methods check this first with one
 /// relaxed load; when off they return before reading any clock or taking
@@ -140,16 +142,11 @@ impl Histogram {
         }
     }
 
-    /// Starts an anonymous timer that records elapsed milliseconds into
-    /// this histogram when dropped.
+    /// Starts an unnamed timer that records elapsed milliseconds into
+    /// this histogram when dropped. It never enters the trace ring, so it
+    /// suits per-kernel timers too frequent to trace.
     pub fn time(&self) -> Span {
-        if !metrics_enabled() {
-            return Span::disabled();
-        }
-        Span {
-            hist: Some(self.clone()),
-            start: Some(Instant::now()),
-        }
+        Span::open(None, Some(self))
     }
 
     /// Total observations.
@@ -301,43 +298,6 @@ pub fn histogram_with(name: &str, bounds: &[f64]) -> Histogram {
             (h.clone(), Metric::Histogram(h))
         },
     )
-}
-
-/// A scoped region: created by [`span`] or [`Histogram::time`]. On drop
-/// it records the elapsed wall time in milliseconds into its histogram.
-pub struct Span {
-    hist: Option<Histogram>,
-    start: Option<Instant>,
-}
-
-impl Span {
-    fn disabled() -> Span {
-        Span {
-            hist: None,
-            start: None,
-        }
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let (Some(hist), Some(start)) = (&self.hist, self.start) {
-            hist.record(start.elapsed().as_secs_f64() * 1e3);
-        }
-    }
-}
-
-/// Opens a scoped span that times the region into `hist` on drop; the
-/// name only labels the call site. When metrics are disabled this is a
-/// no-op (no clock read).
-pub fn span(_name: &'static str, hist: &Histogram) -> Span {
-    if !metrics_enabled() {
-        return Span::disabled();
-    }
-    Span {
-        hist: Some(hist.clone()),
-        start: Some(Instant::now()),
-    }
 }
 
 fn unix_ms() -> u64 {
@@ -509,6 +469,7 @@ pub fn flush_snapshot() -> Option<std::io::Result<PathBuf>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span;
 
     // Every test that records must enable metrics; tests in this module
     // never assert on the disabled state (that lives in the process-

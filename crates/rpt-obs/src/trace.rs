@@ -41,6 +41,8 @@ use std::time::Instant;
 
 use rpt_json::Json;
 
+use crate::metrics::{metrics_enabled, Histogram};
+
 /// Number of event slots in the global ring. Power of two so the slot
 /// index is a mask, not a division.
 pub const RING_CAPACITY: usize = 1 << 16;
@@ -89,7 +91,6 @@ pub fn next_trace_id() -> u64 {
 
 const KIND_BEGIN: u8 = 0;
 const KIND_END: u8 = 1;
-const KIND_INSTANT: u8 = 2;
 
 #[derive(Clone, Copy)]
 struct Event {
@@ -102,7 +103,7 @@ struct Event {
 }
 
 const EMPTY_EVENT: Event = Event {
-    kind: KIND_INSTANT,
+    kind: KIND_BEGIN,
     name: "",
     trace_id: 0,
     span_id: 0,
@@ -184,123 +185,80 @@ pub fn clear_trace() {
 }
 
 thread_local! {
-    /// (trace_id, innermost open span id) for this thread — the implicit
-    /// parent context for [`trace_span`] and [`trace_instant`].
-    static CTX: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// The innermost open ring span on this thread (0 = none): the
+    /// implicit parent of the next [`Span`] opened here.
+    static PARENT: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Restores the previous thread trace context on drop (see
-/// [`trace_context`]).
-pub struct TraceCtx {
-    prev: Option<(u64, u64)>,
+/// A scoped region, opened by [`span`], [`trace_span`] or
+/// [`Histogram::time`]. It has two halves, each armed only if its gate
+/// was on when the span opened: the histogram half records the elapsed
+/// milliseconds on drop, the ring half emits a begin/end event pair in the
+/// ambient process trace and parents the spans opened inside it. Spans
+/// must drop in LIFO order per thread (the natural scoping).
+pub struct Span {
+    timer: Option<(Histogram, Instant)>,
+    /// (span id, parent span id, name).
+    ring: Option<(u64, u64, &'static str)>,
 }
 
-impl Drop for TraceCtx {
-    fn drop(&mut self) {
-        if let Some(prev) = self.prev {
-            CTX.set(prev);
-        }
-    }
-}
-
-/// Enters a trace context on this thread: spans opened while the guard
-/// lives become children of `parent_id` inside `trace_id`. Used to carry
-/// a request's identity across thread hops (the serve queue). No-op when
-/// tracing is off.
-pub fn trace_context(trace_id: u64, parent_id: u64) -> TraceCtx {
-    if !trace_enabled() {
-        return TraceCtx { prev: None };
-    }
-    let prev = CTX.get();
-    CTX.set((trace_id, parent_id));
-    TraceCtx { prev: Some(prev) }
-}
-
-/// An open span: emits its end event and restores the thread context on
-/// drop. Spans must drop in LIFO order per thread (the natural scoping).
-pub struct TraceSpan {
-    id: u64,
-    trace_id: u64,
-    parent: u64,
-    name: &'static str,
-    armed: bool,
-}
-
-impl TraceSpan {
-    fn disabled() -> TraceSpan {
-        TraceSpan {
-            id: 0,
-            trace_id: 0,
-            parent: 0,
-            name: "",
-            armed: false,
-        }
-    }
-
-    /// This span's id (0 when tracing is off) — the parent for child
-    /// spans emitted from other threads.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        push(Event {
-            kind: KIND_END,
-            name: self.name,
-            trace_id: self.trace_id,
-            span_id: self.id,
-            parent_id: self.parent,
-            t_ns: EPOCH.elapsed().as_nanos() as u64,
+impl Span {
+    /// Arms the histogram half for `hist` if metrics are on and the ring
+    /// half for `name` if tracing is on; [`Histogram::time`] passes no
+    /// name, so per-kernel timers never enter the ring.
+    pub(crate) fn open(name: Option<&'static str>, hist: Option<&Histogram>) -> Span {
+        let timer = hist
+            .filter(|_| metrics_enabled())
+            .map(|h| (h.clone(), Instant::now()));
+        let ring = name.filter(|_| trace_enabled()).map(|name| {
+            let parent = PARENT.get();
+            let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+            push(Event {
+                kind: KIND_BEGIN,
+                name,
+                trace_id: 0,
+                span_id: id,
+                parent_id: parent,
+                t_ns: EPOCH.elapsed().as_nanos() as u64,
+            });
+            PARENT.set(id);
+            (id, parent, name)
         });
-        CTX.set((self.trace_id, self.parent));
+        Span { timer, ring }
     }
 }
 
-/// Opens a span named `name` as a child of the current thread context.
-/// Inert when tracing is off: no clock read, no ticket, no allocation.
-pub fn trace_span(name: &'static str) -> TraceSpan {
-    if !trace_enabled() {
-        return TraceSpan::disabled();
-    }
-    let (trace_id, parent) = CTX.get();
-    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    push(Event {
-        kind: KIND_BEGIN,
-        name,
-        trace_id,
-        span_id: id,
-        parent_id: parent,
-        t_ns: EPOCH.elapsed().as_nanos() as u64,
-    });
-    CTX.set((trace_id, id));
-    TraceSpan {
-        id,
-        trace_id,
-        parent,
-        name,
-        armed: true,
+impl Drop for Span {
+    fn drop(&mut self) {
+        if let Some((id, parent, name)) = self.ring {
+            push(Event {
+                kind: KIND_END,
+                name,
+                trace_id: 0,
+                span_id: id,
+                parent_id: parent,
+                t_ns: EPOCH.elapsed().as_nanos() as u64,
+            });
+            PARENT.set(parent);
+        }
+        if let Some((hist, start)) = &self.timer {
+            hist.record(start.elapsed().as_secs_f64() * 1e3);
+        }
     }
 }
 
-/// Records a zero-duration marker in the current thread context.
-pub fn trace_instant(name: &'static str) {
-    if !trace_enabled() {
-        return;
-    }
-    let (trace_id, parent) = CTX.get();
-    push(Event {
-        kind: KIND_INSTANT,
-        name,
-        trace_id,
-        span_id: 0,
-        parent_id: parent,
-        t_ns: EPOCH.elapsed().as_nanos() as u64,
-    });
+/// Opens a span named `name` that times the region into `hist` when
+/// metrics are on and enters the ring, as a child of this thread's
+/// innermost open span, when tracing is on. With both gates off it reads
+/// no clock, takes no ticket and allocates nothing.
+pub fn span(name: &'static str, hist: &Histogram) -> Span {
+    Span::open(Some(name), Some(hist))
+}
+
+/// A [`span`] with no histogram: it only enters the ring, for regions
+/// timed nowhere else.
+pub fn trace_span(name: &'static str) -> Span {
+    Span::open(Some(name), None)
 }
 
 /// Emits a completed span from explicit timestamps (taken earlier with
@@ -375,13 +333,13 @@ pub fn end_span(trace_id: u64, span_id: u64, parent_id: u64, name: &'static str,
 /// A stable copy of one ring event.
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
-    /// `"begin"`, `"end"`, or `"instant"`.
+    /// `"begin"` or `"end"`.
     pub kind: &'static str,
     /// Static span name.
     pub name: &'static str,
     /// Owning trace (0 = the ambient process trace).
     pub trace_id: u64,
-    /// Span id (0 for instants).
+    /// Span id.
     pub span_id: u64,
     /// Parent span id (0 = root).
     pub parent_id: u64,
@@ -390,10 +348,10 @@ pub struct TraceEvent {
 }
 
 fn kind_str(kind: u8) -> &'static str {
-    match kind {
-        KIND_BEGIN => "begin",
-        KIND_END => "end",
-        _ => "instant",
+    if kind == KIND_END {
+        "end"
+    } else {
+        "begin"
     }
 }
 
@@ -732,32 +690,56 @@ mod tests {
         guard
     }
 
+    /// The unique-named span `name` among the ring's reconstructed spans.
+    fn only_span(name: &str) -> SpanRec {
+        let mut found: Vec<SpanRec> = collect_spans(&trace_events())
+            .into_iter()
+            .filter(|s| s.name == name)
+            .collect();
+        assert_eq!(found.len(), 1, "expected exactly one {name} span");
+        found.pop().unwrap()
+    }
+
     #[test]
     fn spans_nest_and_reconstruct() {
         let _gate = gate(true);
-        let tid = next_trace_id();
-        let _ctx = trace_context(tid, 0);
-        let outer_id;
+        crate::set_metrics_enabled(true);
+        let outer_ms = crate::histogram("t.nest.outer_ms");
+        let inner_ms = crate::histogram("t.nest.inner_ms");
         {
-            let outer = trace_span("t.nest.outer");
-            outer_id = outer.id();
-            let inner = trace_span("t.nest.inner");
-            assert_ne!(inner.id(), 0);
+            let _outer = span("t.nest.outer", &outer_ms);
+            let _inner = span("t.nest.inner", &inner_ms);
         }
-        let spans = collect_spans(&trace_events());
-        let outer = spans
-            .iter()
-            .find(|s| s.name == "t.nest.outer" && s.trace_id == tid)
-            .expect("outer span recorded");
-        let inner = spans
-            .iter()
-            .find(|s| s.name == "t.nest.inner" && s.trace_id == tid)
-            .expect("inner span recorded");
-        assert_eq!(outer.span_id, outer_id);
-        assert_eq!(inner.parent_id, outer_id, "inner must parent to outer");
+        // One guard, both halves: one histogram sample and one complete
+        // ring span per span.
+        assert_eq!(outer_ms.count(), 1);
+        assert_eq!(inner_ms.count(), 1);
+        let outer = only_span("t.nest.outer");
+        let inner = only_span("t.nest.inner");
+        assert_eq!(inner.parent_id, outer.span_id, "inner must parent to outer");
         assert_eq!(outer.parent_id, 0);
+        assert_eq!((outer.trace_id, inner.trace_id), (0, 0));
         assert!(outer.dur_ns.is_some() && inner.dur_ns.is_some());
         assert!(inner.dur_ns.unwrap() <= outer.dur_ns.unwrap());
+    }
+
+    #[test]
+    fn histogram_timer_never_enters_the_ring() {
+        let _gate = gate(true);
+        crate::set_metrics_enabled(true);
+        let kernel_ms = crate::histogram("t.timer.kernel_ms");
+        {
+            let _parent = trace_span("t.timer.parent");
+            let _t = kernel_ms.time();
+        }
+        assert_eq!(kernel_ms.count(), 1);
+        // A timer in the ring would be the parent span's child.
+        let parent = only_span("t.timer.parent");
+        let children = collect_spans(&trace_events())
+            .into_iter()
+            .filter(|s| s.parent_id == parent.span_id)
+            .count();
+        assert_eq!(children, 0, "Histogram::time must not trace");
     }
 
     #[test]
@@ -772,11 +754,8 @@ mod tests {
             .count();
         assert_eq!(next_trace_id(), 0);
         assert_eq!(now_ns(), 0);
-        let s = trace_span("t.dark.never");
-        assert_eq!(s.id(), 0);
-        drop(s);
+        drop(trace_span("t.dark.never"));
         emit_span(9, 0, "t.dark.never", 1, 2);
-        trace_instant("t.dark.never");
         let after = trace_events()
             .iter()
             .filter(|e| e.name == "t.dark.never")

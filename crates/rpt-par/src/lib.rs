@@ -267,7 +267,6 @@ impl ThreadPool {
             ("par.section", &OBS.section_ms)
         };
         let _section = rpt_obs::span(section_name, section_hist);
-        let _trace = rpt_obs::trace_span(section_name);
         OBS.sections.inc();
         OBS.tasks.add(tasks as u64);
         OBS.threads.set(self.num_threads() as f64);

@@ -97,7 +97,16 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let max_batch = env_usize("RPT_SERVE_MAX_BATCH").unwrap_or(8).max(1);
+        Self::with_max_batch(env_usize("RPT_SERVE_MAX_BATCH").unwrap_or(8))
+    }
+}
+
+impl ServeConfig {
+    /// The defaults with `max_batch` given explicitly, so the queue takes
+    /// its documented `4 * max_batch` size unless `RPT_SERVE_QUEUE_CAP`
+    /// overrides it.
+    pub fn with_max_batch(max_batch: usize) -> Self {
+        let max_batch = max_batch.max(1);
         Self {
             addr: "127.0.0.1:0".to_string(),
             max_batch,

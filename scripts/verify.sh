@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the parallel-determinism gate.
 #
-# 1. Offline release build + full workspace test suite (the tier-1 bar).
+# 1. Offline release build + full workspace test suite (the tier-1 bar),
+#    then clippy over every target; only deny-level lints (errors) fail
+#    the gate, warnings are reported but tolerated.
 # 2. The equivalence suites re-run with a 4-thread global pool, proving
 #    that the data-parallel trainer and parallel matmul kernels are
 #    bit-identical to their serial reference paths when threading is
@@ -56,6 +58,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+cargo clippy --offline -q --workspace --all-targets
 
 RPT_THREADS=4 cargo test -q --offline --test parallel_equivalence
 RPT_THREADS=4 cargo test -q --offline --release --test resume_equivalence
