@@ -618,7 +618,7 @@ fn main() {
         "micro benchmarks: {samples} interleaved samples per arm, ~{measure:?} measurement, {warm_up:?} warm-up\n"
     );
     for (name, run) in groups {
-        if filter.as_deref().map_or(true, |f| name.contains(f)) {
+        if filter.as_deref().is_none_or(|f| name.contains(f)) {
             run();
         }
     }

@@ -365,7 +365,7 @@ pub fn cmd_shard(out_dir: &str, opts: &ShardOptions) -> Result<String, CliError>
     let mut rng = SmallRng::seed_from_u64(opts.seed);
     let (_universe, mut benches) = standard_benchmarks(opts.rows, &mut rng);
     let b = benches.remove(0);
-    let tables = vec![b.table_a, b.table_b];
+    let tables = [b.table_a, b.table_b];
     let refs: Vec<&Table> = tables.iter().collect();
     let vocab = build_vocab(&refs, &[], 1, 20_000);
     let encoder = TupleEncoder::new(vocab.clone(), Default::default());

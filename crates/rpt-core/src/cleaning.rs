@@ -422,7 +422,7 @@ impl RptC {
                     TRAIN_OBS.tokens_per_sec.set(toks as f64 / secs);
                 }
             }
-            if trainer.steps_done() % progress_every == 0 || trainer.finished() {
+            if trainer.steps_done().is_multiple_of(progress_every) || trainer.finished() {
                 rpt_obs::info!(
                     target: "rpt::progress",
                     "step {}/{} loss {:.4}",
@@ -552,7 +552,7 @@ impl RptC {
                 let mut guard = 0usize;
                 while srcs.len() < micro_size && guard < micro_size * 20 {
                     guard += 1;
-                    let encoded = cursor.next()?;
+                    let encoded = cursor.next_example()?;
                     if let Some((src, tgt)) =
                         self.pair_from_encoded(&encoded, None, cursor.rng_mut())
                     {
@@ -570,7 +570,7 @@ impl RptC {
                         + tgts.iter().map(|t| t.len()).sum::<usize>())
                         as u64;
                 }
-                let shards = rpt_nn::make_denoising_shards_indexed(
+                let shards = rpt_nn::make_denoising_shards(
                     &srcs,
                     &tgts,
                     self.cfg.model.max_len,
@@ -578,8 +578,7 @@ impl RptC {
                     BOS,
                     EOS,
                     self.cfg.train.micro_batch,
-                    window_seed,
-                    trainer.pending_shards() as u64,
+                    rpt_nn::shard_seed(window_seed, trainer.pending_shards() as u64),
                 );
                 let model = &self.model;
                 trainer.accum_micro_step(
@@ -629,7 +628,7 @@ impl RptC {
                     TRAIN_OBS.tokens_per_sec.set(step_tokens as f64 / secs);
                 }
             }
-            if trainer.steps_done() % progress_every == 0 || trainer.finished() {
+            if trainer.steps_done().is_multiple_of(progress_every) || trainer.finished() {
                 rpt_obs::info!(
                     target: "rpt::progress",
                     "step {}/{} loss {:.4}",

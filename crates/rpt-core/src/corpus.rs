@@ -694,7 +694,7 @@ impl ShardStream {
     }
 
     /// The next `(epoch, shard index, examples)` in stream order.
-    pub fn next(&mut self) -> Result<(u64, u64, Vec<EncodedExample>), CorpusError> {
+    pub fn next_shard(&mut self) -> Result<(u64, u64, Vec<EncodedExample>), CorpusError> {
         let (e, s, examples, load_ms) = match &mut self.feed {
             ShardFeed::Sync {
                 source,
@@ -705,7 +705,7 @@ impl ShardStream {
                 let _t = rpt_obs::trace_span("corpus.prefetch_wait");
                 let started = rpt_obs::metrics_enabled().then(std::time::Instant::now);
                 let item = p
-                    .next()?
+                    .recv()?
                     .ok_or_else(|| format_err("prefetch stream ended unexpectedly"))?;
                 let waited = elapsed_ms(started);
                 OBS.prefetch_wait_ms.record(waited);
@@ -758,7 +758,7 @@ impl StreamCursor {
         rng_state: Option<[u64; 4]>,
     ) -> Result<Self, CorpusError> {
         let mut stream = ShardStream::start(source, prefetch, epoch, shard)?;
-        let (e, s, examples) = stream.next()?;
+        let (e, s, examples) = stream.next_shard()?;
         if offset > examples.len() as u64 {
             return Err(format_err(format!(
                 "resume offset {offset} beyond shard {s} length {}",
@@ -793,7 +793,7 @@ impl StreamCursor {
         self.rng.state()
     }
 
-    /// The masking RNG, positioned for the example [`StreamCursor::next`]
+    /// The masking RNG, positioned for the example [`StreamCursor::next_example`]
     /// just returned.
     pub fn rng_mut(&mut self) -> &mut SmallRng {
         &mut self.rng
@@ -802,9 +802,9 @@ impl StreamCursor {
     /// The next example in corpus order, crossing shard (and epoch)
     /// boundaries as needed — at each new shard the masking RNG reseeds
     /// from the shard key.
-    pub fn next(&mut self) -> Result<EncodedTuple, CorpusError> {
+    pub fn next_example(&mut self) -> Result<EncodedTuple, CorpusError> {
         while self.examples.is_empty() {
-            let (e, s, examples) = self.stream.next()?;
+            let (e, s, examples) = self.stream.next_shard()?;
             if examples.is_empty() {
                 return Err(format_err(format!("shard {s} of epoch {e} is empty")));
             }
@@ -928,7 +928,7 @@ mod tests {
             let mut cursor = StreamCursor::start(source, prefetch, 9, 0, 0, 0, None).unwrap();
             (0..14)
                 .map(|_| {
-                    let ex = cursor.next().unwrap();
+                    let ex = cursor.next_example().unwrap();
                     (cursor.pos(), ex.ids, cursor.rng_state())
                 })
                 .collect::<Vec<_>>()
@@ -944,19 +944,19 @@ mod tests {
         // Walk 5 examples straight through.
         let mut straight = StreamCursor::start(source(), false, 3, 0, 0, 0, None).unwrap();
         for _ in 0..5 {
-            straight.next().unwrap();
+            straight.next_example().unwrap();
         }
         // Walk 2, "checkpoint", resume, walk 3 more.
         let mut first = StreamCursor::start(source(), false, 3, 0, 0, 0, None).unwrap();
         for _ in 0..2 {
-            first.next().unwrap();
+            first.next_example().unwrap();
         }
         let (e, s, o) = first.pos();
         let state = first.rng_state();
         let mut resumed = StreamCursor::start(source(), false, 3, e, s, o, Some(state)).unwrap();
         let mut ids = Vec::new();
         for _ in 0..3 {
-            ids.push(resumed.next().unwrap().ids);
+            ids.push(resumed.next_example().unwrap().ids);
         }
         assert_eq!(resumed.pos(), straight.pos());
         assert_eq!(resumed.rng_state(), straight.rng_state());

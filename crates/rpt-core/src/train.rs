@@ -8,7 +8,7 @@ use std::sync::LazyLock;
 use rpt_par::ThreadPool;
 use rpt_nn::schedule::linear_warmup;
 use rpt_tensor::serialize::{self, CheckpointError, PendingGrad, TrainState};
-use rpt_tensor::{clip_global_norm, Adam, AdamConfig, ParamId, ParamStore, Tape, Tensor, Var};
+use rpt_tensor::{Adam, AdamConfig, ParamId, ParamStore, Tape, Tensor, Var};
 
 /// Training metrics (DESIGN.md §Observability). Values only flow *out* of
 /// the trainer into the registry — never back — so enabling metrics cannot
@@ -78,11 +78,14 @@ pub struct Trainer {
     adam: Adam,
     losses: Vec<f32>,
     ckpt_every: Option<usize>,
-    /// Open gradient-accumulation window: one `(loss, weight, raw grads)`
-    /// entry per shard folded so far, in fold order. Empty outside a
-    /// window.
-    pending: Vec<(f32, f32, Vec<(ParamId, Tensor)>)>,
+    /// Open gradient-accumulation window: one entry per shard folded so
+    /// far, in fold order. Empty outside a window.
+    pending: Vec<PendingShard>,
 }
+
+/// One shard folded into an accumulation window: `(loss, weight, raw
+/// gradients)`.
+type PendingShard = (f32, f32, Vec<(ParamId, Tensor)>);
 
 fn fresh_adam(opts: &TrainOpts) -> Adam {
     Adam::new(AdamConfig {
@@ -145,13 +148,12 @@ impl Trainer {
     pub fn apply_update(
         &mut self,
         params: &mut ParamStore,
-        mut pg: Vec<(ParamId, Tensor)>,
+        pg: Vec<(ParamId, Tensor)>,
         loss_value: f32,
     ) -> f32 {
-        let grad_norm = clip_global_norm(&mut pg, self.opts.clip);
         let lr = linear_warmup(self.opts.peak_lr, self.opts.warmup as u64, self.adam.steps() + 1);
         self.adam.set_lr(lr);
-        self.adam.step(params, &pg);
+        let grad_norm = self.adam.step_clipped(params, &pg, self.opts.clip);
         self.losses.push(loss_value);
         TRAIN_OBS.steps.inc();
         TRAIN_OBS.loss.set(loss_value as f64);
@@ -224,11 +226,11 @@ impl Trainer {
     /// The weighted fixed-order reduction over a window's shards: weights
     /// are summed in fold order, each shard's gradient is scaled by
     /// `w_i / Σw` and added into the accumulator in fold order. These are
-    /// the float operations `step_data_parallel` has always run.
-    fn reduce_window(
-        n_params: usize,
-        pending: Vec<(f32, f32, Vec<(ParamId, Tensor)>)>,
-    ) -> (f32, Vec<(ParamId, Tensor)>) {
+    /// the float operations `step_data_parallel` has always run: the first
+    /// shard holding a parameter is scaled in place and becomes its
+    /// accumulator, and every later one is scaled and added in the same
+    /// pass (`acc += g · scale`, the product rounded before the add).
+    fn reduce_window(n_params: usize, pending: Vec<PendingShard>) -> (f32, Vec<(ParamId, Tensor)>) {
         let total_w: f32 = pending.iter().map(|(_, w, _)| *w).sum();
         let mut loss_value = 0.0f32;
         let mut acc: Vec<Option<Tensor>> = vec![None; n_params];
@@ -236,15 +238,19 @@ impl Trainer {
             let scale = w / total_w.max(f32::MIN_POSITIVE);
             loss_value += lv * scale;
             for (id, mut g) in pg {
-                g.map_inplace(|x| x * scale);
                 match &mut acc[id.index()] {
                     Some(a) => {
                         let ad = a.data_mut();
-                        for (x, y) in ad.iter_mut().zip(g.data()) {
-                            *x += y;
+                        let i = id.index();
+                        assert_eq!(ad.len(), g.numel(), "gradient shape for param {i}");
+                        for (x, &y) in ad.iter_mut().zip(g.data()) {
+                            *x += y * scale;
                         }
                     }
-                    slot @ None => *slot = Some(g),
+                    slot @ None => {
+                        g.map_inplace(|x| x * scale);
+                        *slot = Some(g);
+                    }
                 }
             }
         }
@@ -356,7 +362,7 @@ impl Trainer {
     pub fn checkpoint_due(&self) -> bool {
         match self.ckpt_every {
             Some(every) => {
-                self.steps_done() > 0 && (self.steps_done() % every == 0 || self.finished())
+                self.steps_done() > 0 && (self.steps_done().is_multiple_of(every) || self.finished())
             }
             None => false,
         }

@@ -192,7 +192,7 @@ impl Renderer {
         }
         // numeric distractors, deterministic per entity so answers stay
         // recoverable while confusing position-only strategies
-        if e.id % 2 == 0 {
+        if e.id.is_multiple_of(2) {
             let w = 640 + (e.id % 7) * 128;
             parts.push(format!("a resolution of {} x {} pixels", w, w * 2));
         }
@@ -202,7 +202,7 @@ impl Renderer {
                 Self::memory(e.memory_gb, noise.unit_style)
             ));
         }
-        if e.id % 3 == 0 {
+        if e.id.is_multiple_of(3) {
             parts.push(format!("a {} mah battery", 2200 + (e.id % 9) * 250));
         }
         parts.push(format!("released in {}", e.year));

@@ -75,11 +75,11 @@ macro_rules! json_array_internal {
 #[macro_export]
 macro_rules! json_array_value {
     ($items:ident, ($($val:tt)*), , $($rest:tt)*) => {
-        $items.push($crate::json!($($val)*));
+        ::std::vec::Vec::push(&mut $items, $crate::json!($($val)*));
         $crate::json_array_internal!($items, $($rest)*);
     };
     ($items:ident, ($($val:tt)*), ) => {
-        $items.push($crate::json!($($val)*));
+        ::std::vec::Vec::push(&mut $items, $crate::json!($($val)*));
     };
     ($items:ident, ($($val:tt)*), $next:tt $($rest:tt)*) => {
         $crate::json_array_value!($items, ($($val)* $next), $($rest)*)

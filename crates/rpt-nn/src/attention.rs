@@ -76,8 +76,7 @@ impl MultiHeadAttention {
         let vh = ctx.tape.split_heads(v, h);
 
         let qh = ctx.tape.scale(qh, 1.0 / (dh as f32).sqrt());
-        let kt = ctx.tape.transpose_last(kh); // [b*h, dh, t_k]
-        let mut scores = ctx.tape.matmul(qh, kt); // [b*h, t_q, t_k]
+        let mut scores = ctx.tape.matmul_nt(qh, kh); // [b*h, t_q, t_k]
         if let Some(m) = mask {
             let mv = ctx.tape.constant(m.clone());
             scores = ctx.tape.add(scores, mv);

@@ -165,8 +165,7 @@ impl EncoderClassifier {
         let d = self.trunk.cfg.d_model;
         let flat = ctx.tape.reshape(h, &[batch.b * batch.t, d]);
         let e = ctx.p(self.trunk.tok_emb.weight());
-        let et = ctx.tape.transpose_last(e);
-        ctx.tape.matmul(flat, et)
+        ctx.tape.matmul_nt(flat, e)
     }
 
     /// MLM cross-entropy; `targets` is flat `[b*t]` with `ignore` at

@@ -47,7 +47,7 @@ pub use multidecode::{JobOutput, JobSpec, MicroBatcher};
 pub use quant::{build_quant_set, quant_set_from_named, QuantSet};
 pub use schedule::NoamSchedule;
 pub use seq2seq::{
-    make_denoising_shards, make_denoising_shards_indexed, DenoisingShard, IncrementalState,
+    make_denoising_shards, shard_seed, DenoisingShard, IncrementalState,
     Seq2Seq, TransformerConfig,
 };
 pub use transformer::{Decoder, Encoder, LayerKv};

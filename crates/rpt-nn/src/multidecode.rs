@@ -744,7 +744,7 @@ fn pad_dim2(t: &Tensor, t_target: usize) -> Tensor {
     let mut out = Vec::with_capacity(b * d * t_target);
     for row in 0..b * d {
         out.extend_from_slice(&src[row * tt..(row + 1) * tt]);
-        out.extend(std::iter::repeat(0.0).take(t_target - tt));
+        out.extend(std::iter::repeat_n(0.0, t_target - tt));
     }
     Tensor::from_vec(out, &[b, d, t_target]).expect("pad_dim2 shape")
 }

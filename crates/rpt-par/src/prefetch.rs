@@ -16,7 +16,7 @@
 //! equivalence suite locks this down.
 //!
 //! Failure: a producer panic drops the channel's send half; the consumer's
-//! next [`Prefetcher::next`] call then joins the thread and surfaces
+//! next [`Prefetcher::recv`] call then joins the thread and surfaces
 //! [`PrefetchError::WorkerPanicked`] — a typed error, never a hang or a
 //! silent end-of-stream.
 
@@ -81,7 +81,7 @@ impl<T: Send + 'static> Prefetcher<T> {
 
     /// Blocks until the next item is ready. `Ok(None)` is the clean end of
     /// the stream; [`PrefetchError`] means the producer died mid-stream.
-    pub fn next(&mut self) -> Result<Option<T>, PrefetchError> {
+    pub fn recv(&mut self) -> Result<Option<T>, PrefetchError> {
         if self.failed {
             return Err(PrefetchError::WorkerPanicked);
         }
@@ -130,12 +130,12 @@ mod tests {
             (counter <= 100).then_some(counter)
         });
         let mut got = Vec::new();
-        while let Some(x) = p.next().unwrap() {
+        while let Some(x) = p.recv().unwrap() {
             got.push(x);
         }
         assert_eq!(got, (1..=100).collect::<Vec<u32>>());
         // The stream stays cleanly ended on repeated polls.
-        assert_eq!(p.next(), Ok(None));
+        assert_eq!(p.recv(), Ok(None));
     }
 
     #[test]
@@ -150,7 +150,7 @@ mod tests {
         });
         let mut ok = 0;
         let err = loop {
-            match p.next() {
+            match p.recv() {
                 Ok(Some(_)) => ok += 1,
                 Ok(None) => panic!("panic must not look like a clean end"),
                 Err(e) => break e,
@@ -159,7 +159,7 @@ mod tests {
         assert_eq!(ok, 2);
         assert_eq!(err, PrefetchError::WorkerPanicked);
         // The failure is sticky.
-        assert_eq!(p.next(), Err(PrefetchError::WorkerPanicked));
+        assert_eq!(p.recv(), Err(PrefetchError::WorkerPanicked));
     }
 
     #[test]
@@ -167,7 +167,7 @@ mod tests {
         // An unbounded producer against capacity 1: the worker is almost
         // certainly parked in `send` when we drop. Drop must not hang.
         let mut p = Prefetcher::spawn(1, move || Some(7u8));
-        assert_eq!(p.next().unwrap(), Some(7));
+        assert_eq!(p.recv().unwrap(), Some(7));
         drop(p);
     }
 }

@@ -33,12 +33,33 @@ pub trait RngCore {
     fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
+
+    /// Fills `out` with uniform `f32`s in `[0, 1)`, one
+    /// [`RngCore::next_u64`] word each: exactly the values that
+    /// `out.len()` calls of `gen::<f32>()` draw, in order. Behind a
+    /// `dyn RngCore` this costs one virtual call per slice instead of one
+    /// per element.
+    fn fill_unit_f32(&mut self, out: &mut [f32]) {
+        for x in out {
+            *x = unit_f32(self.next_u64());
+        }
+    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
     }
+
+    fn fill_unit_f32(&mut self, out: &mut [f32]) {
+        (**self).fill_unit_f32(out)
+    }
+}
+
+/// The 24 high bits of `word` as a uniform `f32` in `[0, 1)` on the
+/// `2^-24` grid.
+fn unit_f32(word: u64) -> f32 {
+    (word >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
 }
 
 /// Deterministic construction from a 64-bit seed.
@@ -147,8 +168,7 @@ impl Standard for f64 {
 
 impl Standard for f32 {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        // 24 high bits → uniform in [0, 1) on the 2^-24 grid.
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
+        unit_f32(rng.next_u64())
     }
 }
 
@@ -439,5 +459,19 @@ mod tests {
         assert!(x < 10);
         let f: f32 = dynrng.gen();
         assert!((0.0..1.0).contains(&f));
+    }
+
+    #[test]
+    fn fill_unit_f32_draws_the_gen_stream() {
+        let mut a = SmallRng::seed_from_u64(3);
+        let mut b = SmallRng::seed_from_u64(3);
+        let mut filled = [0.0f32; 37];
+        // through two levels of `&mut` and a `dyn`, as dropout receives it
+        let mut dynrng: &mut dyn RngCore = &mut a;
+        (&mut dynrng).fill_unit_f32(&mut filled);
+        let drawn: Vec<u32> = (0..37).map(|_| b.gen::<f32>().to_bits()).collect();
+        let filled: Vec<u32> = filled.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(filled, drawn);
+        assert_eq!(a.next_u64(), b.next_u64(), "streams stay in step");
     }
 }

@@ -358,7 +358,7 @@ mod tests {
         let mut p = RequestParser::new(64, DEFAULT_MAX_BODY_BYTES);
         // Complete head larger than the ceiling.
         let mut raw = b"GET / HTTP/1.1\r\nx-pad: ".to_vec();
-        raw.extend(std::iter::repeat(b'a').take(100));
+        raw.extend(std::iter::repeat_n(b'a', 100));
         raw.extend_from_slice(b"\r\n\r\n");
         p.feed(&raw);
         assert_eq!(p.next_request().unwrap_err(), ParseError::HeadersTooLarge);

@@ -128,7 +128,7 @@ fn env_usize(name: &str) -> Option<usize> {
 }
 
 fn env_flag(name: &str) -> bool {
-    std::env::var(name).map_or(false, |v| v == "1" || v.eq_ignore_ascii_case("true"))
+    std::env::var(name).is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
 }
 
 struct Shared {

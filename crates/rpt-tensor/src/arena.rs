@@ -225,7 +225,7 @@ mod tests {
     #[test]
     fn closures_can_be_stored_and_called_via_raw_pointer() {
         let arena = Arena::new();
-        let captured = vec![1.0f32, 2.0, 3.0];
+        let captured = [1.0f32, 2.0, 3.0];
         let p: *mut _ = arena.alloc(move |x: f32| captured.iter().sum::<f32>() * x);
         // SAFETY: arena alive, pointer stable.
         let f = unsafe { &*p };

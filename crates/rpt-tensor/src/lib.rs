@@ -45,7 +45,7 @@ pub mod tape;
 pub mod tensor;
 
 pub use arena::Arena;
-pub use optim::{clip_global_norm, Adam, AdamConfig, AdamState, ParamId, ParamStore, Sgd};
+pub use optim::{clip_global_norm, Adam, AdamConfig, AdamState, ParamId, ParamStore};
 pub use quant::QuantMatrix;
 pub use serialize::{CheckpointError, TrainState};
 pub use tape::{Gradients, Tape, Var};

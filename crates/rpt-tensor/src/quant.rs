@@ -161,11 +161,16 @@ impl QuantMatrix {
             let row = &x[i * self.k..(i + 1) * self.k];
             let (a_scale, a_zero) = quantize_activation_row(row, &mut qrow);
             let dst = &mut out[i * self.n_out..(i + 1) * self.n_out];
-            for j in 0..self.n_out {
+            for (j, ((d, &row_sum), &scale)) in dst
+                .iter_mut()
+                .zip(&self.row_sums)
+                .zip(&self.scales)
+                .enumerate()
+            {
                 let w = &self.data[j * self.k..(j + 1) * self.k];
                 let acc = qdot(&qrow, w, use_simd);
-                let corrected = acc - a_zero * self.row_sums[j];
-                dst[j] = corrected as f32 * (a_scale * self.scales[j]);
+                let corrected = acc - a_zero * row_sum;
+                *d = corrected as f32 * (a_scale * scale);
             }
         }
         out

@@ -166,7 +166,7 @@ impl FaultyIo {
         OBS.faults_injected.inc();
         rpt_obs::warn!(target: "rpt_tensor::ckpt", "checkpoint fault injected: {:?}", self.fault);
         self.fault = None;
-        io::Error::new(io::ErrorKind::Other, "injected checkpoint fault")
+        io::Error::other("injected checkpoint fault")
     }
 }
 

@@ -305,15 +305,19 @@ unsafe fn affine_row_avx2(dst: &mut [f32], src: &[f32], shift: f32, scale: f32) 
 /// in ascending `k` — exactly the scalar tile's chain, so the result is
 /// bit-identical.
 ///
+/// `a` is read through strides: element `(r, kk)` is at
+/// `a[r * a_rs + kk * a_cs]`, so a transposed left operand needs no copy.
+///
 /// # Safety
-/// Caller must ensure AVX2 is available, `a` has `4` rows of stride
-/// `lda >= k`, `b` has `k` rows of stride `ldb >= 16`, and `out` has `4`
-/// rows of stride `ldc >= 16`, all valid for the accessed ranges.
+/// Caller must ensure AVX2 is available, `a` is valid for reads at
+/// `r * a_rs + kk * a_cs` for every `r < 4`, `kk < k`, `b` has `k` rows
+/// of stride `ldb >= 16`, and `out` has `4` rows of stride `ldc >= 16`,
+/// all valid for the accessed ranges.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn tile_4x16_avx2(
     a: *const f32,
-    lda: usize,
+    (a_rs, a_cs): (usize, usize),
     b: *const f32,
     ldb: usize,
     k: usize,
@@ -326,7 +330,7 @@ pub(crate) unsafe fn tile_4x16_avx2(
         let b0 = _mm256_loadu_ps(b.add(kk * ldb));
         let b1 = _mm256_loadu_ps(b.add(kk * ldb + 8));
         for (r, acc_row) in acc.iter_mut().enumerate() {
-            let av = _mm256_set1_ps(*a.add(r * lda + kk));
+            let av = _mm256_set1_ps(*a.add(r * a_rs + kk * a_cs));
             // vmulps + vaddps, NOT vfmadd: two roundings keep the scalar
             // twin's bit pattern.
             acc_row[0] = _mm256_add_ps(acc_row[0], _mm256_mul_ps(av, b0));

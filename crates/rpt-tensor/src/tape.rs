@@ -41,13 +41,16 @@ struct Node {
     grad_fn: Option<GradFnPtr>,
 }
 
-/// Gradients produced by [`Tape::backward`], indexed by [`Var`].
+/// Gradients produced by [`Tape::backward`], indexed by [`Var`]. Only
+/// leaves ([`Tape::leaf`], [`Tape::constant`]) keep theirs: an interior
+/// node's gradient is released as soon as it has been propagated.
 pub struct Gradients {
     grads: Vec<Option<Tensor>>,
 }
 
 impl Gradients {
-    /// The gradient of the loss w.r.t. `v`, if `v` participated in the loss.
+    /// The gradient of the loss w.r.t. the leaf `v`, if `v` participated
+    /// in the loss. Leaves only: `None` for every interior node.
     pub fn get(&self, v: Var) -> Option<&Tensor> {
         self.grads.get(v.id).and_then(|g| g.as_ref())
     }
@@ -189,68 +192,55 @@ impl Tape {
     /// `a + b`. `b` may be the same shape as `a`, a scalar, or a suffix of
     /// `a`'s shape (e.g. a `[d]` bias added to `[b,t,d]` activations).
     pub fn add(&self, a: Var, b: Var) -> Var {
-        self.broadcast_binary(a, b, |x, y| x + y, |_, _, _| (1.0, 1.0))
+        self.broadcast_binary(a, b, |x, y| x + y, |_, _| (1.0, 1.0), true)
     }
 
     /// `a - b` with the same broadcasting rules as [`Tape::add`].
     pub fn sub(&self, a: Var, b: Var) -> Var {
-        self.broadcast_binary(a, b, |x, y| x - y, |_, _, _| (1.0, -1.0))
+        self.broadcast_binary(a, b, |x, y| x - y, |_, _| (1.0, -1.0), true)
     }
 
     /// Elementwise `a * b` with the same broadcasting rules as [`Tape::add`].
     pub fn mul(&self, a: Var, b: Var) -> Var {
-        self.broadcast_binary(a, b, |x, y| x * y, |x, y, _| (y, x))
+        self.broadcast_binary(a, b, |x, y| x * y, |x, y| (y, x), false)
     }
 
     /// Elementwise `a / b` with the same broadcasting rules as [`Tape::add`].
     pub fn div(&self, a: Var, b: Var) -> Var {
-        self.broadcast_binary(a, b, |x, y| x / y, |x, y, _| (1.0 / y, -x / (y * y)))
+        self.broadcast_binary(a, b, |x, y| x / y, |x, y| (1.0 / y, -x / (y * y)), false)
     }
 
     /// Shared implementation of broadcast elementwise binaries.
     ///
-    /// `dfn(x, y, out) -> (d out/d x, d out/d y)` evaluated pointwise.
+    /// `dfn(x, y) -> (d out/d x, d out/d y)` evaluated pointwise;
+    /// `lhs_grad_is_g` declares `d out/d x == 1` everywhere (add, sub), so
+    /// the lhs gradient is the upstream gradient itself (`g · 1.0 == g`
+    /// bit for bit) and is passed on without a copy.
     fn broadcast_binary(
         &self,
         a: Var,
         b: Var,
-        f: impl Fn(f32, f32) -> f32 + 'static,
-        dfn: impl Fn(f32, f32, f32) -> (f32, f32) + 'static,
+        f: impl Fn(f32, f32) -> f32,
+        dfn: impl Fn(f32, f32) -> (f32, f32) + 'static,
+        lhs_grad_is_g: bool,
     ) -> Var {
         let av = self.value(a);
         let bv = self.value(b);
-        let a_shape = av.shape().to_vec();
-        let b_shape = bv.shape().to_vec();
         assert!(
-            broadcast_compatible(&a_shape, &b_shape),
+            broadcast_compatible(av.shape(), bv.shape()),
             "broadcast_binary: rhs {:?} must equal, be scalar, or be a suffix of lhs {:?}",
-            b_shape,
-            a_shape
+            bv.shape(),
+            av.shape()
         );
-        let bn = bv.numel().max(1);
-        let mut out = Vec::with_capacity(av.numel());
-        for (i, &x) in av.data().iter().enumerate() {
-            out.push(f(x, bv.data()[i % bn]));
-        }
-        let out_t = Tensor::from_vec(out, &a_shape).expect("broadcast_binary shape");
-        let av_c = av.clone();
-        let bv_c = bv.clone();
-        let out_c = out_t.clone();
+        let out = broadcast_forward(av.data(), bv.data(), f);
+        let out_t = Tensor::from_vec(out, av.shape()).expect("broadcast_binary shape");
         let grad_fn = move |g: &Tensor| {
-            let n = bv_c.numel().max(1);
-            let mut ga = vec![0.0f32; av_c.numel()];
-            let mut gb = vec![0.0f32; n];
-            for (i, &gv) in g.data().iter().enumerate() {
-                let x = av_c.data()[i];
-                let y = bv_c.data()[i % n];
-                let (dx, dy) = dfn(x, y, out_c.data()[i]);
-                ga[i] = gv * dx;
-                gb[i % n] += gv * dy;
-            }
-            vec![
-                Tensor::from_vec(ga, av_c.shape()).expect("ga shape"),
-                Tensor::from_vec(gb, bv_c.shape()).expect("gb shape"),
-            ]
+            let (ga, gb) = broadcast_backward(g.data(), av.data(), bv.data(), &dfn, lhs_grad_is_g);
+            let ga = match ga {
+                Some(ga) => Tensor::from_vec(ga, av.shape()).expect("ga shape"),
+                None => g.clone(),
+            };
+            vec![ga, Tensor::from_vec(gb, bv.shape()).expect("gb shape")]
         };
         self.push_op(out_t, &[a.id, b.id], grad_fn)
     }
@@ -296,9 +286,33 @@ impl Tape {
     // Activations
     // ------------------------------------------------------------------
 
-    /// GELU (tanh approximation, as used by BERT/BART).
+    /// GELU (tanh approximation, as used by BERT/BART). A recording tape
+    /// keeps the forward's `tanh(inner)` per element for the backward,
+    /// which would otherwise evaluate `tanh` again; a forward-only tape
+    /// keeps nothing.
     pub fn gelu(&self, a: Var) -> Var {
-        self.unary(a, gelu_fwd, |x, _| gelu_grad(x))
+        let av = self.value(a);
+        if self.forward_only {
+            return self.push(av.map(|x| gelu_from_tanh(x, gelu_tanh(x))), &[], None);
+        }
+        let tanh: Vec<f32> = av.data().iter().map(|&x| gelu_tanh(x)).collect();
+        let out: Vec<f32> = av
+            .data()
+            .iter()
+            .zip(&tanh)
+            .map(|(&x, &t)| gelu_from_tanh(x, t))
+            .collect();
+        let out_t = Tensor::from_vec(out, av.shape()).expect("gelu shape");
+        let grad_fn = move |g: &Tensor| {
+            let ga: Vec<f32> = g
+                .data()
+                .iter()
+                .zip(av.data().iter().zip(&tanh))
+                .map(|(&gv, (&x, &t))| gv * gelu_grad_from_tanh(x, t))
+                .collect();
+            vec![Tensor::from_vec(ga, av.shape()).expect("gelu grad shape")]
+        };
+        self.push_op(out_t, &[a.id], grad_fn)
     }
 
     /// ReLU.
@@ -491,18 +505,25 @@ impl Tape {
             (3, 3) => av.bmm(&bv),
             (da, db) => panic!("matmul supports 2dx2d or 3dx3d, got {da}-d x {db}-d"),
         };
-        let av_c = av.clone();
-        let bv_c = bv.clone();
+        // dA = G·Bᵀ, dB = Aᵀ·G (per batch for the 3-d case), with the
+        // transposed operands read in place.
+        let grad_fn = move |g: &Tensor| vec![g.matmul_nt(&bv), av.matmul_tn(g)];
+        self.push_op(out, &[a.id, b.id], grad_fn)
+    }
+
+    /// `a · bᵀ` over the last two dims: `[m,k] x [n,k] -> [m,n]`, or batched
+    /// `[b,m,k] x [b,n,k] -> [b,m,n]` (attention scores `Q·Kᵀ`, the tied
+    /// output projection `H·Eᵀ`). Bit-identical to
+    /// `matmul(a, transpose_last(b))`, forward and backward, without
+    /// materializing `bᵀ` or its gradient.
+    pub fn matmul_nt(&self, a: Var, b: Var) -> Var {
+        let av = self.value(a);
+        let bv = self.value(b);
+        let out = av.matmul_nt(&bv);
+        // dA = G·B, dB = Gᵀ·A.
         let grad_fn = move |g: &Tensor| {
-            // dA = G @ B^T, dB = A^T @ G (per batch for the 3-d case).
-            let bt = bv_c.transpose_last();
-            let at = av_c.transpose_last();
-            let (ga, gb) = if av_c.ndim() == 2 {
-                (g.matmul2d(&bt), at.matmul2d(g))
-            } else {
-                (g.bmm(&bt), at.bmm(g))
-            };
-            vec![ga, gb]
+            let ga = if g.ndim() == 2 { g.matmul2d(&bv) } else { g.bmm(&bv) };
+            vec![ga, g.matmul_tn(&av)]
         };
         self.push_op(out, &[a.id, b.id], grad_fn)
     }
@@ -650,9 +671,11 @@ impl Tape {
         let av = self.value(a);
         let keep = 1.0 - p;
         let scale = 1.0 / keep;
-        let mask: Vec<f32> = (0..av.numel())
-            .map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 })
-            .collect();
+        let mut mask = vec![0.0f32; av.numel()];
+        rng.fill_unit_f32(&mut mask);
+        for m in &mut mask {
+            *m = if *m < keep { scale } else { 0.0 };
+        }
         let out: Vec<f32> = av.data().iter().zip(mask.iter()).map(|(&x, &m)| x * m).collect();
         let out_t = Tensor::from_vec(out, av.shape()).expect("dropout shape");
         let shape = av.shape().to_vec();
@@ -797,23 +820,26 @@ impl Tape {
         let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
         grads[loss.id] = Some(Tensor::scalar(1.0));
         for id in (0..=loss.id).rev() {
-            let Some(g) = grads[id].take() else { continue };
             let node = &nodes[id];
-            if let Some(grad_fn) = node.grad_fn {
-                // SAFETY: the closure lives in `self.arena`, which outlives
-                // this borrow of `self` (see the `Tape` drop-order note).
-                let grad_fn = unsafe { grad_fn.as_ref() };
-                let parent_grads = grad_fn(&g);
-                let n = node.n_parents as usize;
-                debug_assert_eq!(parent_grads.len(), n);
-                for (pid, pg) in node.parents[..n].iter().zip(parent_grads) {
-                    match &mut grads[*pid as usize] {
-                        Some(acc) => acc.add_assign(&pg),
-                        slot @ None => *slot = Some(pg),
-                    }
+            // A leaf keeps its gradient for the caller.
+            let Some(grad_fn) = node.grad_fn else { continue };
+            let Some(g) = grads[id].take() else { continue };
+            // SAFETY: the closure lives in `self.arena`, which outlives
+            // this borrow of `self` (see the `Tape` drop-order note).
+            let grad_fn = unsafe { grad_fn.as_ref() };
+            let parent_grads = grad_fn(&g);
+            // Released before accumulating, so a parent gradient that
+            // shares its buffer (add's lhs, reshape) is uniquely owned and
+            // accumulates in place.
+            drop(g);
+            let n = node.n_parents as usize;
+            debug_assert_eq!(parent_grads.len(), n);
+            for (pid, pg) in node.parents[..n].iter().zip(parent_grads) {
+                match &mut grads[*pid as usize] {
+                    Some(acc) => acc.add_assign(&pg),
+                    slot @ None => *slot = Some(pg),
                 }
             }
-            grads[id] = Some(g);
         }
         Gradients { grads }
     }
@@ -862,17 +888,88 @@ fn merge_heads_data(src: &[f32], b: usize, t: usize, h: usize, dh: usize) -> Vec
     out
 }
 
-fn gelu_fwd(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)).tanh())
+const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+
+/// `tanh(inner(x))`, the one transcendental GELU's forward and backward
+/// share.
+fn gelu_tanh(x: f32) -> f32 {
+    (SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)).tanh()
 }
 
-fn gelu_grad(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    let inner = SQRT_2_OVER_PI * (x + 0.044715 * x * x * x);
-    let t = inner.tanh();
+/// GELU from `t = gelu_tanh(x)`.
+fn gelu_from_tanh(x: f32, t: f32) -> f32 {
+    0.5 * x * (1.0 + t)
+}
+
+/// GELU's derivative from `t = gelu_tanh(x)`.
+fn gelu_grad_from_tanh(x: f32, t: f32) -> f32 {
     let dinner = SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+}
+
+/// The broadcast forward `f(a[i], b[i mod b.len()])` without a per-element
+/// modulo: `b` is as long as `a` (same shape), one element (scalar), or a
+/// shape suffix of `a`, applied to each `b.len()` row of `a` in turn.
+fn broadcast_forward(a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32) -> Vec<f32> {
+    if b.len() == a.len() {
+        a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
+    } else if let [y] = *b {
+        a.iter().map(|&x| f(x, y)).collect()
+    } else {
+        let mut out = Vec::with_capacity(a.len());
+        for row in a.chunks_exact(b.len()) {
+            out.extend(row.iter().zip(b).map(|(&x, &y)| f(x, y)));
+        }
+        out
+    }
+}
+
+/// The broadcast backward on the paths of [`broadcast_forward`]:
+/// `ga[i] = g[i] · dx` (`None` when `lhs_grad_is_g`: the caller passes `g`
+/// itself) and `gb[j] = 0.0 + Σ g[i] · dy` over the `i` that read `b[j]`,
+/// summed in ascending `i`. A same-shape rhs gradient is therefore
+/// `0.0 + g[i] · dy`, which maps `-0.0` to `+0.0`; a suffix rhs gradient
+/// adds one `b.len()` row at a time, in row order, so its per-element sum
+/// order is the ascending one; a scalar rhs gradient is one sequential
+/// sum.
+fn broadcast_backward(
+    g: &[f32],
+    a: &[f32],
+    b: &[f32],
+    dfn: impl Fn(f32, f32) -> (f32, f32),
+    lhs_grad_is_g: bool,
+) -> (Option<Vec<f32>>, Vec<f32>) {
+    let ga = (!lhs_grad_is_g).then(|| {
+        if b.len() == a.len() {
+            g.iter().zip(a).zip(b).map(|((&gv, &x), &y)| gv * dfn(x, y).0).collect()
+        } else if let [y] = *b {
+            g.iter().zip(a).map(|(&gv, &x)| gv * dfn(x, y).0).collect()
+        } else {
+            let mut ga = Vec::with_capacity(a.len());
+            for (g_row, a_row) in g.chunks_exact(b.len()).zip(a.chunks_exact(b.len())) {
+                ga.extend(g_row.iter().zip(a_row).zip(b).map(|((&gv, &x), &y)| gv * dfn(x, y).0));
+            }
+            ga
+        }
+    });
+    let gb = if b.len() == a.len() {
+        g.iter().zip(a).zip(b).map(|((&gv, &x), &y)| 0.0 + gv * dfn(x, y).1).collect()
+    } else if let [y] = *b {
+        let mut acc = 0.0f32;
+        for (&gv, &x) in g.iter().zip(a) {
+            acc += gv * dfn(x, y).1;
+        }
+        vec![acc]
+    } else {
+        let mut gb = vec![0.0f32; b.len()];
+        for (g_row, a_row) in g.chunks_exact(b.len()).zip(a.chunks_exact(b.len())) {
+            for (((o, &gv), &x), &y) in gb.iter_mut().zip(g_row).zip(a_row).zip(b) {
+                *o += gv * dfn(x, y).1;
+            }
+        }
+        gb
+    };
+    (ga, gb)
 }
 
 #[cfg(test)]

@@ -251,22 +251,7 @@ impl Tensor {
             "matmul2d rhs must be 2-d, got {:?}",
             other.shape
         );
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(
-            k, k2,
-            "matmul2d inner dims differ: {:?} x {:?}",
-            self.shape, other.shape
-        );
-        let _t = MATMUL_OBS.matmul2d_ms.time();
-        MATMUL_OBS.calls.inc();
-        MATMUL_OBS.madds.add((m * k * n) as u64);
-        let mut out = vec![0.0f32; m * n];
-        matmul_batched(pool, &self.data, &other.data, &mut out, 1, m, k, n);
-        Tensor {
-            data: Arc::new(out),
-            shape: vec![m, n],
-        }
+        self.product(false, other, false, pool)
     }
 
     /// Batched matrix product of 3-d tensors: `[b,m,k] x [b,k,n] -> [b,m,n]`,
@@ -284,26 +269,86 @@ impl Tensor {
             "bmm rhs must be 3-d, got {:?}",
             other.shape
         );
-        let (b, m, k) = (self.shape[0], self.shape[1], self.shape[2]);
-        let (b2, k2, n) = (other.shape[0], other.shape[1], other.shape[2]);
-        assert_eq!(
-            b, b2,
-            "bmm batch dims differ: {:?} x {:?}",
-            self.shape, other.shape
+        self.product(false, other, false, pool)
+    }
+
+    /// `self · otherᵀ` over the last two dims: `[m,k] x [n,k] -> [m,n]`, or
+    /// batched `[b,m,k] x [b,n,k] -> [b,m,n]`. `other` is read transposed
+    /// in place by the blocked kernel's packing, never materialized; the
+    /// result is bit-identical to `self` times `other.transpose_last()`.
+    pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
+        self.product(false, other, true, rpt_par::ThreadPool::global())
+    }
+
+    /// `selfᵀ · other` over the last two dims: `[k,m] x [k,n] -> [m,n]`, or
+    /// batched. `self` is read transposed in place through the kernel's
+    /// strides; the result is bit-identical to `self.transpose_last()`
+    /// times `other`.
+    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
+        self.product(true, other, false, rpt_par::ThreadPool::global())
+    }
+
+    /// The one product behind [`Tensor::matmul2d`], [`Tensor::bmm`],
+    /// [`Tensor::matmul_nt`] and [`Tensor::matmul_tn`]: `op(self) ·
+    /// op(other)`, where `op` transposes the last two dims when its flag is
+    /// set.
+    fn product(&self, ta: bool, other: &Tensor, tb: bool, pool: &rpt_par::ThreadPool) -> Tensor {
+        let nd = self.ndim();
+        assert!(
+            (nd == 2 || nd == 3) && other.ndim() == nd,
+            "matmul supports 2-d x 2-d or 3-d x 3-d, got {:?} x {:?}",
+            self.shape,
+            other.shape
         );
+        let name = if nd == 2 { "matmul2d" } else { "bmm" };
+        let (batch, lead) = if nd == 3 {
+            assert_eq!(
+                self.shape[0], other.shape[0],
+                "bmm batch dims differ: {:?} x {:?}",
+                self.shape, other.shape
+            );
+            (self.shape[0], 1)
+        } else {
+            (1, 0)
+        };
+        let orient = |shape: &[usize], t: bool| {
+            let (r, c) = (shape[lead], shape[lead + 1]);
+            if t {
+                (c, r)
+            } else {
+                (r, c)
+            }
+        };
+        let (m, k) = orient(&self.shape, ta);
+        let (k2, n) = orient(&other.shape, tb);
         assert_eq!(
             k, k2,
-            "bmm inner dims differ: {:?} x {:?}",
+            "{name} inner dims differ: {:?} x {:?}",
             self.shape, other.shape
         );
-        let _t = MATMUL_OBS.bmm_ms.time();
+        let _t = if nd == 2 {
+            MATMUL_OBS.matmul2d_ms.time()
+        } else {
+            MATMUL_OBS.bmm_ms.time()
+        };
         MATMUL_OBS.calls.inc();
-        MATMUL_OBS.madds.add((b * m * k * n) as u64);
-        let mut out = vec![0.0f32; b * m * n];
-        matmul_batched(pool, &self.data, &other.data, &mut out, b, m, k, n);
+        MATMUL_OBS.madds.add((batch * m * k * n) as u64);
+        let mut out = vec![0.0f32; batch * m * n];
+        matmul_batched(
+            pool,
+            (&self.data, ta),
+            (&other.data, tb),
+            &mut out,
+            [batch, m, k, n],
+        );
+        let shape = if nd == 2 {
+            vec![m, n]
+        } else {
+            vec![batch, m, n]
+        };
         Tensor {
             data: Arc::new(out),
-            shape: vec![b, m, n],
+            shape,
         }
     }
 
@@ -524,24 +569,57 @@ thread_local! {
     static PACK_SCRATCH: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
-/// Cache-blocked matmul of `rows` output rows against a single `[k, n]`
-/// right-hand matrix: `out[r, j] = Σ_k a[r, k] · b[k, j]` (`out` must be
-/// zeroed). Dispatches to the AVX2 register tile when the runtime SIMD
-/// gate is open (see [`crate::simd`]).
-pub(crate) fn matmul_rows_blocked(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    matmul_rows_blocked_impl(a, b, out, rows, k, n, crate::simd::simd_enabled());
+/// A read-only matrix operand as a strided view: element `(i, j)` is
+/// `data[i * rs + j * cs]`. A row-major `[r, c]` matrix is `(c, 1)`; the
+/// same buffer read transposed, as `[c, r]`, is `(1, c)`. Viewing an
+/// operand transposed moves no data, which is what lets the backward
+/// products `G·Bᵀ` and `Aᵀ·G` skip the `transpose_last` copies.
+#[derive(Clone, Copy)]
+struct View<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
 }
 
-/// [`matmul_rows_blocked`] with the kernel choice forced, public for the
-/// SIMD/scalar equivalence suite (`use_simd = true` silently falls back
-/// to scalar when AVX2 is unavailable). Both paths are bit-identical.
+impl<'a> View<'a> {
+    /// The matrix stored row-major in `data` with `stored_cols` columns,
+    /// read as stored (`t = false`) or transposed (`t = true`).
+    fn new(data: &'a [f32], t: bool, stored_cols: usize) -> Self {
+        if t {
+            View {
+                data,
+                rs: 1,
+                cs: stored_cols,
+            }
+        } else {
+            View {
+                data,
+                rs: stored_cols,
+                cs: 1,
+            }
+        }
+    }
+
+    /// The same view starting at row `i`.
+    fn at_row(self, i: usize) -> Self {
+        View {
+            data: &self.data[i * self.rs..],
+            ..self
+        }
+    }
+
+    /// True if `rows x cols` elements are in bounds.
+    fn covers(&self, rows: usize, cols: usize) -> bool {
+        rows == 0 || cols == 0 || (rows - 1) * self.rs + (cols - 1) * self.cs < self.data.len()
+    }
+}
+
+/// Cache-blocked matmul of `rows` output rows against a single `[k, n]`
+/// right-hand matrix, `out[r, j] = Σ_k a[r, k] · b[k, j]` (`out` must be
+/// zeroed), with the kernel choice forced: public for the SIMD/scalar
+/// equivalence suite (`use_simd = true` silently falls back to scalar
+/// when AVX2 is unavailable). Both paths are bit-identical; products
+/// dispatch on the runtime SIMD gate (see [`crate::simd`]).
 pub fn matmul_rows_blocked_force(
     a: &[f32],
     b: &[f32],
@@ -551,7 +629,17 @@ pub fn matmul_rows_blocked_force(
     n: usize,
     use_simd: bool,
 ) {
-    matmul_rows_blocked_impl(a, b, out, rows, k, n, use_simd);
+    assert_eq!(a.len(), rows * k, "matmul lhs length");
+    assert_eq!(b.len(), k * n, "matmul rhs length");
+    matmul_view_blocked(
+        View::new(a, false, k),
+        View::new(b, false, n),
+        out,
+        rows,
+        k,
+        n,
+        use_simd,
+    );
 }
 
 /// Loop order is column-tile outer, row-block middle, `k` inner: the `NR`
@@ -559,7 +647,11 @@ pub fn matmul_rows_blocked_force(
 /// block, and `A` streams once per column tile (it is the smaller operand
 /// in every product this library performs). For `rows >= PACK_MIN_ROWS`
 /// the tile's `B` columns are first packed contiguously into a per-thread
-/// scratch panel, turning the strided `k`-loop loads into dense ones.
+/// scratch panel, turning the strided `k`-loop loads into dense ones. A
+/// transposed `B` view (column stride not 1) is always packed: the pack
+/// is where its transpose happens, one `k × NR` panel at a time. A
+/// transposed `A` view needs no pack: the kernels read it through its
+/// strides.
 ///
 /// Inside a full `MR × NR` tile the accumulators are a register array
 /// updated as a rank-1 outer product per `k` — on the SIMD path eight
@@ -569,21 +661,24 @@ pub fn matmul_rows_blocked_force(
 /// Bit-identity: every output element is one scalar accumulator updated
 /// `acc += a·b` in strictly ascending `k` order — in the full-tile path
 /// (scalar or AVX2: `vmulps` + `vaddps`, never FMA-contracted), the
-/// edge-tile path, and any thread partitioning alike. Packing is pure
-/// data movement. The result is therefore identical bit-for-bit
-/// regardless of tile placement, thread count, or kernel choice.
-fn matmul_rows_blocked_impl(
-    a: &[f32],
-    b: &[f32],
+/// edge-tile path, and any thread partitioning alike. Packing and strided
+/// reads are pure data movement. The result is therefore identical
+/// bit-for-bit regardless of tile placement, operand layout, thread count,
+/// or kernel choice.
+fn matmul_view_blocked(
+    a: View<'_>,
+    b: View<'_>,
     out: &mut [f32],
     rows: usize,
     k: usize,
     n: usize,
     use_simd: bool,
 ) {
-    debug_assert_eq!(a.len(), rows * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), rows * n);
+    // The AVX2 tile reads through raw pointers: these bounds are what
+    // keep it in range.
+    assert!(a.covers(rows, k), "matmul lhs view out of range");
+    assert!(b.covers(k, n), "matmul rhs view out of range");
+    assert_eq!(out.len(), rows * n, "matmul output length");
     #[cfg(target_arch = "x86_64")]
     let use_simd = use_simd && crate::simd::simd_available();
     #[cfg(not(target_arch = "x86_64"))]
@@ -591,7 +686,7 @@ fn matmul_rows_blocked_impl(
         let _ = use_simd;
         false
     };
-    let pack = rows >= PACK_MIN_ROWS && k * NR <= 1 << 20;
+    let pack = b.cs != 1 || (rows >= PACK_MIN_ROWS && k * NR <= 1 << 20);
     let mut panel = if pack {
         let mut p = PACK_SCRATCH.with(|cell| cell.take());
         p.clear();
@@ -600,19 +695,32 @@ fn matmul_rows_blocked_impl(
     } else {
         Vec::new()
     };
+    let (ars, acs) = (a.rs, a.cs);
+    let a = a.data;
     let mut j = 0;
     while j < n {
         let nr = NR.min(n - j);
-        // (base pointer, row stride) for this tile's B columns: either the
+        // (base slice, row stride) for this tile's B columns: either the
         // packed panel or the strided original.
         let (bp, ldb) = if pack {
             panel.clear();
-            for kk in 0..k {
-                panel.extend_from_slice(&b[kk * n + j..kk * n + j + nr]);
+            if b.cs == 1 {
+                for kk in 0..k {
+                    let row = &b.data[kk * b.rs + j..];
+                    panel.extend_from_slice(&row[..nr]);
+                }
+            } else {
+                panel.resize(k * nr, 0.0);
+                for jj in 0..nr {
+                    let col = &b.data[(j + jj) * b.cs..];
+                    for (kk, dst) in panel.iter_mut().skip(jj).step_by(nr).enumerate() {
+                        *dst = col[kk * b.rs];
+                    }
+                }
             }
             (panel.as_slice(), nr)
         } else {
-            (&b[j..], n)
+            (&b.data[j..], b.rs)
         };
         let mut r = 0;
         while r < rows {
@@ -620,14 +728,16 @@ fn matmul_rows_blocked_impl(
             if mr == MR && nr == NR {
                 #[cfg(target_arch = "x86_64")]
                 if use_simd {
-                    // SAFETY: AVX2 availability checked above; `a` holds
-                    // MR rows of stride k starting at row r, `bp` holds k
-                    // rows of stride ldb with NR valid columns, `out`
-                    // holds MR rows of stride n at (r, j).
+                    // SAFETY: AVX2 availability checked above. `a.covers`
+                    // and `b.covers` above bound every (row, k) read of
+                    // `a` at (r + ri) * ars + kk * acs and every (k, col)
+                    // read of `bp` at kk * ldb + jj (jj < NR = nr); `out`
+                    // holds `rows` rows of stride n, so the MR x NR block
+                    // at (r, j) is in range.
                     unsafe {
                         crate::simd::tile_4x16_avx2(
-                            a.as_ptr().add(r * k),
-                            k,
+                            a.as_ptr().add(r * ars),
+                            (ars, acs),
                             bp.as_ptr(),
                             ldb,
                             k,
@@ -642,7 +752,7 @@ fn matmul_rows_blocked_impl(
                 for kk in 0..k {
                     let brow = &bp[kk * ldb..kk * ldb + NR];
                     for (ri, acc_row) in acc.iter_mut().enumerate() {
-                        let av = a[(r + ri) * k + kk];
+                        let av = a[(r + ri) * ars + kk * acs];
                         for (jj, &bv) in brow.iter().enumerate() {
                             acc_row[jj] += av * bv;
                         }
@@ -656,10 +766,10 @@ fn matmul_rows_blocked_impl(
                 // Edge tile (rows % MR / n % NR remainders): scalar loops
                 // with the same per-element k-ascending accumulation.
                 for ri in 0..mr {
-                    let a_row = &a[(r + ri) * k..(r + ri + 1) * k];
                     let o = (r + ri) * n + j;
                     let out_row = &mut out[o..o + nr];
-                    for (kk, &av) in a_row.iter().enumerate() {
+                    for kk in 0..k {
+                        let av = a[(r + ri) * ars + kk * acs];
                         let brow = &bp[kk * ldb..kk * ldb + nr];
                         for (ov, &bv) in out_row.iter_mut().zip(brow.iter()) {
                             *ov += av * bv;
@@ -705,26 +815,24 @@ pub fn matmul_chunk_count(rows: usize, k: usize, n: usize, width: usize) -> usiz
     width.min(by_cost).min(rows).max(1)
 }
 
-/// Batched matmul `out[b,m,n] = a[b,m,k] x bmat[b,k,n]` with the `b * m`
-/// output rows partitioned into contiguous chunks sized by
-/// [`matmul_chunk_count`], each chunk split at batch boundaries and
-/// handed to the blocked microkernel. `b == 1` degenerates to a plain
+/// Batched matmul `out[b,m,n] = op(a)[b,m,k] x op(bmat)[b,k,n]`, where each
+/// operand comes with a transpose flag (`op` swaps its stored last two
+/// dims), with the `b * m` output rows partitioned into contiguous chunks
+/// sized by [`matmul_chunk_count`], each chunk split at batch boundaries
+/// and handed to the blocked microkernel. `b == 1` degenerates to a plain
 /// 2-d product. Thread partitioning only decides *which* thread runs a
 /// row — never the arithmetic order inside it — so results are
 /// bit-identical for every thread count.
 fn matmul_batched(
     pool: &rpt_par::ThreadPool,
-    a: &[f32],
-    bmat: &[f32],
+    (a, ta): (&[f32], bool),
+    (bmat, tb): (&[f32], bool),
     out: &mut [f32],
-    b: usize,
-    m: usize,
-    k: usize,
-    n: usize,
+    [b, m, k, n]: [usize; 4],
 ) {
-    debug_assert_eq!(a.len(), b * m * k);
-    debug_assert_eq!(bmat.len(), b * k * n);
-    debug_assert_eq!(out.len(), b * m * n);
+    assert_eq!(a.len(), b * m * k, "matmul lhs length");
+    assert_eq!(bmat.len(), b * k * n, "matmul rhs length");
+    assert_eq!(out.len(), b * m * n, "matmul output length");
     let rows = b * m;
     if rows == 0 || n == 0 {
         return;
@@ -738,13 +846,20 @@ fn matmul_batched(
         while r < end {
             let (bi, i0) = (r / m, r % m);
             let seg = (m - i0).min(end - r);
-            matmul_rows_blocked(
-                &a[(bi * m + i0) * k..(bi * m + i0 + seg) * k],
-                &bmat[bi * k * n..(bi + 1) * k * n],
+            // Stored as [m, k] (or [k, m] when transposed) and [k, n] (or
+            // [n, k]).
+            let a_batch = &a[bi * m * k..(bi + 1) * m * k];
+            let b_batch = &bmat[bi * k * n..(bi + 1) * k * n];
+            let a_view = View::new(a_batch, ta, if ta { m } else { k });
+            let b_view = View::new(b_batch, tb, if tb { k } else { n });
+            matmul_view_blocked(
+                a_view.at_row(i0),
+                b_view,
                 &mut out_chunk[off..off + seg * n],
                 seg,
                 k,
                 n,
+                crate::simd::simd_enabled(),
             );
             r += seg;
             off += seg * n;

@@ -2,8 +2,7 @@
 # Tier-1 verification plus the parallel-determinism gate.
 #
 # 1. Offline release build + full workspace test suite (the tier-1 bar),
-#    then clippy over every target; only deny-level lints (errors) fail
-#    the gate, warnings are reported but tolerated.
+#    then clippy over every target with warnings denied.
 # 2. The equivalence suites re-run with a 4-thread global pool, proving
 #    that the data-parallel trainer and parallel matmul kernels are
 #    bit-identical to their serial reference paths when threading is
@@ -11,9 +10,11 @@
 #    this doubles as an env-var plumbing check for RPT_THREADS); the
 #    cached decode engine is checked against the uncached reference
 #    decoders under every RPT_SIMD x RPT_THREADS combination.
-# 3. The SIMD gate: the kernel equivalence suite and the parallel
-#    trainer equivalence re-run under RPT_SIMD=0 and RPT_SIMD=1, proving
-#    the AVX2 kernels are bit-identical to the scalar path end to end.
+# 3. The SIMD gate: the kernel equivalence suite, the training-kernel
+#    oracle suite (fast training paths against the loops they replaced)
+#    and the parallel trainer equivalence re-run under RPT_SIMD=0 and
+#    RPT_SIMD=1, proving the AVX2 kernels are bit-identical to the scalar
+#    path end to end.
 # 4. A fast-mode smoke run of the decode, matmul, and thread-scaling
 #    microbenches, checking the fast decode path still beats the
 #    reference, the artifacts get written and parse, and the 4-thread
@@ -58,7 +59,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-cargo clippy --offline -q --workspace --all-targets
+cargo clippy --offline -q --workspace --all-targets -- -D warnings
 
 RPT_THREADS=4 cargo test -q --offline --test parallel_equivalence
 RPT_THREADS=4 cargo test -q --offline --release --test resume_equivalence
@@ -94,6 +95,8 @@ RPT_THREADS=4 cargo test -q --offline --test obs_determinism
 # covering hosts where only one path can run).
 RPT_SIMD=0 cargo test -q --offline --test simd_equivalence
 RPT_SIMD=1 cargo test -q --offline --test simd_equivalence
+RPT_SIMD=0 RPT_THREADS=4 cargo test -q --offline --test train_kernels
+RPT_SIMD=1 RPT_THREADS=4 cargo test -q --offline --test train_kernels
 RPT_SIMD=0 RPT_THREADS=4 cargo test -q --offline --test parallel_equivalence
 RPT_SIMD=1 RPT_THREADS=4 cargo test -q --offline --test parallel_equivalence
 

@@ -126,6 +126,31 @@ fn batched_matmul_grad_both_sides() {
 }
 
 #[test]
+fn matmul_nt_grad_both_sides() {
+    // a · bᵀ, 2-d and batched, both operands
+    let a = randt(&[7, 12], 11);
+    let b = randt(&[9, 12], 12);
+    check("matmul_nt (lhs)", 2e-2, &a, |t, av| {
+        let bv = t.leaf(b.clone());
+        probe_loss(t, t.matmul_nt(av, bv), 35)
+    });
+    check("matmul_nt (rhs)", 2e-2, &b, |t, bv| {
+        let av = t.leaf(a.clone());
+        probe_loss(t, t.matmul_nt(av, bv), 36)
+    });
+    let a3 = randt(&[3, 5, 6], 13);
+    let b3 = randt(&[3, 4, 6], 14);
+    check("batched matmul_nt (lhs)", 2e-2, &a3, |t, av| {
+        let bv = t.leaf(b3.clone());
+        probe_loss(t, t.matmul_nt(av, bv), 37)
+    });
+    check("batched matmul_nt (rhs)", 2e-2, &b3, |t, bv| {
+        let av = t.leaf(a3.clone());
+        probe_loss(t, t.matmul_nt(av, bv), 38)
+    });
+}
+
+#[test]
 fn transpose_grad() {
     let x = randt(&[6, 9], 10);
     check("transpose_last", 5e-3, &x, |t, xv| {

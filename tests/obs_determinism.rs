@@ -56,7 +56,7 @@ fn run_once(tag: &str) -> (Vec<u8>, Vec<u32>) {
     let mut rng = SmallRng::seed_from_u64(6);
     let (_u, mut benches) = standard_benchmarks(16, &mut rng);
     let b = benches.remove(0);
-    let tables = vec![b.table_a, b.table_b];
+    let tables = [b.table_a, b.table_b];
     let vocab = build_vocab(&tables.iter().collect::<Vec<_>>(), &[], 1, 4000);
 
     let pool = ThreadPool::new(2);

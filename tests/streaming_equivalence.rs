@@ -63,7 +63,7 @@ fn fixture(tag: &str) -> Fixture {
     let mut rng = SmallRng::seed_from_u64(6);
     let (_u, mut benches) = standard_benchmarks(20, &mut rng);
     let b = benches.remove(0);
-    let tables = vec![b.table_a, b.table_b];
+    let tables = [b.table_a, b.table_b];
     let refs: Vec<&Table> = tables.iter().collect();
     let vocab = build_vocab(&refs, &[], 1, 4000);
     let encoder = TupleEncoder::new(vocab.clone(), Default::default());

@@ -63,7 +63,7 @@ fn fixture(tag: &str) -> Fixture {
     let mut rng = SmallRng::seed_from_u64(6);
     let (_u, mut benches) = standard_benchmarks(20, &mut rng);
     let b = benches.remove(0);
-    let tables = vec![b.table_a, b.table_b];
+    let tables = [b.table_a, b.table_b];
     let refs: Vec<&Table> = tables.iter().collect();
     let vocab = build_vocab(&refs, &[], 1, 4000);
     let encoder = TupleEncoder::new(vocab.clone(), Default::default());
@@ -175,10 +175,7 @@ impl CheckpointIo for FailAfterReads {
     }
     fn read_file(&mut self, path: &Path) -> io::Result<Vec<u8>> {
         if self.clean_reads == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::Other,
-                "injected shard read fault",
-            ));
+            return Err(io::Error::other("injected shard read fault"));
         }
         self.clean_reads -= 1;
         self.inner.read_file(path)
