@@ -4,11 +4,11 @@
 //! At evaluation time it receives the same masked tuple serialization as
 //! RPT-C; the format mismatch is the point of the comparison.
 
-use rpt_rng::SmallRng;
-use rpt_rng::{Rng, SeedableRng};
 use rpt_core::cleaning::{CleaningConfig, FillResult, Filler, RptC};
 use rpt_core::train::Trainer;
 use rpt_nn::Sequence;
+use rpt_rng::SmallRng;
+use rpt_rng::{Rng, SeedableRng};
 use rpt_table::{Schema, Tuple};
 use rpt_tokenizer::{Vocab, MASK};
 
@@ -93,8 +93,8 @@ impl Filler for BartText {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpt_rng::SmallRng;
     use rpt_core::vocabulary::build_vocab;
+    use rpt_rng::SmallRng;
 
     fn corpus() -> Vec<String> {
         let mut out = Vec::new();

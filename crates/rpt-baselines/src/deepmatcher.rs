@@ -4,10 +4,10 @@
 //! paper's Table 2 contrasts RPT-E against (RPT-E never sees target
 //! labels).
 
-use rpt_rng::SmallRng;
-use rpt_rng::SliceRandom;
-use rpt_rng::SeedableRng;
 use rpt_datagen::{ErBenchmark, PairSet};
+use rpt_rng::SeedableRng;
+use rpt_rng::SliceRandom;
+use rpt_rng::SmallRng;
 use rpt_tensor::{clip_global_norm, init, Adam, AdamConfig, ParamStore, Tape, Tensor};
 
 use crate::features::{pair_features, FEATURE_NAMES};
@@ -54,14 +54,13 @@ impl DeepMatcherLike {
         }
     }
 
-    fn forward_logits(
-        &mut self,
-        tape: &Tape,
-        xs: &[Vec<f64>],
-    ) -> rpt_tensor::Var {
+    fn forward_logits(&mut self, tape: &Tape, xs: &[Vec<f64>]) -> rpt_tensor::Var {
         let n = xs.len();
         let d = FEATURE_NAMES.len();
-        let flat: Vec<f32> = xs.iter().flat_map(|x| x.iter().map(|&v| v as f32)).collect();
+        let flat: Vec<f32> = xs
+            .iter()
+            .flat_map(|x| x.iter().map(|&v| v as f32))
+            .collect();
         let x = tape.leaf(Tensor::from_vec(flat, &[n, d]).expect("feature matrix"));
         let (w1, b1, w2, b2) = self.ids;
         let w1 = self.params.bind(tape, w1);
@@ -169,11 +168,8 @@ mod tests {
         let bench = &benches[1];
         let all = bench.labeled_pairs(4, &universe, &mut rng);
         // split train/test
-        let (train, test): (Vec<_>, Vec<_>) = all
-            .pairs
-            .iter()
-            .enumerate()
-            .partition(|(i, _)| i % 3 != 0);
+        let (train, test): (Vec<_>, Vec<_>) =
+            all.pairs.iter().enumerate().partition(|(i, _)| i % 3 != 0);
         let train_set = PairSet {
             pairs: train.into_iter().map(|(_, p)| *p).collect(),
         };

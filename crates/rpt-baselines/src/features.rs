@@ -73,8 +73,16 @@ pub fn pair_features(schema_a: &Schema, a: &Tuple, schema_b: &Schema, b: &Tuple)
             };
         }
     }
-    let aligned_eq = if eq_total == 0.0 { 0.0 } else { eq_count / eq_total };
-    let numeric = if num_total == 0.0 { 0.5 } else { num_close / num_total };
+    let aligned_eq = if eq_total == 0.0 {
+        0.0
+    } else {
+        eq_count / eq_total
+    };
+    let numeric = if num_total == 0.0 {
+        0.5
+    } else {
+        num_close / num_total
+    };
 
     let len_ratio = if ta.is_empty() || tb.is_empty() {
         0.0
@@ -167,7 +175,11 @@ mod tests {
     #[test]
     fn nulls_are_ignored() {
         let a = Tuple::new(vec![Value::text("iphone"), Value::Null, Value::Null]);
-        let b = Tuple::new(vec![Value::text("iphone"), Value::text("apple"), Value::Null]);
+        let b = Tuple::new(vec![
+            Value::text("iphone"),
+            Value::text("apple"),
+            Value::Null,
+        ]);
         let f = pair_features(&schema(), &a, &schema(), &b);
         assert!(f[0] > 0.4);
         assert!(f.iter().all(|v| v.is_finite()));

@@ -45,9 +45,9 @@ impl PairScorer for JaccardMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpt_rng::SmallRng;
-    use rpt_rng::SeedableRng;
     use rpt_datagen::standard_benchmarks;
+    use rpt_rng::SeedableRng;
+    use rpt_rng::SmallRng;
 
     #[test]
     fn matches_score_higher_than_random_pairs_on_average() {

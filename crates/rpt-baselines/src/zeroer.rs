@@ -104,11 +104,7 @@ impl ZeroEr {
 
     /// Fits the mixture to the candidate pairs of a benchmark
     /// (fully unsupervised) and returns P(match) for each.
-    pub fn fit_predict(
-        &mut self,
-        bench: &ErBenchmark,
-        pairs: &[(usize, usize)],
-    ) -> Vec<f32> {
+    pub fn fit_predict(&mut self, bench: &ErBenchmark, pairs: &[(usize, usize)]) -> Vec<f32> {
         let xs: Vec<Vec<f64>> = pairs
             .iter()
             .map(|&(i, j)| {
@@ -190,10 +186,10 @@ impl PairScorer for ZeroEr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpt_rng::SmallRng;
-    use rpt_rng::SeedableRng;
     use rpt_datagen::standard_benchmarks;
     use rpt_nn::metrics::BinaryConfusion;
+    use rpt_rng::SeedableRng;
+    use rpt_rng::SmallRng;
 
     #[test]
     fn unsupervised_em_beats_chance_on_candidates() {

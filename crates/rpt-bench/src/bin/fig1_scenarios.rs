@@ -10,8 +10,6 @@
 //! * (c) information extraction: interpret a one-shot example and extract
 //!   the analogous span from a new description.
 
-use rpt_rng::SmallRng;
-use rpt_rng::SeedableRng;
 use rpt_bench::{emit_artifact, Workbench};
 use rpt_core::cleaning::{CleaningConfig, Filler, MaskPolicy, RptC};
 use rpt_core::er::{infer_match_patterns, Matcher, MatcherConfig};
@@ -19,6 +17,8 @@ use rpt_core::ie::{infer_attribute, question_for, IeConfig, RptI};
 use rpt_core::train::TrainOpts;
 use rpt_datagen::benchmarks::ie_tasks;
 use rpt_datagen::{ErBenchmark, PairSet};
+use rpt_rng::SeedableRng;
+use rpt_rng::SmallRng;
 use rpt_table::{Schema, Tuple, Value};
 
 fn main() {
@@ -56,7 +56,8 @@ fn main() {
         let tuple = Tuple::new(vec![Value::text(title), Value::Null, Value::Null]);
         let fill = rptc.fill(&schema, &tuple, 1);
         println!("  Q: [{title}] manufacturer = [M]   →  A: {}", fill.text);
-        dc_results.push(rpt_json::json!({"query": title, "column": "manufacturer", "answer": fill.text}));
+        dc_results
+            .push(rpt_json::json!({"query": title, "column": "manufacturer", "answer": fill.text}));
     }
     // Q3 analogue: auto-completion of a price from everything else.
     let tuple = Tuple::new(vec![
@@ -65,8 +66,13 @@ fn main() {
         Value::Null,
     ]);
     let fill = rptc.fill(&schema, &tuple, 2);
-    println!("  Q: [thinkpad 9 …, lenovo] price = [M]   →  A: {}", fill.text);
-    dc_results.push(rpt_json::json!({"query": "thinkpad 9 512gb", "column": "price", "answer": fill.text}));
+    println!(
+        "  Q: [thinkpad 9 …, lenovo] price = [M]   →  A: {}",
+        fill.text
+    );
+    dc_results.push(
+        rpt_json::json!({"query": "thinkpad 9 512gb", "column": "price", "answer": fill.text}),
+    );
     artifact.insert("data_cleaning".into(), rpt_json::Json::Array(dc_results));
 
     // ---------------- (b) entity resolution ---------------------------
@@ -121,7 +127,11 @@ fn main() {
     ]);
     // score via a throwaway single-pair benchmark wrapper
     let mut er_results = Vec::new();
-    for (name, a, b) in [("e1 vs e2", &e1, &e2), ("e1 vs e3", &e1, &e3), ("e2 vs e3", &e2, &e3)] {
+    for (name, a, b) in [
+        ("e1 vs e2", &e1, &e2),
+        ("e1 vs e3", &e1, &e3),
+        ("e2 vs e3", &e2, &e3),
+    ] {
         let mut ta = rpt_table::Table::new("fig1-a", fig_schema.clone());
         ta.push(a.clone());
         let mut tb = rpt_table::Table::new("fig1-b", fig_schema.clone());
@@ -157,7 +167,10 @@ fn main() {
         "  PET interpretation: must match {:?}; irrelevant {:?}",
         patterns.must_match, patterns.irrelevant
     );
-    artifact.insert("entity_resolution".into(), rpt_json::Json::Array(er_results));
+    artifact.insert(
+        "entity_resolution".into(),
+        rpt_json::Json::Array(er_results),
+    );
 
     // ---------------- (c) information extraction ----------------------
     println!("\n-- (c) information extraction: one-shot task interpretation --");
@@ -179,7 +192,10 @@ fn main() {
     rpti.train(train);
 
     // the paper's s1: interpret the task from one example, apply to t1
-    let example = test.iter().find(|t| t.attr == "memory").expect("a memory task");
+    let example = test
+        .iter()
+        .find(|t| t.attr == "memory")
+        .expect("a memory task");
     let inferred = infer_attribute(&[(&example.description, &example.answer)]);
     println!(
         "  s1: {:?} labeled {:?}\n  → inferred task: {:?}",
@@ -192,7 +208,10 @@ fn main() {
         .find(|t| t.attr == "memory" && t.entity != example.entity)
         .expect("another memory task");
     let answer = rpti.extract(&question_for(inferred.unwrap_or("memory")), &t1.description);
-    println!("  t1: {:?}\n  → extracted: {answer:?} (gold {:?})", t1.description, t1.answer);
+    println!(
+        "  t1: {:?}\n  → extracted: {answer:?} (gold {:?})",
+        t1.description, t1.answer
+    );
     artifact.insert(
         "information_extraction".into(),
         rpt_json::json!({

@@ -6,14 +6,14 @@
 //! Expected shape: recovery degrades gracefully as corruption grows, and
 //! stays clearly above the unigram-guess floor at every rate.
 
-use rpt_rng::SmallRng;
-use rpt_rng::SliceRandom;
-use rpt_rng::SeedableRng;
-use rpt_bench::{f2, emit_artifact, Workbench};
+use rpt_bench::{emit_artifact, f2, Workbench};
 use rpt_core::cleaning::{CleaningConfig, MaskPolicy, RptC};
 use rpt_core::train::TrainOpts;
 use rpt_nn::metrics::Mean;
 use rpt_nn::{Sequence, TokenBatch};
+use rpt_rng::SeedableRng;
+use rpt_rng::SliceRandom;
+use rpt_rng::SmallRng;
 use rpt_tokenizer::PAD;
 
 fn main() {
@@ -45,7 +45,10 @@ fn main() {
     let mut rng = SmallRng::seed_from_u64(5);
     let n_eval = 40;
 
-    println!("{:>10} {:>12} {:>14}", "mask rate", "recovery-F1", "exact-rate");
+    println!(
+        "{:>10} {:>12} {:>14}",
+        "mask rate", "recovery-F1", "exact-rate"
+    );
     let mut series = Vec::new();
     for rate in [0.1, 0.2, 0.3, 0.5, 0.7] {
         let mut f1 = Mean::default();
@@ -90,4 +93,3 @@ fn main() {
     );
     println!("\ntotal {:.0?}", t0.elapsed());
 }
-

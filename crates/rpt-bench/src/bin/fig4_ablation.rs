@@ -12,7 +12,7 @@
 //! * `token-mask`    — BERT-style token masking only
 //! * `fd-aware`      — value masking restricted to FD-determined columns
 
-use rpt_bench::{f2, emit_artifact, Workbench};
+use rpt_bench::{emit_artifact, f2, Workbench};
 use rpt_core::cleaning::{evaluate_fill, CleaningConfig, MaskPolicy, RptC};
 use rpt_core::train::TrainOpts;
 use rpt_tokenizer::EncoderOptions;
@@ -33,32 +33,47 @@ fn main() {
         peak_lr: 3e-3,
         ..Default::default()
     };
-    let variant = |name: &str,
-                   markers: bool,
-                   column_ids: bool,
-                   max_cols: usize,
-                   policy: MaskPolicy| {
-        let mut cfg = CleaningConfig {
-            mask_policy: policy,
-            train: base_train.clone(),
-            encoder_opts: EncoderOptions {
-                markers,
-                column_ids,
+    let variant =
+        |name: &str, markers: bool, column_ids: bool, max_cols: usize, policy: MaskPolicy| {
+            let mut cfg = CleaningConfig {
+                mask_policy: policy,
+                train: base_train.clone(),
+                encoder_opts: EncoderOptions {
+                    markers,
+                    column_ids,
+                    ..Default::default()
+                },
                 ..Default::default()
-            },
-            ..Default::default()
+            };
+            cfg.model.max_cols = max_cols;
+            (name.to_string(), cfg)
         };
-        cfg.model.max_cols = max_cols;
-        (name.to_string(), cfg)
-    };
 
     let variants = vec![
         variant("full (mixed)", true, true, 16, MaskPolicy::Mixed),
         variant("- column embeddings", true, false, 0, MaskPolicy::Mixed),
         variant("- [A]/[V] markers", false, true, 16, MaskPolicy::Mixed),
-        variant("value-mask only", true, true, 16, MaskPolicy::AttributeValue),
-        variant("token-mask only", true, true, 16, MaskPolicy::Token { max_masks: 3 }),
-        variant("fd-aware value-mask", true, true, 16, MaskPolicy::FdAware { min_strength: 0.8 }),
+        variant(
+            "value-mask only",
+            true,
+            true,
+            16,
+            MaskPolicy::AttributeValue,
+        ),
+        variant(
+            "token-mask only",
+            true,
+            true,
+            16,
+            MaskPolicy::Token { max_masks: 3 },
+        ),
+        variant(
+            "fd-aware value-mask",
+            true,
+            true,
+            16,
+            MaskPolicy::FdAware { min_strength: 0.8 },
+        ),
     ];
 
     println!(
@@ -78,7 +93,11 @@ fn main() {
             f2(maker.token_f1),
             f2(price.exact),
             f2(price.token_f1),
-            if price.numeric.is_nan() { "-".into() } else { f2(price.numeric) },
+            if price.numeric.is_nan() {
+                "-".into()
+            } else {
+                f2(price.numeric)
+            },
         );
         rows.push(rpt_json::json!({
             "variant": name,

@@ -4,14 +4,14 @@
 //! consolidation with a learned preference (E3), and the few-shot
 //! threshold-calibration curve (E1 / opportunity O2).
 
-use rpt_rng::SmallRng;
-use rpt_rng::SeedableRng;
-use rpt_bench::{f2, emit_artifact, Workbench};
+use rpt_bench::{emit_artifact, f2, Workbench};
 use rpt_core::er::{
     calibrate_threshold_f1, Blocker, Consolidator, ErPipeline, Matcher, MatcherConfig,
 };
 use rpt_core::train::TrainOpts;
 use rpt_datagen::{ErBenchmark, PairSet};
+use rpt_rng::SeedableRng;
+use rpt_rng::SmallRng;
 use rpt_table::Tuple;
 
 fn main() {
@@ -48,7 +48,10 @@ fn main() {
         })
         .collect();
     let refs: Vec<(&ErBenchmark, &PairSet)> = sets.iter().map(|(b, p)| (*b, p)).collect();
-    println!("fine-tuning matcher on {} source benchmarks ...", refs.len());
+    println!(
+        "fine-tuning matcher on {} source benchmarks ...",
+        refs.len()
+    );
     matcher.train(&refs);
 
     // --- few-shot calibration curve, on the *candidate* distribution ----
@@ -57,7 +60,10 @@ fn main() {
     println!("{:>4} {:>10} {:>8}", "k", "threshold", "F1");
     let blocker = Blocker::default();
     let candidates = blocker.candidates(&bench.table_a, &bench.table_b);
-    let cand_labels: Vec<bool> = candidates.iter().map(|&(i, j)| bench.is_match(i, j)).collect();
+    let cand_labels: Vec<bool> = candidates
+        .iter()
+        .map(|&(i, j)| bench.is_match(i, j))
+        .collect();
     let cand_scores = matcher.score_pairs(bench, &candidates);
     // the user's labeled pool: a third known matches, the rest random
     // blocked candidates
@@ -84,7 +90,12 @@ fn main() {
                 .map(|&s| s >= threshold)
                 .zip(cand_labels.iter().copied()),
         );
-        println!("{:>4} {:>10} {:>8}", k, format!("{threshold:.2}"), f2(conf.f1()));
+        println!(
+            "{:>4} {:>10} {:>8}",
+            k,
+            format!("{threshold:.2}"),
+            f2(conf.f1())
+        );
         curve.push(rpt_json::json!({"k": k, "threshold": threshold, "f1": conf.f1()}));
         if k == 12 {
             threshold8 = threshold;
@@ -116,7 +127,11 @@ fn main() {
         consolidator
             .preferences()
             .iter()
-            .map(|(c, p)| format!("{} -> {}", wal.table_a.schema().name(*c), p.word(wal.table_a.schema().name(*c))))
+            .map(|(c, p)| format!(
+                "{} -> {}",
+                wal.table_a.schema().name(*c),
+                p.word(wal.table_a.schema().name(*c))
+            ))
             .collect::<Vec<_>>()
     );
 
@@ -146,7 +161,10 @@ fn main() {
         f2(report.pair_precision),
         f2(report.pair_recall)
     );
-    println!("conflicts    : {} flagged for active-learning review (E2)", report.n_conflicts);
+    println!(
+        "conflicts    : {} flagged for active-learning review (E2)",
+        report.n_conflicts
+    );
     println!(
         "consolidation: brand canonicalization accuracy {}",
         if report.consolidation_brand_acc.is_nan() {

@@ -5,12 +5,12 @@
 //! *inferred* from k = 1, 2, 4 examples via PET-style task interpretation
 //! ("what is the `[M]`" instantiated from the example labels, §4).
 
-use rpt_rng::SmallRng;
-use rpt_rng::SeedableRng;
-use rpt_bench::{f2, emit_artifact, Workbench};
+use rpt_bench::{emit_artifact, f2, Workbench};
 use rpt_core::ie::{infer_attribute, IeConfig, RptI};
 use rpt_core::train::TrainOpts;
 use rpt_datagen::benchmarks::{ie_tasks, IE_ATTRS};
+use rpt_rng::SeedableRng;
+use rpt_rng::SmallRng;
 
 fn main() {
     let t0 = std::time::Instant::now();
@@ -52,15 +52,30 @@ fn main() {
             continue;
         }
         let eval = rpti.evaluate(&subset, None);
-        println!("{:<8} {:>6} {:>9} {:>5}", attr, f2(eval.exact), f2(eval.token_f1), eval.n);
+        println!(
+            "{:<8} {:>6} {:>9} {:>5}",
+            attr,
+            f2(eval.exact),
+            f2(eval.token_f1),
+            eval.n
+        );
         gold_rows.push(rpt_json::json!({"attr": attr, "exact": eval.exact, "token_f1": eval.token_f1, "n": eval.n}));
     }
     let overall = rpti.evaluate(test, None);
-    println!("{:<8} {:>6} {:>9} {:>5}", "ALL", f2(overall.exact), f2(overall.token_f1), overall.n);
+    println!(
+        "{:<8} {:>6} {:>9} {:>5}",
+        "ALL",
+        f2(overall.exact),
+        f2(overall.token_f1),
+        overall.n
+    );
 
     // --- k-shot question inference --------------------------------------
     println!("\n-- questions inferred from k examples (PET) --");
-    println!("{:<8} {:>3} {:>10} {:>6} {:>9}", "attr", "k", "inferred", "exact", "token-F1");
+    println!(
+        "{:<8} {:>3} {:>10} {:>6} {:>9}",
+        "attr", "k", "inferred", "exact", "token-F1"
+    );
     let mut kshot_rows = Vec::new();
     for attr in IE_ATTRS {
         let subset: Vec<_> = test.iter().filter(|t| t.attr == attr).cloned().collect();
@@ -81,7 +96,11 @@ fn main() {
                 "{:<8} {:>3} {:>10} {:>6} {:>9}",
                 attr,
                 k,
-                format!("{}{}", inferred.unwrap_or("?"), if ok { "" } else { " (!)" }),
+                format!(
+                    "{}{}",
+                    inferred.unwrap_or("?"),
+                    if ok { "" } else { " (!)" }
+                ),
                 f2(eval.exact),
                 f2(eval.token_f1)
             );

@@ -11,21 +11,20 @@
 //! Expected shape: federated recovers most of the centralized quality
 //! without any client sharing its pairs.
 
-use rpt_rng::SmallRng;
-use rpt_rng::SeedableRng;
-use rpt_bench::{f2, emit_artifact, Workbench};
+use rpt_bench::{emit_artifact, f2, Workbench};
 use rpt_core::er::{federated_rounds, Blocker, FederatedConfig, Matcher, MatcherConfig};
 use rpt_core::train::TrainOpts;
 use rpt_datagen::{ErBenchmark, PairSet};
 use rpt_nn::metrics::BinaryConfusion;
+use rpt_rng::SeedableRng;
+use rpt_rng::SmallRng;
 
 fn best_f1(scores: &[f32], labels: &[bool]) -> (f64, f32) {
     let mut best = (0.0f64, 0.5f32);
     for step in 1..40 {
         let t = step as f32 * 0.025;
-        let conf = BinaryConfusion::from_pairs(
-            scores.iter().map(|&s| s >= t).zip(labels.iter().copied()),
-        );
+        let conf =
+            BinaryConfusion::from_pairs(scores.iter().map(|&s| s >= t).zip(labels.iter().copied()));
         if conf.f1() > best.0 {
             best = (conf.f1(), t);
         }
@@ -80,7 +79,12 @@ fn main() {
         m.pretrain_mlm(&w.all_tables(), 250);
         m.train(&clients);
         let (f1, t) = best_f1(&m.score_pairs(bench, &candidates), &labels);
-        println!("{:<14} {:>8} {:>12}", "centralized", f2(f1), format!("{t:.2}"));
+        println!(
+            "{:<14} {:>8} {:>12}",
+            "centralized",
+            f2(f1),
+            format!("{t:.2}")
+        );
         rows.push(rpt_json::json!({"regime": "centralized", "f1": f1}));
     }
 
@@ -95,7 +99,12 @@ fn main() {
         };
         federated_rounds(&mut m, &clients, &fed);
         let (f1, t) = best_f1(&m.score_pairs(bench, &candidates), &labels);
-        println!("{:<14} {:>8} {:>12}", "federated", f2(f1), format!("{t:.2}"));
+        println!(
+            "{:<14} {:>8} {:>12}",
+            "federated",
+            f2(f1),
+            format!("{t:.2}")
+        );
         rows.push(rpt_json::json!({"regime": "federated", "f1": f1, "rounds": fed.rounds, "local_steps": fed.local_steps}));
     }
 
@@ -107,7 +116,10 @@ fn main() {
         let (f1, t) = best_f1(&m.score_pairs(bench, &candidates), &labels);
         println!(
             "{:<14} {:>8} {:>12}",
-            format!("single:{}", &client_bench.name[..client_bench.name.len().min(7)]),
+            format!(
+                "single:{}",
+                &client_bench.name[..client_bench.name.len().min(7)]
+            ),
             f2(f1),
             format!("{t:.2}")
         );

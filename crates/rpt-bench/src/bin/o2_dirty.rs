@@ -7,13 +7,13 @@
 //! then demonstrates the hybrid detector (model disagreement + robust
 //! z-scores) on a corrupted table.
 
-use rpt_rng::SmallRng;
-use rpt_rng::SeedableRng;
-use rpt_bench::{f2, emit_artifact, Workbench};
+use rpt_bench::{emit_artifact, f2, Workbench};
 use rpt_core::cleaning::{evaluate_fill, CleaningConfig, MaskPolicy, RptC};
 use rpt_core::detect::{detect_errors, score_detection, DetectorConfig};
 use rpt_core::train::TrainOpts;
 use rpt_datagen::{inject_errors, ErrorSpec};
+use rpt_rng::SeedableRng;
+use rpt_rng::SmallRng;
 
 fn main() {
     let t0 = std::time::Instant::now();
@@ -23,16 +23,21 @@ fn main() {
 
     // --- fill quality vs pretraining corruption rate --------------------
     println!("-- pretrain on corrupted tables, evaluate on clean held-out --");
-    println!("{:>10} | {:>7} {:>9} | {:>9}", "dirt rate", "mk-ex", "mk-F1", "pr-num");
+    println!(
+        "{:>10} | {:>7} {:>9} | {:>9}",
+        "dirt rate", "mk-ex", "mk-F1", "pr-num"
+    );
     let mut series = Vec::new();
     for rate in [0.0, 0.1, 0.2, 0.4] {
         let mut rng = SmallRng::seed_from_u64(9);
         let abt = w.bench("abt-buy");
         let wal = w.bench("walmart-amazon");
-        let mut tables = [abt.table_a.clone(),
+        let mut tables = [
+            abt.table_a.clone(),
             abt.table_b.clone(),
             wal.table_a.clone(),
-            wal.table_b.clone()];
+            wal.table_b.clone(),
+        ];
         let mut injected = 0usize;
         if rate > 0.0 {
             for t in tables.iter_mut() {
@@ -62,7 +67,11 @@ fn main() {
             rate,
             f2(maker.exact),
             f2(maker.token_f1),
-            if price.numeric.is_nan() { "-".into() } else { f2(price.numeric) },
+            if price.numeric.is_nan() {
+                "-".into()
+            } else {
+                f2(price.numeric)
+            },
         );
         series.push(rpt_json::json!({
             "rate": rate,

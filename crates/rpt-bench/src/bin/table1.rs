@@ -10,7 +10,7 @@
 //! gesture at.
 
 use rpt_baselines::BartText;
-use rpt_bench::{f2, emit_artifact, Workbench};
+use rpt_bench::{emit_artifact, f2, Workbench};
 use rpt_core::cleaning::{evaluate_fill, CleaningConfig, Filler, MaskPolicy, RptC};
 use rpt_core::train::TrainOpts;
 
@@ -38,7 +38,10 @@ fn main() {
     let wal = w.bench("walmart-amazon");
     let train_tables = [&abt.table_a, &abt.table_b, &wal.table_a, &wal.table_b];
     let mut rptc = RptC::new(w.vocab.clone(), cfg.clone());
-    println!("pretraining RPT-C on {} tuples of tables ...", train_tables.iter().map(|t| t.len()).sum::<usize>());
+    println!(
+        "pretraining RPT-C on {} tuples of tables ...",
+        train_tables.iter().map(|t| t.len()).sum::<usize>()
+    );
     let losses = rptc.pretrain(&train_tables);
     println!(
         "  loss {:.3} -> {:.3}  ({} steps, {:.0?})",
@@ -65,7 +68,10 @@ fn main() {
     let (col_title, col_maker, col_price) = (0usize, 1usize, 2usize);
 
     println!("\n-- example rows (paper-style) --");
-    println!("{:<34} {:<16} {:>8} | {:<10} | {:<18} | {:<18}", "title", "manufacturer", "price", "masked", "RPT-C", "BART");
+    println!(
+        "{:<34} {:<16} {:>8} | {:<10} | {:<18} | {:<18}",
+        "title", "manufacturer", "price", "masked", "RPT-C", "BART"
+    );
     let examples = [
         (0usize, col_price),
         (1, col_price),
@@ -98,9 +104,16 @@ fn main() {
     }
 
     println!("\n-- aggregates over {} rows per column --", 40);
-    println!("{:<14} {:<8} | {:>6} {:>9} {:>9}", "column", "model", "exact", "token-F1", "numeric");
+    println!(
+        "{:<14} {:<8} | {:>6} {:>9} {:>9}",
+        "column", "model", "exact", "token-F1", "numeric"
+    );
     let mut agg = Vec::new();
-    for (col, label) in [(col_price, "price"), (col_maker, "manufacturer"), (col_title, "title")] {
+    for (col, label) in [
+        (col_price, "price"),
+        (col_maker, "manufacturer"),
+        (col_title, "title"),
+    ] {
         for (filler, fname) in [
             (&mut rptc as &mut dyn Filler, "RPT-C"),
             (&mut bart as &mut dyn Filler, "BART"),
@@ -112,7 +125,11 @@ fn main() {
                 fname,
                 f2(eval.exact),
                 f2(eval.token_f1),
-                if eval.numeric.is_nan() { "-".into() } else { f2(eval.numeric) },
+                if eval.numeric.is_nan() {
+                    "-".into()
+                } else {
+                    f2(eval.numeric)
+                },
             );
             agg.push(rpt_json::json!({
                 "column": label,

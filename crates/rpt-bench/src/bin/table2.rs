@@ -13,13 +13,13 @@
 //! An extra section reports the collaborative-training ablation: training
 //! the matcher on a single source benchmark instead of all four.
 
-use rpt_rng::SmallRng;
-use rpt_rng::SeedableRng;
 use rpt_baselines::{DeepMatcherLike, JaccardMatcher, PairScorer, ZeroEr};
-use rpt_bench::{evaluate_scorer, f2, emit_artifact, Workbench};
+use rpt_bench::{emit_artifact, evaluate_scorer, f2, Workbench};
 use rpt_core::er::{calibrate_threshold_f1, Blocker, Matcher, MatcherConfig};
 use rpt_core::train::TrainOpts;
 use rpt_datagen::{ErBenchmark, PairSet};
+use rpt_rng::SeedableRng;
+use rpt_rng::SmallRng;
 
 /// Wraps the RPT-E matcher as a [`PairScorer`].
 struct RptEScorer {
@@ -70,10 +70,8 @@ fn train_rpt_e(
             )
         })
         .collect();
-    let refs: Vec<(&ErBenchmark, &PairSet)> = sets
-        .iter()
-        .map(|(name, ps)| (w.bench(name), ps))
-        .collect();
+    let refs: Vec<(&ErBenchmark, &PairSet)> =
+        sets.iter().map(|(name, ps)| (w.bench(name), ps)).collect();
     matcher.train(&refs);
 
     // few-shot threshold calibration (E1-style): the user supplies 8
@@ -171,7 +169,11 @@ fn main() {
         results.push(rpt_json::json!({"target": target, "model": "Jaccard", "f1": conf.f1()}));
 
         // Ablation: single-source transfer instead of collaborative
-        let single_source = if target == "abt-buy" { "amazon-google" } else { "abt-buy" };
+        let single_source = if target == "abt-buy" {
+            "amazon-google"
+        } else {
+            "abt-buy"
+        };
         let mut single = train_rpt_e(&w, target, &[single_source], &mut rng, steps);
         let conf = evaluate_scorer(&mut single, bench, &blocker);
         println!(
@@ -194,7 +196,9 @@ fn main() {
         let (_, d1, d2) = rows.last().unwrap();
         println!("{model:<22} {:>9} {:>15}", f2(*d1), f2(*d2));
     }
-    println!("\npaper reported:        RPT-E 0.72 / 0.53, ZeroER 0.52 / 0.48, DeepMatcher 0.63 / 0.69");
+    println!(
+        "\npaper reported:        RPT-E 0.72 / 0.53, ZeroER 0.52 / 0.48, DeepMatcher 0.63 / 0.69"
+    );
 
     emit_artifact(
         "table2",

@@ -491,10 +491,7 @@ pub fn cmd_trace_report(path: &str) -> Result<String, CliError> {
     let spans = rpt_obs::spans_from_dump(&doc)
         .map_err(|e| CliError::Data(format!("trace dump {path}: {e}")))?;
     let complete = spans.iter().filter(|s| s.dur_ns.is_some()).count();
-    let overwritten = doc
-        .get("overwritten")
-        .and_then(|v| v.as_u64())
-        .unwrap_or(0);
+    let overwritten = doc.get("overwritten").and_then(|v| v.as_u64()).unwrap_or(0);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -788,8 +785,8 @@ pub fn init_observability(obs: &ObsOptions) -> Result<(), CliError> {
         rpt_obs::set_metrics_enabled(true);
         rpt_obs::set_snapshot_output(path.clone(), std::time::Duration::from_secs(2));
     }
-    let env_trace = std::env::var("RPT_TRACE")
-        .is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"));
+    let env_trace =
+        std::env::var("RPT_TRACE").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"));
     if obs.trace || obs.trace_out.is_some() || env_trace {
         rpt_obs::set_trace_enabled(true);
     }
@@ -1422,11 +1419,26 @@ mod tests {
             other => panic!("{args:?} parsed: {other:?}"),
         };
         assert_eq!(usage(&["clean", "--steps", "3"]), "clean needs a file");
-        assert_eq!(usage(&["clean", "t.csv", "extra"]), "unexpected argument extra");
-        assert_eq!(usage(&["profile", "t.csv", "--bogus"]), "unexpected argument --bogus");
-        assert_eq!(usage(&["profile", "t.csv", "extra", "args"]), "unexpected argument extra");
-        assert_eq!(usage(&["serve", "t.csv", "--quant", "extra"]), "unexpected argument extra");
-        assert_eq!(usage(&["match", "a.csv", "b.csv", "c.csv"]), "unexpected argument c.csv");
+        assert_eq!(
+            usage(&["clean", "t.csv", "extra"]),
+            "unexpected argument extra"
+        );
+        assert_eq!(
+            usage(&["profile", "t.csv", "--bogus"]),
+            "unexpected argument --bogus"
+        );
+        assert_eq!(
+            usage(&["profile", "t.csv", "extra", "args"]),
+            "unexpected argument extra"
+        );
+        assert_eq!(
+            usage(&["serve", "t.csv", "--quant", "extra"]),
+            "unexpected argument extra"
+        );
+        assert_eq!(
+            usage(&["match", "a.csv", "b.csv", "c.csv"]),
+            "unexpected argument c.csv"
+        );
     }
 
     #[test]
@@ -1628,7 +1640,9 @@ mod tests {
 
         // The output carries both halves: an int8 section matching what
         // requantizing the stored f32 params produces...
-        let entries = serialize::load_quant_file(&q8).unwrap().expect("quant section");
+        let entries = serialize::load_quant_file(&q8)
+            .unwrap()
+            .expect("quant section");
         let store = serialize::load_params_any(&std::fs::read_to_string(&q8).unwrap()).unwrap();
         let rebuilt = rpt_nn::build_quant_set(&store);
         assert_eq!(entries.len(), rebuilt.iter_named().count());
@@ -1637,12 +1651,17 @@ mod tests {
                 .iter_named()
                 .find(|(n, _)| n == name)
                 .unwrap_or_else(|| panic!("unexpected quant tensor {name}"));
-            assert_eq!(qm.weights(), expect.weights(), "{name}: int8 payload differs");
+            assert_eq!(
+                qm.weights(),
+                expect.weights(),
+                "{name}: int8 payload differs"
+            );
             assert_eq!(qm.scales(), expect.scales(), "{name}: scales differ");
         }
         // ...and f32 params a plain loader still accepts (quant-v1 is
         // backward compatible).
-        let original = serialize::load_params_any(&std::fs::read_to_string(&model).unwrap()).unwrap();
+        let original =
+            serialize::load_params_any(&std::fs::read_to_string(&model).unwrap()).unwrap();
         for (name, t) in original.iter() {
             let got = store.value(store.find(name).expect(name));
             assert_eq!(got.data(), t.data(), "{name} f32 payload differs");

@@ -458,7 +458,13 @@ impl RptC {
         checkpoint: Option<&CheckpointOpts>,
         resume: Option<&Path>,
     ) -> Result<Vec<f32>, CorpusError> {
-        self.pretrain_stream_on(rpt_par::ThreadPool::global(), source, opts, checkpoint, resume)
+        self.pretrain_stream_on(
+            rpt_par::ThreadPool::global(),
+            source,
+            opts,
+            checkpoint,
+            resume,
+        )
     }
 
     /// Streaming pretraining over a sharded corpus (DESIGN.md §"Streaming

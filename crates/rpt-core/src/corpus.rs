@@ -329,10 +329,10 @@ impl Manifest {
     /// Parses and validates a manifest document.
     pub fn from_json(text: &str) -> Result<Manifest, CorpusError> {
         let doc = Json::parse(text).map_err(|e| format_err(format!("manifest: {e}")))?;
-        let format_version = doc
-            .get("format_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format_err("manifest without format_version"))? as u32;
+        let format_version =
+            doc.get("format_version")
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format_err("manifest without format_version"))? as u32;
         if format_version != CORPUS_FORMAT_VERSION {
             return Err(format_err(format!(
                 "manifest format version {format_version}, this build reads {CORPUS_FORMAT_VERSION}"
@@ -502,8 +502,8 @@ impl DiskCorpus {
     ) -> Result<Self, CorpusError> {
         let dir = dir.into();
         let bytes = io.read_file(&dir.join(MANIFEST_FILE))?;
-        let text = String::from_utf8(bytes)
-            .map_err(|_| format_err("manifest is not valid UTF-8"))?;
+        let text =
+            String::from_utf8(bytes).map_err(|_| format_err("manifest is not valid UTF-8"))?;
         let manifest = Manifest::from_json(&text)?;
         Ok(Self { dir, manifest, io })
     }
@@ -512,8 +512,7 @@ impl DiskCorpus {
     /// hash so a swapped or stale `vocab.json` cannot slip through.
     pub fn vocab(&mut self) -> Result<Vocab, CorpusError> {
         let bytes = self.io.read_file(&self.dir.join(VOCAB_FILE))?;
-        let text =
-            String::from_utf8(bytes).map_err(|_| format_err("vocab is not valid UTF-8"))?;
+        let text = String::from_utf8(bytes).map_err(|_| format_err("vocab is not valid UTF-8"))?;
         let hash = fnv1a64(text.as_bytes());
         if hash != self.manifest.vocab_hash {
             return Err(format_err(format!(

@@ -73,11 +73,7 @@ fn median(sorted: &[f64]) -> f64 {
 /// Robust per-column z-scores via median/MAD. Returns `None` for cells that
 /// are not numeric or columns with fewer than 4 numeric values.
 pub fn robust_z_scores(table: &Table, col: usize) -> Vec<Option<f64>> {
-    let numeric: Vec<Option<f64>> = table
-        .tuples()
-        .iter()
-        .map(|t| t.get(col).as_f64())
-        .collect();
+    let numeric: Vec<Option<f64>> = table.tuples().iter().map(|t| t.get(col).as_f64()).collect();
     let mut values: Vec<f64> = numeric.iter().flatten().copied().collect();
     if values.len() < 4 {
         return vec![None; table.len()];
@@ -115,9 +111,7 @@ pub fn detect_errors(
             let gold_tokens = vocab.encode_text(&value.render());
             let mut agreement = token_f1(&prediction.tokens, &gold_tokens);
             // numeric closeness counts as agreement
-            if let (Some(actual), Ok(pred)) =
-                (value.as_f64(), prediction.text.parse::<f64>())
-            {
+            if let (Some(actual), Ok(pred)) = (value.as_f64(), prediction.text.parse::<f64>()) {
                 let denom = actual.abs().max(pred.abs());
                 if denom > 0.0 && (actual - pred).abs() / denom <= cfg.numeric_tolerance {
                     agreement = agreement.max(1.0);

@@ -125,9 +125,9 @@ impl Blocker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpt_rng::SmallRng;
-    use rpt_rng::SeedableRng;
     use rpt_datagen::standard_benchmarks;
+    use rpt_rng::SeedableRng;
+    use rpt_rng::SmallRng;
 
     #[test]
     fn blocking_has_high_recall_and_real_reduction() {

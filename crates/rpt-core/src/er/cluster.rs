@@ -76,7 +76,10 @@ impl Clusters {
 pub fn transitive_closure(n_nodes: usize, edges: &[(usize, usize)]) -> Clusters {
     let mut uf = UnionFind::new(n_nodes);
     for &(a, b) in edges {
-        assert!(a < n_nodes && b < n_nodes, "edge ({a},{b}) out of range {n_nodes}");
+        assert!(
+            a < n_nodes && b < n_nodes,
+            "edge ({a},{b}) out of range {n_nodes}"
+        );
         uf.union(a, b);
     }
     let mut cluster_of_root: HashMap<usize, usize> = HashMap::new();

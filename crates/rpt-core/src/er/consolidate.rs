@@ -103,12 +103,8 @@ impl Consolidator {
                     .collect();
                 if !numeric.is_empty() {
                     let best = match pref {
-                        Preference::Larger => numeric
-                            .iter()
-                            .max_by(|a, b| a.1.total_cmp(&b.1)),
-                        Preference::Smaller => numeric
-                            .iter()
-                            .min_by(|a, b| a.1.total_cmp(&b.1)),
+                        Preference::Larger => numeric.iter().max_by(|a, b| a.1.total_cmp(&b.1)),
+                        Preference::Smaller => numeric.iter().min_by(|a, b| a.1.total_cmp(&b.1)),
                     };
                     values.push(best.unwrap().0.clone());
                     continue;
@@ -166,8 +162,14 @@ mod tests {
     fn learns_newer_preference_from_examples() {
         // E3: "iphone 10 preferred over iphone 9", "iphone 12 over iphone 10"
         let examples = vec![
-            (t("iphone 10", "apple", 2017, 999.0), t("iphone 9", "apple", 2016, 899.0)),
-            (t("iphone 12", "apple", 2020, 1099.0), t("iphone 10", "apple", 2017, 999.0)),
+            (
+                t("iphone 10", "apple", 2017, 999.0),
+                t("iphone 9", "apple", 2016, 899.0),
+            ),
+            (
+                t("iphone 12", "apple", 2020, 1099.0),
+                t("iphone 10", "apple", 2017, 999.0),
+            ),
         ];
         let c = Consolidator::learn(&schema(), &examples);
         assert_eq!(c.preferences().get(&2), Some(&Preference::Larger));
@@ -183,7 +185,10 @@ mod tests {
             (t("c", "x", 2015, 10.0), t("d", "x", 2018, 20.0)),
         ];
         let c = Consolidator::learn(&schema(), &examples);
-        assert!(c.preferences().get(&2).is_none(), "year direction conflicts");
+        assert!(
+            c.preferences().get(&2).is_none(),
+            "year direction conflicts"
+        );
         assert_eq!(c.preferences().get(&3), Some(&Preference::Smaller));
     }
 
@@ -209,8 +214,18 @@ mod tests {
     #[test]
     fn nulls_lose_to_values() {
         let c = Consolidator::default();
-        let a = Tuple::new(vec![Value::Null, Value::text("x"), Value::Null, Value::Null]);
-        let b = Tuple::new(vec![Value::text("t"), Value::Null, Value::Null, Value::Null]);
+        let a = Tuple::new(vec![
+            Value::Null,
+            Value::text("x"),
+            Value::Null,
+            Value::Null,
+        ]);
+        let b = Tuple::new(vec![
+            Value::text("t"),
+            Value::Null,
+            Value::Null,
+            Value::Null,
+        ]);
         let golden = c.consolidate(&schema(), &[&a, &b]);
         assert_eq!(golden.get(0), &Value::text("t"));
         assert_eq!(golden.get(1), &Value::text("x"));
@@ -220,7 +235,12 @@ mod tests {
     #[test]
     fn tie_breaks_to_longest_surface() {
         let c = Consolidator::default();
-        let a = Tuple::new(vec![Value::text("hp"), Value::Null, Value::Null, Value::Null]);
+        let a = Tuple::new(vec![
+            Value::text("hp"),
+            Value::Null,
+            Value::Null,
+            Value::Null,
+        ]);
         let b = Tuple::new(vec![
             Value::text("hewlett packard"),
             Value::Null,

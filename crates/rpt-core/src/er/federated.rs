@@ -55,7 +55,12 @@ pub fn federated_rounds(
     for _round in 0..cfg.rounds {
         // snapshot of the global model
         let global: Vec<Tensor> = (0..matcher.params.len())
-            .map(|i| matcher.params.value(rpt_tensor::ParamId::from_index(i)).clone())
+            .map(|i| {
+                matcher
+                    .params
+                    .value(rpt_tensor::ParamId::from_index(i))
+                    .clone()
+            })
             .collect();
         let mut mean_delta: Vec<Tensor> = global.iter().map(|t| Tensor::zeros(t.shape())).collect();
         let mut round_loss = 0.0f32;
@@ -104,9 +109,9 @@ mod tests {
     use super::*;
     use crate::er::matcher::MatcherConfig;
     use crate::vocabulary::build_vocab;
-    use rpt_rng::SmallRng;
-    use rpt_rng::SeedableRng;
     use rpt_datagen::standard_benchmarks;
+    use rpt_rng::SeedableRng;
+    use rpt_rng::SmallRng;
 
     #[test]
     fn federated_training_reduces_loss_and_changes_parameters() {
@@ -149,8 +154,10 @@ mod tests {
     fn zero_server_lr_freezes_the_global_model() {
         let mut rng = SmallRng::seed_from_u64(14);
         let (universe, benches) = standard_benchmarks(15, &mut rng);
-        let tables: Vec<&rpt_table::Table> =
-            benches.iter().flat_map(|b| [&b.table_a, &b.table_b]).collect();
+        let tables: Vec<&rpt_table::Table> = benches
+            .iter()
+            .flat_map(|b| [&b.table_a, &b.table_b])
+            .collect();
         let vocab = build_vocab(&tables, &[], 1, 3000);
         let mut matcher = Matcher::new(vocab, MatcherConfig::tiny());
         let ps = benches[1].labeled_pairs(3, &universe, &mut rng);

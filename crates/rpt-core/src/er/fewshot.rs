@@ -119,11 +119,23 @@ pub fn calibrate_threshold_f1(scores: &[f32], labels: &[bool]) -> f32 {
                 _ => {}
             }
         }
-        let p = if tp + fp == 0 { 1.0 } else { tp as f64 / (tp + fp) as f64 };
-        let r = if tp + fn_ == 0 { 1.0 } else { tp as f64 / (tp + fn_) as f64 };
-        let f1 = if p + r == 0.0 { 0.0 } else { 2.0 * p * r / (p + r) };
-        let better = f1 > best.1 + 1e-12
-            || (f1 > best.1 - 1e-12 && (t - 0.5).abs() < (best.0 - 0.5).abs());
+        let p = if tp + fp == 0 {
+            1.0
+        } else {
+            tp as f64 / (tp + fp) as f64
+        };
+        let r = if tp + fn_ == 0 {
+            1.0
+        } else {
+            tp as f64 / (tp + fn_) as f64
+        };
+        let f1 = if p + r == 0.0 {
+            0.0
+        } else {
+            2.0 * p * r / (p + r)
+        };
+        let better =
+            f1 > best.1 + 1e-12 || (f1 > best.1 - 1e-12 && (t - 0.5).abs() < (best.0 - 0.5).abs());
         if better {
             best = (t, f1);
         }
@@ -153,14 +165,25 @@ mod tests {
         // E1 from Fig. 5: a positive pair with different colors, a negative
         // pair with different models.
         let examples = vec![
-            (t("iphone 12", "red", "64gb"), t("iphone 12", "black", "64gb"), true),
-            (t("iphone 12", "red", "64gb"), t("iphone 11", "red", "64gb"), false),
+            (
+                t("iphone 12", "red", "64gb"),
+                t("iphone 12", "black", "64gb"),
+                true,
+            ),
+            (
+                t("iphone 12", "red", "64gb"),
+                t("iphone 11", "red", "64gb"),
+                false,
+            ),
         ];
         let p = infer_match_patterns(&schema(), &examples);
         assert!(p.must_match.contains(&"model".to_string()));
         assert!(p.must_differ.contains(&"model".to_string()));
         assert!(p.irrelevant.contains(&"color".to_string()));
-        assert!(!p.must_differ.contains(&"memory".to_string()), "memory equal in the negative too");
+        assert!(
+            !p.must_differ.contains(&"memory".to_string()),
+            "memory equal in the negative too"
+        );
     }
 
     #[test]
@@ -194,7 +217,9 @@ mod tests {
         // 2 positives among 10; accuracy would favor predicting nothing,
         // F1 calibration must keep the positives reachable
         let scores = [0.9f32, 0.85, 0.4, 0.3, 0.3, 0.2, 0.2, 0.1, 0.1, 0.05];
-        let labels = [true, true, false, false, false, false, false, false, false, false];
+        let labels = [
+            true, true, false, false, false, false, false, false, false, false,
+        ];
         let t = calibrate_threshold_f1(&scores, &labels);
         assert!(t <= 0.85 && t > 0.4, "threshold {t}");
     }

@@ -3,15 +3,15 @@
 //! construction, trained collaboratively on *other* benchmarks
 //! (leave-one-out) and calibrated on the target with a few examples.
 
-use rpt_rng::SmallRng;
-use rpt_rng::SliceRandom;
-use rpt_rng::{Rng, SeedableRng};
 use rpt_datagen::{ErBenchmark, LabeledPair, PairSet};
 use rpt_nn::metrics::BinaryConfusion;
 use rpt_nn::{Ctx, EncoderClassifier, Sequence, TokenBatch, TransformerConfig};
+use rpt_rng::SliceRandom;
+use rpt_rng::SmallRng;
+use rpt_rng::{Rng, SeedableRng};
 use rpt_table::{Schema, Tuple};
-use rpt_tokenizer::{EncoderOptions, TupleEncoder, Vocab, PAD};
 use rpt_tensor::{ParamStore, Tape};
+use rpt_tokenizer::{EncoderOptions, TupleEncoder, Vocab, PAD};
 
 use crate::train::{TrainOpts, Trainer};
 
@@ -171,7 +171,7 @@ impl Matcher {
                     ids: masked.ids,
                     cols: masked.cols,
                     segs: Vec::new(),
-            flags: Vec::new(),
+                    flags: Vec::new(),
                 });
             }
             let batch = TokenBatch::from_sequences(&seqs, self.cfg.model.max_len, PAD);
@@ -297,11 +297,7 @@ impl Matcher {
     pub fn evaluate(&mut self, bench: &ErBenchmark, pairs: &PairSet) -> BinaryConfusion {
         let idx: Vec<(usize, usize)> = pairs.pairs.iter().map(|p| (p.a, p.b)).collect();
         let preds = self.predict(bench, &idx);
-        BinaryConfusion::from_pairs(
-            preds
-                .into_iter()
-                .zip(pairs.pairs.iter().map(|p| p.label)),
-        )
+        BinaryConfusion::from_pairs(preds.into_iter().zip(pairs.pairs.iter().map(|p| p.label)))
     }
 }
 
@@ -335,10 +331,8 @@ mod tests {
             .iter()
             .map(|b| b.labeled_pairs(3, &universe, &mut rng))
             .collect();
-        let train_refs: Vec<(&ErBenchmark, &PairSet)> = benches[1..]
-            .iter()
-            .zip(train_sets.iter())
-            .collect();
+        let train_refs: Vec<(&ErBenchmark, &PairSet)> =
+            benches[1..].iter().zip(train_sets.iter()).collect();
         // unsupervised MLM pretraining on raw tables (labels never used)
         matcher.pretrain_mlm(&tables, 200);
         let losses = matcher.train(&train_refs);
@@ -364,10 +358,7 @@ mod tests {
         let calib_labels: Vec<bool> = calib.iter().map(|p| p.label).collect();
         let t = crate::er::fewshot::calibrate_threshold(&calib_scores, &calib_labels);
         matcher.set_threshold(t);
-        let conf = matcher.evaluate(
-            &benches[0],
-            &rpt_datagen::PairSet { pairs: eval },
-        );
+        let conf = matcher.evaluate(&benches[0], &rpt_datagen::PairSet { pairs: eval });
         // all-positive predicting on 1:3 data gives F1 = 0.4; the calibrated
         // matcher must clearly beat that
         assert!(

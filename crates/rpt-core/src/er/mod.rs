@@ -23,6 +23,8 @@ pub use blocker::{Blocker, BlockerConfig, BlockingStats};
 pub use cluster::{find_conflicts, transitive_closure, Clusters, Conflict};
 pub use consolidate::{Consolidator, Preference};
 pub use federated::{federated_rounds, FederatedConfig};
-pub use fewshot::{calibrate_threshold, calibrate_threshold_f1, infer_match_patterns, MatchPatterns};
+pub use fewshot::{
+    calibrate_threshold, calibrate_threshold_f1, infer_match_patterns, MatchPatterns,
+};
 pub use matcher::{Matcher, MatcherConfig};
 pub use pipeline::{ErPipeline, PipelineReport};

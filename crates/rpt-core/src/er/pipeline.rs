@@ -154,8 +154,7 @@ impl ErPipeline {
         let mut pair_conf = BinaryConfusion::default();
         for i in 0..na {
             for j in 0..bench.table_b.len() {
-                let same_cluster =
-                    run.clusters.assignment[i] == run.clusters.assignment[na + j];
+                let same_cluster = run.clusters.assignment[i] == run.clusters.assignment[na + j];
                 pair_conf.record(same_cluster, bench.is_match(i, j));
             }
         }
@@ -244,9 +243,9 @@ mod tests {
     use crate::er::blocker::Blocker;
     use crate::er::matcher::{Matcher, MatcherConfig};
     use crate::vocabulary::build_vocab;
-    use rpt_rng::SmallRng;
-    use rpt_rng::SeedableRng;
     use rpt_datagen::standard_benchmarks;
+    use rpt_rng::SeedableRng;
+    use rpt_rng::SmallRng;
 
     #[test]
     fn end_to_end_pipeline_produces_sane_report() {
@@ -272,8 +271,16 @@ mod tests {
         let report = pipeline.evaluate(&benches[0], &universe);
         assert!(report.blocking.recall > 0.8);
         assert!(report.n_clusters > 0);
-        assert!(report.cluster_purity > 0.3, "purity {}", report.cluster_purity);
-        assert!(report.matcher.f1() > 0.2, "matcher f1 {}", report.matcher.f1());
+        assert!(
+            report.cluster_purity > 0.3,
+            "purity {}",
+            report.cluster_purity
+        );
+        assert!(
+            report.matcher.f1() > 0.2,
+            "matcher f1 {}",
+            report.matcher.f1()
+        );
         // pair metrics are well-defined probabilities
         assert!((0.0..=1.0).contains(&report.pair_precision));
         assert!((0.0..=1.0).contains(&report.pair_recall));

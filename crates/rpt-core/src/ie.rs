@@ -8,13 +8,13 @@
 //! attribute keyword found next to the example's answer span
 //! (the paper's `s₁` with label `8GB` ⇒ "what is the memory size").
 
-use rpt_rng::SmallRng;
-use rpt_rng::SliceRandom;
-use rpt_rng::{Rng, SeedableRng};
 use rpt_datagen::benchmarks::IeTask;
 use rpt_nn::{Ctx, Sequence, SpanExtractor, TokenBatch, TransformerConfig};
-use rpt_tokenizer::{normalize, Vocab, CLS, PAD, SEP};
+use rpt_rng::SliceRandom;
+use rpt_rng::SmallRng;
+use rpt_rng::{Rng, SeedableRng};
 use rpt_tensor::{ParamStore, Tape};
+use rpt_tokenizer::{normalize, Vocab, CLS, PAD, SEP};
 
 use crate::train::{TrainOpts, Trainer};
 
@@ -269,7 +269,8 @@ impl RptI {
     /// the answer text.
     pub fn extract(&mut self, question: &str, context: &str) -> String {
         let (seq, offset) = self.encode_qa(question, context);
-        let batch = TokenBatch::from_sequences(std::slice::from_ref(&seq), self.cfg.model.max_len, PAD);
+        let batch =
+            TokenBatch::from_sequences(std::slice::from_ref(&seq), self.cfg.model.max_len, PAD);
         let mut rng = SmallRng::seed_from_u64(0);
         let spans = self.span.predict_spans(
             &mut self.params,
@@ -352,12 +353,12 @@ mod tests {
     #[test]
     fn infer_attribute_from_one_shot_examples() {
         // the paper's s1: "... comes with 4GB of RAM" labeled "4GB"
-        let ex = [(
-            "6.10-inch touchscreen, comes with 4 gb of ram",
-            "4 gb",
-        )];
+        let ex = [("6.10-inch touchscreen, comes with 4 gb of ram", "4 gb")];
         assert_eq!(infer_attribute(&ex), Some("memory"));
-        let ex2 = [("5.8-inch touchscreen, released in 2017, by apple", "5.8-inch")];
+        let ex2 = [(
+            "5.8-inch touchscreen, released in 2017, by apple",
+            "5.8-inch",
+        )];
         assert_eq!(infer_attribute(&ex2), Some("screen"));
         let ex3 = [("released in 2017, by apple", "2017")];
         assert_eq!(infer_attribute(&ex3), Some("year"));

@@ -5,8 +5,8 @@
 use std::path::Path;
 use std::sync::LazyLock;
 
-use rpt_par::ThreadPool;
 use rpt_nn::schedule::linear_warmup;
+use rpt_par::ThreadPool;
 use rpt_tensor::serialize::{self, CheckpointError, PendingGrad, TrainState};
 use rpt_tensor::{Adam, AdamConfig, ParamId, ParamStore, Tape, Tensor, Var};
 
@@ -151,7 +151,11 @@ impl Trainer {
         pg: Vec<(ParamId, Tensor)>,
         loss_value: f32,
     ) -> f32 {
-        let lr = linear_warmup(self.opts.peak_lr, self.opts.warmup as u64, self.adam.steps() + 1);
+        let lr = linear_warmup(
+            self.opts.peak_lr,
+            self.opts.warmup as u64,
+            self.adam.steps() + 1,
+        );
         self.adam.set_lr(lr);
         let grad_norm = self.adam.step_clipped(params, &pg, self.opts.clip);
         self.losses.push(loss_value);
@@ -362,7 +366,8 @@ impl Trainer {
     pub fn checkpoint_due(&self) -> bool {
         match self.ckpt_every {
             Some(every) => {
-                self.steps_done() > 0 && (self.steps_done().is_multiple_of(every) || self.finished())
+                self.steps_done() > 0
+                    && (self.steps_done().is_multiple_of(every) || self.finished())
             }
             None => false,
         }
@@ -558,7 +563,11 @@ mod tests {
             }
             (
                 params.value(ParamId::from_index(0)).data()[0].to_bits(),
-                trainer.losses().iter().map(|x| x.to_bits()).collect::<Vec<u32>>(),
+                trainer
+                    .losses()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<u32>>(),
             )
         };
         let (w1, l1) = run(1);

@@ -7,8 +7,8 @@
 //! variants) transfers across benchmarks — the premise of the paper's
 //! collaborative-training opportunity (O1, §3).
 
-use rpt_rng::SliceRandom;
 use rpt_rng::Rng;
+use rpt_rng::SliceRandom;
 use rpt_table::{Schema, Table, Tuple, Value};
 
 use crate::render::{NoiseProfile, Renderer, UnitStyle};
@@ -48,12 +48,7 @@ impl SchemaKind {
     }
 
     /// Renders one entity as a row of this view.
-    pub fn render(
-        &self,
-        e: &Entity,
-        noise: &NoiseProfile,
-        rng: &mut (impl Rng + ?Sized),
-    ) -> Tuple {
+    pub fn render(&self, e: &Entity, noise: &NoiseProfile, rng: &mut (impl Rng + ?Sized)) -> Tuple {
         match self {
             SchemaKind::TitleMakerPrice => Tuple::new(vec![
                 Value::text(Renderer::title(e, noise, rng)),
@@ -230,8 +225,7 @@ impl ErBenchmark {
         let n_a = profile.n_a.min(universe.len());
         let a_ids = &ids[..n_a];
         let n_shared = ((n_a as f64) * profile.overlap).round() as usize;
-        let n_extra = (((n_a as f64) * profile.extra_b).round() as usize)
-            .min(universe.len() - n_a);
+        let n_extra = (((n_a as f64) * profile.extra_b).round() as usize).min(universe.len() - n_a);
         let mut b_ids: Vec<usize> = a_ids[..n_shared.min(n_a)].to_vec();
         b_ids.extend_from_slice(&ids[n_a..n_a + n_extra]);
         b_ids.shuffle(rng);
@@ -342,12 +336,11 @@ impl ErBenchmark {
         let n_neg = (pairs.len() * neg_per_pos).min(negatives.len());
         let mut chosen = negatives;
         chosen.shuffle(rng);
-        pairs.extend(
-            chosen
-                .into_iter()
-                .take(n_neg)
-                .map(|(a, b)| LabeledPair { a, b, label: false }),
-        );
+        pairs.extend(chosen.into_iter().take(n_neg).map(|(a, b)| LabeledPair {
+            a,
+            b,
+            label: false,
+        }));
         PairSet { pairs }
     }
 
@@ -369,7 +362,10 @@ impl ErBenchmark {
 
 /// Generates the five standard benchmarks from one shared universe of
 /// `3 * n_a` entities (so views overlap like real marketplaces do).
-pub fn standard_benchmarks(n_a: usize, rng: &mut (impl Rng + ?Sized)) -> (Universe, Vec<ErBenchmark>) {
+pub fn standard_benchmarks(
+    n_a: usize,
+    rng: &mut (impl Rng + ?Sized),
+) -> (Universe, Vec<ErBenchmark>) {
     let universe = Universe::generate(
         &UniverseConfig {
             n_entities: n_a * 3,
@@ -438,10 +434,16 @@ pub fn ie_tasks(universe: &Universe, n: usize, rng: &mut (impl Rng + ?Sized)) ->
                 let brand = Renderer::brand(e, &noise, rng);
                 let mut parts = Vec::new();
                 if e.screen_tenths > 0 {
-                    parts.push(format!("{} touchscreen", Renderer::screen(e.screen_tenths, style)));
+                    parts.push(format!(
+                        "{} touchscreen",
+                        Renderer::screen(e.screen_tenths, style)
+                    ));
                 }
                 if e.memory_gb > 0 {
-                    parts.push(format!("comes with {} of ram", Renderer::memory(e.memory_gb, style)));
+                    parts.push(format!(
+                        "comes with {} of ram",
+                        Renderer::memory(e.memory_gb, style)
+                    ));
                 }
                 parts.push(format!("released in {}", e.year));
                 parts.push(format!("by {brand}"));
@@ -464,8 +466,8 @@ pub fn ie_tasks(universe: &Universe, n: usize, rng: &mut (impl Rng + ?Sized)) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpt_rng::SmallRng;
     use rpt_rng::SeedableRng;
+    use rpt_rng::SmallRng;
 
     #[test]
     fn standard_benchmarks_have_expected_shapes() {
@@ -510,9 +512,7 @@ mod tests {
         for (i, j) in b.all_matches() {
             assert!(b.is_match(i, j));
         }
-        let total: usize = b
-            .all_matches()
-            .len();
+        let total: usize = b.all_matches().len();
         let brute: usize = (0..b.entity_a.len())
             .flat_map(|i| (0..b.entity_b.len()).map(move |j| (i, j)))
             .filter(|&(i, j)| b.is_match(i, j))
@@ -526,7 +526,12 @@ mod tests {
         let (universe, benches) = standard_benchmarks(50, &mut rng);
         let ps = benches[0].labeled_pairs(4, &universe, &mut rng);
         assert!(ps.n_pos() > 0);
-        assert!(ps.n_neg() >= ps.n_pos() * 3, "negatives {} vs pos {}", ps.n_neg(), ps.n_pos());
+        assert!(
+            ps.n_neg() >= ps.n_pos() * 3,
+            "negatives {} vs pos {}",
+            ps.n_neg(),
+            ps.n_pos()
+        );
         for p in &ps.pairs {
             assert_eq!(benches[0].is_match(p.a, p.b), p.label);
         }
@@ -585,7 +590,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(8);
         let (_, benches) = standard_benchmarks(80, &mut rng);
         let b = &benches[0]; // abt-buy: title, manufacturer, price
-        // crude check: group rows by first title token, verify dominant maker
+                             // crude check: group rows by first title token, verify dominant maker
         use std::collections::HashMap;
         let mut groups: HashMap<String, HashMap<String, usize>> = HashMap::new();
         for t in b.table_a.tuples() {

@@ -6,8 +6,8 @@
 //! *format* (no `[A]`/`[V]` structure, no column identity), which is
 //! exactly the variable the paper's Table 1 isolates.
 
-use rpt_rng::SliceRandom;
 use rpt_rng::Rng;
+use rpt_rng::SliceRandom;
 
 use crate::render::{NoiseProfile, Renderer, UnitStyle};
 use crate::universe::Universe;
@@ -57,8 +57,8 @@ pub fn text_corpus(universe: &Universe, n: usize, rng: &mut (impl Rng + ?Sized))
 mod tests {
     use super::*;
     use crate::universe::UniverseConfig;
-    use rpt_rng::SmallRng;
     use rpt_rng::SeedableRng;
+    use rpt_rng::SmallRng;
 
     #[test]
     fn corpus_sentences_mention_catalog_facts() {

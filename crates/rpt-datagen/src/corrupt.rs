@@ -131,17 +131,14 @@ pub fn inject_errors(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpt_rng::SmallRng;
     use rpt_rng::SeedableRng;
+    use rpt_rng::SmallRng;
     use rpt_table::Schema;
 
     fn table() -> Table {
         let mut t = Table::new("t", Schema::text_columns(&["a", "b"]));
         for i in 0..200 {
-            t.push_values(vec![
-                Value::text(format!("item {i}")),
-                Value::Int(i as i64),
-            ]);
+            t.push_values(vec![Value::text(format!("item {i}")), Value::Int(i as i64)]);
         }
         t
     }

@@ -1,8 +1,8 @@
 //! Surface-form rendering and noise operators: how a ground-truth entity
 //! becomes the messy strings a real web catalog would contain.
 
-use rpt_rng::SliceRandom;
 use rpt_rng::Rng;
+use rpt_rng::SliceRandom;
 
 use crate::universe::Entity;
 
@@ -264,8 +264,8 @@ pub fn inject_typo(token: &str, rng: &mut (impl Rng + ?Sized)) -> String {
 mod tests {
     use super::*;
     use crate::universe::{Universe, UniverseConfig};
-    use rpt_rng::SmallRng;
     use rpt_rng::SeedableRng;
+    use rpt_rng::SmallRng;
 
     fn entity() -> Entity {
         let u = Universe::generate(
@@ -317,7 +317,10 @@ mod tests {
         }
         assert!(seen.contains("ten"));
         assert!(seen.contains("x"));
-        assert!(!seen.contains("10"), "variant prob 1.0 never renders decimal");
+        assert!(
+            !seen.contains("10"),
+            "variant prob 1.0 never renders decimal"
+        );
     }
 
     #[test]
@@ -356,7 +359,9 @@ mod tests {
         let noise = NoiseProfile::heavy(UnitStyle::Hyphen);
         let mut rng = SmallRng::seed_from_u64(7);
         let changed = (0..100)
-            .filter(|_| apply_token_noise("galaxy tab 9 64gb", &noise, &mut rng) != "galaxy tab 9 64gb")
+            .filter(|_| {
+                apply_token_noise("galaxy tab 9 64gb", &noise, &mut rng) != "galaxy tab 9 64gb"
+            })
             .count();
         assert!(changed > 5, "heavy noise changed only {changed}/100");
     }
@@ -371,8 +376,12 @@ mod tests {
         };
         let truth = e.price_dollars();
         for _ in 0..50 {
-            let listed: f64 = Renderer::price_listed(&e, &noise, &mut rng).parse().unwrap();
-            assert!(listed.to_string().ends_with(".99") || (listed * 100.0).round() as i64 % 100 == 99);
+            let listed: f64 = Renderer::price_listed(&e, &noise, &mut rng)
+                .parse()
+                .unwrap();
+            assert!(
+                listed.to_string().ends_with(".99") || (listed * 100.0).round() as i64 % 100 == 99
+            );
             let rel = (listed - truth).abs() / truth;
             assert!(rel <= 0.11, "jitter {rel} out of bounds");
         }

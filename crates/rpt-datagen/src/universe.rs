@@ -2,8 +2,8 @@
 //! attributes are linked by the functional dependencies that RPT-C is
 //! supposed to learn.
 
-use rpt_rng::SliceRandom;
 use rpt_rng::Rng;
+use rpt_rng::SliceRandom;
 
 /// Product category. Determines plausible screen sizes, memory options,
 /// and base prices.
@@ -87,7 +87,10 @@ pub const BRANDS: &[Brand] = &[
     Brand {
         name: "google",
         aliases: &["alphabet", "googl"],
-        lines: &[("pixel", Category::Phone), ("pixel slate", Category::Tablet)],
+        lines: &[
+            ("pixel", Category::Phone),
+            ("pixel slate", Category::Tablet),
+        ],
         premium: 1.1,
     },
     Brand {
@@ -103,19 +106,28 @@ pub const BRANDS: &[Brand] = &[
     Brand {
         name: "dell",
         aliases: &["dell technologies"],
-        lines: &[("xps", Category::Notebook), ("inspiron", Category::Notebook)],
+        lines: &[
+            ("xps", Category::Notebook),
+            ("inspiron", Category::Notebook),
+        ],
         premium: 1.0,
     },
     Brand {
         name: "hp",
         aliases: &["hewlett packard"],
-        lines: &[("spectre", Category::Notebook), ("pavilion", Category::Notebook)],
+        lines: &[
+            ("spectre", Category::Notebook),
+            ("pavilion", Category::Notebook),
+        ],
         premium: 0.9,
     },
     Brand {
         name: "lenovo",
         aliases: &["lenovo group"],
-        lines: &[("thinkpad", Category::Notebook), ("yoga tab", Category::Tablet)],
+        lines: &[
+            ("thinkpad", Category::Notebook),
+            ("yoga tab", Category::Tablet),
+        ],
         premium: 0.9,
     },
     Brand {
@@ -127,13 +139,19 @@ pub const BRANDS: &[Brand] = &[
     Brand {
         name: "nikon",
         aliases: &["nikon corp"],
-        lines: &[("coolpix", Category::Camera), ("z series", Category::Camera)],
+        lines: &[
+            ("coolpix", Category::Camera),
+            ("z series", Category::Camera),
+        ],
         premium: 1.0,
     },
     Brand {
         name: "bose",
         aliases: &["bose corp"],
-        lines: &[("quietcomfort", Category::Audio), ("soundlink", Category::Audio)],
+        lines: &[
+            ("quietcomfort", Category::Audio),
+            ("soundlink", Category::Audio),
+        ],
         premium: 1.3,
     },
     Brand {
@@ -329,8 +347,8 @@ impl Universe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpt_rng::SmallRng;
     use rpt_rng::SeedableRng;
+    use rpt_rng::SmallRng;
 
     #[test]
     fn generation_is_deterministic_and_distinct() {
@@ -422,8 +440,7 @@ mod tests {
                 Category::Audio => 150.0,
                 Category::Software => 60.0,
             };
-            let det = (base + 35.0 * e.model as f64 + 0.8 * e.memory_gb as f64)
-                * e.brand().premium;
+            let det = (base + 35.0 * e.model as f64 + 0.8 * e.memory_gb as f64) * e.brand().premium;
             let ratio = e.price_dollars() / det;
             assert!((0.94..=1.07).contains(&ratio), "ratio {ratio}");
         }

@@ -306,13 +306,25 @@ mod tests {
         assert_eq!(a[2], Json::Float(-300.0));
         assert_eq!(a[3], Json::Bool(true));
         assert!(a[4].is_null());
-        assert_eq!(v.get("b").unwrap().get("nested").unwrap().as_str(), Some("x"));
+        assert_eq!(
+            v.get("b").unwrap().get("nested").unwrap().as_str(),
+            Some("x")
+        );
         assert_eq!(v.get("s").unwrap().as_str(), Some("A\u{1F600} \t"));
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        for bad in ["", "not json", "{", "[1,", "{\"a\":}", "1 2", "\"unterminated", "nul"] {
+        for bad in [
+            "",
+            "not json",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "1 2",
+            "\"unterminated",
+            "nul",
+        ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
     }
@@ -345,9 +357,17 @@ mod tests {
             "rows": rows,
         });
         assert_eq!(v.get("target").unwrap().as_str(), Some("abt-buy"));
-        assert_eq!(v.get("nested").unwrap().get("exact").unwrap(), &Json::Int(2));
         assert_eq!(
-            v.get("nested").unwrap().get("list").unwrap().as_array().unwrap()[1],
+            v.get("nested").unwrap().get("exact").unwrap(),
+            &Json::Int(2)
+        );
+        assert_eq!(
+            v.get("nested")
+                .unwrap()
+                .get("list")
+                .unwrap()
+                .as_array()
+                .unwrap()[1],
             Json::Float(0.53)
         );
         assert_eq!(v.get("numeric").unwrap().as_f64(), Some(f1));
@@ -375,9 +395,15 @@ mod tests {
         assert_eq!(v.get("format_version").unwrap().as_u64(), Some(1));
         let p = &v.get("params").unwrap().as_array().unwrap()[0];
         assert_eq!(p.get("name").unwrap().as_str(), Some("w"));
-        assert_eq!(p.get("data").unwrap().as_array().unwrap()[1].as_f64(), Some(-2.5));
+        assert_eq!(
+            p.get("data").unwrap().as_array().unwrap()[1].as_f64(),
+            Some(-2.5)
+        );
         // ryu-style exponents from serde_json float output
         assert_eq!(Json::parse("1e-45").unwrap().as_f64(), Some(1e-45));
-        assert_eq!(Json::parse("3.4028235e38").unwrap().as_f64(), Some(3.4028235e38));
+        assert_eq!(
+            Json::parse("3.4028235e38").unwrap().as_f64(),
+            Some(3.4028235e38)
+        );
     }
 }

@@ -184,13 +184,11 @@ impl<'a> Parser<'a> {
                                 if !(0xDC00..0xE000).contains(&lo) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let code =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(code)
                                     .ok_or_else(|| self.err("invalid surrogate pair"))?
                             } else {
-                                char::from_u32(hi)
-                                    .ok_or_else(|| self.err("invalid \\u escape"))?
+                                char::from_u32(hi).ok_or_else(|| self.err("invalid \\u escape"))?
                             };
                             out.push(c);
                         }
@@ -241,18 +239,16 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number spans ascii bytes");
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number spans ascii bytes");
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
             }
         }
-        text.parse::<f64>()
-            .map(Json::Float)
-            .map_err(|_| JsonError {
-                message: format!("invalid number '{text}'"),
-                offset: start,
-            })
+        text.parse::<f64>().map(Json::Float).map_err(|_| JsonError {
+            message: format!("invalid number '{text}'"),
+            offset: start,
+        })
     }
 }

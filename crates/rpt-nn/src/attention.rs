@@ -58,13 +58,7 @@ impl MultiHeadAttention {
     /// `mask` is an additive mask of shape `[b*h, t_q, t_k]` (or any shape
     /// suffix-broadcastable onto the score tensor); masked entries should
     /// hold [`crate::NEG_INF`].
-    pub fn forward(
-        &self,
-        ctx: &mut Ctx<'_>,
-        x_q: Var,
-        x_kv: Var,
-        mask: Option<&Tensor>,
-    ) -> Var {
+    pub fn forward(&self, ctx: &mut Ctx<'_>, x_q: Var, x_kv: Var, mask: Option<&Tensor>) -> Var {
         let h = self.n_heads;
         let dh = self.d_model / h;
         let q = self.q.forward(ctx, x_q);
@@ -165,8 +159,8 @@ impl MultiHeadAttention {
 mod tests {
     use super::*;
     use crate::NEG_INF;
-    use rpt_rng::SmallRng;
     use rpt_rng::SeedableRng;
+    use rpt_rng::SmallRng;
     use rpt_tensor::Tape;
 
     fn setup(d: usize, h: usize) -> (ParamStore, MultiHeadAttention) {
@@ -196,10 +190,13 @@ mod tests {
             let tape = Tape::new();
             let mut rng = SmallRng::seed_from_u64(5);
             let mut ctx = Ctx::new(&tape, params, &mut rng, false);
-            let q = ctx.tape.leaf(Tensor::from_vec(vec![0.5; 4], &[1, 1, 4]).unwrap());
-            let kv = ctx.tape.leaf(Tensor::from_vec(kv_data, &[1, 3, 4]).unwrap());
-            let mask =
-                Tensor::from_vec(vec![0.0, 0.0, NEG_INF], &[1, 1, 3]).unwrap();
+            let q = ctx
+                .tape
+                .leaf(Tensor::from_vec(vec![0.5; 4], &[1, 1, 4]).unwrap());
+            let kv = ctx
+                .tape
+                .leaf(Tensor::from_vec(kv_data, &[1, 3, 4]).unwrap());
+            let mask = Tensor::from_vec(vec![0.0, 0.0, NEG_INF], &[1, 1, 3]).unwrap();
             let out = mha.forward(&mut ctx, q, kv, Some(&mask));
             ctx.tape.value(out).data().to_vec()
         };
@@ -220,10 +217,9 @@ mod tests {
         let tape = Tape::new();
         let mut rng = SmallRng::seed_from_u64(5);
         let mut ctx = Ctx::new(&tape, &mut params, &mut rng, true);
-        let x = ctx.tape.leaf(Tensor::from_vec(
-            (0..16).map(|i| (i as f32) * 0.1).collect(),
-            &[1, 2, 8],
-        ).unwrap());
+        let x = ctx.tape.leaf(
+            Tensor::from_vec((0..16).map(|i| (i as f32) * 0.1).collect(), &[1, 2, 8]).unwrap(),
+        );
         let out = mha.forward(&mut ctx, x, x, None);
         let loss = ctx.tape.sum_all(out);
         let mut grads = tape.backward(loss);

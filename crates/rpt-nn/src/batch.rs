@@ -138,7 +138,9 @@ impl TokenBatch {
 
     /// Length of row `bi` before padding.
     pub fn row_len(&self, bi: usize) -> usize {
-        (0..self.t).take_while(|&i| self.valid[bi * self.t + i]).count()
+        (0..self.t)
+            .take_while(|&i| self.valid[bi * self.t + i])
+            .count()
     }
 
     /// Additive self-attention mask `[b*h, t, t]`: `NEG_INF` where the key
@@ -283,7 +285,9 @@ mod tests {
         assert_eq!(m.shape(), &[4, 5, 3]);
         // decoder queries of batch 1 must not attend to padded src keys
         let h2 = &m.data()[2 * 15..3 * 15];
-        assert!(h2.chunks(3).all(|row| row[1] == NEG_INF && row[2] == NEG_INF));
+        assert!(h2
+            .chunks(3)
+            .all(|row| row[1] == NEG_INF && row[2] == NEG_INF));
     }
 
     #[test]

@@ -23,15 +23,53 @@ struct Trunk {
 }
 
 impl Trunk {
-    fn new(params: &mut ParamStore, name: &str, cfg: TransformerConfig, rng: &mut dyn RngCore) -> Self {
-        let tok_emb = Embedding::new(params, &format!("{name}.tok"), cfg.vocab_size, cfg.d_model, rng);
-        let pos_emb = Embedding::new(params, &format!("{name}.pos"), cfg.max_len, cfg.d_model, rng);
-        let col_emb = (cfg.max_cols > 0)
-            .then(|| Embedding::new(params, &format!("{name}.col"), cfg.max_cols + 1, cfg.d_model, rng));
-        let seg_emb = (cfg.n_segments > 0)
-            .then(|| Embedding::new(params, &format!("{name}.seg"), cfg.n_segments, cfg.d_model, rng));
-        let flag_emb = (cfg.n_flags > 0)
-            .then(|| Embedding::new(params, &format!("{name}.flag"), cfg.n_flags, cfg.d_model, rng));
+    fn new(
+        params: &mut ParamStore,
+        name: &str,
+        cfg: TransformerConfig,
+        rng: &mut dyn RngCore,
+    ) -> Self {
+        let tok_emb = Embedding::new(
+            params,
+            &format!("{name}.tok"),
+            cfg.vocab_size,
+            cfg.d_model,
+            rng,
+        );
+        let pos_emb = Embedding::new(
+            params,
+            &format!("{name}.pos"),
+            cfg.max_len,
+            cfg.d_model,
+            rng,
+        );
+        let col_emb = (cfg.max_cols > 0).then(|| {
+            Embedding::new(
+                params,
+                &format!("{name}.col"),
+                cfg.max_cols + 1,
+                cfg.d_model,
+                rng,
+            )
+        });
+        let seg_emb = (cfg.n_segments > 0).then(|| {
+            Embedding::new(
+                params,
+                &format!("{name}.seg"),
+                cfg.n_segments,
+                cfg.d_model,
+                rng,
+            )
+        });
+        let flag_emb = (cfg.n_flags > 0).then(|| {
+            Embedding::new(
+                params,
+                &format!("{name}.flag"),
+                cfg.n_flags,
+                cfg.d_model,
+                rng,
+            )
+        });
         let encoder = Encoder::new(
             params,
             &format!("{name}.enc"),
@@ -71,7 +109,11 @@ impl Trunk {
         let pos = self.pos_emb.forward_batch(ctx, &pos_ids, b, t);
         let mut x = ctx.tape.add(tok, pos);
         if let Some(col_emb) = &self.col_emb {
-            let capped: Vec<usize> = batch.cols.iter().map(|&c| c.min(self.cfg.max_cols)).collect();
+            let capped: Vec<usize> = batch
+                .cols
+                .iter()
+                .map(|&c| c.min(self.cfg.max_cols))
+                .collect();
             let col = col_emb.forward_batch(ctx, &capped, b, t);
             x = ctx.tape.add(x, col);
         }
@@ -312,8 +354,8 @@ impl SpanExtractor {
 mod tests {
     use super::*;
     use crate::batch::Sequence;
-    use rpt_rng::SmallRng;
     use rpt_rng::SeedableRng;
+    use rpt_rng::SmallRng;
     use rpt_tensor::{clip_global_norm, Adam, AdamConfig};
 
     fn pair_cfg() -> TransformerConfig {
@@ -430,7 +472,8 @@ mod tests {
         let mut cfg = pair_cfg();
         cfg.max_cols = 0;
         let model = SpanExtractor::new(&mut params, cfg, &mut rng);
-        let batch = TokenBatch::from_sequences(&[Sequence::from_ids(vec![6, 10, 7, 11, 12])], 16, 0);
+        let batch =
+            TokenBatch::from_sequences(&[Sequence::from_ids(vec![6, 10, 7, 11, 12])], 16, 0);
         let mut rng2 = SmallRng::seed_from_u64(1);
         let spans = model.predict_spans(&mut params, &mut rng2, &batch, &[3], 8);
         assert!(spans[0].0 >= 3, "span must start at/after min_pos");

@@ -80,12 +80,8 @@ impl Linear {
         rng: &mut dyn RngCore,
     ) -> Self {
         let w = params.register(format!("{name}.w"), init::xavier_uniform(d_in, d_out, rng));
-        let b = bias.then(|| {
-            params.register(
-                format!("{name}.b"),
-                rpt_tensor::Tensor::zeros(&[d_out]),
-            )
-        });
+        let b =
+            bias.then(|| params.register(format!("{name}.b"), rpt_tensor::Tensor::zeros(&[d_out])));
         Self { w, b, d_in, d_out }
     }
 
@@ -182,10 +178,7 @@ impl Embedding {
         dim: usize,
         rng: &mut dyn RngCore,
     ) -> Self {
-        let w = params.register(
-            format!("{name}.w"),
-            init::embedding_init(vocab, dim, rng),
-        );
+        let w = params.register(format!("{name}.w"), init::embedding_init(vocab, dim, rng));
         Self { w, vocab, dim }
     }
 
@@ -251,8 +244,8 @@ impl LayerNorm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpt_rng::SmallRng;
     use rpt_rng::SeedableRng;
+    use rpt_rng::SmallRng;
     use rpt_tensor::Tensor;
 
     #[test]
@@ -267,7 +260,10 @@ mod tests {
         let x2 = ctx.tape.leaf(Tensor::ones(&[5, 4]));
         assert_eq!(ctx.tape.value(lin.forward(&mut ctx, x2)).shape(), &[5, 3]);
         let x3 = ctx.tape.leaf(Tensor::ones(&[2, 5, 4]));
-        assert_eq!(ctx.tape.value(lin.forward(&mut ctx, x3)).shape(), &[2, 5, 3]);
+        assert_eq!(
+            ctx.tape.value(lin.forward(&mut ctx, x3)).shape(),
+            &[2, 5, 3]
+        );
     }
 
     #[test]
@@ -312,12 +308,22 @@ mod tests {
         let tape = Tape::new();
         let mut rng = SmallRng::seed_from_u64(1);
         let mut ctx = Ctx::new(&tape, &mut params, &mut rng, false);
-        let x = ctx.tape.leaf(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 4]).unwrap());
+        let x = ctx
+            .tape
+            .leaf(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 4]).unwrap());
         let y = ctx.tape.value(ln.forward(&mut ctx, x));
         let mean: f32 = y.data().iter().sum::<f32>() / 4.0;
-        assert!((mean - 1.0).abs() < 1e-4, "beta shifts mean to 1, got {mean}");
+        assert!(
+            (mean - 1.0).abs() < 1e-4,
+            "beta shifts mean to 1, got {mean}"
+        );
         // variance of (y - 1)/2 should be ~1
-        let var: f32 = y.data().iter().map(|&v| ((v - 1.0) / 2.0).powi(2)).sum::<f32>() / 4.0;
+        let var: f32 = y
+            .data()
+            .iter()
+            .map(|&v| ((v - 1.0) / 2.0).powi(2))
+            .sum::<f32>()
+            / 4.0;
         assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 

@@ -96,7 +96,11 @@ pub fn build_quant_set(params: &ParamStore) -> QuantSet {
         if name == TIED_WEIGHT_NAME {
             qs.set_tied(QuantMatrix::quantize_rows(t.data(), rows, cols));
         } else if LINEAR_WEIGHT_SUFFIXES.iter().any(|s| name.ends_with(s)) {
-            qs.insert(name, id, QuantMatrix::quantize_transposed(t.data(), rows, cols));
+            qs.insert(
+                name,
+                id,
+                QuantMatrix::quantize_transposed(t.data(), rows, cols),
+            );
         }
     }
     qs

@@ -81,8 +81,8 @@ pub use metrics::{
 pub use trace::{
     begin_span, clear_trace, collect_spans, emit_span, end_span, next_trace_id, now_ns,
     profile_json, profile_spans, set_trace_enabled, span, spans_from_dump, trace_dump_json,
-    trace_enabled, trace_events, trace_span, trace_stats, tracez_json, Span, SpanRec,
-    TraceEvent, TraceStats, RING_CAPACITY,
+    trace_enabled, trace_events, trace_span, trace_stats, tracez_json, Span, SpanRec, TraceEvent,
+    TraceStats, RING_CAPACITY,
 };
 
 /// Core log macro: checks the filter before formatting anything.

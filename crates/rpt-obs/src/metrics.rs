@@ -132,10 +132,12 @@ impl Histogram {
         let mut cur = inner.sum_bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + v).to_bits();
-            match inner
-                .sum_bits
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
+            match inner.sum_bits.compare_exchange_weak(
+                cur,
+                next,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
                 Ok(_) => break,
                 Err(seen) => cur = seen,
             }
@@ -236,10 +238,7 @@ fn register_or_get<T: Clone>(
     let mut registry = lock_registry();
     if let Some((_, metric)) = registry.iter().find(|(n, _)| n == name) {
         return extract(metric).unwrap_or_else(|| {
-            panic!(
-                "metric {name:?} already registered as a {}",
-                metric.kind()
-            )
+            panic!("metric {name:?} already registered as a {}", metric.kind())
         });
     }
     let (handle, metric) = create();
@@ -403,7 +402,10 @@ pub fn metrics_text() -> String {
                 let mut cum = 0u64;
                 for (&le, &n) in h.bounds().iter().zip(&counts) {
                     cum += n;
-                    out.push_str(&format!("{pname}_bucket{{le=\"{}\"}} {cum}\n", prom_f64(le)));
+                    out.push_str(&format!(
+                        "{pname}_bucket{{le=\"{}\"}} {cum}\n",
+                        prom_f64(le)
+                    ));
                 }
                 cum += counts[counts.len() - 1];
                 out.push_str(&format!("{pname}_bucket{{le=\"+Inf\"}} {cum}\n"));
@@ -563,10 +565,18 @@ mod tests {
                 >= 41
         );
         assert_eq!(
-            doc.get("gauges").unwrap().get("test.snap.gauge").unwrap().as_f64(),
+            doc.get("gauges")
+                .unwrap()
+                .get("test.snap.gauge")
+                .unwrap()
+                .as_f64(),
             Some(0.125)
         );
-        let hist = doc.get("histograms").unwrap().get("test.snap.hist").unwrap();
+        let hist = doc
+            .get("histograms")
+            .unwrap()
+            .get("test.snap.hist")
+            .unwrap();
         assert!(hist.get("count").unwrap().as_u64().unwrap() >= 1);
         let buckets = hist.get("buckets").unwrap().as_array().unwrap();
         assert_eq!(buckets.len(), 3, "2 bounds + overflow");
@@ -591,7 +601,11 @@ mod tests {
         let h2 = histogram_with("test.hist.quantiles2", &[8.0]);
         h2.record(1.0);
         h2.record(1.0);
-        assert!((h2.quantile(0.5) - 4.0).abs() < 1e-9, "{}", h2.quantile(0.5));
+        assert!(
+            (h2.quantile(0.5) - 4.0).abs() < 1e-9,
+            "{}",
+            h2.quantile(0.5)
+        );
     }
 
     #[test]
@@ -602,7 +616,11 @@ mod tests {
             h.record(15.0);
         }
         let doc = snapshot();
-        let hist = doc.get("histograms").unwrap().get("test.snap.quant").unwrap();
+        let hist = doc
+            .get("histograms")
+            .unwrap()
+            .get("test.snap.quant")
+            .unwrap();
         for key in ["p50", "p95", "p99"] {
             let v = hist.get(key).unwrap().as_f64().unwrap();
             assert!((10.0..=20.0).contains(&v), "{key} = {v}");

@@ -458,7 +458,10 @@ impl ProfileNode {
     fn at_path(&mut self, path: &[String]) -> &mut ProfileNode {
         let mut node = self;
         for name in path {
-            node = node.children.entry(name.clone()).or_insert_with(ProfileNode::new);
+            node = node
+                .children
+                .entry(name.clone())
+                .or_insert_with(ProfileNode::new);
         }
         node
     }
@@ -825,7 +828,10 @@ mod tests {
         let _gate = gate(true);
         let stats = trace_stats();
         assert_eq!(stats.capacity, RING_CAPACITY as u64);
-        assert_eq!(stats.overwritten, stats.recorded.saturating_sub(stats.capacity));
+        assert_eq!(
+            stats.overwritten,
+            stats.recorded.saturating_sub(stats.capacity)
+        );
     }
 
     #[test]

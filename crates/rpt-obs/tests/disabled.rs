@@ -47,7 +47,11 @@ fn disabled_metrics_record_nothing() {
     assert_eq!(h.count(), 0, "disabled histogram must not record");
     assert_eq!(h.sum(), 0.0);
     assert!(h.bucket_counts().iter().all(|&n| n == 0));
-    assert_eq!(ring_events_named("disabled_span"), 0, "dark span must not trace");
+    assert_eq!(
+        ring_events_named("disabled_span"),
+        0,
+        "dark span must not trace"
+    );
 }
 
 #[test]
@@ -59,7 +63,11 @@ fn tracing_alone_records_the_ring_half_only() {
         let _s = span("trace_only_span", &h);
     }
     set_trace_enabled(false);
-    assert_eq!(ring_events_named("trace_only_span"), 2, "one begin/end pair");
+    assert_eq!(
+        ring_events_named("trace_only_span"),
+        2,
+        "one begin/end pair"
+    );
     assert_eq!(h.count(), 0, "metrics are off: no histogram sample");
 }
 

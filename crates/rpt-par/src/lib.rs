@@ -217,7 +217,9 @@ impl ThreadPool {
     pub fn global() -> &'static ThreadPool {
         static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
         GLOBAL.get_or_init(|| {
-            ThreadPool::clamped(threads_from_env(std::env::var("RPT_THREADS").ok().as_deref()))
+            ThreadPool::clamped(threads_from_env(
+                std::env::var("RPT_THREADS").ok().as_deref(),
+            ))
         })
     }
 

@@ -119,10 +119,7 @@ impl SeedableRng for SmallRng {
 impl RngCore for SmallRng {
     fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
-        let result = s[0]
-            .wrapping_add(s[3])
-            .rotate_left(23)
-            .wrapping_add(s[0]);
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
         s[2] ^= s[0];
         s[3] ^= s[1];
@@ -280,7 +277,10 @@ pub trait Rng: RngCore {
     /// # Panics
     /// If `p` is not in `[0, 1]`.
     fn gen_bool(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "gen_bool probability out of range");
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "gen_bool probability out of range"
+        );
         let unit: f64 = Standard::sample(self);
         unit < p
     }
@@ -426,7 +426,10 @@ mod tests {
     fn gen_bool_tracks_probability() {
         let mut rng = SmallRng::seed_from_u64(10);
         let hits = (0..100_000).filter(|_| rng.gen_bool(0.25)).count();
-        assert!((24_000..=26_000).contains(&hits), "p=0.25 gave {hits}/100000");
+        assert!(
+            (24_000..=26_000).contains(&hits),
+            "p=0.25 gave {hits}/100000"
+        );
         assert!(!(0..100).any(|_| rng.gen_bool(0.0)));
         assert!((0..100).all(|_| rng.gen_bool(1.0)));
     }

@@ -315,7 +315,8 @@ impl Batcher {
             Ok(()) => {
                 self.params = candidate;
                 if self.quant {
-                    self.model.set_quant(Some(Arc::new(self.quant_set_for(path))));
+                    self.model
+                        .set_quant(Some(Arc::new(self.quant_set_for(path))));
                 }
                 self.mb = MicroBatcher::new(&self.model, &mut self.params);
                 let generation = self.shared.generation.fetch_add(1, Ordering::Relaxed) + 1;

@@ -588,10 +588,7 @@ fn route(req: &Request, shared: &Shared, trace: ReqTrace) -> Routed {
             if query.split('&').any(|kv| kv == "format=text") {
                 Routed::Ready(Response::text(200, rpt_obs::metrics_text()))
             } else {
-                Routed::Ready(Response::json(
-                    200,
-                    rpt_obs::snapshot().to_string_pretty(),
-                ))
+                Routed::Ready(Response::json(200, rpt_obs::snapshot().to_string_pretty()))
             }
         }
         ("GET", "/debug/tracez") => Routed::Ready(Response::json(
@@ -613,13 +610,14 @@ fn route(req: &Request, shared: &Shared, trace: ReqTrace) -> Routed {
             shared,
             trace,
         ),
-        (_, "/healthz" | "/metrics" | "/debug/tracez" | "/v1/clean" | "/v1/detect" | "/v1/match") => {
-            Routed::Ready(Response::error(
-                405,
-                "method_not_allowed",
-                "wrong method for this route",
-            ))
-        }
+        (
+            _,
+            "/healthz" | "/metrics" | "/debug/tracez" | "/v1/clean" | "/v1/detect" | "/v1/match",
+        ) => Routed::Ready(Response::error(
+            405,
+            "method_not_allowed",
+            "wrong method for this route",
+        )),
         _ => Routed::Ready(Response::error(404, "not_found", "unknown route")),
     }
 }
@@ -628,7 +626,11 @@ fn route(req: &Request, shared: &Shared, trace: ReqTrace) -> Routed {
 /// and answers the client when the batcher delivers (responses stay in
 /// request order; the wait is bounded by decode time because the batcher
 /// never parks an admitted job).
-fn submit(spec: Result<rpt_nn::JobSpec, api::ApiError>, shared: &Shared, trace: ReqTrace) -> Routed {
+fn submit(
+    spec: Result<rpt_nn::JobSpec, api::ApiError>,
+    shared: &Shared,
+    trace: ReqTrace,
+) -> Routed {
     let spec = match spec {
         Ok(spec) => spec,
         Err(e) => return Routed::Ready(Response::error(400, e.code, &e.message)),

@@ -24,7 +24,9 @@ fn read_responses(stream: &mut TcpStream, n: usize) -> Vec<(u16, String)> {
     let mut buf = [0u8; 4096];
     while out.len() < n {
         while let Some(at) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
-            let head = std::str::from_utf8(&raw[..at]).expect("utf-8 headers").to_string();
+            let head = std::str::from_utf8(&raw[..at])
+                .expect("utf-8 headers")
+                .to_string();
             let status: u16 = head
                 .split(' ')
                 .nth(1)
@@ -78,7 +80,13 @@ fn pipelined_requests_answer_in_order_and_match_serial_requests() {
     let addr = server.addr();
 
     let bodies: Vec<String> = (0..6)
-        .map(|i| format!(r#"{{"src": [{}, {}], "max_steps": 6}}"#, 9 + i % 3, 9 + (i + 1) % 3))
+        .map(|i| {
+            format!(
+                r#"{{"src": [{}, {}], "max_steps": 6}}"#,
+                9 + i % 3,
+                9 + (i + 1) % 3
+            )
+        })
         .collect();
     // Ground truth: the same requests one connection each.
     let serial: Vec<(u16, String)> = bodies
@@ -90,7 +98,11 @@ fn pipelined_requests_answer_in_order_and_match_serial_requests() {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).unwrap();
     for (i, body) in bodies.iter().enumerate() {
-        let connection = if i + 1 == bodies.len() { "close" } else { "keep-alive" };
+        let connection = if i + 1 == bodies.len() {
+            "close"
+        } else {
+            "keep-alive"
+        };
         write!(
             stream,
             "POST /v1/clean HTTP/1.1\r\ncontent-length: {}\r\nconnection: {connection}\r\n\r\n{body}",
@@ -172,8 +184,12 @@ fn disconnect_mid_decode_reclaims_kv_slots() {
     );
 
     // The pool is healthy: a real request still decodes fine.
-    let (status, resp_body) =
-        common::request(addr, "POST", "/v1/clean", r#"{"src": [9, 10], "max_steps": 4}"#);
+    let (status, resp_body) = common::request(
+        addr,
+        "POST",
+        "/v1/clean",
+        r#"{"src": [9, 10], "max_steps": 4}"#,
+    );
     assert_eq!(status, 200, "post-soak request failed: {resp_body}");
     server.shutdown();
     assert_eq!(rpt_obs::gauge("serve.kv_slots_in_use").value(), 0.0);
@@ -197,11 +213,18 @@ fn quant_mode_is_reported_and_serves() {
 
     let (status, body) = common::request(addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
-    assert!(body.contains("\"quant\":true"), "healthz lacks quant flag: {body}");
+    assert!(
+        body.contains("\"quant\":true"),
+        "healthz lacks quant flag: {body}"
+    );
     assert_eq!(rpt_obs::gauge("serve.quant").value(), 1.0);
 
-    let (status, body) =
-        common::request(addr, "POST", "/v1/clean", r#"{"src": [9, 10], "max_steps": 4}"#);
+    let (status, body) = common::request(
+        addr,
+        "POST",
+        "/v1/clean",
+        r#"{"src": [9, 10], "max_steps": 4}"#,
+    );
     assert_eq!(status, 200, "quantized decode failed: {body}");
     assert!(body.contains("\"tokens\""), "not a decode body: {body}");
     server.shutdown();

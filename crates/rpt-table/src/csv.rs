@@ -31,7 +31,11 @@ pub enum CsvError {
 impl fmt::Display for CsvError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CsvError::FieldCount { line, expected, got } => {
+            CsvError::FieldCount {
+                line,
+                expected,
+                got,
+            } => {
                 write!(f, "line {line}: expected {expected} fields, got {got}")
             }
             CsvError::UnterminatedQuote { line } => {
@@ -197,7 +201,11 @@ mod tests {
     fn field_count_mismatch_reports_line() {
         let csv = "a,b\n1,2\n3\n";
         match read_table("m", csv) {
-            Err(CsvError::FieldCount { line, expected, got }) => {
+            Err(CsvError::FieldCount {
+                line,
+                expected,
+                got,
+            }) => {
                 assert_eq!((line, expected, got), (3, 2, 1));
             }
             other => panic!("expected FieldCount, got {other:?}"),

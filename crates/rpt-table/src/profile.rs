@@ -11,7 +11,6 @@
 
 use std::collections::HashMap;
 
-
 use crate::table::Table;
 
 /// Per-column summary statistics.
@@ -220,7 +219,11 @@ mod tests {
         t.push_values(vec!["iphone".into(), "foxconn".into(), Value::Int(1)]);
         let p = TableProfile::compute(&t, 0.8, 2);
         let fd = p.fds.iter().find(|fd| fd.lhs == 0 && fd.rhs == 1).unwrap();
-        assert!((fd.strength - 6.0 / 7.0).abs() < 1e-9, "strength {}", fd.strength);
+        assert!(
+            (fd.strength - 6.0 / 7.0).abs() < 1e-9,
+            "strength {}",
+            fd.strength
+        );
     }
 
     #[test]

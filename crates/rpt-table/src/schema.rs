@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-
 /// Declared column type. Values are not strictly validated against it —
 /// real-world tables are dirty, which is the paper's point — but the type
 /// guides profiling and the numeric-closeness evaluation metric.
@@ -39,17 +38,17 @@ impl Schema {
 
     /// Convenience constructor from `&str` names.
     pub fn of(columns: &[(&str, ColumnType)]) -> Self {
-        Self::new(
-            columns
-                .iter()
-                .map(|(n, t)| (n.to_string(), *t))
-                .collect(),
-        )
+        Self::new(columns.iter().map(|(n, t)| (n.to_string(), *t)).collect())
     }
 
     /// All-text schema from names (the common case for web-table data).
     pub fn text_columns(names: &[&str]) -> Self {
-        Self::new(names.iter().map(|n| (n.to_string(), ColumnType::Text)).collect())
+        Self::new(
+            names
+                .iter()
+                .map(|n| (n.to_string(), ColumnType::Text))
+                .collect(),
+        )
     }
 
     /// Number of columns.
@@ -105,7 +104,10 @@ mod tests {
         assert_eq!(s.arity(), 3);
         assert_eq!(s.index_of("brand"), Some(1));
         assert_eq!(s.index_of("missing"), None);
-        assert_eq!(s.names().collect::<Vec<_>>(), vec!["title", "brand", "price"]);
+        assert_eq!(
+            s.names().collect::<Vec<_>>(),
+            vec!["title", "brand", "price"]
+        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Tuples and tables.
 
-
 use crate::schema::Schema;
 use crate::value::Value;
 
@@ -176,7 +175,11 @@ mod tests {
             ]),
         );
         t.push_values(vec!["iphone x".into(), "apple".into(), Value::Float(999.0)]);
-        t.push_values(vec!["galaxy s9".into(), "samsung".into(), Value::Float(720.0)]);
+        t.push_values(vec![
+            "galaxy s9".into(),
+            "samsung".into(),
+            Value::Float(720.0),
+        ]);
         t.push_values(vec!["pixel 3".into(), Value::Null, Value::Float(799.0)]);
         t
     }

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-
 /// An attribute value: the paper's tables mix categorical, ordinal, and
 /// numerical data, so values carry a lightweight dynamic type.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,7 +147,10 @@ mod tests {
 
     #[test]
     fn group_key_is_case_insensitive_for_text_and_null_safe() {
-        assert_eq!(Value::text("Apple").group_key(), Value::text("APPLE").group_key());
+        assert_eq!(
+            Value::text("Apple").group_key(),
+            Value::text("APPLE").group_key()
+        );
         assert_ne!(Value::Null.group_key(), Value::text("").group_key());
         assert_ne!(Value::Int(1).group_key(), Value::Float(1.0).group_key());
     }

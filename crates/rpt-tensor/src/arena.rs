@@ -101,8 +101,7 @@ impl Arena {
             .map(|c| c.layout.size().saturating_mul(2))
             .unwrap_or(CHUNK_MIN)
             .max(layout.size() + layout.align());
-        let chunk_layout = Layout::from_size_align(want, CHUNK_ALIGN)
-            .expect("arena chunk layout");
+        let chunk_layout = Layout::from_size_align(want, CHUNK_ALIGN).expect("arena chunk layout");
         // SAFETY: `want` is non-zero (size + align of a non-ZST request).
         let ptr = unsafe { alloc(chunk_layout) };
         assert!(!ptr.is_null(), "arena chunk allocation failed");

@@ -43,15 +43,20 @@ pub fn embedding_init(vocab: usize, dim: usize, rng: &mut (impl Rng + ?Sized)) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpt_rng::SmallRng;
     use rpt_rng::SeedableRng;
+    use rpt_rng::SmallRng;
 
     #[test]
     fn normal_has_roughly_requested_moments() {
         let mut rng = SmallRng::seed_from_u64(42);
         let t = normal(&[10_000], 0.5, &mut rng);
         let mean = t.mean();
-        let var = t.data().iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / 10_000.0;
+        let var = t
+            .data()
+            .iter()
+            .map(|&x| (x - mean) * (x - mean))
+            .sum::<f32>()
+            / 10_000.0;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var.sqrt() - 0.5).abs() < 0.02, "std {}", var.sqrt());
     }

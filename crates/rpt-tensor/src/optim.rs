@@ -105,7 +105,10 @@ impl ParamStore {
 
     /// Iterates over `(name, tensor)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Tensor)> {
-        self.names.iter().map(String::as_str).zip(self.values.iter())
+        self.names
+            .iter()
+            .map(String::as_str)
+            .zip(self.values.iter())
     }
 
     /// Binds the parameter onto `tape` as a leaf, memoizing per step so a
@@ -242,11 +245,7 @@ impl Adam {
         let mut moments = Vec::new();
         for idx in 0..self.m.len().min(params.len()) {
             if let (Some(m), Some(v)) = (&self.m[idx], &self.v[idx]) {
-                moments.push((
-                    params.name(ParamId(idx)).to_string(),
-                    m.clone(),
-                    v.clone(),
-                ));
+                moments.push((params.name(ParamId(idx)).to_string(), m.clone(), v.clone()));
             }
         }
         AdamState { t: self.t, moments }
@@ -258,15 +257,13 @@ impl Adam {
     /// remaining moments cleanly reinitialized to zero-on-first-use.
     /// Moments for names absent from `params` are ignored (forward
     /// compatibility, mirroring parameter loading).
-    pub fn import_state(
-        &mut self,
-        params: &ParamStore,
-        state: &AdamState,
-    ) -> Result<(), String> {
+    pub fn import_state(&mut self, params: &ParamStore, state: &AdamState) -> Result<(), String> {
         let mut m = vec![None; params.len()];
         let mut v = vec![None; params.len()];
         for (name, sm, sv) in &state.moments {
-            let Some(id) = params.find(name) else { continue };
+            let Some(id) = params.find(name) else {
+                continue;
+            };
             let shape = params.value(id).shape();
             if sm.shape() != shape || sv.shape() != shape {
                 return Err(format!(

@@ -76,7 +76,10 @@ impl QuantMatrix {
     /// If the part lengths disagree with `n_out`/`k`, or `k` exceeds
     /// [`QMATMUL_MAX_K`].
     pub fn from_parts(n_out: usize, k: usize, data: Vec<i8>, scales: Vec<f32>) -> Self {
-        assert!(k <= QMATMUL_MAX_K, "quant inner dim {k} exceeds {QMATMUL_MAX_K}");
+        assert!(
+            k <= QMATMUL_MAX_K,
+            "quant inner dim {k} exceeds {QMATMUL_MAX_K}"
+        );
         assert_eq!(data.len(), n_out * k, "quant data length mismatch");
         assert_eq!(scales.len(), n_out, "quant scales length mismatch");
         let row_sums = (0..n_out)
@@ -94,7 +97,10 @@ impl QuantMatrix {
     /// Quantizes a `[n_out, k]` row-major f32 matrix per row (the tied
     /// projection case: an embedding table's rows are output channels).
     pub fn quantize_rows(rows: &[f32], n_out: usize, k: usize) -> Self {
-        assert!(k <= QMATMUL_MAX_K, "quant inner dim {k} exceeds {QMATMUL_MAX_K}");
+        assert!(
+            k <= QMATMUL_MAX_K,
+            "quant inner dim {k} exceeds {QMATMUL_MAX_K}"
+        );
         assert_eq!(rows.len(), n_out * k, "quantize_rows size mismatch");
         let mut data = vec![0i8; n_out * k];
         let mut scales = vec![0.0f32; n_out];
@@ -281,12 +287,7 @@ mod tests {
         let t = init::normal(&[12, 40], 1.0, &mut rng);
         let q = QuantMatrix::quantize_rows(t.data(), 12, 40);
         let back = q.dequantize_rows();
-        for (j, (row, brow)) in t
-            .data()
-            .chunks(40)
-            .zip(back.chunks(40))
-            .enumerate()
-        {
+        for (j, (row, brow)) in t.data().chunks(40).zip(back.chunks(40)).enumerate() {
             let max_abs = row.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
             let step = max_abs / 127.0;
             for (&x, &y) in row.iter().zip(brow) {
@@ -381,8 +382,7 @@ mod tests {
     #[test]
     fn from_parts_recomputes_row_sums() {
         let q = QuantMatrix::quantize_rows(&[1.0, -2.0, 3.0, -4.0, 5.0, -6.0], 2, 3);
-        let rebuilt =
-            QuantMatrix::from_parts(2, 3, q.weights().to_vec(), q.scales().to_vec());
+        let rebuilt = QuantMatrix::from_parts(2, 3, q.weights().to_vec(), q.scales().to_vec());
         let x = [0.5f32, -1.5, 2.5, 1.0, 0.0, -1.0];
         let a = q.matmul_f32(&x, 2);
         let b = rebuilt.matmul_f32(&x, 2);

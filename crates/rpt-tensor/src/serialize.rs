@@ -226,11 +226,7 @@ pub fn staging_path(path: &Path) -> PathBuf {
 /// temp file, fsync it, rename it into place, fsync the directory. A
 /// crash (or injected fault) at any point leaves either the old complete
 /// file or the new complete file at `path` — never a torn mixture.
-pub fn atomic_write_with(
-    io: &mut dyn CheckpointIo,
-    path: &Path,
-    bytes: &[u8],
-) -> io::Result<()> {
+pub fn atomic_write_with(io: &mut dyn CheckpointIo, path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = staging_path(path);
     let result = (|| {
         {
@@ -392,8 +388,7 @@ fn load_params_doc(store: &mut ParamStore, doc: &Json) -> Result<(), CheckpointE
                 shape
             )));
         }
-        let t = Tensor::from_vec(data, &shape)
-            .map_err(|e| structure(format!("{name}: {e}")))?;
+        let t = Tensor::from_vec(data, &shape).map_err(|e| structure(format!("{name}: {e}")))?;
         store.set_value(id, t);
     }
     Ok(())
@@ -431,8 +426,7 @@ pub fn load_params_any(json: &str) -> Result<ParamStore, CheckpointError> {
         }
         let shape = parse_shape(record, name, "shape")?;
         let data = parse_floats(record, name, "data")?;
-        let t = Tensor::from_vec(data, &shape)
-            .map_err(|e| structure(format!("{name}: {e}")))?;
+        let t = Tensor::from_vec(data, &shape).map_err(|e| structure(format!("{name}: {e}")))?;
         store.register(name, t);
     }
     Ok(store)
@@ -691,7 +685,11 @@ fn parse_corpus_pos(store: &ParamStore, doc: &Json) -> Result<CorpusPos, Checkpo
                     }
                     grads.push((name.to_string(), t));
                 }
-                pending.push(PendingGrad { loss, weight, grads });
+                pending.push(PendingGrad {
+                    loss,
+                    weight,
+                    grads,
+                });
             }
             Some(AccumState {
                 micro_done,
@@ -787,10 +785,7 @@ fn parse_rng_streams(doc: &Json) -> Result<Vec<(String, [u64; 4])>, CheckpointEr
 /// Loads parameters into `store` and returns the training state. v1
 /// (params-only) checkpoints yield `TrainState::default()` — Adam moments
 /// are cleanly reinitialized by the resuming trainer.
-pub fn load_train_json(
-    store: &mut ParamStore,
-    json: &str,
-) -> Result<TrainState, CheckpointError> {
+pub fn load_train_json(store: &mut ParamStore, json: &str) -> Result<TrainState, CheckpointError> {
     let doc = Json::parse(json)?;
     load_params_doc(store, &doc)?;
     let Some(train) = doc.get("train") else {
@@ -861,7 +856,11 @@ pub fn save_train_file_with(
     path: impl AsRef<Path>,
 ) -> Result<(), CheckpointError> {
     let _t = rpt_obs::span("ckpt.save", &OBS.save_ms);
-    atomic_write_with(io, path.as_ref(), train_state_to_json(store, state).as_bytes())?;
+    atomic_write_with(
+        io,
+        path.as_ref(),
+        train_state_to_json(store, state).as_bytes(),
+    )?;
     Ok(())
 }
 
@@ -1083,8 +1082,14 @@ mod tests {
     #[test]
     fn load_params_any_rebuilds_the_store_model_free() {
         let mut store = ParamStore::new();
-        store.register("enc.ff1.w", Tensor::from_vec(vec![0.1, -0.2, 0.3, 1.0 / 3.0], &[2, 2]).unwrap());
-        store.register("enc.ff1.b", Tensor::from_vec(vec![0.5, -0.5], &[2]).unwrap());
+        store.register(
+            "enc.ff1.w",
+            Tensor::from_vec(vec![0.1, -0.2, 0.3, 1.0 / 3.0], &[2, 2]).unwrap(),
+        );
+        store.register(
+            "enc.ff1.b",
+            Tensor::from_vec(vec![0.5, -0.5], &[2]).unwrap(),
+        );
         let json = to_json(&store);
 
         let loaded = load_params_any(&json).unwrap();
@@ -1205,7 +1210,10 @@ mod tests {
         assert_eq!(name, "lin.w");
         assert_eq!(back.weights(), qm.weights());
         assert_eq!(
-            back.scales().iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+            back.scales()
+                .iter()
+                .map(|s| s.to_bits())
+                .collect::<Vec<_>>(),
             qm.scales().iter().map(|s| s.to_bits()).collect::<Vec<_>>()
         );
     }

@@ -349,7 +349,9 @@ mod tests {
 
     #[test]
     fn scalar_twins_match_dispatched_versions_bitwise() {
-        let xs: Vec<f32> = (0..37).map(|i| (i as f32 * 0.37 - 5.0).sin() * 3.0).collect();
+        let xs: Vec<f32> = (0..37)
+            .map(|i| (i as f32 * 0.37 - 5.0).sin() * 3.0)
+            .collect();
         assert_eq!(
             row_max(&xs).to_bits(),
             row_max_scalar(&xs).to_bits(),
@@ -374,7 +376,9 @@ mod tests {
 
     #[test]
     fn forced_simd_matches_scalar_when_available() {
-        let xs: Vec<f32> = (0..53).map(|i| ((i * 31) % 17) as f32 * 0.21 - 1.6).collect();
+        let xs: Vec<f32> = (0..53)
+            .map(|i| ((i * 31) % 17) as f32 * 0.21 - 1.6)
+            .collect();
         if let Some(m) = row_max_force(&xs) {
             assert_eq!(m.to_bits(), row_max_scalar(&xs).to_bits());
         }

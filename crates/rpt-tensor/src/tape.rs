@@ -165,7 +165,11 @@ impl Tape {
             let thin: *mut F = self.arena.alloc(grad_fn);
             let wide: *mut dyn Fn(&Tensor) -> Vec<Tensor> = thin;
             // SAFETY: the arena never hands out null pointers.
-            self.push(value, parents, Some(unsafe { NonNull::new_unchecked(wide) }))
+            self.push(
+                value,
+                parents,
+                Some(unsafe { NonNull::new_unchecked(wide) }),
+            )
         }
     }
 
@@ -353,7 +357,12 @@ impl Tape {
     /// Selects one time step: `[b,t,d] -> [b,d]`.
     pub fn select_time(&self, a: Var, t_index: usize) -> Var {
         let av = self.value(a);
-        assert_eq!(av.ndim(), 3, "select_time expects [b,t,d], got {:?}", av.shape());
+        assert_eq!(
+            av.ndim(),
+            3,
+            "select_time expects [b,t,d], got {:?}",
+            av.shape()
+        );
         let (b, t, d) = (av.shape()[0], av.shape()[1], av.shape()[2]);
         assert!(t_index < t, "select_time index {t_index} out of {t}");
         let mut out = Vec::with_capacity(b * d);
@@ -463,15 +472,22 @@ impl Tape {
     /// `[b, t, h*dh] -> [b*h, t, dh]` (a pure index permutation).
     pub fn split_heads(&self, a: Var, h: usize) -> Var {
         let av = self.value(a);
-        assert_eq!(av.ndim(), 3, "split_heads expects [b,t,d], got {:?}", av.shape());
+        assert_eq!(
+            av.ndim(),
+            3,
+            "split_heads expects [b,t,d], got {:?}",
+            av.shape()
+        );
         let (b, t, d) = (av.shape()[0], av.shape()[1], av.shape()[2]);
         assert_eq!(d % h, 0, "model dim {d} not divisible by heads {h}");
         let dh = d / h;
         let out = split_heads_data(av.data(), b, t, h, dh);
         let out_t = Tensor::from_vec(out, &[b * h, t, dh]).expect("split_heads shape");
         let grad_fn = move |g: &Tensor| {
-            vec![Tensor::from_vec(merge_heads_data(g.data(), b, t, h, dh), &[b, t, h * dh])
-                .expect("split_heads grad shape")]
+            vec![
+                Tensor::from_vec(merge_heads_data(g.data(), b, t, h, dh), &[b, t, h * dh])
+                    .expect("split_heads grad shape"),
+            ]
         };
         self.push_op(out_t, &[a.id], grad_fn)
     }
@@ -479,15 +495,22 @@ impl Tape {
     /// Inverse of [`Tape::split_heads`]: `[b*h, t, dh] -> [b, t, h*dh]`.
     pub fn merge_heads(&self, a: Var, h: usize) -> Var {
         let av = self.value(a);
-        assert_eq!(av.ndim(), 3, "merge_heads expects [b*h,t,dh], got {:?}", av.shape());
+        assert_eq!(
+            av.ndim(),
+            3,
+            "merge_heads expects [b*h,t,dh], got {:?}",
+            av.shape()
+        );
         let (bh, t, dh) = (av.shape()[0], av.shape()[1], av.shape()[2]);
         assert_eq!(bh % h, 0, "batch*heads {bh} not divisible by heads {h}");
         let b = bh / h;
         let out = merge_heads_data(av.data(), b, t, h, dh);
         let out_t = Tensor::from_vec(out, &[b, t, h * dh]).expect("merge_heads shape");
         let grad_fn = move |g: &Tensor| {
-            vec![Tensor::from_vec(split_heads_data(g.data(), b, t, h, dh), &[b * h, t, dh])
-                .expect("merge_heads grad shape")]
+            vec![
+                Tensor::from_vec(split_heads_data(g.data(), b, t, h, dh), &[b * h, t, dh])
+                    .expect("merge_heads grad shape"),
+            ]
         };
         self.push_op(out_t, &[a.id], grad_fn)
     }
@@ -522,7 +545,11 @@ impl Tape {
         let out = av.matmul_nt(&bv);
         // dA = G·B, dB = Gᵀ·A.
         let grad_fn = move |g: &Tensor| {
-            let ga = if g.ndim() == 2 { g.matmul2d(&bv) } else { g.bmm(&bv) };
+            let ga = if g.ndim() == 2 {
+                g.matmul2d(&bv)
+            } else {
+                g.bmm(&bv)
+            };
             vec![ga, g.matmul_tn(&av)]
         };
         self.push_op(out, &[a.id, b.id], grad_fn)
@@ -545,7 +572,11 @@ impl Tape {
                 .zip(out_c.data().chunks(last))
                 .enumerate()
             {
-                let dot: f32 = g_row.iter().zip(s_row.iter()).map(|(&gv, &sv)| gv * sv).sum();
+                let dot: f32 = g_row
+                    .iter()
+                    .zip(s_row.iter())
+                    .map(|(&gv, &sv)| gv * sv)
+                    .sum();
                 let dst = &mut ga[row_i * last..(row_i + 1) * last];
                 for ((o, &gv), &sv) in dst.iter_mut().zip(g_row.iter()).zip(s_row.iter()) {
                     *o = sv * (gv - dot);
@@ -572,8 +603,11 @@ impl Tape {
         let out_c = out_t.clone();
         let grad_fn = move |g: &Tensor| {
             let mut ga = vec![0.0f32; g.numel()];
-            for (row_i, (g_row, ls_row)) in
-                g.data().chunks(last).zip(out_c.data().chunks(last)).enumerate()
+            for (row_i, (g_row, ls_row)) in g
+                .data()
+                .chunks(last)
+                .zip(out_c.data().chunks(last))
+                .enumerate()
             {
                 let gsum: f32 = g_row.iter().sum();
                 let dst = &mut ga[row_i * last..(row_i + 1) * last];
@@ -664,7 +698,10 @@ impl Tape {
     /// Inverted dropout: zeroes each element with probability `p` and scales
     /// survivors by `1/(1-p)`. Pass `p = 0.0` (or use at inference) to no-op.
     pub fn dropout(&self, a: Var, p: f32, rng: &mut (impl Rng + ?Sized)) -> Var {
-        assert!((0.0..1.0).contains(&p), "dropout p must be in [0,1), got {p}");
+        assert!(
+            (0.0..1.0).contains(&p),
+            "dropout p must be in [0,1), got {p}"
+        );
         if p == 0.0 {
             return a;
         }
@@ -676,11 +713,21 @@ impl Tape {
         for m in &mut mask {
             *m = if *m < keep { scale } else { 0.0 };
         }
-        let out: Vec<f32> = av.data().iter().zip(mask.iter()).map(|(&x, &m)| x * m).collect();
+        let out: Vec<f32> = av
+            .data()
+            .iter()
+            .zip(mask.iter())
+            .map(|(&x, &m)| x * m)
+            .collect();
         let out_t = Tensor::from_vec(out, av.shape()).expect("dropout shape");
         let shape = av.shape().to_vec();
         let grad_fn = move |g: &Tensor| {
-            let ga: Vec<f32> = g.data().iter().zip(mask.iter()).map(|(&gv, &m)| gv * m).collect();
+            let ga: Vec<f32> = g
+                .data()
+                .iter()
+                .zip(mask.iter())
+                .map(|(&gv, &m)| gv * m)
+                .collect();
             vec![Tensor::from_vec(ga, &shape).expect("dropout grad shape")]
         };
         self.push_op(out_t, &[a.id], grad_fn)
@@ -726,17 +773,17 @@ impl Tape {
         assert_eq!(lv.ndim(), 2, "cross_entropy logits must be [n, vocab]");
         let (n, v) = (lv.shape()[0], lv.shape()[1]);
         assert_eq!(targets.len(), n, "cross_entropy targets length mismatch");
-        assert!((0.0..1.0).contains(&smoothing), "smoothing must be in [0,1)");
+        assert!(
+            (0.0..1.0).contains(&smoothing),
+            "smoothing must be in [0,1)"
+        );
 
         // Forward: mean over active rows of -log p[target] (with smoothing).
         let mut probs = lv.data().to_vec();
         for row in probs.chunks_mut(v) {
             softmax_row(row);
         }
-        let active: Vec<bool> = targets
-            .iter()
-            .map(|&t| ignore_index != Some(t))
-            .collect();
+        let active: Vec<bool> = targets.iter().map(|&t| ignore_index != Some(t)).collect();
         let count = active.iter().filter(|&&a| a).count().max(1);
         let mut loss = 0.0f32;
         for (row_i, &t) in targets.iter().enumerate() {
@@ -822,7 +869,9 @@ impl Tape {
         for id in (0..=loss.id).rev() {
             let node = &nodes[id];
             // A leaf keeps its gradient for the caller.
-            let Some(grad_fn) = node.grad_fn else { continue };
+            let Some(grad_fn) = node.grad_fn else {
+                continue;
+            };
             let Some(g) = grads[id].take() else { continue };
             // SAFETY: the closure lives in `self.arena`, which outlives
             // this borrow of `self` (see the `Tape` drop-order note).
@@ -941,19 +990,33 @@ fn broadcast_backward(
 ) -> (Option<Vec<f32>>, Vec<f32>) {
     let ga = (!lhs_grad_is_g).then(|| {
         if b.len() == a.len() {
-            g.iter().zip(a).zip(b).map(|((&gv, &x), &y)| gv * dfn(x, y).0).collect()
+            g.iter()
+                .zip(a)
+                .zip(b)
+                .map(|((&gv, &x), &y)| gv * dfn(x, y).0)
+                .collect()
         } else if let [y] = *b {
             g.iter().zip(a).map(|(&gv, &x)| gv * dfn(x, y).0).collect()
         } else {
             let mut ga = Vec::with_capacity(a.len());
             for (g_row, a_row) in g.chunks_exact(b.len()).zip(a.chunks_exact(b.len())) {
-                ga.extend(g_row.iter().zip(a_row).zip(b).map(|((&gv, &x), &y)| gv * dfn(x, y).0));
+                ga.extend(
+                    g_row
+                        .iter()
+                        .zip(a_row)
+                        .zip(b)
+                        .map(|((&gv, &x), &y)| gv * dfn(x, y).0),
+                );
             }
             ga
         }
     });
     let gb = if b.len() == a.len() {
-        g.iter().zip(a).zip(b).map(|((&gv, &x), &y)| 0.0 + gv * dfn(x, y).1).collect()
+        g.iter()
+            .zip(a)
+            .zip(b)
+            .map(|((&gv, &x), &y)| 0.0 + gv * dfn(x, y).1)
+            .collect()
     } else if let [y] = *b {
         let mut acc = 0.0f32;
         for (&gv, &x) in g.iter().zip(a) {
@@ -976,8 +1039,8 @@ fn broadcast_backward(
 mod tests {
     use super::*;
     use crate::gradcheck::max_grad_error;
-    use rpt_rng::SmallRng;
     use rpt_rng::SeedableRng;
+    use rpt_rng::SmallRng;
 
     fn t(data: &[f32], shape: &[usize]) -> Tensor {
         Tensor::from_vec(data.to_vec(), shape).unwrap()
@@ -1110,7 +1173,9 @@ mod tests {
         let expected = -(p.data()[2].ln() + p.data()[3].ln()) / 2.0;
         assert!((tape.value(loss).data()[0] - expected).abs() < 1e-5);
 
-        let err = max_grad_error(&logits, |tape, lv| tape.cross_entropy(lv, &targets, None, 0.0));
+        let err = max_grad_error(&logits, |tape, lv| {
+            tape.cross_entropy(lv, &targets, None, 0.0)
+        });
         assert!(err < 1e-2, "ce grad error {err}");
     }
 
@@ -1124,7 +1189,11 @@ mod tests {
         assert!(tape.value(loss).data()[0] < 0.01);
         let grads = tape.backward(loss);
         let gl = grads.get(l).unwrap();
-        assert_eq!(&gl.data()[2..], &[0.0, 0.0], "ignored row must get zero grad");
+        assert_eq!(
+            &gl.data()[2..],
+            &[0.0, 0.0],
+            "ignored row must get zero grad"
+        );
     }
 
     #[test]
@@ -1144,13 +1213,19 @@ mod tests {
         let e = tape.embedding(w, &[1, 1, 2]);
         let loss = tape.sum_all(e);
         let grads = tape.backward(loss);
-        assert_eq!(grads.get(w).unwrap().data(), &[0.0, 0.0, 2.0, 2.0, 1.0, 1.0]);
+        assert_eq!(
+            grads.get(w).unwrap().data(),
+            &[0.0, 0.0, 2.0, 2.0, 1.0, 1.0]
+        );
     }
 
     #[test]
     fn select_time_routes_gradient_to_one_step() {
         let tape = Tape::new();
-        let x = tape.leaf(t(&(0..12).map(|v| v as f32).collect::<Vec<_>>(), &[2, 3, 2]));
+        let x = tape.leaf(t(
+            &(0..12).map(|v| v as f32).collect::<Vec<_>>(),
+            &[2, 3, 2],
+        ));
         let y = tape.select_time(x, 1);
         assert_eq!(tape.value(y).data(), &[2.0, 3.0, 8.0, 9.0]);
         let loss = tape.sum_all(y);
@@ -1232,7 +1307,10 @@ mod tests {
         let sv = tape.value(s);
         assert_eq!(&sv.data()[..6], &[0.0, 1.0, 4.0, 5.0, 8.0, 9.0]);
         // grads flow back as the inverse permutation (identity overall)
-        let probe = t(&(0..24).map(|v| v as f32 * 0.1 - 1.2).collect::<Vec<_>>(), &[2, 3, 4]);
+        let probe = t(
+            &(0..24).map(|v| v as f32 * 0.1 - 1.2).collect::<Vec<_>>(),
+            &[2, 3, 4],
+        );
         let err = max_grad_error(&probe, |tape, xv| {
             let s = tape.split_heads(xv, 2);
             let m = tape.merge_heads(s, 2);
@@ -1317,11 +1395,7 @@ mod tests {
     #[test]
     fn tanh_sigmoid_relu_gradcheck() {
         let x = t(&[-1.5, -0.2, 0.4, 1.7], &[4]);
-        for (name, f) in [
-            ("tanh", 0usize),
-            ("sigmoid", 1usize),
-            ("relu", 2usize),
-        ] {
+        for (name, f) in [("tanh", 0usize), ("sigmoid", 1usize), ("relu", 2usize)] {
             let err = max_grad_error(&x, |tape, xv| {
                 let y = match f {
                     0 => tape.tanh(xv),

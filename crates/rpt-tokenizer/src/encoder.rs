@@ -182,7 +182,11 @@ impl TupleEncoder {
         let mut cols = Vec::new();
         let mut value_spans = Vec::new();
         for c in 0..schema.arity() {
-            let col_id = if self.opts.column_ids { c + 1 } else { COL_NONE };
+            let col_id = if self.opts.column_ids {
+                c + 1
+            } else {
+                COL_NONE
+            };
             let value = tuple.get(c);
             if value.is_null() {
                 continue;
@@ -508,11 +512,7 @@ mod tests {
     #[test]
     fn oov_tokens_become_unk() {
         let (enc, schema, _) = setup();
-        let tuple = Tuple::new(vec![
-            Value::text("zzzunknown"),
-            Value::Null,
-            Value::Null,
-        ]);
+        let tuple = Tuple::new(vec![Value::text("zzzunknown"), Value::Null, Value::Null]);
         let e = enc.encode_tuple(&schema, &tuple);
         assert!(e.ids.contains(&UNK));
     }

@@ -203,8 +203,7 @@ impl Vocab {
     /// Loads a vocabulary from a file written by [`Vocab::save_file`].
     pub fn load_file(path: impl AsRef<std::path::Path>) -> std::io::Result<Vocab> {
         let text = std::fs::read_to_string(path)?;
-        Vocab::from_json(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+        Vocab::from_json(&text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
     /// Decodes ids back to a space-joined string, skipping special tokens.

@@ -13,8 +13,6 @@
 //! Also demonstrates FD-aware masking: the table is profiled first and the
 //! discovered approximate FDs are printed.
 
-use rpt_rng::SmallRng;
-use rpt_rng::SeedableRng;
 use rpt::core::cleaning::{CleaningConfig, Filler, MaskPolicy, RptC};
 use rpt::core::train::TrainOpts;
 use rpt::core::vocabulary::build_vocab;
@@ -22,6 +20,8 @@ use rpt::datagen::{inject_errors, standard_benchmarks, ErrorSpec};
 use rpt::nn::metrics::{token_f1, Mean};
 use rpt::table::TableProfile;
 use rpt::tokenizer::normalize;
+use rpt_rng::SeedableRng;
+use rpt_rng::SmallRng;
 
 fn main() {
     let mut rng = SmallRng::seed_from_u64(11);
@@ -77,7 +77,11 @@ fn main() {
         },
         &mut rng,
     );
-    println!("\ninjected {} missing values into {} cells", log.len(), clean.len() * clean.schema().arity());
+    println!(
+        "\ninjected {} missing values into {} cells",
+        log.len(),
+        clean.len() * clean.schema().arity()
+    );
 
     let mut exact = Mean::default();
     let mut f1 = Mean::default();

@@ -9,13 +9,13 @@
 //! (with conflict detection) → consolidated golden records, plus the
 //! PET-style few-shot task interpretation of §3.
 
-use rpt_rng::SmallRng;
-use rpt_rng::SeedableRng;
 use rpt::core::er::{infer_match_patterns, Blocker, ErPipeline, Matcher, MatcherConfig};
 use rpt::core::train::TrainOpts;
 use rpt::core::vocabulary::build_vocab;
 use rpt::datagen::standard_benchmarks;
 use rpt::table::Tuple;
+use rpt_rng::SeedableRng;
+use rpt_rng::SmallRng;
 
 fn main() {
     let mut rng = SmallRng::seed_from_u64(23);
@@ -28,7 +28,10 @@ fn main() {
     let target = &benches[2]; // walmart-amazon-like
 
     // --- train the matcher on the other four benchmarks -----------------
-    println!("training matcher collaboratively (target: {}) ...", target.name);
+    println!(
+        "training matcher collaboratively (target: {}) ...",
+        target.name
+    );
     let mut matcher = Matcher::new(
         vocab,
         MatcherConfig {
@@ -96,11 +99,18 @@ fn main() {
             } else {
                 target.table_b.row(n - na)
             };
-            println!("    {:?}", t.values().iter().map(|v| v.render()).collect::<Vec<_>>());
+            println!(
+                "    {:?}",
+                t.values().iter().map(|v| v.render()).collect::<Vec<_>>()
+            );
         }
         println!(
             "  → golden: {:?}",
-            golden.values().iter().map(|v| v.render()).collect::<Vec<_>>()
+            golden
+                .values()
+                .iter()
+                .map(|v| v.render())
+                .collect::<Vec<_>>()
         );
     }
 

@@ -8,14 +8,14 @@
 //! examples (`s₁`); the system interprets the task ("what is the memory
 //! size"), then performs it on new text-rich tuples (`t₁`).
 
-use rpt_rng::SmallRng;
-use rpt_rng::SeedableRng;
 use rpt::core::ie::{infer_attribute, question_for, IeConfig, RptI};
 use rpt::core::train::TrainOpts;
 use rpt::core::vocabulary::build_vocab;
 use rpt::datagen::benchmarks::ie_tasks;
 use rpt::datagen::{Universe, UniverseConfig};
 use rpt::tokenizer::normalize;
+use rpt_rng::SeedableRng;
+use rpt_rng::SmallRng;
 
 fn main() {
     let mut rng = SmallRng::seed_from_u64(31);

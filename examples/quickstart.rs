@@ -9,8 +9,6 @@
 //! and scores a candidate pair, and runs RPT-I span extraction with a
 //! question inferred from a single example.
 
-use rpt_rng::SmallRng;
-use rpt_rng::SeedableRng;
 use rpt::core::cleaning::{CleaningConfig, Filler, MaskPolicy, RptC};
 use rpt::core::er::{Matcher, MatcherConfig};
 use rpt::core::ie::{infer_attribute, question_for, IeConfig, RptI};
@@ -18,6 +16,8 @@ use rpt::core::train::TrainOpts;
 use rpt::core::vocabulary::build_vocab;
 use rpt::datagen::benchmarks::ie_tasks;
 use rpt::datagen::standard_benchmarks;
+use rpt_rng::SeedableRng;
+use rpt_rng::SmallRng;
 
 fn main() {
     let mut rng = SmallRng::seed_from_u64(7);
@@ -27,7 +27,11 @@ fn main() {
         .flat_map(|b| [&b.table_a, &b.table_b])
         .collect();
     let vocab = build_vocab(&tables, &[], 1, 5000);
-    println!("universe: {} entities | vocab: {} tokens\n", universe.len(), vocab.len());
+    println!(
+        "universe: {} entities | vocab: {} tokens\n",
+        universe.len(),
+        vocab.len()
+    );
 
     // ---- RPT-C: denoising pretraining + fill -------------------------
     println!("[RPT-C] pretraining on tuples (attribute-value masking)...");
@@ -107,7 +111,10 @@ fn main() {
         .unwrap_or(&test[0]);
     let question = question_for(attr.unwrap_or(target.attr));
     let answer = rpti.extract(&question, &target.description);
-    println!("  example label {:?} → inferred question {:?}", example.answer, question);
+    println!(
+        "  example label {:?} → inferred question {:?}",
+        example.answer, question
+    );
     println!("  context: {:?}", target.description);
     println!("  extracted {:?} (gold {:?})", answer, target.answer);
 }

@@ -2,14 +2,14 @@
 //! get byte-identical predictions — the "plug and play tool" property of
 //! §2.2 research opportunity O3.
 
-use rpt_rng::SmallRng;
-use rpt_rng::SeedableRng;
 use rpt::core::cleaning::{CleaningConfig, Filler, RptC};
 use rpt::core::train::TrainOpts;
 use rpt::core::vocabulary::build_vocab;
 use rpt::datagen::standard_benchmarks;
 use rpt::table::Table;
 use rpt::tensor::serialize::{load_file, load_json, save_file, to_json};
+use rpt_rng::SeedableRng;
+use rpt_rng::SmallRng;
 
 #[test]
 fn trained_rpt_c_roundtrips_through_json() {

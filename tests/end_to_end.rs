@@ -1,8 +1,6 @@
 //! Cross-crate integration tests: miniature versions of the paper's three
 //! experiments, checking the *shape* of each result end-to-end.
 
-use rpt_rng::SmallRng;
-use rpt_rng::SeedableRng;
 use rpt::baselines::{BartText, JaccardMatcher, PairScorer, ZeroEr};
 use rpt::core::cleaning::{evaluate_fill, CleaningConfig, MaskPolicy, RptC};
 use rpt::core::er::{Blocker, ErPipeline, Matcher, MatcherConfig};
@@ -13,6 +11,8 @@ use rpt::datagen::benchmarks::ie_tasks;
 use rpt::datagen::{standard_benchmarks, text_corpus};
 use rpt::nn::metrics::BinaryConfusion;
 use rpt::table::Table;
+use rpt_rng::SeedableRng;
+use rpt_rng::SmallRng;
 
 fn tiny_train(steps: usize) -> TrainOpts {
     TrainOpts {
@@ -99,7 +99,10 @@ fn rpt_e_beats_zeroer_on_held_out_benchmark() {
     let target = &benches[0];
     let blocker = Blocker::default();
     let candidates = blocker.candidates(&target.table_a, &target.table_b);
-    let labels: Vec<bool> = candidates.iter().map(|&(i, j)| target.is_match(i, j)).collect();
+    let labels: Vec<bool> = candidates
+        .iter()
+        .map(|&(i, j)| target.is_match(i, j))
+        .collect();
 
     // best-threshold F1 for both (isolates representation quality from
     // calibration, which fig5/table2 handle separately)
@@ -199,7 +202,10 @@ fn rpt_i_extracts_and_interprets() {
             }
         }
     }
-    assert!(correct >= total - 1, "task interpretation: {correct}/{total}");
+    assert!(
+        correct >= total - 1,
+        "task interpretation: {correct}/{total}"
+    );
 }
 
 /// The jaccard sanity floor is not above a trained matcher's best
@@ -230,7 +236,10 @@ fn trained_matcher_not_dominated_by_jaccard_floor() {
     let target = &benches[0];
     let blocker = Blocker::default();
     let candidates = blocker.candidates(&target.table_a, &target.table_b);
-    let labels: Vec<bool> = candidates.iter().map(|&(i, j)| target.is_match(i, j)).collect();
+    let labels: Vec<bool> = candidates
+        .iter()
+        .map(|&(i, j)| target.is_match(i, j))
+        .collect();
     let best_f1 = |scores: &[f32]| -> f64 {
         let mut best: f64 = 0.0;
         for step in 1..40 {

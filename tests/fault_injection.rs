@@ -114,7 +114,10 @@ fn faulted_first_save_leaves_nothing_behind() {
         let mut io = FaultyIo::new(fault);
         save_train_file_with(&mut io, &store, &state, &path).unwrap_err();
         assert!(!path.exists(), "{fault:?} left a file at the destination");
-        assert!(!staging_path(&path).exists(), "{fault:?} left a staging file");
+        assert!(
+            !staging_path(&path).exists(),
+            "{fault:?} left a staging file"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -33,7 +33,10 @@ fn probe_loss(tape: &Tape, v: Var, seed: u64) -> Var {
 #[track_caller]
 fn check(name: &str, tol: f32, input: &Tensor, f: impl Fn(&Tape, Var) -> Var) {
     let err = max_grad_error(input, f);
-    assert!(err < tol, "{name}: grad error {err} exceeds tolerance {tol}");
+    assert!(
+        err < tol,
+        "{name}: grad error {err} exceeds tolerance {tol}"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -57,7 +60,9 @@ fn elementwise_ops() {
         probe_loss(t, t.mul(xv, yv), 12)
     });
     check("neg", 5e-3, &x, |t, xv| probe_loss(t, t.neg(xv), 13));
-    check("scale", 5e-3, &x, |t, xv| probe_loss(t, t.scale(xv, 0.37), 14));
+    check("scale", 5e-3, &x, |t, xv| {
+        probe_loss(t, t.scale(xv, 0.37), 14)
+    });
     check("add_scalar", 5e-3, &x, |t, xv| {
         probe_loss(t, t.add_scalar(xv, -0.8), 15)
     });
@@ -88,7 +93,9 @@ fn activation_ops() {
     let x = randt(&[5, 7], 5);
     check("gelu", 1e-2, &x, |t, xv| probe_loss(t, t.gelu(xv), 20));
     check("tanh", 1e-2, &x, |t, xv| probe_loss(t, t.tanh(xv), 21));
-    check("sigmoid", 1e-2, &x, |t, xv| probe_loss(t, t.sigmoid(xv), 22));
+    check("sigmoid", 1e-2, &x, |t, xv| {
+        probe_loss(t, t.sigmoid(xv), 22)
+    });
     // relu is non-differentiable at 0; random inputs stay clear of it
     check("relu", 1e-2, &x, |t, xv| probe_loss(t, t.relu(xv), 23));
 }
@@ -210,9 +217,24 @@ fn select_and_pool_ops() {
     // with a single valid step
     let w = Tensor::from_vec(
         vec![
-            1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0, //
-            0.25, 0.25, 0.25, 0.25, 0.0, 0.0, //
-            1.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+            1.0 / 6.0,
+            1.0 / 6.0,
+            1.0 / 6.0,
+            1.0 / 6.0,
+            1.0 / 6.0,
+            1.0 / 6.0, //
+            0.25,
+            0.25,
+            0.25,
+            0.25,
+            0.0,
+            0.0, //
+            1.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
         ],
         &[3, 6],
     )

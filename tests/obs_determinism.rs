@@ -100,7 +100,12 @@ fn instrumented_run_is_byte_identical_to_dark_run() {
     let snap = fs::read_to_string(&snapshot_path).unwrap();
     let json = rpt_json::Json::parse(&snap).expect("snapshot must be valid JSON");
     let text = json.to_string();
-    for name in ["train.steps", "train.step_ms", "par.sections", "ckpt.save_ms"] {
+    for name in [
+        "train.steps",
+        "train.step_ms",
+        "par.sections",
+        "ckpt.save_ms",
+    ] {
         assert!(text.contains(name), "snapshot is missing {name}: {text}");
     }
     let log = fs::read_to_string(&log_path).unwrap();

@@ -73,12 +73,7 @@ fn checkpoint_is_bit_identical_across_thread_counts() {
     let cfg = equivalence_config();
 
     let template = RptC::new(vocab.clone(), cfg.clone());
-    let batches = batch_schedule(
-        &template,
-        &tables,
-        cfg.train.steps,
-        cfg.train.batch_size,
-    );
+    let batches = batch_schedule(&template, &tables, cfg.train.steps, cfg.train.batch_size);
 
     let run = |threads: usize| -> (String, Vec<u32>) {
         let pool = ThreadPool::new(threads);
@@ -98,10 +93,7 @@ fn checkpoint_is_bit_identical_across_thread_counts() {
     assert_eq!(losses1.len(), cfg.train.steps);
     for threads in [2usize, 4] {
         let (ckpt, losses) = run(threads);
-        assert_eq!(
-            losses, losses1,
-            "loss curve diverged at {threads} threads"
-        );
+        assert_eq!(losses, losses1, "loss curve diverged at {threads} threads");
         assert_eq!(
             ckpt, ckpt1,
             "final checkpoint bytes diverged at {threads} threads"
@@ -171,7 +163,13 @@ fn single_shard_data_parallel_reproduces_serial_trainer() {
                 |tape, params, shard| {
                     let mut rng = SmallRng::seed_from_u64(shard.seed);
                     let mut ctx = Ctx::new(tape, params, &mut rng, true);
-                    model.reconstruction_loss(&mut ctx, &shard.src, &shard.tgt_in, &shard.tgt_out, pad)
+                    model.reconstruction_loss(
+                        &mut ctx,
+                        &shard.src,
+                        &shard.tgt_in,
+                        &shard.tgt_out,
+                        pad,
+                    )
                 },
             );
         }

@@ -24,9 +24,7 @@ fn arb_string(rng: &mut SmallRng, alphabet: &[char], max_len: usize) -> String {
 }
 
 fn arb_value(rng: &mut SmallRng) -> Value {
-    const ALPHABET: &[char] = &[
-        'a', 'b', 'c', 'x', 'y', 'z', '0', '1', '5', '9', ' ', '.',
-    ];
+    const ALPHABET: &[char] = &['a', 'b', 'c', 'x', 'y', 'z', '0', '1', '5', '9', ' ', '.'];
     match rng.gen_range(0..4u32) {
         0 => Value::Null,
         1 => Value::parse(&arb_string(rng, ALPHABET, 12)),
@@ -240,8 +238,8 @@ fn attr_value_marker_invariants() {
 fn normalize_idempotent() {
     // printable-ish alphabet: letters, digits, punctuation, unicode
     const ALPHABET: &[char] = &[
-        'a', 'Z', 'q', '3', '7', '.', ',', '-', '$', '(', ')', '!', ' ', '\t',
-        'é', 'ß', '中', '😀', '"', '\'', '/', ':', '+', '_', '[', ']', '%',
+        'a', 'Z', 'q', '3', '7', '.', ',', '-', '$', '(', ')', '!', ' ', '\t', 'é', 'ß', '中',
+        '😀', '"', '\'', '/', ':', '+', '_', '[', ']', '%',
     ];
     let mut rng = SmallRng::seed_from_u64(0x1DE1);
     for case in 0..256 {
@@ -395,7 +393,9 @@ fn params_only_checkpoint_resumes_with_fresh_optimizer() {
     for case in 0..16 {
         let len = rng.gen_range(1..5usize);
         let mut store = ParamStore::new();
-        let data: Vec<f32> = (0..len).map(|_| rng.gen_range(-2.0..2.0f64) as f32).collect();
+        let data: Vec<f32> = (0..len)
+            .map(|_| rng.gen_range(-2.0..2.0f64) as f32)
+            .collect();
         store.register("w", Tensor::from_vec(data.clone(), &[len]).unwrap());
         let v1 = to_json(&store); // format_version 1, no "train" object
 
@@ -495,11 +495,18 @@ fn shard_boundaries_preserve_tuple_integrity_at_random_sizes() {
         let shard_size = [1, n, n + 3, rng.gen_range(1..=n)][case % 4];
         let shards = corpus::split_shards(examples.clone(), shard_size);
         let flat: Vec<EncodedExample> = shards.iter().flatten().cloned().collect();
-        assert_eq!(flat, examples, "case {case}: split lost or reordered tuples");
+        assert_eq!(
+            flat, examples,
+            "case {case}: split lost or reordered tuples"
+        );
         for (i, s) in shards.iter().enumerate() {
             assert!(!s.is_empty(), "case {case}: empty shard {i}");
             if i + 1 < shards.len() {
-                assert_eq!(s.len(), shard_size, "case {case}: interior shard {i} ragged");
+                assert_eq!(
+                    s.len(),
+                    shard_size,
+                    "case {case}: interior shard {i} ragged"
+                );
             } else {
                 assert!(s.len() <= shard_size, "case {case}: final shard overflows");
             }

@@ -17,9 +17,7 @@ use rpt::nn::{
     build_quant_set, greedy_decode, JobOutput, JobSpec, MicroBatcher, Seq2Seq, Sequence,
     TokenBatch, TransformerConfig,
 };
-use rpt::tensor::quant::{
-    qdot_force, qdot_scalar, quantize_activation_row, QuantMatrix,
-};
+use rpt::tensor::quant::{qdot_force, qdot_scalar, quantize_activation_row, QuantMatrix};
 use rpt::tensor::{simd, ParamStore};
 use rpt_rng::{Rng, SeedableRng, SmallRng};
 
@@ -70,9 +68,7 @@ fn qmatmul_simd_and_scalar_are_bit_identical_on_random_shapes() {
             .map(|_| (rng.gen::<f32>() - 0.5) * 4.0)
             .collect();
         let qm = QuantMatrix::quantize_rows(&w, n_out, k);
-        let x: Vec<f32> = (0..m * k)
-            .map(|_| (rng.gen::<f32>() - 0.5) * 8.0)
-            .collect();
+        let x: Vec<f32> = (0..m * k).map(|_| (rng.gen::<f32>() - 0.5) * 8.0).collect();
         let scalar = qm.matmul_f32_with(&x, m, false);
         let vector = qm.matmul_f32_with(&x, m, true);
         assert_eq!(
@@ -146,7 +142,10 @@ fn quantized_fused_batch_matches_single_request_decode() {
             let JobOutput::Greedy { tokens } = out else {
                 panic!("greedy job returned a non-greedy output");
             };
-            assert_eq!(tokens, single, "fused job {id} diverged from single-request");
+            assert_eq!(
+                tokens, single,
+                "fused job {id} diverged from single-request"
+            );
             done += 1;
         }
     }

@@ -114,8 +114,7 @@ fn run_killed_and_resumed(c: &Corpus, threads: usize, k: usize, tag: &str) -> (V
     // the checkpoint alone must reconstruct the run: params load into a
     // fresh store without reference to the dead process
     let mut probe = ParamStore::new();
-    let probe_state =
-        rpt::tensor::serialize::load_train_file(&mut probe, &state_path).unwrap();
+    let probe_state = rpt::tensor::serialize::load_train_file(&mut probe, &state_path).unwrap();
     assert_eq!(probe_state.steps_done, k as u64);
 
     let mut resumed = RptC::new(c.vocab.clone(), equivalence_config());
@@ -228,7 +227,8 @@ fn kill_inside_accumulation_window_resumes_across_thread_counts() {
     let refs: Vec<&Table> = c.tables.iter().collect();
     let encoder = TupleEncoder::new(c.vocab.clone(), Default::default());
     let shards = corpus::split_shards(corpus::encode_tables(&encoder, &refs), 7);
-    let source = || -> Box<dyn ShardSource> { Box::new(InMemoryCorpus::new(shards.clone(), &c.vocab)) };
+    let source =
+        || -> Box<dyn ShardSource> { Box::new(InMemoryCorpus::new(shards.clone(), &c.vocab)) };
     let opts = StreamOpts {
         accum_steps: ACCUM,
         prefetch: true,

@@ -133,7 +133,12 @@ fn matmul_never_schedules_more_chunks_than_hardware_threads() {
     for threads in [1usize, 2, 4, 8] {
         let pool = ThreadPool::new(threads);
         let width = pool.dispatch_width().min(hw);
-        for (m, k, n) in [(1, 64, 2000), (256, 64, 2000), (64, 64, 64), (4096, 128, 512)] {
+        for (m, k, n) in [
+            (1, 64, 2000),
+            (256, 64, 2000),
+            (64, 64, 64),
+            (4096, 128, 512),
+        ] {
             let chunks = matmul_chunk_count(m, k, n, width);
             assert!(
                 chunks <= hw,
@@ -155,7 +160,10 @@ fn chunk_cost_model_keeps_small_products_serial() {
     // least the cost-model minimum of work.
     let (m, k, n) = (4096, 128, 512);
     let chunks = matmul_chunk_count(m, k, n, 8);
-    assert!(chunks > 1, "large products should parallelize on wide pools");
+    assert!(
+        chunks > 1,
+        "large products should parallelize on wide pools"
+    );
     let madds_per_chunk = m.div_ceil(chunks) * k * n;
     assert!(madds_per_chunk >= rpt::tensor::PAR_MIN_MADDS_PER_CHUNK);
 }

@@ -248,15 +248,7 @@ fn kill_inside_shard_and_inside_window_resumes_identically() {
     // pending (4), inside a later window (11) — each lands mid-shard
     // somewhere in the 7-tuple shards.
     for m in [1u64, 4, 11] {
-        let got = run_killed_and_resumed(
-            &f,
-            1,
-            1,
-            accum,
-            m,
-            stream_config(),
-            &format!("k-m{m}"),
-        );
+        let got = run_killed_and_resumed(&f, 1, 1, accum, m, stream_config(), &format!("k-m{m}"));
         assert_eq!(
             got.1, reference.1,
             "loss curve diverged after kill at micro-step {m}"
@@ -282,5 +274,8 @@ fn kill_single_thread_resume_four_threads_mid_window() {
     let reference = run(&f, disk(&f), 1, &straight, stream_config(), "h-straight");
     let got = run_killed_and_resumed(&f, 1, 4, 2, 5, stream_config(), "h-cross");
     assert_eq!(got.1, reference.1, "loss curve diverged in hetero resume");
-    assert_eq!(got.0, reference.0, "checkpoint bytes diverged in hetero resume");
+    assert_eq!(
+        got.0, reference.0,
+        "checkpoint bytes diverged in hetero resume"
+    );
 }

@@ -68,7 +68,10 @@ fn fixture(tag: &str) -> Fixture {
     let vocab = build_vocab(&refs, &[], 1, 4000);
     let encoder = TupleEncoder::new(vocab.clone(), Default::default());
     let shards = corpus::split_shards(corpus::encode_tables(&encoder, &refs), SHARD_SIZE);
-    assert!(shards.len() >= 3, "need several shards to fault the middle one");
+    assert!(
+        shards.len() >= 3,
+        "need several shards to fault the middle one"
+    );
     let corpus_dir = fresh_dir(&format!("corpus-{tag}"));
     corpus::write_corpus(&corpus_dir, &shards, &vocab).unwrap();
     Fixture {
