@@ -167,15 +167,26 @@ pub fn forced_score(
     (total_logprob, per_token)
 }
 
-/// The top-`width` next tokens of one log-prob row, best first (stable in
-/// token order on ties — the exact ordering the reference path produces).
+/// The top-`width` next tokens of one log-prob row, best first: score
+/// descending by `total_cmp`, ties in ascending token order — exactly the
+/// first `width` entries of a stable descending sort of the whole row.
+/// A bounded insertion selection, `O(V · width)`: a token enters the
+/// kept prefix only if it beats the current last entry strictly, and
+/// lands after every kept entry it does not beat.
 pub(crate) fn top_candidates(lp: &[f32], width: usize) -> Vec<(usize, f32)> {
-    let mut idx: Vec<usize> = (0..lp.len()).collect();
-    idx.sort_by(|&a, &b| lp[b].total_cmp(&lp[a]));
-    idx.into_iter()
-        .take(width)
-        .map(|tok| (tok, lp[tok]))
-        .collect()
+    let mut top: Vec<(usize, f32)> = Vec::with_capacity(width.min(lp.len()) + 1);
+    if width == 0 {
+        return top;
+    }
+    for (tok, &x) in lp.iter().enumerate() {
+        if top.len() == width && x.total_cmp(&top[width - 1].1).is_le() {
+            continue;
+        }
+        let at = top.partition_point(|&(_, y)| y.total_cmp(&x).is_ge());
+        top.insert(at, (tok, x));
+        top.truncate(width);
+    }
+    top
 }
 
 /// Next-token log-probabilities for the reference path: rebuilds the full
@@ -377,6 +388,56 @@ pub(crate) mod tests {
             opt.step(&mut params, &pg);
         }
         (model, params)
+    }
+
+    /// The selection `top_candidates` replaced: a stable descending sort
+    /// of every token id, truncated to `width`.
+    fn top_candidates_by_sort(lp: &[f32], width: usize) -> Vec<(usize, f32)> {
+        let mut idx: Vec<usize> = (0..lp.len()).collect();
+        idx.sort_by(|&a, &b| lp[b].total_cmp(&lp[a]));
+        idx.into_iter()
+            .take(width)
+            .map(|tok| (tok, lp[tok]))
+            .collect()
+    }
+
+    #[test]
+    fn top_candidates_match_stable_sort() {
+        use rpt_rng::Rng;
+        let mut rng = SmallRng::seed_from_u64(17);
+        // A small value pool forces ties; signed zeros and infinities
+        // exercise `total_cmp`'s order (-0.0 sorts below +0.0).
+        let pool = [
+            -0.0f32,
+            0.0,
+            -1.5,
+            -1.5,
+            -0.25,
+            f32::NEG_INFINITY,
+            f32::INFINITY,
+            -7.0,
+        ];
+        for case in 0..2000 {
+            let v = rng.gen_range(1..40usize);
+            let row: Vec<f32> = (0..v)
+                .map(|_| {
+                    if case % 2 == 0 {
+                        pool[rng.gen_range(0..pool.len())]
+                    } else {
+                        -rng.gen::<f32>() * 4.0
+                    }
+                })
+                .collect();
+            for width in [0, 1, 2, 4, v - 1, v, v + 3] {
+                let got = top_candidates(&row, width);
+                let want = top_candidates_by_sort(&row, width);
+                assert_eq!(got.len(), want.len(), "row {row:?} width {width}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.0, w.0, "token order: row {row:?} width {width}");
+                    assert_eq!(g.1.to_bits(), w.1.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

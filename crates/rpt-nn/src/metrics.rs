@@ -7,11 +7,18 @@
 /// final shift use the bit-identical SIMD kernels from `rpt-tensor`; the
 /// exp-sum stays scalar to preserve accumulation order (see DESIGN.md).
 pub fn log_softmax_row(row: &[f32]) -> Vec<f32> {
-    let max = rpt_tensor::simd::row_max(row);
-    let lse = max + row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln();
+    let lse = log_sum_exp(row);
     let mut out = row.to_vec();
     rpt_tensor::simd::shift_in_place(&mut out, lse);
     out
+}
+
+/// `logsumexp(row)`, the shift [`log_softmax_row`] subtracts: element `i`
+/// of the log-softmax is exactly `row[i] - log_sum_exp(row)`, so callers
+/// that need one entry or a running argmax skip the row copy.
+pub(crate) fn log_sum_exp(row: &[f32]) -> f32 {
+    let max = rpt_tensor::simd::row_max(row);
+    max + row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln()
 }
 
 /// Index of the maximum element; ties break toward the last occurrence

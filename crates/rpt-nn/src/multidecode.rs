@@ -13,8 +13,10 @@
 //! ## Cache-slot pooling
 //!
 //! Each admitted request owns a contiguous block of rows ("slot") in the
-//! fused per-layer KV caches (`[rows*h, t, dh]`). Admission encodes the
-//! request's source with [`Seq2Seq::begin_request`], zero-pads its
+//! fused per-layer KV caches (`[rows*h, t, dh]`). Admission takes the
+//! request's source encoded by [`Seq2Seq::begin_request`] (on the
+//! admitting thread in [`MicroBatcher::admit`], or ahead of time on any
+//! thread for [`MicroBatcher::admit_prefilled`]), zero-pads its
 //! cross-attention K/V from its own source length to the fused source
 //! width — the longest *live* source, grown on demand when a longer one
 //! arrives (masked with `NEG_INF`, so the padding is softmax-invisible) —
@@ -43,8 +45,8 @@ use rpt_tensor::{ParamStore, Tensor};
 
 use crate::batch::TokenBatch;
 use crate::decode::{finish, top_candidates, BeamConfig, Hypothesis};
-use crate::metrics::{argmax, log_softmax_row};
-use crate::seq2seq::Seq2Seq;
+use crate::metrics::{log_softmax_row, log_sum_exp};
+use crate::seq2seq::{Prefill, Seq2Seq};
 use crate::transformer::LayerKv;
 use crate::NEG_INF;
 
@@ -87,7 +89,8 @@ pub enum JobSpec {
 }
 
 impl JobSpec {
-    fn src(&self) -> &TokenBatch {
+    /// The job's source batch — what [`Seq2Seq::begin_request`] encodes.
+    pub fn src(&self) -> &TokenBatch {
         match self {
             JobSpec::Greedy { src, .. }
             | JobSpec::Beam { src, .. }
@@ -188,9 +191,17 @@ impl GreedyDriver {
         }
     }
 
-    fn consume(&mut self, lp_row: &[f32]) -> Post {
-        let lp = log_softmax_row(lp_row);
-        let next = argmax(&lp);
+    /// Takes the last-occurrence argmax of the log-softmax `x - lse`
+    /// without materializing the row: the same shifted values, compared
+    /// in the same order, as `argmax(&log_softmax_row(row))`.
+    fn consume(&mut self, row: &[f32]) -> Post {
+        let lse = log_sum_exp(row);
+        let (next, _) = row
+            .iter()
+            .map(|&x| x - lse)
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("non-empty vocabulary");
         self.steps += 1;
         if next == self.eos {
             return Post::Finish(JobOutput::Greedy {
@@ -237,11 +248,11 @@ impl ForcedDriver {
         }
     }
 
-    fn consume(&mut self, lp_row: &[f32]) -> Post {
-        let lp = log_softmax_row(lp_row);
+    fn consume(&mut self, row: &[f32]) -> Post {
         let goal = self.goals[self.scored];
-        self.per_token.push(lp[goal]);
-        self.total += lp[goal];
+        let lp = row[goal] - log_sum_exp(row);
+        self.per_token.push(lp);
+        self.total += lp;
         self.scored += 1;
         self.prefix.push(goal);
         if self.scored == self.goals.len() || self.prefix.len() >= self.max_len {
@@ -426,12 +437,25 @@ impl MicroBatcher {
         self.slots.is_empty()
     }
 
-    /// Admits a job: encodes its source ([`Seq2Seq::begin_request`]),
-    /// pads its cross K/V to the fused width, front-pads its self K/V to
-    /// the current fused decode length, and appends its rows to the pooled
-    /// caches. `id` tags the job's entry in [`Self::step`] results.
+    /// Admits a job: encodes its source ([`Seq2Seq::begin_request`]) and
+    /// splices the result in with [`Self::admit_prefilled`]. `id` tags the
+    /// job's entry in [`Self::step`] results.
     pub fn admit(&mut self, model: &Seq2Seq, params: &mut ParamStore, id: u64, spec: JobSpec) {
-        let (req_layers, cross_row) = model.begin_request(params, spec.src());
+        let prefill = model.begin_request(params, spec.src());
+        self.admit_prefilled(id, spec, prefill);
+    }
+
+    /// Admits a job whose source is already encoded: pads `prefill`'s
+    /// cross K/V to the fused width, front-pads its self K/V to the current
+    /// fused decode length, and appends its rows to the pooled caches.
+    /// `prefill` must be [`Seq2Seq::begin_request`] of `spec`'s source under
+    /// the parameter values this batcher decodes with; the encode may run on
+    /// any thread.
+    pub fn admit_prefilled(&mut self, id: u64, spec: JobSpec, prefill: Prefill) {
+        let Prefill {
+            layers: req_layers,
+            cross_row,
+        } = prefill;
         if cross_row.len() > self.t_src {
             self.grow_src(cross_row.len());
         }
@@ -928,6 +952,86 @@ mod tests {
                 }
                 other => panic!("expected forced output, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn prefill_encoded_on_other_threads_is_bit_identical() {
+        // The server's split: each source is encoded on its own thread
+        // against a private clone of the parameters, then spliced in with
+        // `admit_prefilled` — outputs must equal the encode-on-admit path.
+        let (model, mut params) = trained_copy_model();
+        let cfg = BeamConfig {
+            width: 3,
+            max_steps: 8,
+            len_penalty: 1.0,
+        };
+        let specs = vec![greedy(&[10, 9]), beam(&[9, 11], &cfg), greedy(&[11])];
+        let mut mb = MicroBatcher::new(&model, &mut params);
+        for (i, spec) in specs.iter().enumerate() {
+            mb.admit(&model, &mut params, i as u64, spec.clone());
+        }
+        let want = drain(&mut mb, &model, &mut params);
+
+        let prefills: Vec<Prefill> = std::thread::scope(|s| {
+            let handles: Vec<_> = specs
+                .iter()
+                .map(|spec| {
+                    let (model, mut params) = (&model, params.clone());
+                    s.spawn(move || model.begin_request(&mut params, spec.src()))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut mb = MicroBatcher::new(&model, &mut params);
+        for (i, (spec, prefill)) in specs.into_iter().zip(prefills).enumerate() {
+            mb.admit_prefilled(i as u64, spec, prefill);
+        }
+        let got = drain(&mut mb, &model, &mut params);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
+
+    #[test]
+    fn greedy_and_forced_consume_match_log_softmax_row() {
+        use crate::metrics::argmax;
+        use rpt_rng::{Rng, SeedableRng, SmallRng};
+        let mut rng = SmallRng::seed_from_u64(5);
+        for case in 0..500 {
+            let v = rng.gen_range(1..24usize);
+            // Coarse values on even cases force exact ties in the row.
+            let row: Vec<f32> = (0..v)
+                .map(|_| {
+                    if case % 2 == 0 {
+                        rng.gen_range(0..4usize) as f32 * 0.5
+                    } else {
+                        rng.gen::<f32>() * 8.0 - 4.0
+                    }
+                })
+                .collect();
+            let lp = log_softmax_row(&row);
+
+            let mut g = GreedyDriver {
+                prefix: vec![BOS],
+                eos: usize::MAX,
+                max_steps: 4,
+                steps: 0,
+                max_len: 8,
+            };
+            let _ = g.consume(&row);
+            assert_eq!(g.prefix[1], argmax(&lp), "greedy choice for {row:?}");
+
+            let goal = rng.gen_range(0..v);
+            let mut f = ForcedDriver {
+                prefix: vec![BOS],
+                goals: vec![goal, goal],
+                scored: 0,
+                total: 0.0,
+                per_token: Vec::new(),
+                max_len: 8,
+            };
+            let _ = f.consume(&row);
+            assert_eq!(f.per_token[0].to_bits(), lp[goal].to_bits());
+            assert_eq!(f.total.to_bits(), (0.0f32 + lp[goal]).to_bits());
         }
     }
 

@@ -84,6 +84,10 @@ impl TransformerConfig {
 /// The encoder-decoder model. Token embeddings are tied with the output
 /// projection (`logits = h · Eᵀ`), halving the parameter count — standard
 /// for BART-class models and important at this scale.
+///
+/// `Clone` copies parameter handles and the `Arc` of any attached int8
+/// set — never weights.
+#[derive(Clone)]
 pub struct Seq2Seq {
     cfg: TransformerConfig,
     tok_emb: Embedding,
@@ -267,27 +271,25 @@ impl Seq2Seq {
     /// decoders run through [`crate::MicroBatcher`]; this per-token API
     /// serves callers that drive or time single steps.
     pub fn begin_decode(&self, params: &mut ParamStore, src: &TokenBatch) -> IncrementalState {
-        let (layers, cross_mask_row) = self.begin_request(params, src);
-        let t_src = cross_mask_row.len();
+        let Prefill { layers, cross_row } = self.begin_request(params, src);
+        let t_src = cross_row.len();
         let h = self.cfg.n_heads;
         IncrementalState {
             layers,
             et: self.tied_projection(params),
-            cross_mask: Tensor::from_vec(cross_mask_row.repeat(h), &[h, 1, t_src])
+            cross_mask: Tensor::from_vec(cross_row.repeat(h), &[h, 1, t_src])
                 .expect("cross mask shape"),
             pos: 0,
         }
     }
 
-    /// Encodes one source (`src.b == 1`) and builds its per-layer KV caches
-    /// and additive cross-attention mask row (`0.0` for valid source keys,
-    /// `NEG_INF` for padding) — the per-request half of [`Self::begin_decode`],
-    /// which [`crate::MicroBatcher`] pools into its fused cache slots.
-    pub fn begin_request(
-        &self,
-        params: &mut ParamStore,
-        src: &TokenBatch,
-    ) -> (Vec<LayerKv>, Vec<f32>) {
+    /// Encodes one source (`src.b == 1`) into its [`Prefill`] — the
+    /// per-request half of [`Self::begin_decode`], which
+    /// [`crate::MicroBatcher`] pools into its fused cache slots. A pure
+    /// function of the parameter values and `src`: it only reads the
+    /// weights, so any thread holding its own [`ParamStore`] clone of the
+    /// same values computes the same bits.
+    pub fn begin_request(&self, params: &mut ParamStore, src: &TokenBatch) -> Prefill {
         assert_eq!(
             src.b, 1,
             "begin_request expects a single source, got b={}",
@@ -300,10 +302,10 @@ impl Seq2Seq {
         ctx.quant = self.quant.as_deref();
         let enc = self.encode(&mut ctx, src);
         let layers = self.decoder.begin_cache(&mut ctx, enc);
-        let cross_mask_row = (0..src.t)
+        let cross_row = (0..src.t)
             .map(|i| if src.valid[i] { 0.0 } else { NEG_INF })
             .collect();
-        (layers, cross_mask_row)
+        Prefill { layers, cross_row }
     }
 
     /// Materializes the tied output projection `Eᵀ` (`[d, vocab]`). Shared
@@ -393,6 +395,20 @@ impl Seq2Seq {
         let logits = ctx.tape.matmul(flat, et);
         ctx.tape.value(logits)
     }
+}
+
+/// One source's encoder output in the form the decoder consumes: the
+/// per-layer cross-attention K/V (self-attention caches still empty) and
+/// the additive cross-attention mask row (`0.0` for valid source keys,
+/// `NEG_INF` for padding). Produced by [`Seq2Seq::begin_request`] and
+/// spliced into the fused caches by [`crate::MicroBatcher::admit_prefilled`];
+/// it holds `n_dec_layers × 2 × t_src × d_model` floats.
+#[derive(Debug, Clone)]
+pub struct Prefill {
+    /// Per-decoder-layer caches, `[h, ·, dh]` (one row).
+    pub layers: Vec<LayerKv>,
+    /// Additive cross-attention mask row, one entry per source position.
+    pub cross_row: Vec<f32>,
 }
 
 /// State carried across width-1 incremental decode steps: per-layer KV

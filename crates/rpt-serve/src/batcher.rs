@@ -1,7 +1,18 @@
-//! The micro-batching loop: a bounded queue of decode jobs feeding one
-//! batcher thread that advances every admitted request through fused
-//! [`rpt_nn::MicroBatcher`] steps, with drain-then-swap checkpoint
+//! The micro-batching loop: a bounded queue of prefilled decode jobs
+//! feeding one batcher thread that advances every admitted request through
+//! fused [`rpt_nn::MicroBatcher`] steps, with drain-then-swap checkpoint
 //! hot-reload between batches.
+//!
+//! ## Prefill off the batcher
+//!
+//! Connection threads encode each request's source themselves
+//! ([`Prefiller`]) against the immutable [`Snapshot`] the batcher
+//! publishes at start and after every successful reload, so a queued
+//! [`Job`] already carries its cross-attention K/V and admission is only a
+//! splice into the fused caches. A job encoded under a generation that is
+//! no longer serving (a reload landed between encode and admit) is
+//! re-encoded on the batcher thread and counted in `serve.prefill_stale`:
+//! no request is ever answered by two checkpoints.
 //!
 //! ## Hot reload
 //!
@@ -13,15 +24,16 @@
 //! `load_file`, increments `serve.reload_errors`, and leaves the old
 //! parameters serving; the attempt is not retried until the stat changes
 //! again. On success the clone is swapped in, the tied projection is
-//! rebuilt, and `serve.model_generation` increments.
+//! rebuilt, the new [`Snapshot`] is published, and
+//! `serve.model_generation` increments.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime};
 
-use rpt_nn::{JobOutput, JobSpec, MicroBatcher, Seq2Seq};
+use rpt_nn::{JobOutput, JobSpec, MicroBatcher, Prefill, Seq2Seq, TokenBatch};
 use rpt_tensor::serialize::load_file;
 use rpt_tensor::ParamStore;
 
@@ -34,6 +46,10 @@ use crate::obs::SERVE_OBS;
 /// nobody.
 pub(crate) struct Job {
     pub spec: JobSpec,
+    /// The source's encoder output, computed on the connection thread.
+    pub prefill: Prefill,
+    /// The parameter generation `prefill` was computed under.
+    pub generation: u64,
     pub resp: SyncSender<(u64, JobOutput)>,
     pub cancel: Arc<AtomicBool>,
     /// Per-request trace identity; `None` when tracing is dark (the
@@ -44,7 +60,9 @@ pub(crate) struct Job {
 /// Stage durations shared back to the connection handler so the optional
 /// `X-Rpt-Trace` response header can summarize them (nanoseconds; 0 =
 /// stage not finished).
+#[derive(Default)]
 pub(crate) struct StageNs {
+    pub prefill: AtomicU64,
     pub queue_wait: AtomicU64,
     pub batch_wait: AtomicU64,
     pub decode: AtomicU64,
@@ -52,7 +70,7 @@ pub(crate) struct StageNs {
 
 /// The trace identity a request carries across the queue: span parents
 /// for the stage spans the batcher emits, plus the enqueue timestamp
-/// (`rpt_obs::now_ns`) where queue_wait starts.
+/// (`rpt_obs::now_ns`, taken when prefill ends) where queue_wait starts.
 pub(crate) struct JobTrace {
     pub trace_id: u64,
     pub root: u64,
@@ -76,18 +94,73 @@ struct PendingJob {
     trace: Option<PendingTrace>,
 }
 
+/// The serving model at one parameter generation, immutable once
+/// published. Connection threads encode against it; the batcher decodes
+/// with the same model and weights.
+pub(crate) struct Snapshot {
+    pub model: Seq2Seq,
+    pub params: ParamStore,
+    pub generation: u64,
+}
+
 /// State shared between connection handlers and the batcher thread.
 pub(crate) struct BatcherShared {
-    /// Jobs currently sitting in the bounded queue.
+    /// Decode jobs holding a queue reservation: being encoded on their
+    /// connection thread or sitting in the bounded queue.
     pub queue_depth: AtomicUsize,
-    /// Parameter generation currently serving (for `/healthz`).
+    /// Parameter generation currently serving (for `/healthz`). Stored
+    /// after the matching [`Snapshot`] is published, so a reader that sees
+    /// generation `g` finds a snapshot of at least `g`.
     pub generation: AtomicU64,
     /// Server-wide shutdown flag.
     pub shutdown: AtomicBool,
+    snapshot: Mutex<Arc<Snapshot>>,
+}
+
+impl BatcherShared {
+    /// The most recently published serving snapshot.
+    pub fn snapshot(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.snapshot.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    fn publish(&self, snap: Arc<Snapshot>) {
+        let generation = snap.generation;
+        *self.snapshot.lock().unwrap_or_else(|e| e.into_inner()) = snap;
+        self.generation.store(generation, Ordering::Release);
+    }
+}
+
+/// A connection thread's encoder: the snapshot it last saw plus its own
+/// [`ParamStore`] clone (`Arc`-shared weights; only the per-tape binding
+/// table is private), refreshed when the serving generation moves.
+#[derive(Default)]
+pub(crate) struct Prefiller {
+    view: Option<(Arc<Snapshot>, ParamStore)>,
+}
+
+impl Prefiller {
+    /// Encodes `src` against the current snapshot; returns the prefill
+    /// and the generation it belongs to.
+    pub fn prefill(&mut self, shared: &BatcherShared, src: &TokenBatch) -> (Prefill, u64) {
+        let serving = shared.generation.load(Ordering::Acquire);
+        if self
+            .view
+            .as_ref()
+            .is_none_or(|(snap, _)| snap.generation != serving)
+        {
+            let snap = shared.snapshot();
+            let params = snap.params.clone();
+            self.view = Some((snap, params));
+        }
+        let (snap, params) = self.view.as_mut().expect("view set above");
+        (snap.model.begin_request(params, src), snap.generation)
+    }
 }
 
 pub(crate) struct Batcher {
-    model: Seq2Seq,
+    /// The published snapshot this batcher decodes with.
+    snap: Arc<Snapshot>,
+    /// The batcher's own binding copy of `snap.params`.
     params: ParamStore,
     mb: MicroBatcher,
     rx: Receiver<Job>,
@@ -105,7 +178,8 @@ pub(crate) struct Batcher {
 }
 
 impl Batcher {
-    #[allow(clippy::too_many_arguments)]
+    /// Builds the batcher and the state it shares with connection
+    /// threads, publishing generation 0 after any quant set is attached.
     pub fn new(
         mut model: Seq2Seq,
         mut params: ParamStore,
@@ -114,7 +188,6 @@ impl Batcher {
         checkpoint: Option<PathBuf>,
         poll: Duration,
         quant: bool,
-        shared: Arc<BatcherShared>,
     ) -> Self {
         if quant && model.quant().is_none() {
             // The caller handed plain f32 weights; quantize in place. A
@@ -126,8 +199,19 @@ impl Batcher {
         let mb = MicroBatcher::new(&model, &mut params);
         let seen_stat = checkpoint.as_deref().and_then(stat);
         SERVE_OBS.model_generation.set(0.0);
-        Self {
+        let snap = Arc::new(Snapshot {
             model,
+            params: params.clone(),
+            generation: 0,
+        });
+        let shared = Arc::new(BatcherShared {
+            queue_depth: AtomicUsize::new(0),
+            generation: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+            snapshot: Mutex::new(Arc::clone(&snap)),
+        });
+        Self {
+            snap,
             params,
             mb,
             rx,
@@ -141,6 +225,11 @@ impl Batcher {
             poll,
             shared,
         }
+    }
+
+    /// The state connection threads share with this batcher.
+    pub fn shared(&self) -> Arc<BatcherShared> {
+        Arc::clone(&self.shared)
     }
 
     /// Runs until every producer handle is dropped and all admitted work
@@ -204,7 +293,7 @@ impl Batcher {
         SERVE_OBS.queue_depth.set(depth as f64);
         if job.cancel.load(Ordering::Relaxed) {
             // The client gave up while the job sat in the queue: don't
-            // pay for the encode at all.
+            // take a KV slot for it.
             SERVE_OBS.cancelled.inc();
             return;
         }
@@ -230,7 +319,15 @@ impl Batcher {
                 first_step_ns: None,
             }
         });
-        self.mb.admit(&self.model, &mut self.params, id, job.spec);
+        if job.generation == self.snap.generation {
+            self.mb.admit_prefilled(id, job.spec, job.prefill);
+        } else {
+            // A reload landed between encode and admit: the prefill is
+            // the old checkpoint's, so encode again under the serving one.
+            SERVE_OBS.prefill_stale.inc();
+            self.mb
+                .admit(&self.snap.model, &mut self.params, id, job.spec);
+        }
         self.pending.push(PendingJob {
             id,
             resp: job.resp,
@@ -269,8 +366,8 @@ impl Batcher {
                 }
             }
         }
-        let finished = self.mb.step(&self.model, &mut self.params);
-        let generation = self.shared.generation.load(Ordering::Relaxed);
+        let finished = self.mb.step(&self.snap.model, &mut self.params);
+        let generation = self.snap.generation;
         for (id, out) in finished {
             if let Some(at) = self.pending.iter().position(|p| p.id == id) {
                 let job = self.pending.swap_remove(at);
@@ -314,12 +411,18 @@ impl Batcher {
         match load_file(&mut candidate, path) {
             Ok(()) => {
                 self.params = candidate;
+                let mut model = self.snap.model.clone();
                 if self.quant {
-                    self.model
-                        .set_quant(Some(Arc::new(self.quant_set_for(path))));
+                    model.set_quant(Some(Arc::new(self.quant_set_for(path))));
                 }
-                self.mb = MicroBatcher::new(&self.model, &mut self.params);
-                let generation = self.shared.generation.fetch_add(1, Ordering::Relaxed) + 1;
+                self.mb = MicroBatcher::new(&model, &mut self.params);
+                let generation = self.snap.generation + 1;
+                self.snap = Arc::new(Snapshot {
+                    model,
+                    params: self.params.clone(),
+                    generation,
+                });
+                self.shared.publish(Arc::clone(&self.snap));
                 SERVE_OBS.model_generation.set(generation as f64);
                 SERVE_OBS.reloads.inc();
                 rpt_obs::info!(target: "serve", "hot-reloaded checkpoint generation={generation}");

@@ -22,11 +22,16 @@
 //!
 //! With tracing enabled (`rpt_obs::set_trace_enabled`, `RPT_TRACE=1` via
 //! the CLI), every request gets a `trace_id` and stage spans — `parse`,
-//! `queue_wait`, `batch_wait`, `decode`, `serialize` under a
+//! `prefill`, `queue_wait`, `batch_wait`, `decode`, `serialize` under a
 //! `serve.request` root — recorded into the rpt-obs ring; a request
 //! carrying the header `x-rpt-trace: 1` gets an `X-Rpt-Trace` response
 //! header summarizing those stages. Tracing never changes a response
 //! body byte (locked down by `tests/obs_determinism.rs`).
+//!
+//! Each decode request's source is encoded (prefilled) on the connection
+//! thread that parsed it, against the batcher's published parameter
+//! snapshot; the batcher thread only splices the encoded K/V into its
+//! fused caches and decodes.
 //!
 //! Connections are pipelined: every complete request in a connection's
 //! buffer is parsed and submitted to the batcher immediately (responses
@@ -51,7 +56,7 @@ mod obs;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -60,7 +65,7 @@ use std::time::Duration;
 use rpt_nn::{Seq2Seq, TransformerConfig};
 use rpt_tensor::ParamStore;
 
-use batcher::{Batcher, BatcherShared, Job, JobTrace, StageNs};
+use batcher::{Batcher, BatcherShared, Job, JobTrace, Prefiller, StageNs};
 use http::{Parsed, Request, RequestParser, Response};
 use obs::SERVE_OBS;
 
@@ -74,7 +79,9 @@ pub struct ServeConfig {
     /// (`RPT_SERVE_MAX_BATCH`, default 8).
     pub max_batch: usize,
     /// Bounded queue capacity; requests beyond it get 503
-    /// (`RPT_SERVE_QUEUE_CAP`, default `4 * max_batch`).
+    /// (`RPT_SERVE_QUEUE_CAP`, default `4 * max_batch`). A request holds
+    /// its place from before its source is encoded until the batcher
+    /// admits it, so at most `queue_cap` encoded sources wait at once.
     pub queue_cap: usize,
     /// Checkpoint file to watch for hot-reload (never loaded at startup;
     /// the server starts from the parameters it was handed).
@@ -156,11 +163,6 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let (tx, rx) = sync_channel::<Job>(cfg.queue_cap);
-        let state = Arc::new(BatcherShared {
-            queue_depth: AtomicUsize::new(0),
-            generation: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-        });
         let model_cfg = model.config().clone();
         let batcher = Batcher::new(
             model,
@@ -170,8 +172,8 @@ impl Server {
             cfg.checkpoint.clone(),
             Duration::from_millis(cfg.reload_poll_ms.max(1)),
             cfg.quant,
-            Arc::clone(&state),
         );
+        let state = batcher.shared();
         let batcher = std::thread::Builder::new()
             .name("rpt-serve-batcher".into())
             .spawn(move || batcher.run())?;
@@ -329,6 +331,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     )));
     let _ = stream.set_nodelay(true);
     let mut parser = RequestParser::new(shared.cfg.max_header_bytes, shared.cfg.max_body_bytes);
+    let mut prefiller = Prefiller::default();
     let mut buf = [0u8; 4096];
     let mut inflight: std::collections::VecDeque<Outcome> = std::collections::VecDeque::new();
     // Set once a `connection: close` request or a parse error arrives:
@@ -343,7 +346,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             match parser.next_request() {
                 Ok(Parsed::Request(req)) => {
                     closing = !req.keep_alive;
-                    inflight.push_back(dispatch(&req, &shared, parse_start_ns));
+                    inflight.push_back(dispatch(&req, &shared, &mut prefiller, parse_start_ns));
                 }
                 Ok(Parsed::NeedMore) => break,
                 Err(e) => {
@@ -512,8 +515,9 @@ fn render_decode(
             resp.headers.push((
                 "x-rpt-trace",
                 format!(
-                    "id={:016x}; queue_wait_ms={:.3}; batch_wait_ms={:.3}; decode_ms={:.3}; serialize_ms={:.3}",
+                    "id={:016x}; prefill_ms={:.3}; queue_wait_ms={:.3}; batch_wait_ms={:.3}; decode_ms={:.3}; serialize_ms={:.3}",
                     trace.trace_id,
+                    ms(stages.prefill.load(Ordering::Relaxed)),
                     ms(stages.queue_wait.load(Ordering::Relaxed)),
                     ms(stages.batch_wait.load(Ordering::Relaxed)),
                     ms(stages.decode.load(Ordering::Relaxed)),
@@ -525,7 +529,12 @@ fn render_decode(
     resp
 }
 
-fn dispatch(req: &Request, shared: &Shared, parse_start_ns: u64) -> Outcome {
+fn dispatch(
+    req: &Request,
+    shared: &Shared,
+    prefiller: &mut Prefiller,
+    parse_start_ns: u64,
+) -> Outcome {
     SERVE_OBS.requests.inc();
     let started = std::time::Instant::now();
     // Open the request's root span at parse start; `serve.parse` covers
@@ -545,7 +554,7 @@ fn dispatch(req: &Request, shared: &Shared, parse_start_ns: u64) -> Outcome {
         root,
         summary: req.header("x-rpt-trace").is_some_and(|v| v.trim() == "1"),
     };
-    match route(req, shared, trace) {
+    match route(req, shared, prefiller, trace) {
         Routed::Ready(resp) => {
             if resp.status >= 400 && resp.status != 503 {
                 SERVE_OBS.errors.inc();
@@ -566,7 +575,7 @@ fn dispatch(req: &Request, shared: &Shared, parse_start_ns: u64) -> Outcome {
     }
 }
 
-fn route(req: &Request, shared: &Shared, trace: ReqTrace) -> Routed {
+fn route(req: &Request, shared: &Shared, prefiller: &mut Prefiller, trace: ReqTrace) -> Routed {
     let (path, query) = match req.path.split_once('?') {
         Some((p, q)) => (p, q),
         None => (req.path.as_str(), ""),
@@ -598,16 +607,19 @@ fn route(req: &Request, shared: &Shared, trace: ReqTrace) -> Routed {
         ("POST", "/v1/clean") => submit(
             api::parse_clean(&req.body, &shared.model_cfg),
             shared,
+            prefiller,
             trace,
         ),
         ("POST", "/v1/detect") => submit(
             api::parse_detect(&req.body, &shared.model_cfg),
             shared,
+            prefiller,
             trace,
         ),
         ("POST", "/v1/match") => submit(
             api::parse_match(&req.body, &shared.model_cfg),
             shared,
+            prefiller,
             trace,
         ),
         (
@@ -622,35 +634,62 @@ fn route(req: &Request, shared: &Shared, trace: ReqTrace) -> Routed {
     }
 }
 
-/// Queues a decode job without blocking: the caller holds the receiver
-/// and answers the client when the batcher delivers (responses stay in
-/// request order; the wait is bounded by decode time because the batcher
-/// never parks an admitted job).
+/// Queues a decode job without blocking: reserves a queue place,
+/// encodes the source on this connection thread, and hands the prefilled
+/// job to the batcher. The caller holds the receiver and answers the
+/// client when the batcher delivers (responses stay in request order; the
+/// wait is bounded by decode time because the batcher never parks an
+/// admitted job).
 fn submit(
     spec: Result<rpt_nn::JobSpec, api::ApiError>,
     shared: &Shared,
+    prefiller: &mut Prefiller,
     trace: ReqTrace,
 ) -> Routed {
     let spec = match spec {
         Ok(spec) => spec,
         Err(e) => return Routed::Ready(Response::error(400, e.code, &e.message)),
     };
+    // The place is reserved before the encode, so a full queue answers 503
+    // without paying for one. Reservations bound the channel's contents
+    // (the batcher releases a place only after taking its job off), so a
+    // reserved send never finds the channel full.
+    let depth = shared.state.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+    if depth > shared.cfg.queue_cap {
+        return release_place(shared, queue_full());
+    }
+    SERVE_OBS.queue_depth.set(depth as f64);
+
+    let prefill_start_ns = rpt_obs::now_ns();
+    let (prefill, generation) = {
+        let _t = SERVE_OBS.prefill_ms.time();
+        prefiller.prefill(&shared.state, spec.src())
+    };
+    let enqueue_ns = rpt_obs::now_ns();
+    rpt_obs::emit_span(
+        trace.trace_id,
+        trace.root,
+        "serve.prefill",
+        prefill_start_ns,
+        enqueue_ns,
+    );
+
     let (resp_tx, resp_rx) = sync_channel(1);
     let cancel = Arc::new(AtomicBool::new(false));
     // Stage accounting rides the job so the batcher thread can attribute
     // queue_wait/batch_wait/decode to this request's trace. None when
     // dark: the batcher then does zero trace work for the job.
     let (job_trace, stages) = if rpt_obs::trace_enabled() {
-        let stages = Arc::new(StageNs {
-            queue_wait: AtomicU64::new(0),
-            batch_wait: AtomicU64::new(0),
-            decode: AtomicU64::new(0),
-        });
+        let stages = Arc::new(StageNs::default());
+        stages.prefill.store(
+            enqueue_ns.saturating_sub(prefill_start_ns),
+            Ordering::Relaxed,
+        );
         (
             Some(JobTrace {
                 trace_id: trace.trace_id,
                 root: trace.root,
-                enqueue_ns: rpt_obs::now_ns(),
+                enqueue_ns,
                 stages: Arc::clone(&stages),
             }),
             Some(stages),
@@ -658,12 +697,10 @@ fn submit(
     } else {
         (None, None)
     };
-    // Count the job before sending it so the batcher's decrement (which
-    // happens-after the send) can never observe an un-incremented depth.
-    let depth = shared.state.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-    SERVE_OBS.queue_depth.set(depth as f64);
     match shared.tx.try_send(Job {
         spec,
+        prefill,
+        generation,
         resp: resp_tx,
         cancel: Arc::clone(&cancel),
         trace: job_trace,
@@ -673,20 +710,24 @@ fn submit(
             cancel,
             stages,
         },
-        Err(TrySendError::Full(_)) => {
-            shared.state.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            SERVE_OBS.rejected.inc();
-            let mut resp = Response::error(503, "queue_full", "decode queue is full; retry");
-            resp.headers.push(("retry-after", "1".to_string()));
-            Routed::Ready(resp)
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            shared.state.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            Routed::Ready(Response::error(
-                503,
-                "shutting_down",
-                "server is shutting down",
-            ))
-        }
+        Err(TrySendError::Full(_)) => release_place(shared, queue_full()),
+        Err(TrySendError::Disconnected(_)) => release_place(
+            shared,
+            Response::error(503, "shutting_down", "server is shutting down"),
+        ),
     }
+}
+
+/// Gives back a queue place reserved by [`submit`] and answers with `resp`.
+fn release_place(shared: &Shared, resp: Response) -> Routed {
+    shared.state.queue_depth.fetch_sub(1, Ordering::Relaxed);
+    Routed::Ready(resp)
+}
+
+/// The 503 for a decode request that finds every queue place taken.
+fn queue_full() -> Response {
+    SERVE_OBS.rejected.inc();
+    let mut resp = Response::error(503, "queue_full", "decode queue is full; retry");
+    resp.headers.push(("retry-after", "1".to_string()));
+    resp
 }

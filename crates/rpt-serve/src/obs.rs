@@ -34,6 +34,11 @@ pub(crate) struct ServeObs {
     pub cancelled: rpt_obs::Counter,
     /// 1 when the batcher serves int8 quantized weights, else 0.
     pub quant: rpt_obs::Gauge,
+    /// Source encodes on connection threads, ms.
+    pub prefill_ms: rpt_obs::Histogram,
+    /// Jobs re-encoded on the batcher thread because a reload landed
+    /// between their prefill and their admission.
+    pub prefill_stale: rpt_obs::Counter,
 }
 
 pub(crate) static SERVE_OBS: LazyLock<ServeObs> = LazyLock::new(|| ServeObs {
@@ -51,4 +56,6 @@ pub(crate) static SERVE_OBS: LazyLock<ServeObs> = LazyLock::new(|| ServeObs {
     model_generation: rpt_obs::gauge("serve.model_generation"),
     cancelled: rpt_obs::counter("serve.cancelled"),
     quant: rpt_obs::gauge("serve.quant"),
+    prefill_ms: rpt_obs::histogram("serve.prefill_ms"),
+    prefill_stale: rpt_obs::counter("serve.prefill_stale"),
 });

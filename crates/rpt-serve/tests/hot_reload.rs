@@ -136,3 +136,113 @@ fn atomic_swap_mid_traffic_torn_writes_rejected() {
     assert_eq!(rpt_obs::gauge("serve.kv_slots_in_use").value(), 0.0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A scoring job that always runs the full `max_len - 1` steps (30
+/// targets + EOS on the tiny model), to keep the one-slot batcher busy.
+const FILLER: &str = r#"{"src": [9, 10, 11],
+    "targets": [9, 10, 11, 9, 10, 11, 9, 10, 11, 9, 10, 11, 9, 10, 11,
+                9, 10, 11, 9, 10, 11, 9, 10, 11, 9, 10, 11, 9, 10, 11]}"#;
+
+/// Writes `n` pipelined `FILLER` requests on one connection and returns
+/// the open stream; dropping it cancels whatever is still owed.
+fn pipeline_fillers(addr: std::net::SocketAddr, n: usize) -> std::net::TcpStream {
+    use std::io::Write;
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut raw = String::new();
+    for _ in 0..n {
+        raw.push_str(&format!(
+            "POST /v1/match HTTP/1.1\r\ncontent-length: {}\r\n\r\n{FILLER}",
+            FILLER.len()
+        ));
+    }
+    stream.write_all(raw.as_bytes()).expect("write fillers");
+    stream
+}
+
+#[test]
+fn reload_between_prefill_and_admit_reencodes_under_the_new_generation() {
+    use std::io::Write;
+    let _guard = common::serial();
+    let dir = common::fresh_dir("stale-prefill");
+    let ckpt = dir.join("model.json");
+
+    let (model_a, params_a) = common::tiny_model(0);
+    let (model_b, mut params_b) = common::tiny_model(7);
+    save_file(&params_a, &ckpt).expect("seed checkpoint");
+
+    // The generation-1 oracle: the probe decoded alone on B's weights,
+    // rendered exactly as the server renders a generation-1 answer.
+    let spec = rpt_serve::api::parse_match(PROBE.as_bytes(), model_b.config()).expect("spec");
+    let oracle = {
+        let mut mb = rpt_nn::MicroBatcher::new(&model_b, &mut params_b);
+        mb.admit(&model_b, &mut params_b, 0, spec);
+        let out = loop {
+            if let Some((_, out)) = mb.step(&model_b, &mut params_b).pop() {
+                break out;
+            }
+        };
+        rpt_serve::api::render_output(&out, 1)
+    };
+
+    // One slot, a deep queue: the fillers keep the batcher busy while the
+    // probe waits in the queue, already encoded under generation 0.
+    const CONNS: usize = 4;
+    const PER_CONN: usize = 40;
+    let server = Server::start(
+        model_a,
+        params_a,
+        ServeConfig {
+            checkpoint: Some(ckpt.clone()),
+            max_batch: 1,
+            queue_cap: CONNS * PER_CONN + 1,
+            reload_poll_ms: 5,
+            read_timeout_ms: 10,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("start");
+    let addr = server.addr();
+    let prefills = rpt_obs::histogram("serve.prefill_ms");
+    let stale = rpt_obs::counter("serve.prefill_stale");
+    let (prefills_before, stale_before) = (prefills.count(), stale.value());
+
+    let fillers: Vec<_> = (0..CONNS)
+        .map(|_| pipeline_fillers(addr, PER_CONN))
+        .collect();
+    eventually(
+        || prefills.count() >= prefills_before + (CONNS * PER_CONN) as u64,
+        "the fillers to be encoded",
+    );
+    let mut probe = std::net::TcpStream::connect(addr).expect("connect");
+    write!(
+        probe,
+        "POST /v1/match HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{PROBE}",
+        PROBE.len()
+    )
+    .expect("write probe");
+    eventually(
+        || prefills.count() > prefills_before + (CONNS * PER_CONN) as u64,
+        "the probe to be encoded",
+    );
+    // The probe's prefill is generation 0's. Swap the checkpoint while it
+    // still waits: the batcher drains, reloads, and admits it under 1.
+    save_file(&params_b, &ckpt).expect("swap checkpoint");
+
+    let (status, body) = common::read_response(&mut probe);
+    assert_eq!(status, 200, "probe failed: {body}");
+    assert!(
+        body.contains("\"model_generation\":1"),
+        "the probe was admitted before the reload landed (fillers drained \
+         too fast to hold it in the queue): {body}"
+    );
+    assert_eq!(body, oracle, "stale prefill answered with old weights");
+    assert!(
+        stale.value() > stale_before,
+        "the stale prefill was not re-encoded"
+    );
+    drop(fillers);
+
+    server.shutdown();
+    assert_eq!(rpt_obs::gauge("serve.kv_slots_in_use").value(), 0.0);
+    let _ = std::fs::remove_dir_all(&dir);
+}

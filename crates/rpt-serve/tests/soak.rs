@@ -1,7 +1,18 @@
 //! Concurrency soak: many client threads hammer a small-queue server.
 //! Below the queue bound nothing is dropped; a saturated server answers
-//! the overflow with 503 + `Retry-After`; shutdown drains cleanly and
-//! releases every KV-cache slot.
+//! the overflow with 503 + `Retry-After` without encoding it; shutdown
+//! drains cleanly and releases every KV-cache slot. Without a reload,
+//! every source is encoded exactly once, on its connection thread.
+
+/// `(serve.prefill_ms samples, decode.calls, serve.prefill_stale)`: source
+/// encodes on connection threads, encodes anywhere, batcher re-encodes.
+fn encode_counts() -> (u64, u64, u64) {
+    (
+        rpt_obs::histogram("serve.prefill_ms").count(),
+        rpt_obs::counter("decode.calls").value(),
+        rpt_obs::counter("serve.prefill_stale").value(),
+    )
+}
 
 mod common;
 
@@ -26,6 +37,7 @@ fn below_the_queue_bound_nothing_is_dropped() {
     let (model, params) = common::tiny_model(0);
     let server = Server::start(model, params, cfg(4, 8)).expect("start");
     let addr = server.addr();
+    let before = encode_counts();
 
     // 4 clients × 6 requests: at most 4 jobs outstanding, queue cap 8 —
     // the queue can never fill, so every request must get a 200.
@@ -54,6 +66,14 @@ fn below_the_queue_bound_nothing_is_dropped() {
         }
     }
     assert_eq!(n_ok, 24);
+    // Steady state: each request encoded once, off the batcher thread.
+    let after = encode_counts();
+    assert_eq!(after.0 - before.0, 24, "connection-thread prefills");
+    assert_eq!(after.1 - before.1, 24, "encodes anywhere");
+    assert_eq!(
+        after.2, before.2,
+        "serve.prefill_stale moved without a reload"
+    );
 
     let (status, metrics) = common::request(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
@@ -86,6 +106,7 @@ fn saturation_rejects_with_503_and_drains_on_shutdown() {
     let addr = server.addr();
 
     let rejected_before = rpt_obs::counter("serve.rejected").value();
+    let before = encode_counts();
     let stop = Arc::new(AtomicBool::new(false));
     let saturators: Vec<_> = (0..4)
         .map(|_| {
@@ -136,6 +157,19 @@ fn saturation_rejects_with_503_and_drains_on_shutdown() {
     assert!(saw_rejection, "no 503 observed under saturation");
     assert!(total_rejected > 0, "clients never saw a 503");
     assert!(total_ok > 0, "server made no progress under load");
+    // A rejected request gives its place back before any encode: only the
+    // answered requests were prefilled, each exactly once.
+    let after = encode_counts();
+    assert_eq!(
+        after.0 - before.0,
+        u64::from(total_ok),
+        "a 503 paid for an encode"
+    );
+    assert_eq!(after.1 - before.1, u64::from(total_ok));
+    assert_eq!(
+        after.2, before.2,
+        "serve.prefill_stale moved without a reload"
+    );
 
     server.shutdown();
     assert_eq!(

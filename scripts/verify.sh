@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the parallel-determinism gate.
 #
+# 0. The format gate: `cargo fmt --all --check` over every workspace
+#    member (perfbench/ is its own package and is not checked).
 # 1. Offline release build + full workspace test suite (the tier-1 bar),
 #    then clippy over every target with warnings denied.
 # 2. The equivalence suites re-run with a 4-thread global pool, proving
@@ -57,6 +59,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+cargo fmt --all --check
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline -q --workspace --all-targets -- -D warnings

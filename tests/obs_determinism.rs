@@ -169,20 +169,40 @@ fn start_server() -> rpt::serve::Server {
     .expect("server starts")
 }
 
-/// Sum of a trace's stage durations, if every stage is present.
+/// A decode request's stages, in the order they partition its wall time.
+const STAGES: [&str; 6] = [
+    "serve.parse",
+    "serve.prefill",
+    "serve.queue_wait",
+    "serve.batch_wait",
+    "serve.decode",
+    "serve.serialize",
+];
+
+/// Sum of a trace's stage durations, if every stage is present. Panics if
+/// a stage starts before the previous one ended (the stages must
+/// partition the request, not overlap).
 fn stage_sum_ns(spans: &[rpt_json::Json]) -> Option<u64> {
-    let dur_of = |name: &str| {
-        spans
+    let span_of = |name: &str| {
+        let s = spans
             .iter()
-            .find(|s| s.get("name").and_then(|n| n.as_str()) == Some(name))
-            .and_then(|s| s.get("dur_ns").and_then(|d| d.as_u64()))
+            .find(|s| s.get("name").and_then(|n| n.as_str()) == Some(name))?;
+        Some((
+            s.get("start_ns").and_then(|d| d.as_u64())?,
+            s.get("dur_ns").and_then(|d| d.as_u64())?,
+        ))
     };
-    Some(
-        dur_of("serve.queue_wait")?
-            + dur_of("serve.batch_wait")?
-            + dur_of("serve.decode")?
-            + dur_of("serve.serialize")?,
-    )
+    let stages: Vec<(u64, u64)> = STAGES.iter().map(|n| span_of(n)).collect::<Option<_>>()?;
+    for (i, pair) in stages.windows(2).enumerate() {
+        let ((start, dur), (next_start, _)) = (pair[0], pair[1]);
+        assert!(
+            start + dur <= next_start,
+            "{} overlaps {} in a request trace",
+            STAGES[i],
+            STAGES[i + 1]
+        );
+    }
+    Some(stages.iter().map(|&(_, dur)| dur).sum())
 }
 
 #[test]
@@ -259,7 +279,7 @@ fn traced_server_is_byte_identical_to_dark_server() {
     }
     assert!(
         verified,
-        "no complete request trace with all four stage spans appeared in /debug/tracez"
+        "no complete request trace with all six stage spans appeared in /debug/tracez"
     );
     server.shutdown();
 

@@ -8,6 +8,11 @@
 //! `forced_score`) run directly on the same trained weights — token
 //! sequences equal, and every score equal down to the `f32` bit
 //! pattern after its JSON `f64` round-trip.
+//!
+//! Sources are encoded on the connection threads, so the suite also
+//! checks (through the request traces) that at least two connections
+//! were encoding at the same time: concurrent prefills on the shared
+//! thread pool must not change a byte.
 
 mod common;
 
@@ -215,6 +220,9 @@ fn batched_server_is_bit_identical_to_single_request_decode() {
         });
     }
 
+    // Traces record each request's `serve.prefill` span, which is how the
+    // overlap check below sees concurrent encodes.
+    rpt_obs::set_trace_enabled(true);
     let server = Server::start(
         model,
         params,
@@ -227,11 +235,15 @@ fn batched_server_is_bit_identical_to_single_request_decode() {
     .expect("server starts");
     let addr = server.addr().to_string();
 
-    // Every expected answer gets its own client thread; three rounds so
-    // late joiners land mid-batch (exercising lead-pad + compaction), and
-    // the bytes of each repeated answer must not drift between rounds.
+    // Every expected answer gets its own client thread; at least three
+    // rounds so late joiners land mid-batch (exercising lead-pad +
+    // compaction), and the bytes of each repeated answer must not drift
+    // between rounds. Extra rounds (bounded) run only until two
+    // connections have been seen encoding at once.
     let mut first_bodies: Vec<Option<String>> = vec![None; expected.len()];
-    for _round in 0..3 {
+    let mut round = 0;
+    while round < 3 || (!prefills_overlapped() && round < 40) {
+        round += 1;
         let bodies: Vec<String> = std::thread::scope(|s| {
             let handles: Vec<_> = expected
                 .iter()
@@ -261,6 +273,23 @@ fn batched_server_is_bit_identical_to_single_request_decode() {
             }
         }
     }
+    assert!(
+        prefills_overlapped(),
+        "no two connections ever encoded concurrently in {round} rounds"
+    );
 
     server.shutdown();
+    rpt_obs::set_trace_enabled(false);
+}
+
+/// True when two requests' `serve.prefill` spans in the trace ring
+/// overlap in time (two connection threads encoding at once).
+fn prefills_overlapped() -> bool {
+    let mut spans: Vec<(u64, u64)> = rpt_obs::collect_spans(&rpt_obs::trace_events())
+        .into_iter()
+        .filter(|s| s.name == "serve.prefill")
+        .filter_map(|s| Some((s.start_ns, s.start_ns + s.dur_ns?)))
+        .collect();
+    spans.sort_unstable();
+    spans.windows(2).any(|w| w[1].0 < w[0].1)
 }
