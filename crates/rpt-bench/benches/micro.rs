@@ -33,7 +33,11 @@ fn source_batch(max_len: usize) -> TokenBatch {
 }
 
 /// Single-thread matmul kernel cost, including the logit-projection shape
-/// that `bench_parallel` scales across threads. Writes
+/// that `bench_parallel` scales across threads and the decode-step shapes
+/// that land on the kernel's remainder tiles: one attention row against a
+/// `d64` weight, a 5-row fused logit step (one full 4-row block plus one
+/// remainder row) next to its 4-row twin, an `m = 1`, `n < 16` product,
+/// and an `m = 1` cross-score `bmm`. Writes
 /// `bench_results/bench_matmul.json`.
 fn bench_matmul() {
     let mut rng = SmallRng::seed_from_u64(1);
@@ -43,17 +47,35 @@ fn bench_matmul() {
     let b3 = init::normal(&[16, 32, 32], 1.0, &mut rng);
     let al = init::normal(&[256, 64], 1.0, &mut rng);
     let bl = init::normal(&[64, 2000], 1.0, &mut rng);
+    let row = init::normal(&[1, 64], 1.0, &mut rng);
+    let rows4 = init::normal(&[4, 64], 1.0, &mut rng);
+    let rows5 = init::normal(&[5, 64], 1.0, &mut rng);
+    let logits = init::normal(&[64, 1000], 1.0, &mut rng);
+    let narrow_a = init::normal(&[1, 16], 1.0, &mut rng);
+    let narrow_b = init::normal(&[16, 9], 1.0, &mut rng);
+    let q = init::normal(&[24, 1, 16], 1.0, &mut rng);
+    let kt = init::normal(&[24, 16, 40], 1.0, &mut rng);
     let pool = rpt_par::ThreadPool::new(1);
     let names = [
         "tensor/matmul_64x64",
         "tensor/bmm_16x32x32",
         "tensor/matmul_256x64x2000_t1",
+        "tensor/matmul_1x64x64",
+        "tensor/matmul_4x64x1000",
+        "tensor/matmul_5x64x1000",
+        "tensor/matmul_1x16x9",
+        "tensor/bmm_24x1x16x40",
     ];
     let spreads = measure(names, |arm| {
         black_box(match arm {
             0 => a.matmul2d(&b),
             1 => a3.bmm(&b3),
-            _ => al.matmul2d_with(&bl, &pool),
+            2 => al.matmul2d_with(&bl, &pool),
+            3 => row.matmul2d_with(&b, &pool),
+            4 => rows4.matmul2d_with(&logits, &pool),
+            5 => rows5.matmul2d_with(&logits, &pool),
+            6 => narrow_a.matmul2d_with(&narrow_b, &pool),
+            _ => q.bmm_with(&kt, &pool),
         });
     });
     let runs: Vec<Json> = names
@@ -70,6 +92,9 @@ fn bench_matmul() {
             "bench": "matmul_single_thread",
             "runs": runs,
             "single_thread_logit_matmul_ns": spreads[2].median as u64,
+            // Per-row cost of the 5-row logit step over the 4-row one:
+            // 1.0 when a remainder row costs what a full-block row does.
+            "remainder_row_cost_ratio": (spreads[5].median / 5.0) / (spreads[4].median / 4.0),
         }),
     );
 }

@@ -271,6 +271,11 @@ impl Drop for Server {
 /// past it simply stops being read until the head of the line drains.
 const MAX_PIPELINED: usize = 64;
 
+/// Longest a connection thread waits on its pending head response before
+/// it looks at the socket again: the bound on how long a request
+/// pipelined behind a decode in flight sits unread.
+const PENDING_WAIT: Duration = Duration::from_millis(1);
+
 /// Per-request trace identity carried from dispatch to response write.
 /// All-zero (and `summary` false) when tracing is dark or the request
 /// failed to parse — every consumer then no-ops.
@@ -322,8 +327,10 @@ enum Routed {
 /// is parsed, validated, and submitted to the batcher *immediately*, so
 /// pipelined decodes coalesce into one fused batch instead of
 /// serializing on the previous response — and a slow reader never stalls
-/// batch formation for other connections. Responses are written strictly
-/// in request order. When the client vanishes mid-decode, every owed
+/// batch formation for other connections. That holds for requests that
+/// arrive while earlier ones decode too: the socket is read between short
+/// waits on the head response. Responses are written strictly in request
+/// order. When the client vanishes mid-decode, every owed
 /// job's cancel flag is raised and the batcher reclaims the KV slots.
 fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(
@@ -337,6 +344,9 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     // Set once a `connection: close` request or a parse error arrives:
     // the outcome queue is complete, nothing more will be read.
     let mut closing = false;
+    // Whether the socket is in non-blocking mode: it is while it is read
+    // with a response owed, never while a response is written.
+    let mut nonblocking = false;
     loop {
         // 1. Submit every complete buffered request. The timestamp before
         // each parse attempt anchors the request's root span (0 — and
@@ -394,6 +404,11 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                     (resp, keep_alive, trace)
                 }
             };
+            // Responses go out on a blocking socket: a full send buffer
+            // waits rather than failing the write.
+            if nonblocking && stream.set_nonblocking(false).is_ok() {
+                nonblocking = false;
+            }
             if resp.write_to(&mut stream, keep_alive).is_err() {
                 cancel_all(&mut inflight);
                 return;
@@ -412,11 +427,52 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             }
         }
 
-        // 3. Wait for progress. A pending head is waited on directly
-        // (zero added latency when the decode lands); otherwise block on
-        // the socket for the next request.
+        // 3. Wait for progress. The socket is read first: without
+        // blocking while a response is owed, so a request pipelined
+        // behind a decode in flight is parsed, prefilled and queued at
+        // once; blocking (up to the read timeout) when nothing is owed.
+        // Only when it holds nothing is the pending head waited on, in
+        // slices of `PENDING_WAIT` so a request arriving mid-decode is
+        // read within one slice.
+        let pending = !inflight.is_empty();
+        let read_now = !closing && inflight.len() < MAX_PIPELINED;
+        if read_now {
+            if nonblocking != pending && stream.set_nonblocking(pending).is_ok() {
+                nonblocking = pending;
+            }
+            match stream.read(&mut buf) {
+                Ok(0) => {
+                    // Client hung up; decoding for it would be wasted work.
+                    cancel_all(&mut inflight);
+                    return;
+                }
+                Ok(n) => {
+                    parser.feed(&buf[..n]);
+                    continue;
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    if !pending && shared.state.shutdown.load(Ordering::Relaxed) {
+                        return;
+                    }
+                }
+                Err(_) => {
+                    cancel_all(&mut inflight);
+                    return;
+                }
+            }
+        }
         if let Some(Outcome::Pending { rx, .. }) = inflight.front() {
-            match rx.recv_timeout(Duration::from_millis(shared.cfg.read_timeout_ms.max(1))) {
+            let wait = if read_now {
+                PENDING_WAIT
+            } else {
+                Duration::from_millis(shared.cfg.read_timeout_ms.max(1))
+            };
+            match rx.recv_timeout(wait) {
                 Ok((generation, out)) => {
                     if let Some(Outcome::Pending {
                         keep_alive,
@@ -431,7 +487,6 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                         let (ka, tr) = (*keep_alive, *trace);
                         *inflight.front_mut().unwrap() = Outcome::Ready(resp, ka, tr);
                     }
-                    continue; // flush it right away
                 }
                 Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
                 Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
@@ -446,34 +501,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                             tr,
                         );
                     }
-                    continue;
                 }
-            }
-        }
-        if closing {
-            // Everything owed is queued; don't read — just drain.
-            continue;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                // Client hung up; decoding for it would be wasted work.
-                cancel_all(&mut inflight);
-                return;
-            }
-            Ok(n) => parser.feed(&buf[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.state.shutdown.load(Ordering::Relaxed) && inflight.is_empty() {
-                    return;
-                }
-            }
-            Err(_) => {
-                cancel_all(&mut inflight);
-                return;
             }
         }
     }

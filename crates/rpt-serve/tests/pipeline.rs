@@ -4,6 +4,9 @@
 //!   submitted immediately — they coalesce in the batcher instead of
 //!   serializing on the previous response — and the responses come back
 //!   strictly in request order, byte-identical to one-at-a-time requests.
+//! * A request that arrives while an earlier one on the same connection
+//!   decodes is read and prefilled at once, not after the earlier
+//!   response is written.
 //! * A client that disconnects mid-decode has its jobs cancelled and the
 //!   KV-cache slots reclaimed: a soak of submit-and-vanish clients must
 //!   leave `serve.kv_slots_in_use` at zero and the server healthy.
@@ -118,6 +121,98 @@ fn pipelined_requests_answer_in_order_and_match_serial_requests() {
     }
     server.shutdown();
     assert_eq!(rpt_obs::gauge("serve.kv_slots_in_use").value(), 0.0);
+}
+
+#[test]
+fn request_pipelined_mid_decode_is_prefilled_before_the_earlier_one_ends() {
+    let _guard = common::serial();
+    // A model with room for a long forced-scoring job: A runs
+    // `targets.len() + 1` fused steps, no early exit.
+    let (model, params) = {
+        use rpt_nn::{Seq2Seq, TransformerConfig};
+        use rpt_rng::{SeedableRng, SmallRng};
+        let mut params = rpt_tensor::ParamStore::new();
+        let mut rng = SmallRng::seed_from_u64(5);
+        let cfg = TransformerConfig {
+            vocab_size: 32,
+            max_len: 128,
+            dropout: 0.0,
+            ..TransformerConfig::default()
+        };
+        let model = Seq2Seq::new(&mut params, cfg, &mut rng);
+        (model, params)
+    };
+    rpt_obs::set_trace_enabled(true);
+    rpt_obs::clear_trace();
+    // A read timeout far longer than A's decode: the connection must not
+    // need one to expire before it reads B.
+    let server = Server::start(
+        model,
+        params,
+        ServeConfig {
+            read_timeout_ms: 5_000,
+            ..cfg(8, 16)
+        },
+    )
+    .expect("start");
+    let prefills = || -> Vec<rpt_obs::SpanRec> {
+        rpt_obs::collect_spans(&rpt_obs::trace_events())
+            .into_iter()
+            .filter(|s| s.name == "serve.prefill" && s.dur_ns.is_some())
+            .collect()
+    };
+
+    let targets: Vec<String> = (0..120).map(|i| (9 + i % 3).to_string()).collect();
+    let long = format!(
+        r#"{{"src": [9, 10, 11], "targets": [{}]}}"#,
+        targets.join(", ")
+    );
+    let short = r#"{"src": [9, 10], "max_steps": 2}"#;
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    write!(
+        stream,
+        "POST /v1/match HTTP/1.1\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n{long}",
+        long.len()
+    )
+    .expect("write A");
+    // B goes out only once A is encoded and on its way to the batcher.
+    let mut waited = 0;
+    while prefills().is_empty() {
+        assert!(waited < 20_000, "A was never prefilled");
+        std::thread::sleep(std::time::Duration::from_micros(250));
+        waited += 1;
+    }
+    write!(
+        stream,
+        "POST /v1/clean HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{short}",
+        short.len()
+    )
+    .expect("write B");
+    let answers = read_responses(&mut stream, 2);
+    assert!(
+        answers.iter().all(|(status, _)| *status == 200),
+        "{answers:?}"
+    );
+    server.shutdown();
+
+    let spans = rpt_obs::collect_spans(&rpt_obs::trace_events());
+    rpt_obs::set_trace_enabled(false);
+    let mut prefill: Vec<&rpt_obs::SpanRec> =
+        spans.iter().filter(|s| s.name == "serve.prefill").collect();
+    prefill.sort_by_key(|s| s.start_ns);
+    assert_eq!(prefill.len(), 2, "one prefill per request");
+    let (a, b) = (prefill[0], prefill[1]);
+    let a_request = spans
+        .iter()
+        .find(|s| s.name == "serve.request" && s.trace_id == a.trace_id)
+        .expect("A's request span");
+    let a_end = a_request.start_ns + a_request.dur_ns.expect("A's request span closed");
+    assert!(
+        b.start_ns < a_end,
+        "B was prefilled {} ns after A's response went out",
+        b.start_ns - a_end
+    );
 }
 
 #[test]

@@ -296,10 +296,19 @@ unsafe fn affine_row_avx2(dst: &mut [f32], src: &[f32], shift: f32, scale: f32) 
 // Matmul register tile
 // ----------------------------------------------------------------------
 
-/// The full `4 x 16` register tile of the blocked matmul on AVX2: four
-/// output rows, sixteen output columns, eight `f32x8` accumulators that
-/// live in `ymm` registers for the whole `k` loop (plus two operand
-/// vectors and one splat — 11 of 16, no spills).
+/// The `M x 16` register tile of the blocked matmul on AVX2, covering
+/// every block shape the kernel meets: `M` = 4 output rows is a full row
+/// block, `M` = 1..=3 the `rows % 4` remainder (and every decode-time
+/// `m = 1` product); `nr` = 16 output columns is a full column tile,
+/// `nr` = 1..=15 the `n % 16` tail. The `M x 2` (or, for `nr <= 8`,
+/// `M x 1`) `f32x8` accumulators live in `ymm` registers for the whole
+/// `k` loop — at most eight of them, plus two operand vectors and one
+/// splat: 11 of 16, no spills.
+///
+/// A column tail loads its last `B` vector with `vmaskmovps`: lanes at
+/// `nr` and beyond read as `0.0` (and are never touched in memory, so
+/// the tail needs no padded panel), are computed like any other lane,
+/// and are dropped by the masked store.
 ///
 /// Per element, the update is `acc = acc + (a * b)` with both roundings,
 /// in ascending `k` — exactly the scalar tile's chain, so the result is
@@ -309,37 +318,84 @@ unsafe fn affine_row_avx2(dst: &mut [f32], src: &[f32], shift: f32, scale: f32) 
 /// `a[r * a_rs + kk * a_cs]`, so a transposed left operand needs no copy.
 ///
 /// # Safety
-/// Caller must ensure AVX2 is available, `a` is valid for reads at
-/// `r * a_rs + kk * a_cs` for every `r < 4`, `kk < k`, `b` has `k` rows
-/// of stride `ldb >= 16`, and `out` has `4` rows of stride `ldc >= 16`,
-/// all valid for the accessed ranges.
+/// Caller must ensure AVX2 is available, `1 <= nr <= 16`, `a` is valid
+/// for reads at `r * a_rs + kk * a_cs` for every `r < M`, `kk < k`,
+/// `b = (base, ldb)` is valid for reads of `nr` floats at `kk * ldb` for
+/// every `kk < k`, and `out = (base, ldc)` is valid for writes of `nr`
+/// floats at `r * ldc` for every `r < M`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn tile_4x16_avx2(
+pub(crate) unsafe fn tile_mx16_avx2<const M: usize>(
     a: *const f32,
-    (a_rs, a_cs): (usize, usize),
-    b: *const f32,
-    ldb: usize,
+    a_strides: (usize, usize),
+    b: (*const f32, usize),
     k: usize,
-    out: *mut f32,
-    ldc: usize,
+    out: (*mut f32, usize),
+    nr: usize,
 ) {
     use std::arch::x86_64::*;
-    let mut acc = [[_mm256_setzero_ps(); 2]; 4];
+    // Lane i of the tail mask is on when i < the tail's column count.
+    let lanes = |cols: usize| {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(cols as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    };
+    match nr {
+        16 => tile_avx2::<M, 2, false>(a, a_strides, b, k, out, _mm256_setzero_si256()),
+        9..=15 => tile_avx2::<M, 2, true>(a, a_strides, b, k, out, lanes(nr - 8)),
+        _ => tile_avx2::<M, 1, true>(a, a_strides, b, k, out, lanes(nr)),
+    }
+}
+
+/// The body of [`tile_mx16_avx2`]: `M` rows of `W` column vectors, the
+/// last of them read and written through `mask` when `MASKED`.
+///
+/// # Safety
+/// As [`tile_mx16_avx2`], with `nr` the columns `mask` (or, unmasked,
+/// all `8 * W` lanes) covers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn tile_avx2<const M: usize, const W: usize, const MASKED: bool>(
+    a: *const f32,
+    (a_rs, a_cs): (usize, usize),
+    (b, ldb): (*const f32, usize),
+    k: usize,
+    (out, ldc): (*mut f32, usize),
+    mask: std::arch::x86_64::__m256i,
+) {
+    use std::arch::x86_64::*;
+    let masked = |w: usize| MASKED && w + 1 == W;
+    let mut acc = [[_mm256_setzero_ps(); W]; M];
     for kk in 0..k {
-        let b0 = _mm256_loadu_ps(b.add(kk * ldb));
-        let b1 = _mm256_loadu_ps(b.add(kk * ldb + 8));
+        let row = b.add(kk * ldb);
+        let mut bv = [_mm256_setzero_ps(); W];
+        for (w, v) in bv.iter_mut().enumerate() {
+            *v = if masked(w) {
+                _mm256_maskload_ps(row.add(8 * w), mask)
+            } else {
+                _mm256_loadu_ps(row.add(8 * w))
+            };
+        }
         for (r, acc_row) in acc.iter_mut().enumerate() {
             let av = _mm256_set1_ps(*a.add(r * a_rs + kk * a_cs));
             // vmulps + vaddps, NOT vfmadd: two roundings keep the scalar
             // twin's bit pattern.
-            acc_row[0] = _mm256_add_ps(acc_row[0], _mm256_mul_ps(av, b0));
-            acc_row[1] = _mm256_add_ps(acc_row[1], _mm256_mul_ps(av, b1));
+            for (acc_v, &b_v) in acc_row.iter_mut().zip(&bv) {
+                *acc_v = _mm256_add_ps(*acc_v, _mm256_mul_ps(av, b_v));
+            }
         }
     }
     for (r, acc_row) in acc.iter().enumerate() {
-        _mm256_storeu_ps(out.add(r * ldc), acc_row[0]);
-        _mm256_storeu_ps(out.add(r * ldc + 8), acc_row[1]);
+        let dst = out.add(r * ldc);
+        for (w, &v) in acc_row.iter().enumerate() {
+            if masked(w) {
+                _mm256_maskstore_ps(dst.add(8 * w), mask, v);
+            } else {
+                _mm256_storeu_ps(dst.add(8 * w), v);
+            }
+        }
     }
 }
 

@@ -559,8 +559,11 @@ const NR: usize = 16;
 
 /// Pack `B` panels only when the row count amortizes the copy: a panel is
 /// reused once per row block, so below this many rows the strided reads
-/// are cheaper than the pack pass (decode-time `m = 1` products in
-/// particular must not pay it).
+/// are cheaper than the pack pass. Decode-time products — `m = 1`
+/// attention row-heads and the few-row fused logit step — stay below it
+/// and read `B` in place, column tails included: the masked tail loads
+/// of [`crate::simd::tile_mx16_avx2`] need no padded copy. A transposed
+/// `B` is packed whatever the row count.
 const PACK_MIN_ROWS: usize = 4 * MR;
 
 thread_local! {
@@ -653,18 +656,24 @@ pub fn matmul_rows_blocked_force(
 /// transposed `A` view needs no pack: the kernels read it through its
 /// strides.
 ///
-/// Inside a full `MR × NR` tile the accumulators are a register array
-/// updated as a rank-1 outer product per `k` — on the SIMD path eight
-/// `f32x8` `ymm` accumulators ([`crate::simd::tile_4x16_avx2`]), on the
-/// scalar path the autovectorized equivalent.
+/// Every block is one register tile ([`tile`]): a full `MR × NR` block,
+/// the `rows % MR` remainder rows (`M` = 1..=3, so an `m = 1` decode
+/// product is one 1-row tile per column tile), the `n % NR` column tail,
+/// or both at once. The accumulators are a register array updated as a
+/// rank-1 outer product per `k` — on the SIMD path `f32x8` `ymm`
+/// accumulators ([`crate::simd::tile_mx16_avx2`], masked loads and stores
+/// for a column tail), on the scalar path [`scalar_tile`]'s
+/// `[[f32; NR]; M]`, autovectorized.
 ///
-/// Bit-identity: every output element is one scalar accumulator updated
-/// `acc += a·b` in strictly ascending `k` order — in the full-tile path
-/// (scalar or AVX2: `vmulps` + `vaddps`, never FMA-contracted), the
-/// edge-tile path, and any thread partitioning alike. Packing and strided
-/// reads are pure data movement. The result is therefore identical
-/// bit-for-bit regardless of tile placement, operand layout, thread count,
-/// or kernel choice.
+/// Bit-identity: every output element is one scalar accumulator, starting
+/// at `+0.0` and updated `acc = acc + a·b` in strictly ascending `k`
+/// order — in every tile shape (scalar, or AVX2 with `vmulps` + `vaddps`,
+/// never FMA-contracted) and any thread partitioning alike. Masked-off
+/// lanes of a column tail are computed from `0.0` operands and never
+/// stored, so they touch no output. Packing and strided reads are pure
+/// data movement. The result is therefore identical bit-for-bit
+/// regardless of tile placement, operand layout, thread count, or kernel
+/// choice.
 fn matmul_view_blocked(
     a: View<'_>,
     b: View<'_>,
@@ -674,11 +683,12 @@ fn matmul_view_blocked(
     n: usize,
     use_simd: bool,
 ) {
-    // The AVX2 tile reads through raw pointers: these bounds are what
-    // keep it in range.
     assert!(a.covers(rows, k), "matmul lhs view out of range");
     assert!(b.covers(k, n), "matmul rhs view out of range");
     assert_eq!(out.len(), rows * n, "matmul output length");
+    if k == 0 {
+        return; // an empty sum: `out` stays zero
+    }
     #[cfg(target_arch = "x86_64")]
     let use_simd = use_simd && crate::simd::simd_available();
     #[cfg(not(target_arch = "x86_64"))]
@@ -725,64 +735,112 @@ fn matmul_view_blocked(
         let mut r = 0;
         while r < rows {
             let mr = MR.min(rows - r);
-            if mr == MR && nr == NR {
-                #[cfg(target_arch = "x86_64")]
-                if use_simd {
-                    // SAFETY: AVX2 availability checked above. `a.covers`
-                    // and `b.covers` above bound every (row, k) read of
-                    // `a` at (r + ri) * ars + kk * acs and every (k, col)
-                    // read of `bp` at kk * ldb + jj (jj < NR = nr); `out`
-                    // holds `rows` rows of stride n, so the MR x NR block
-                    // at (r, j) is in range.
-                    unsafe {
-                        crate::simd::tile_4x16_avx2(
-                            a.as_ptr().add(r * ars),
-                            (ars, acs),
-                            bp.as_ptr(),
-                            ldb,
-                            k,
-                            out.as_mut_ptr().add(r * n + j),
-                            n,
-                        );
-                    }
-                    r += MR;
-                    continue;
-                }
-                let mut acc = [[0.0f32; NR]; MR];
-                for kk in 0..k {
-                    let brow = &bp[kk * ldb..kk * ldb + NR];
-                    for (ri, acc_row) in acc.iter_mut().enumerate() {
-                        let av = a[(r + ri) * ars + kk * acs];
-                        for (jj, &bv) in brow.iter().enumerate() {
-                            acc_row[jj] += av * bv;
-                        }
-                    }
-                }
-                for (ri, acc_row) in acc.iter().enumerate() {
-                    let o = (r + ri) * n + j;
-                    out[o..o + NR].copy_from_slice(acc_row);
-                }
-            } else {
-                // Edge tile (rows % MR / n % NR remainders): scalar loops
-                // with the same per-element k-ascending accumulation.
-                for ri in 0..mr {
-                    let o = (r + ri) * n + j;
-                    let out_row = &mut out[o..o + nr];
-                    for kk in 0..k {
-                        let av = a[(r + ri) * ars + kk * acs];
-                        let brow = &bp[kk * ldb..kk * ldb + nr];
-                        for (ov, &bv) in out_row.iter_mut().zip(brow.iter()) {
-                            *ov += av * bv;
-                        }
-                    }
-                }
-            }
-            r += MR;
+            let tile = match mr {
+                4 => tile::<4>,
+                3 => tile::<3>,
+                2 => tile::<2>,
+                _ => tile::<1>,
+            };
+            tile(
+                &a[r * ars..],
+                (ars, acs),
+                (bp, ldb),
+                k,
+                &mut out[r * n + j..],
+                (n, nr),
+                use_simd,
+            );
+            r += mr;
         }
         j += NR;
     }
     if pack {
         PACK_SCRATCH.with(|cell| cell.set(panel));
+    }
+}
+
+/// One `M x nr` block of the product at `out[0..]` (`M` = 1..=[`MR`]
+/// rows, `nr` = 1..=[`NR`] columns): `a` starts at the block's first row
+/// (strides `(ars, acs)`), `bp` at its first column (row stride `ldb`),
+/// and `out` at its top-left element (row stride `ldc`). Every block
+/// shape — full tile, row remainder, column tail, or both — runs the same
+/// register tile: [`crate::simd::tile_mx16_avx2`] on the SIMD path,
+/// [`scalar_tile`] otherwise.
+fn tile<const M: usize>(
+    a: &[f32],
+    (ars, acs): (usize, usize),
+    (bp, ldb): (&[f32], usize),
+    k: usize,
+    out: &mut [f32],
+    (ldc, nr): (usize, usize),
+    use_simd: bool,
+) {
+    // The AVX2 tile reads and writes through raw pointers: these bounds
+    // are what keep it in range.
+    assert!((1..=NR).contains(&nr), "matmul tile width {nr}");
+    assert!(
+        k == 0 || ((M - 1) * ars + (k - 1) * acs < a.len() && (k - 1) * ldb + nr <= bp.len()),
+        "matmul tile operands out of range"
+    );
+    assert!(
+        (M - 1) * ldc + nr <= out.len(),
+        "matmul tile output out of range"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if use_simd {
+        // SAFETY: the caller resolved `use_simd` against AVX2
+        // availability; the asserts above bound every read of `a` at
+        // r * ars + kk * acs (r < M, kk < k), every read of `bp` at
+        // kk * ldb + jj (jj < nr), and every write of `out` at
+        // r * ldc + jj.
+        unsafe {
+            crate::simd::tile_mx16_avx2::<M>(
+                a.as_ptr(),
+                (ars, acs),
+                (bp.as_ptr(), ldb),
+                k,
+                (out.as_mut_ptr(), ldc),
+                nr,
+            );
+        }
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = use_simd;
+    // A literal `NR` lets the full tile's inner loop compile to fixed-width
+    // vector code; the column tail runs the same loop bounded at `nr`.
+    if nr == NR {
+        scalar_tile::<M>(a, (ars, acs), (bp, ldb), k, out, ldc, NR);
+    } else {
+        scalar_tile::<M>(a, (ars, acs), (bp, ldb), k, out, ldc, nr);
+    }
+}
+
+/// The scalar register tile behind [`tile`] (the `RPT_SIMD=0` path):
+/// `M x NR` accumulators updated as a rank-1 outer product per `k`, of
+/// which the first `nr` columns are read from `bp` and copied out.
+#[inline(always)]
+fn scalar_tile<const M: usize>(
+    a: &[f32],
+    (ars, acs): (usize, usize),
+    (bp, ldb): (&[f32], usize),
+    k: usize,
+    out: &mut [f32],
+    ldc: usize,
+    nr: usize,
+) {
+    let mut acc = [[0.0f32; NR]; M];
+    for kk in 0..k {
+        let brow = &bp[kk * ldb..kk * ldb + nr];
+        for (ri, acc_row) in acc.iter_mut().enumerate() {
+            let av = a[ri * ars + kk * acs];
+            for (o, &bv) in acc_row.iter_mut().zip(brow) {
+                *o += av * bv;
+            }
+        }
+    }
+    for (ri, acc_row) in acc.iter().enumerate() {
+        out[ri * ldc..ri * ldc + nr].copy_from_slice(&acc_row[..nr]);
     }
 }
 

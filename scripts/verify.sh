@@ -16,7 +16,8 @@
 #    oracle suite (fast training paths against the loops they replaced)
 #    and the parallel trainer equivalence re-run under RPT_SIMD=0 and
 #    RPT_SIMD=1, proving the AVX2 kernels are bit-identical to the scalar
-#    path end to end.
+#    path end to end; the kernel suite runs again with a 4-thread pool,
+#    so its remainder-tile grid also meets thread-chunk boundaries.
 # 4. A fast-mode smoke run of the decode, matmul, and thread-scaling
 #    microbenches, checking the fast decode path still beats the
 #    reference, the artifacts get written and parse, and the 4-thread
@@ -98,6 +99,11 @@ RPT_THREADS=4 cargo test -q --offline --test obs_determinism
 # covering hosts where only one path can run).
 RPT_SIMD=0 cargo test -q --offline --test simd_equivalence
 RPT_SIMD=1 cargo test -q --offline --test simd_equivalence
+# Thread chunks split a product at row counts that are not multiples of
+# the 4-row register block, so a 4-thread pool runs the kernel's
+# remainder tiles at every chunk boundary as well.
+RPT_SIMD=0 RPT_THREADS=4 cargo test -q --offline --test simd_equivalence
+RPT_SIMD=1 RPT_THREADS=4 cargo test -q --offline --test simd_equivalence
 RPT_SIMD=0 RPT_THREADS=4 cargo test -q --offline --test train_kernels
 RPT_SIMD=1 RPT_THREADS=4 cargo test -q --offline --test train_kernels
 RPT_SIMD=0 RPT_THREADS=4 cargo test -q --offline --test parallel_equivalence

@@ -183,3 +183,136 @@ fn parallel_matmul_is_bit_identical_across_pool_widths_and_kernels() {
         );
     }
 }
+
+/// Bits with every NaN folded to one class: IEEE leaves a NaN result's
+/// sign and payload open, and x86 propagates whichever NaN operand the
+/// compiler put first.
+fn class_bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter()
+        .map(|x| {
+            if x.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        })
+        .collect()
+}
+
+/// `len` deterministic values, mostly finite and signed, with a few
+/// ±0.0, ±inf and NaN entries planted so some outputs go to ±inf, some to
+/// NaN and some sum exact zeros.
+fn remainder_values(len: usize, rng: &mut SmallRng) -> Vec<f32> {
+    let mut xs: Vec<f32> = (0..len).map(|_| rng.gen::<f32>() * 4.0 - 2.0).collect();
+    let specials = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    for (i, &special) in specials.iter().enumerate() {
+        // Zeros are planted more often than non-finite values, which
+        // spread to every output that reads them.
+        let copies = if i < 2 { 1 + len / 8 } else { 1 };
+        for _ in 0..copies {
+            if rng.gen::<u32>() % 3 == 0 {
+                let at = rng.gen::<u32>() as usize % len;
+                xs[at] = special;
+            }
+        }
+    }
+    xs
+}
+
+/// The reference product: one accumulator per output element starting at
+/// `+0.0`, updated `acc += a·b` in ascending `k`. `a(i, kk)` and
+/// `b(kk, j)` read the operands in whatever layout they are stored.
+fn naive_product(
+    (m, k, n): (usize, usize, usize),
+    a: impl Fn(usize, usize) -> f32,
+    b: impl Fn(usize, usize) -> f32,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                acc += a(i, kk) * b(kk, j);
+            }
+            out[i * n + j] = acc;
+        }
+    }
+    out
+}
+
+/// Every remainder-tile shape of the blocked kernel — `m % 4` rows,
+/// `n % 16` columns, both at once, and single-tile products — checked
+/// bit for bit (NaN as one class) against the naive ascending-`k` loop,
+/// through each product entry point and both forced kernel choices.
+/// Under `RPT_THREADS=4` the larger shapes split across threads at row
+/// counts that are not multiples of 4, so chunk boundaries run remainder
+/// tiles too.
+#[test]
+fn remainder_tiles_match_naive_ascending_k_loop() {
+    const BATCH: usize = 2;
+    let mut rng = SmallRng::seed_from_u64(46);
+    let ns: Vec<usize> = (1..=17).chain([31, 33, 1000]).collect();
+    for m in 1..=9 {
+        for &n in &ns {
+            for k in [1usize, 7, 16, 64] {
+                let shape = format!("m={m} k={k} n={n}");
+                let a = remainder_values(m * k, &mut rng);
+                let b = remainder_values(k * n, &mut rng);
+                let want = class_bits(&naive_product(
+                    (m, k, n),
+                    |i, kk| a[i * k + kk],
+                    |kk, j| b[kk * n + j],
+                ));
+
+                for use_simd in [false, true] {
+                    let mut got = vec![0.0f32; m * n];
+                    matmul_rows_blocked_force(&a, &b, &mut got, m, k, n, use_simd);
+                    assert_eq!(
+                        class_bits(&got),
+                        want,
+                        "forced kernel simd={use_simd} {shape}"
+                    );
+                }
+
+                let at = Tensor::from_vec(a.clone(), &[m, k]).unwrap();
+                let bt = Tensor::from_vec(b.clone(), &[k, n]).unwrap();
+                assert_eq!(
+                    class_bits(at.matmul2d(&bt).data()),
+                    want,
+                    "matmul2d {shape}"
+                );
+
+                // `a` stored [k, m] for matmul_tn, `b` stored [n, k] for
+                // matmul_nt: both read transposed in place.
+                let a_t: Vec<f32> = (0..k * m).map(|i| a[(i % m) * k + i / m]).collect();
+                let b_t: Vec<f32> = (0..n * k).map(|i| b[(i % k) * n + i / k]).collect();
+                let a_tt = Tensor::from_vec(a_t, &[k, m]).unwrap();
+                let b_tt = Tensor::from_vec(b_t, &[n, k]).unwrap();
+                assert_eq!(
+                    class_bits(a_tt.matmul_tn(&bt).data()),
+                    want,
+                    "matmul_tn {shape}"
+                );
+                assert_eq!(
+                    class_bits(at.matmul_nt(&b_tt).data()),
+                    want,
+                    "matmul_nt {shape}"
+                );
+
+                // bmm: the same product in batch 0, a fresh one in batch 1.
+                let a1 = remainder_values(m * k, &mut rng);
+                let b1 = remainder_values(k * n, &mut rng);
+                let want1 = class_bits(&naive_product(
+                    (m, k, n),
+                    |i, kk| a1[i * k + kk],
+                    |kk, j| b1[kk * n + j],
+                ));
+                let a3 = Tensor::from_vec([a.as_slice(), &a1].concat(), &[BATCH, m, k]).unwrap();
+                let b3 = Tensor::from_vec([b.as_slice(), &b1].concat(), &[BATCH, k, n]).unwrap();
+                let got = class_bits(a3.bmm(&b3).data());
+                assert_eq!(got[..m * n], want[..], "bmm batch 0 {shape}");
+                assert_eq!(got[m * n..], want1[..], "bmm batch 1 {shape}");
+            }
+        }
+    }
+}
