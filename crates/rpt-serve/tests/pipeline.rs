@@ -65,6 +65,22 @@ fn read_responses(stream: &mut TcpStream, n: usize) -> Vec<(u16, String)> {
     out
 }
 
+/// A wider/deeper model than the plumbing default (`common::tiny_model`),
+/// so a decode takes long enough to overlap with what a test does next.
+fn wide_model(seed: u64, max_len: usize) -> (rpt_nn::Seq2Seq, rpt_tensor::ParamStore) {
+    use rpt_rng::{SeedableRng, SmallRng};
+    let mut params = rpt_tensor::ParamStore::new();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let cfg = rpt_nn::TransformerConfig {
+        vocab_size: 32,
+        max_len,
+        dropout: 0.0,
+        ..rpt_nn::TransformerConfig::default()
+    };
+    let model = rpt_nn::Seq2Seq::new(&mut params, cfg, &mut rng);
+    (model, params)
+}
+
 fn cfg(max_batch: usize, queue_cap: usize) -> ServeConfig {
     ServeConfig {
         max_batch,
@@ -126,22 +142,9 @@ fn pipelined_requests_answer_in_order_and_match_serial_requests() {
 #[test]
 fn request_pipelined_mid_decode_is_prefilled_before_the_earlier_one_ends() {
     let _guard = common::serial();
-    // A model with room for a long forced-scoring job: A runs
-    // `targets.len() + 1` fused steps, no early exit.
-    let (model, params) = {
-        use rpt_nn::{Seq2Seq, TransformerConfig};
-        use rpt_rng::{SeedableRng, SmallRng};
-        let mut params = rpt_tensor::ParamStore::new();
-        let mut rng = SmallRng::seed_from_u64(5);
-        let cfg = TransformerConfig {
-            vocab_size: 32,
-            max_len: 128,
-            dropout: 0.0,
-            ..TransformerConfig::default()
-        };
-        let model = Seq2Seq::new(&mut params, cfg, &mut rng);
-        (model, params)
-    };
+    // Room for a long forced-scoring job: A runs `targets.len() + 1`
+    // fused steps, no early exit.
+    let (model, params) = wide_model(5, 128);
     rpt_obs::set_trace_enabled(true);
     rpt_obs::clear_trace();
     // A read timeout far longer than A's decode: the connection must not
@@ -218,21 +221,9 @@ fn request_pipelined_mid_decode_is_prefilled_before_the_earlier_one_ends() {
 #[test]
 fn disconnect_mid_decode_reclaims_kv_slots() {
     let _guard = common::serial();
-    // A wider/deeper model than the plumbing default so each decode takes
-    // long enough for the disconnect to land mid-flight.
-    let (model, params) = {
-        use rpt_nn::{Seq2Seq, TransformerConfig};
-        use rpt_rng::{SeedableRng, SmallRng};
-        let mut params = rpt_tensor::ParamStore::new();
-        let mut rng = SmallRng::seed_from_u64(4);
-        let cfg = TransformerConfig {
-            vocab_size: 32,
-            dropout: 0.0,
-            ..TransformerConfig::default()
-        };
-        let model = Seq2Seq::new(&mut params, cfg, &mut rng);
-        (model, params)
-    };
+    // Each decode takes long enough for the disconnect to land
+    // mid-flight.
+    let (model, params) = wide_model(4, 64);
     let server = Server::start(model, params, cfg(4, 8)).expect("start");
     let addr = server.addr();
     let cancelled_before = rpt_obs::counter("serve.cancelled").value();

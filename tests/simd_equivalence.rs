@@ -219,20 +219,16 @@ fn remainder_values(len: usize, rng: &mut SmallRng) -> Vec<f32> {
     xs
 }
 
-/// The reference product: one accumulator per output element starting at
-/// `+0.0`, updated `acc += a·b` in ascending `k`. `a(i, kk)` and
-/// `b(kk, j)` read the operands in whatever layout they are stored.
-fn naive_product(
-    (m, k, n): (usize, usize, usize),
-    a: impl Fn(usize, usize) -> f32,
-    b: impl Fn(usize, usize) -> f32,
-) -> Vec<f32> {
+/// The reference product of row-major `a` (`[m, k]`) and `b` (`[k, n]`):
+/// one accumulator per output element starting at `+0.0`, updated
+/// `acc += a·b` in ascending `k`.
+fn naive_product(a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize)) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
     for i in 0..m {
         for j in 0..n {
             let mut acc = 0.0f32;
             for kk in 0..k {
-                acc += a(i, kk) * b(kk, j);
+                acc += a[i * k + kk] * b[kk * n + j];
             }
             out[i * n + j] = acc;
         }
@@ -249,7 +245,6 @@ fn naive_product(
 /// tiles too.
 #[test]
 fn remainder_tiles_match_naive_ascending_k_loop() {
-    const BATCH: usize = 2;
     let mut rng = SmallRng::seed_from_u64(46);
     let ns: Vec<usize> = (1..=17).chain([31, 33, 1000]).collect();
     for m in 1..=9 {
@@ -258,11 +253,7 @@ fn remainder_tiles_match_naive_ascending_k_loop() {
                 let shape = format!("m={m} k={k} n={n}");
                 let a = remainder_values(m * k, &mut rng);
                 let b = remainder_values(k * n, &mut rng);
-                let want = class_bits(&naive_product(
-                    (m, k, n),
-                    |i, kk| a[i * k + kk],
-                    |kk, j| b[kk * n + j],
-                ));
+                let want = class_bits(&naive_product(&a, &b, (m, k, n)));
 
                 for use_simd in [false, true] {
                     let mut got = vec![0.0f32; m * n];
@@ -302,13 +293,9 @@ fn remainder_tiles_match_naive_ascending_k_loop() {
                 // bmm: the same product in batch 0, a fresh one in batch 1.
                 let a1 = remainder_values(m * k, &mut rng);
                 let b1 = remainder_values(k * n, &mut rng);
-                let want1 = class_bits(&naive_product(
-                    (m, k, n),
-                    |i, kk| a1[i * k + kk],
-                    |kk, j| b1[kk * n + j],
-                ));
-                let a3 = Tensor::from_vec([a.as_slice(), &a1].concat(), &[BATCH, m, k]).unwrap();
-                let b3 = Tensor::from_vec([b.as_slice(), &b1].concat(), &[BATCH, k, n]).unwrap();
+                let want1 = class_bits(&naive_product(&a1, &b1, (m, k, n)));
+                let a3 = Tensor::from_vec([a.as_slice(), &a1].concat(), &[2, m, k]).unwrap();
+                let b3 = Tensor::from_vec([b.as_slice(), &b1].concat(), &[2, k, n]).unwrap();
                 let got = class_bits(a3.bmm(&b3).data());
                 assert_eq!(got[..m * n], want[..], "bmm batch 0 {shape}");
                 assert_eq!(got[m * n..], want1[..], "bmm batch 1 {shape}");
