@@ -4,18 +4,13 @@
 //! download a pretrained RPT-C and run it locally …, which can then be
 //! used to directly detect and repair errors for local data"*.
 //!
-//! The library half implements the four commands over local CSV files;
-//! `main.rs` is a thin argument parser around them.
-//!
-//! ```text
-//! rpt profile <file.csv>                         column stats + approximate FDs
-//! rpt clean   <file.csv> [--column C] [--steps N] [--load M] [--save M] [--output OUT]
-//! rpt detect  <file.csv> [--steps N] [--load M]  hybrid error detection
-//! rpt match   <a.csv> <b.csv> [--threshold T]    unsupervised matching (ZeroER)
-//! rpt serve   <file.csv> [--addr A] [--max-batch N] [--checkpoint-dir DIR] [--quant]
-//! rpt quantize <model.json> <out.json>           offline int8 (quant-v1) conversion
-//! rpt trace-report <dump.json>                   self-time profile of a --trace-out dump
-//! ```
+//! The library holds every command — `profile`, `clean`, `detect`,
+//! `match`, `serve`, `quantize`, `shard`, `pretrain`, `trace-report` —
+//! and the argument parser: [`parse`] makes one pass over argv against a
+//! command table (each command's positionals) and a flag table (each
+//! flag's commands, value kind, env fallback and target option). The
+//! same tables render the synopsis lines of [`usage`]. `main.rs` only
+//! prints reports and sets exit codes.
 
 use std::fmt::Write as _;
 
@@ -111,7 +106,9 @@ pub struct CleanOptions {
     pub column: Option<String>,
     /// Pretraining steps on the file itself.
     pub steps: usize,
-    /// Load a pretrained checkpoint instead of (or before) training.
+    /// Load a pretrained checkpoint instead of training. A loaded model
+    /// is never trained, so `load` takes neither `resume` nor
+    /// `checkpoint_dir`.
     pub load: Option<String>,
     /// Save the trained model here.
     pub save: Option<String>,
@@ -139,45 +136,66 @@ impl Default for CleanOptions {
     }
 }
 
-fn build_model(table: &Table, opts: &CleanOptions) -> Result<RptC, CliError> {
-    let vocab = build_vocab(&[table], &[], 1, 20_000);
+/// Creates a checkpoint directory if it is missing.
+fn create_dir(dir: &str) -> Result<(), CliError> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| CliError::Data(format!("cannot create checkpoint dir {dir}: {e}")))
+}
+
+/// The setup every training command shares: warmup over the first tenth
+/// of `train.steps`, the rolling train-state checkpoint every tenth of
+/// the run in `checkpoint_dir` (created if missing), and the check that
+/// there is something to train. `or_load` is the `--load` alternative
+/// that check's error names ("" for `pretrain`, which has none).
+fn training(
+    mut train: TrainOpts,
+    checkpoint_dir: Option<&str>,
+    resume: Option<&str>,
+    or_load: &str,
+) -> Result<(CleaningConfig, Option<CheckpointOpts>), CliError> {
+    if train.steps == 0 && resume.is_none() {
+        let msg = format!("either --steps > 0{or_load} or --resume <state> is required");
+        return Err(CliError::Usage(msg));
+    }
+    train.warmup = (train.steps / 10).max(1);
+    let checkpoint = checkpoint_dir.map(|dir| CheckpointOpts {
+        dir: dir.into(),
+        every: train.warmup,
+    });
+    if let Some(dir) = checkpoint_dir {
+        create_dir(dir)?;
+    }
     let cfg = CleaningConfig {
-        train: TrainOpts {
-            steps: opts.steps,
-            batch_size: 16,
-            warmup: (opts.steps / 10).max(1),
-            peak_lr: 3e-3,
-            ..Default::default()
-        },
+        train,
         ..Default::default()
     };
-    let mut model = RptC::new(vocab, cfg);
+    Ok((cfg, checkpoint))
+}
+
+fn build_model(table: &Table, opts: &CleanOptions) -> Result<RptC, CliError> {
+    let vocab = build_vocab(&[table], &[], 1, 20_000);
+    let resume = opts.resume.as_deref();
+    let mut model;
     if let Some(path) = &opts.load {
+        if resume.is_some() || opts.checkpoint_dir.is_some() {
+            let msg = "--load takes neither --resume nor --checkpoint-dir: it trains nothing";
+            return Err(CliError::Usage(msg.into()));
+        }
+        model = RptC::new(vocab, CleaningConfig::default());
         let json = std::fs::read_to_string(path)
             .map_err(|e| CliError::Data(format!("cannot read checkpoint {path}: {e}")))?;
         serialize::load_json(&mut model.params, &json)
             .map_err(|e| CliError::Data(format!("checkpoint {path}: {e}")))?;
     } else {
-        if opts.steps == 0 && opts.resume.is_none() {
-            return Err(CliError::Usage(
-                "either --steps > 0, --load <checkpoint>, or --resume <state> is required".into(),
-            ));
-        }
-        let checkpoint = match &opts.checkpoint_dir {
-            Some(dir) => {
-                std::fs::create_dir_all(dir).map_err(|e| {
-                    CliError::Data(format!("cannot create checkpoint dir {dir}: {e}"))
-                })?;
-                Some(CheckpointOpts {
-                    dir: dir.into(),
-                    every: (opts.steps / 10).max(1),
-                })
-            }
-            None => None,
+        let train = TrainOpts {
+            steps: opts.steps,
+            ..Default::default()
         };
-        let resume = opts.resume.as_deref().map(Path::new);
+        let dir = opts.checkpoint_dir.as_deref();
+        let (cfg, checkpoint) = training(train, dir, resume, ", --load <checkpoint>,")?;
+        model = RptC::new(vocab, cfg);
         model
-            .pretrain_resumable(&[table], checkpoint.as_ref(), resume)
+            .pretrain_resumable(&[table], checkpoint.as_ref(), resume.map(Path::new))
             .map_err(|e| CliError::Data(format!("training checkpoint: {e}")))?;
     }
     if let Some(path) = &opts.save {
@@ -429,34 +447,15 @@ pub fn cmd_pretrain(corpus_dir: &str, opts: &PretrainOptions) -> Result<String, 
     let vocab = disk
         .vocab()
         .map_err(|e| CliError::Data(format!("corpus {corpus_dir}: {e}")))?;
-    if opts.steps == 0 && opts.resume.is_none() {
-        return Err(CliError::Usage(
-            "either --steps > 0 or --resume <state> is required".into(),
-        ));
-    }
-    let cfg = CleaningConfig {
-        train: TrainOpts {
-            steps: opts.steps,
-            batch_size: opts.batch_size,
-            micro_batch: opts.micro_batch,
-            warmup: (opts.steps / 10).max(1),
-            peak_lr: 3e-3,
-            ..Default::default()
-        },
+    let train = TrainOpts {
+        steps: opts.steps,
+        batch_size: opts.batch_size,
+        micro_batch: opts.micro_batch,
         ..Default::default()
     };
+    let resume = opts.resume.as_deref();
+    let (cfg, checkpoint) = training(train, opts.checkpoint_dir.as_deref(), resume, "")?;
     let mut model = RptC::new(vocab, cfg);
-    let checkpoint = match &opts.checkpoint_dir {
-        Some(dir) => {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| CliError::Data(format!("cannot create checkpoint dir {dir}: {e}")))?;
-            Some(CheckpointOpts {
-                dir: dir.into(),
-                every: (opts.steps / 10).max(1),
-            })
-        }
-        None => None,
-    };
     let stream = StreamOpts {
         accum_steps: opts.accum_steps.max(1),
         prefetch: opts.prefetch,
@@ -464,9 +463,13 @@ pub fn cmd_pretrain(corpus_dir: &str, opts: &PretrainOptions) -> Result<String, 
     };
     let n_shards = disk.manifest().shards.len();
     let n_tuples = disk.manifest().total_tuples();
-    let resume = opts.resume.as_deref().map(Path::new);
     let losses = model
-        .pretrain_stream(Box::new(disk), &stream, checkpoint.as_ref(), resume)
+        .pretrain_stream(
+            Box::new(disk),
+            &stream,
+            checkpoint.as_ref(),
+            resume.map(Path::new),
+        )
         .map_err(|e| CliError::Data(format!("streaming pretraining: {e}")))?;
     if let Some(path) = &opts.save {
         serialize::save_file(&model.params, path)
@@ -538,21 +541,25 @@ pub fn cmd_trace_report(path: &str) -> Result<String, CliError> {
 /// hot-reload (the format `rpt clean --save` writes).
 pub const SERVE_MODEL_FILE: &str = "model.json";
 
-/// Options for `rpt serve`.
+/// Options for `rpt serve`. A setting left `None` takes the
+/// [`rpt_serve::ServeConfig`] default (see [`serve_config`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeOptions {
     /// `--addr` (default `127.0.0.1:0`, kernel-assigned port).
     pub addr: String,
-    /// `--max-batch` (default from `RPT_SERVE_MAX_BATCH`, else 8).
+    /// `--max-batch`, else `RPT_SERVE_MAX_BATCH`; at most [`MAX_BATCH`].
     pub max_batch: Option<usize>,
+    /// `RPT_SERVE_QUEUE_CAP` (no flag); `None` is `4 * max_batch`.
+    pub queue_cap: Option<usize>,
+    /// `RPT_SERVE_RELOAD_POLL_MS` (no flag).
+    pub reload_poll_ms: Option<u64>,
     /// `--steps` pretraining steps on the file itself.
     pub steps: usize,
     /// `--load` a pretrained checkpoint instead of training.
     pub load: Option<String>,
     /// `--checkpoint-dir` — watch `DIR/model.json` for hot-reload.
     pub checkpoint_dir: Option<String>,
-    /// `--quant` — serve int8 quantized weights (`RPT_QUANT=1` also
-    /// enables it; the flag wins when given).
+    /// `--quant`, or `RPT_QUANT=1` — serve int8 quantized weights.
     pub quant: bool,
 }
 
@@ -561,6 +568,8 @@ impl Default for ServeOptions {
         Self {
             addr: "127.0.0.1:0".to_string(),
             max_batch: None,
+            queue_cap: None,
+            reload_poll_ms: None,
             steps: 400,
             load: None,
             checkpoint_dir: None,
@@ -569,21 +578,25 @@ impl Default for ServeOptions {
     }
 }
 
-/// The server settings `rpt serve` runs with: the `RPT_SERVE_*` /
-/// `RPT_QUANT` defaults overridden by the given flags. `--max-batch` also
-/// sizes the default queue (`4 * max_batch`).
+/// The server settings `rpt serve` runs with: the options over the
+/// [`rpt_serve::ServeConfig`] defaults, with the queue sized
+/// `4 * max_batch` unless `queue_cap` is given.
 pub fn serve_config(opts: &ServeOptions) -> rpt_serve::ServeConfig {
-    let mut cfg = match opts.max_batch {
-        Some(max_batch) => rpt_serve::ServeConfig::with_max_batch(max_batch),
-        None => rpt_serve::ServeConfig::default(),
-    };
-    cfg.addr = opts.addr.clone();
-    cfg.quant |= opts.quant; // RPT_QUANT=1 set the default; the flag wins
-    cfg.checkpoint = opts
-        .checkpoint_dir
-        .as_ref()
-        .map(|dir| Path::new(dir).join(SERVE_MODEL_FILE));
-    cfg
+    let d = rpt_serve::ServeConfig::default();
+    let max_batch = opts.max_batch.unwrap_or(d.max_batch);
+    rpt_serve::ServeConfig {
+        addr: opts.addr.clone(),
+        max_batch,
+        // saturates rather than wraps: `Server::start` refuses the result
+        queue_cap: opts.queue_cap.unwrap_or(max_batch.saturating_mul(4)),
+        reload_poll_ms: opts.reload_poll_ms.unwrap_or(d.reload_poll_ms),
+        quant: opts.quant,
+        checkpoint: opts
+            .checkpoint_dir
+            .as_ref()
+            .map(|dir| Path::new(dir).join(SERVE_MODEL_FILE)),
+        ..d
+    }
 }
 
 /// `rpt serve` — train (or load) a cleaning model over the file, then
@@ -602,8 +615,7 @@ pub fn cmd_serve(path: &str, opts: &ServeOptions) -> Result<String, CliError> {
     let (mut model, params) = model.into_serve_parts();
     let cfg = serve_config(opts);
     if let Some(dir) = &opts.checkpoint_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| CliError::Data(format!("cannot create checkpoint dir {dir}: {e}")))?;
+        create_dir(dir)?;
     }
     if cfg.quant {
         if let Some(path) = &opts.load {
@@ -662,59 +674,8 @@ pub enum Command {
     Help,
 }
 
-/// The help text.
-pub const USAGE: &str = "rpt — relational pre-trained transformer, plug-and-play
-
-USAGE:
-  rpt profile <file.csv>
-  rpt clean   <file.csv> [--column NAME] [--steps N] [--load MODEL] [--save MODEL] [--output OUT]
-                         [--checkpoint-dir DIR] [--resume STATE]
-  rpt detect  <file.csv> [--steps N] [--load MODEL] [--save MODEL]
-                         [--checkpoint-dir DIR] [--resume STATE]
-  rpt match   <a.csv> <b.csv> [--threshold T]
-  rpt serve   <file.csv> [--addr ADDR] [--max-batch N] [--steps N] [--load MODEL]
-                         [--checkpoint-dir DIR] [--quant]
-  rpt quantize <model.json> <out.json>
-  rpt shard   <out-dir> [--shard-size K] [--rows N] [--seed S]
-  rpt pretrain <corpus-dir> [--steps N] [--batch-size B] [--micro-batch M] [--accum-steps K]
-                            [--no-prefetch] [--save MODEL] [--checkpoint-dir DIR] [--resume STATE]
-  rpt trace-report <dump.json>
-  rpt help
-
-Observability (any command):
-  --log-level LEVEL     off|error|warn|info|debug|trace (default warn;
-                        RPT_LOG=target=level overrides per target)
-  --quiet               alias for --log-level error
-  --progress            step ticker during training (info on rpt::progress)
-  --metrics-out PATH    enable metrics; write a JSON snapshot to PATH
-                        periodically and at exit
-  --trace               enable trace recording (RPT_TRACE=1 also works);
-                        a serving process then exposes GET /debug/tracez
-  --trace-out PATH      enable tracing and write the event-ring dump to
-                        PATH at exit; render it with rpt trace-report
-
-Quantized serving: rpt quantize converts an f32 checkpoint into a
-quant-v1 one (f32 params + per-row int8 linear weights); rpt serve
---quant (or RPT_QUANT=1) serves int8 — loading the stored section when
---load points at a quant-v1 file, requantizing on the fly otherwise.
-
-Durable training: --checkpoint-dir DIR writes a rolling, atomically
-replaced DIR/train_state.json (params + Adam moments + RNG streams +
-loss curve) every ~10% of the run; --resume STATE continues a killed
-run bit-identically to one that was never interrupted.
-
-Streaming corpora: rpt shard builds a sharded on-disk corpus (binary
-token shards + vocab.json + manifest.json); rpt pretrain streams it
-shard by shard — prefetching the next shard in the background unless
---no-prefetch — with --accum-steps folding K micro-batches into one
-optimizer step, bit-identical to the equivalent large batch. Its
---checkpoint-dir state records the corpus position (epoch, shard,
-offset, pending accumulation window), so --resume continues mid-corpus
-— even mid-window — on the exact uninterrupted trajectory.
-";
-
-/// Observability flags, valid on every command. Extracted from argv by
-/// [`split_obs_flags`] before command parsing so they work uniformly.
+/// Observability flags, valid on every command and anywhere on the
+/// command line.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsOptions {
     /// `--log-level LEVEL`.
@@ -725,41 +686,11 @@ pub struct ObsOptions {
     pub metrics_out: Option<String>,
     /// `--progress` — step ticker (info records on target `rpt::progress`).
     pub progress: bool,
-    /// `--trace` — enable trace recording (`RPT_TRACE=1` also enables it).
+    /// `--trace`, or `RPT_TRACE=1` — enable trace recording.
     pub trace: bool,
     /// `--trace-out PATH` — enable tracing and write the event-ring dump
     /// (`rpt-trace-v1`) here at exit; `rpt trace-report` reads it.
     pub trace_out: Option<String>,
-}
-
-/// Splits the observability flags out of `args`, returning the remaining
-/// command arguments and the parsed [`ObsOptions`].
-pub fn split_obs_flags(args: &[String]) -> Result<(Vec<String>, ObsOptions), CliError> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut obs = ObsOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quiet" => obs.quiet = true,
-            "--progress" => obs.progress = true,
-            "--trace" => obs.trace = true,
-            flag @ ("--log-level" | "--metrics-out" | "--trace-out") => {
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?
-                    .clone();
-                match flag {
-                    "--log-level" => obs.log_level = Some(value),
-                    "--metrics-out" => obs.metrics_out = Some(value),
-                    _ => obs.trace_out = Some(value),
-                }
-                i += 1;
-            }
-            other => rest.push(other.to_string()),
-        }
-        i += 1;
-    }
-    Ok((rest, obs))
 }
 
 /// Applies the observability flags: sets the log filter (layered over any
@@ -785,9 +716,7 @@ pub fn init_observability(obs: &ObsOptions) -> Result<(), CliError> {
         rpt_obs::set_metrics_enabled(true);
         rpt_obs::set_snapshot_output(path.clone(), std::time::Duration::from_secs(2));
     }
-    let env_trace =
-        std::env::var("RPT_TRACE").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"));
-    if obs.trace || obs.trace_out.is_some() || env_trace {
+    if obs.trace || obs.trace_out.is_some() {
         rpt_obs::set_trace_enabled(true);
     }
     if let Some(path) = &obs.trace_out {
@@ -816,248 +745,362 @@ pub fn finish_observability() {
     }
 }
 
-/// The next positional argument; `missing` is the usage error when argv
-/// ends or the next word is a `--flag`.
-fn positional<'a>(
-    it: &mut impl Iterator<Item = &'a String>,
-    missing: &str,
-) -> Result<String, CliError> {
-    match it.next() {
-        Some(arg) if !arg.starts_with("--") => Ok(arg.clone()),
-        _ => Err(CliError::Usage(missing.to_string())),
+/// A command: its name and positionals as the help text shows them, and
+/// the usage error when argv runs out of positionals or a flag comes
+/// before they are complete.
+struct Cmd(Str, &'static [Str], Str);
+
+type Str = &'static str;
+
+/// `rpt help` (also `--help`, `-h`, and an empty command line).
+const HELP: Cmd = Cmd("help", &[], "");
+
+#[rustfmt::skip]
+const COMMANDS: &[Cmd] = &[
+    Cmd("profile",      &["<file.csv>"],                 "profile needs a file"),
+    Cmd("clean",        &["<file.csv>"],                 "clean needs a file"),
+    Cmd("detect",       &["<file.csv>"],                 "detect needs a file"),
+    Cmd("match",        &["<a.csv>", "<b.csv>"],         "match needs two files"),
+    Cmd("serve",        &["<file.csv>"],                 "serve needs a file"),
+    Cmd("quantize",     &["<model.json>", "<out.json>"], "quantize needs an input and an output"),
+    Cmd("shard",        &["<out-dir>"],                  "shard needs an output directory"),
+    Cmd("pretrain",     &["<corpus-dir>"],               "pretrain needs a corpus directory"),
+    Cmd("trace-report", &["<dump.json>"],                "trace-report needs a dump file"),
+    HELP,
+];
+
+/// How a flag's value, or its env fallback's, is read: `Switch` takes
+/// none (its variable is on for `1` or `true`), `Text` any string,
+/// `Count(max)` a `usize` in `1..=max`, `Finite` a finite `f32`.
+#[derive(Clone, Copy)]
+enum Kind {
+    Switch,
+    Text,
+    Usize,
+    Count(usize),
+    U64,
+    Finite,
+}
+
+use Kind::{Count, Finite, Switch, Text, Usize, U64};
+
+impl Kind {
+    /// Checks `value` as this kind; `what` (the flag or the variable)
+    /// names it in the error.
+    fn check(self, what: &str, value: &str) -> Result<(), CliError> {
+        let ok = match self {
+            Switch | Text => true,
+            Usize | Count(_) => value.parse::<usize>().is_ok(),
+            U64 => value.parse::<u64>().is_ok(),
+            Finite => value.parse::<f32>().is_ok_and(f32::is_finite),
+        };
+        let err = match (self, value.parse::<usize>()) {
+            _ if !ok => format!("bad {what} {value}"),
+            (Count(_), Ok(0)) => format!("{what} must be >= 1"),
+            (Count(max), Ok(n)) if n > max => format!("{what} must be <= {max}"),
+            _ => return Ok(()),
+        };
+        Err(CliError::Usage(err))
     }
 }
 
-/// Rejects whatever argv holds after a command's last positional.
-fn no_more<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<(), CliError> {
-    match it.next() {
-        Some(extra) => Err(CliError::Usage(format!("unexpected argument {extra}"))),
-        None => Ok(()),
+/// Everything one command line sets, over the defaults: each command's
+/// options (only the parsed command's are used) and the observability
+/// flags.
+#[derive(Default)]
+struct Parsed {
+    clean: CleanOptions,
+    serve: ServeOptions,
+    shard: ShardOptions,
+    pretrain: PretrainOptions,
+    threshold: Option<f32>,
+    obs: ObsOptions,
+}
+
+/// One row of the flag table: the flag as typed (a setting read only from
+/// the environment is named by its variable), its value's placeholder in
+/// the help text, the commands that take it (none: every command), its
+/// value kind, its env fallback, and where its checked value goes.
+struct Flag {
+    name: Str,
+    meta: Str,
+    cmds: &'static [Str],
+    kind: Kind,
+    env: Option<Str>,
+    set: fn(&mut Parsed, &str),
+}
+
+const fn flag(name: Str, meta: Str, cmds: &'static [Str], kind: Kind, set: Setter) -> Flag {
+    Flag {
+        name,
+        meta,
+        cmds,
+        kind,
+        env: None,
+        set,
     }
 }
 
-/// The `--flag` at `rest[i]` and its value; a word that is not a flag is a
-/// stray positional.
-fn flag_value(rest: &[String], i: usize) -> Result<(&str, &String), CliError> {
-    let flag = rest[i].as_str();
-    if !flag.starts_with("--") {
-        return Err(CliError::Usage(format!("unexpected argument {flag}")));
+type Setter = fn(&mut Parsed, &str);
+
+impl Flag {
+    /// The row with `var` as its env fallback.
+    const fn env(self, var: Str) -> Flag {
+        Flag {
+            env: Some(var),
+            ..self
+        }
     }
-    let value = rest
-        .get(i + 1)
-        .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
-    Ok((flag, value))
+
+    fn on_argv(&self) -> bool {
+        self.name.starts_with("--")
+    }
 }
 
-/// Parses argv (without the program name).
-pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
+/// A value its kind has checked, as the option's type.
+fn num<T: std::str::FromStr>(value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| unreachable!("each row's kind admits only values its option parses"))
+}
+
+/// Ceiling on `--max-batch` / `RPT_SERVE_MAX_BATCH`: the default queue of
+/// `4 * max_batch` places stays within [`rpt_serve::MAX_QUEUE_CAP`].
+pub const MAX_BATCH: usize = rpt_serve::MAX_QUEUE_CAP / 4;
+
+const TRAIN: &[Str] = &["clean", "detect"];
+const ALL: &[Str] = &[];
+
+/// Every flag, grouped by command in help-text order. A row named by a
+/// variable is a setting with no flag.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    flag("--column",         "NAME",  &["clean"], Text,              |p, v| p.clean.column = Some(v.into())),
+    flag("--steps",          "N",     TRAIN,      Usize,             |p, v| p.clean.steps = num(v)),
+    flag("--load",           "MODEL", TRAIN,      Text,              |p, v| p.clean.load = Some(v.into())),
+    flag("--save",           "MODEL", TRAIN,      Text,              |p, v| p.clean.save = Some(v.into())),
+    flag("--output",         "OUT",   &["clean"], Text,              |p, v| p.clean.output = Some(v.into())),
+    flag("--checkpoint-dir", "DIR",   TRAIN,      Text,              |p, v| p.clean.checkpoint_dir = Some(v.into())),
+    flag("--resume",         "STATE", TRAIN,      Text,              |p, v| p.clean.resume = Some(v.into())),
+    flag("--threshold",      "T",     &["match"], Finite,            |p, v| p.threshold = Some(num(v))),
+    flag("--addr",           "ADDR",  &["serve"], Text,              |p, v| p.serve.addr = v.into()),
+    flag("--max-batch",      "N",     &["serve"], Count(MAX_BATCH),  |p, v| p.serve.max_batch = Some(num(v)))
+        .env("RPT_SERVE_MAX_BATCH"),
+    flag("--steps",          "N",     &["serve"], Usize,             |p, v| p.serve.steps = num(v)),
+    flag("--load",           "MODEL", &["serve"], Text,              |p, v| p.serve.load = Some(v.into())),
+    flag("--checkpoint-dir", "DIR",   &["serve"], Text,              |p, v| p.serve.checkpoint_dir = Some(v.into())),
+    flag("--quant",          "",      &["serve"], Switch,            |p, _| p.serve.quant = true)
+        .env("RPT_QUANT"),
+    flag("RPT_SERVE_QUEUE_CAP", "",   &["serve"], Count(rpt_serve::MAX_QUEUE_CAP),
+                                                                     |p, v| p.serve.queue_cap = Some(num(v)))
+        .env("RPT_SERVE_QUEUE_CAP"),
+    flag("RPT_SERVE_RELOAD_POLL_MS", "", &["serve"], U64,            |p, v| p.serve.reload_poll_ms = Some(num(v)))
+        .env("RPT_SERVE_RELOAD_POLL_MS"),
+    flag("--shard-size",     "K",     &["shard"], Count(usize::MAX), |p, v| p.shard.shard_size = num(v)),
+    flag("--rows",           "N",     &["shard"], Usize,             |p, v| p.shard.rows = num(v)),
+    flag("--seed",           "S",     &["shard"], U64,               |p, v| p.shard.seed = num(v)),
+    flag("--steps",          "N",     &["pretrain"], Usize,          |p, v| p.pretrain.steps = num(v)),
+    flag("--batch-size",     "B",     &["pretrain"], Count(usize::MAX), |p, v| p.pretrain.batch_size = num(v)),
+    flag("--micro-batch",    "M",     &["pretrain"], Count(usize::MAX), |p, v| p.pretrain.micro_batch = num(v)),
+    flag("--accum-steps",    "K",     &["pretrain"], Count(usize::MAX), |p, v| p.pretrain.accum_steps = num(v)),
+    flag("--no-prefetch",    "",      &["pretrain"], Switch,         |p, _| p.pretrain.prefetch = false),
+    flag("--save",           "MODEL", &["pretrain"], Text,           |p, v| p.pretrain.save = Some(v.into())),
+    flag("--checkpoint-dir", "DIR",   &["pretrain"], Text,           |p, v| p.pretrain.checkpoint_dir = Some(v.into())),
+    flag("--resume",         "STATE", &["pretrain"], Text,           |p, v| p.pretrain.resume = Some(v.into())),
+    flag("--log-level",      "LEVEL", ALL,        Text,              |p, v| p.obs.log_level = Some(v.into())),
+    flag("--quiet",          "",      ALL,        Switch,            |p, _| p.obs.quiet = true),
+    flag("--progress",       "",      ALL,        Switch,            |p, _| p.obs.progress = true),
+    flag("--metrics-out",    "PATH",  ALL,        Text,              |p, v| p.obs.metrics_out = Some(v.into())),
+    flag("--trace",          "",      ALL,        Switch,            |p, _| p.obs.trace = true)
+        .env("RPT_TRACE"),
+    flag("--trace-out",      "PATH",  ALL,        Text,              |p, v| p.obs.trace_out = Some(v.into())),
+];
+
+/// Parses argv (without the program name) in one pass. The first word
+/// that is not an observability flag names the command; its positionals
+/// follow, then its flags; the observability flags may stand anywhere.
+/// What the command line leaves out then falls back to the environment,
+/// read through `env` (see [`env_fallbacks`]).
+pub fn parse(
+    args: &[String],
+    env: impl Fn(&str) -> Option<String>,
+) -> Result<(Command, ObsOptions), CliError> {
+    let usage = |msg: String| Err(CliError::Usage(msg));
+    let (mut cmd, mut words, mut given) = (None::<&Cmd>, Vec::new(), Vec::new());
+    let mut p = Parsed::default();
     let mut it = args.iter();
-    let Some(cmd) = it.next() else {
-        return Ok(Command::Help);
-    };
-    // `detect` fills nothing, so it takes neither `--column` nor `--output`
-    let parse_clean_flags = |rest: &[String], detect: bool| -> Result<CleanOptions, CliError> {
-        let mut opts = CleanOptions::default();
-        let mut i = 0;
-        while i < rest.len() {
-            let (flag, value) = flag_value(rest, i)?;
-            match flag {
-                "--column" if !detect => opts.column = Some(value.clone()),
-                "--steps" => {
-                    opts.steps = value
-                        .parse()
-                        .map_err(|_| CliError::Usage(format!("bad --steps {value}")))?
+    while let Some(arg) = it.next() {
+        let global = FLAGS.iter().find(|f| f.cmds.is_empty() && f.name == arg);
+        let flag = match (global, cmd) {
+            (Some(f), _) => f,
+            (None, None) => {
+                let help = ["--help", "-h"].contains(&arg.as_str());
+                match COMMANDS
+                    .iter()
+                    .find(|c| c.0 == arg || (help && c.0 == "help"))
+                {
+                    Some(c) => cmd = Some(c),
+                    None => return usage(format!("unknown command {arg}")),
                 }
-                "--load" => opts.load = Some(value.clone()),
-                "--save" => opts.save = Some(value.clone()),
-                "--output" if !detect => opts.output = Some(value.clone()),
-                "--checkpoint-dir" => opts.checkpoint_dir = Some(value.clone()),
-                "--resume" => opts.resume = Some(value.clone()),
-                other => return Err(CliError::Usage(format!("unknown flag {other}"))),
+                continue;
             }
-            i += 2;
-        }
-        Ok(opts)
-    };
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "profile" => {
-            let path = positional(&mut it, "profile needs a file")?;
-            no_more(it)?;
-            Ok(Command::Profile(path))
-        }
-        "clean" | "detect" => {
-            let path = positional(&mut it, &format!("{cmd} needs a file"))?;
-            let rest: Vec<String> = it.cloned().collect();
-            if cmd == "clean" {
-                Ok(Command::Clean(path, parse_clean_flags(&rest, false)?))
-            } else {
-                Ok(Command::Detect(path, parse_clean_flags(&rest, true)?))
+            (None, Some(Cmd(_, args, missing))) if words.len() < args.len() => {
+                if arg.starts_with("--") {
+                    return usage(missing.to_string());
+                }
+                words.push(arg.clone());
+                continue;
             }
-        }
-        "match" => {
-            let a = positional(&mut it, "match needs two files")?;
-            let b = positional(&mut it, "match needs two files")?;
-            let rest: Vec<String> = it.cloned().collect();
-            let mut threshold = 0.5f32;
-            let mut i = 0;
-            while i < rest.len() {
-                match flag_value(&rest, i)? {
-                    ("--threshold", v) => {
-                        threshold = v
-                            .parse()
-                            .map_err(|_| CliError::Usage(format!("bad --threshold {v}")))?;
+            (None, Some(Cmd(name, ..))) => {
+                let own = |f: &&Flag| f.cmds.contains(name) && f.on_argv();
+                match FLAGS.iter().filter(own).find(|f| f.name == arg) {
+                    Some(f) => f,
+                    None if arg.starts_with("--") && FLAGS.iter().any(|f| own(&f)) => {
+                        return usage(format!("unknown flag {arg}"))
                     }
-                    (other, _) => return Err(CliError::Usage(format!("unknown flag {other}"))),
+                    None => return usage(format!("unexpected argument {arg}")),
                 }
-                i += 2;
             }
-            Ok(Command::Match(a, b, threshold))
-        }
-        "serve" => {
-            let path = positional(&mut it, "serve needs a file")?;
-            let rest: Vec<String> = it.cloned().collect();
-            let mut opts = ServeOptions::default();
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                if flag == "--quant" {
-                    opts.quant = true;
-                    i += 1;
-                    continue;
-                }
-                let (flag, value) = flag_value(&rest, i)?;
-                match flag {
-                    "--addr" => opts.addr = value.clone(),
-                    "--max-batch" => {
-                        let n: usize = value
-                            .parse()
-                            .map_err(|_| CliError::Usage(format!("bad --max-batch {value}")))?;
-                        if n == 0 {
-                            return Err(CliError::Usage("--max-batch must be >= 1".into()));
-                        }
-                        opts.max_batch = Some(n);
-                    }
-                    "--steps" => {
-                        opts.steps = value
-                            .parse()
-                            .map_err(|_| CliError::Usage(format!("bad --steps {value}")))?
-                    }
-                    "--load" => opts.load = Some(value.clone()),
-                    "--checkpoint-dir" => opts.checkpoint_dir = Some(value.clone()),
-                    other => return Err(CliError::Usage(format!("unknown flag {other}"))),
-                }
-                i += 2;
+        };
+        let value = match flag.kind {
+            Switch => "",
+            kind => {
+                let Some(value) = it.next() else {
+                    return usage(format!("{} needs a value", flag.name));
+                };
+                kind.check(flag.name, value)?;
+                value
             }
-            Ok(Command::Serve(path, opts))
-        }
-        "quantize" => {
-            let input = positional(&mut it, "quantize needs an input and an output")?;
-            let output = positional(&mut it, "quantize needs an input and an output")?;
-            no_more(it)?;
-            Ok(Command::Quantize(input, output))
-        }
-        "shard" => {
-            let out_dir = positional(&mut it, "shard needs an output directory")?;
-            let rest: Vec<String> = it.cloned().collect();
-            let mut opts = ShardOptions::default();
-            let mut i = 0;
-            while i < rest.len() {
-                let (flag, value) = flag_value(&rest, i)?;
-                match flag {
-                    "--shard-size" => {
-                        let n: usize = value
-                            .parse()
-                            .map_err(|_| CliError::Usage(format!("bad --shard-size {value}")))?;
-                        if n == 0 {
-                            return Err(CliError::Usage("--shard-size must be >= 1".into()));
-                        }
-                        opts.shard_size = n;
-                    }
-                    "--rows" => {
-                        opts.rows = value
-                            .parse()
-                            .map_err(|_| CliError::Usage(format!("bad --rows {value}")))?
-                    }
-                    "--seed" => {
-                        opts.seed = value
-                            .parse()
-                            .map_err(|_| CliError::Usage(format!("bad --seed {value}")))?
-                    }
-                    other => return Err(CliError::Usage(format!("unknown flag {other}"))),
-                }
-                i += 2;
-            }
-            Ok(Command::Shard(out_dir, opts))
-        }
-        "pretrain" => {
-            let corpus_dir = positional(&mut it, "pretrain needs a corpus directory")?;
-            let rest: Vec<String> = it.cloned().collect();
-            let mut opts = PretrainOptions::default();
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                if flag == "--no-prefetch" {
-                    opts.prefetch = false;
-                    i += 1;
-                    continue;
-                }
-                let (flag, value) = flag_value(&rest, i)?;
-                match flag {
-                    "--steps" => {
-                        opts.steps = value
-                            .parse()
-                            .map_err(|_| CliError::Usage(format!("bad --steps {value}")))?
-                    }
-                    "--batch-size" => {
-                        let n: usize = value
-                            .parse()
-                            .map_err(|_| CliError::Usage(format!("bad --batch-size {value}")))?;
-                        if n == 0 {
-                            return Err(CliError::Usage("--batch-size must be >= 1".into()));
-                        }
-                        opts.batch_size = n;
-                    }
-                    "--micro-batch" => {
-                        let n: usize = value
-                            .parse()
-                            .map_err(|_| CliError::Usage(format!("bad --micro-batch {value}")))?;
-                        if n == 0 {
-                            return Err(CliError::Usage("--micro-batch must be >= 1".into()));
-                        }
-                        opts.micro_batch = n;
-                    }
-                    "--accum-steps" => {
-                        let n: usize = value
-                            .parse()
-                            .map_err(|_| CliError::Usage(format!("bad --accum-steps {value}")))?;
-                        if n == 0 {
-                            return Err(CliError::Usage("--accum-steps must be >= 1".into()));
-                        }
-                        opts.accum_steps = n;
-                    }
-                    "--save" => opts.save = Some(value.clone()),
-                    "--checkpoint-dir" => opts.checkpoint_dir = Some(value.clone()),
-                    "--resume" => opts.resume = Some(value.clone()),
-                    other => return Err(CliError::Usage(format!("unknown flag {other}"))),
-                }
-                i += 2;
-            }
-            Ok(Command::Pretrain(corpus_dir, opts))
-        }
-        "trace-report" => {
-            let path = positional(&mut it, "trace-report needs a dump file")?;
-            no_more(it)?;
-            Ok(Command::TraceReport(path))
-        }
-        other => Err(CliError::Usage(format!("unknown command {other}"))),
+        };
+        (flag.set)(&mut p, value);
+        given.push(flag.name);
     }
+    let Cmd(name, args, missing) = cmd.unwrap_or(&HELP);
+    if words.len() < args.len() {
+        return usage(missing.to_string());
+    }
+    env_fallbacks(name, &given, &mut p, env)?;
+    let mut words = words.into_iter();
+    let mut word = || words.next().unwrap_or_default();
+    let command = match *name {
+        "profile" => Command::Profile(word()),
+        "clean" => Command::Clean(word(), p.clean),
+        "detect" => Command::Detect(word(), p.clean),
+        "match" => Command::Match(word(), word(), p.threshold.unwrap_or(0.5)),
+        "serve" => Command::Serve(word(), p.serve),
+        "quantize" => Command::Quantize(word(), word()),
+        "shard" => Command::Shard(word(), p.shard),
+        "pretrain" => Command::Pretrain(word(), p.pretrain),
+        "trace-report" => Command::TraceReport(word()),
+        _ => Command::Help,
+    };
+    Ok((command, p.obs))
+}
+
+/// Flag, then env, then default: each setting of `cmd` with an env
+/// fallback that the command line did not give is read from `env` and
+/// checked like a flag value; what is still missing keeps its option's
+/// default. The one place the CLI reads `RPT_SERVE_*`, `RPT_QUANT` and
+/// `RPT_TRACE`.
+fn env_fallbacks(
+    cmd: &str,
+    given: &[Str],
+    p: &mut Parsed,
+    env: impl Fn(&str) -> Option<String>,
+) -> Result<(), CliError> {
+    for f in FLAGS
+        .iter()
+        .filter(|f| f.cmds.is_empty() || f.cmds.contains(&cmd))
+    {
+        let (Some(var), false) = (f.env, given.contains(&f.name)) else {
+            continue;
+        };
+        let Some(value) = env(var) else { continue };
+        match f.kind {
+            Switch if value != "1" && !value.eq_ignore_ascii_case("true") => continue,
+            kind => kind.check(var, &value)?,
+        }
+        (f.set)(p, &value);
+    }
+    Ok(())
+}
+
+/// The help text: the synopsis lines, rendered from the command and flag
+/// tables, then the prose.
+pub fn usage() -> String {
+    let mut out =
+        String::from("rpt — relational pre-trained transformer, plug-and-play\n\nUSAGE:\n");
+    for Cmd(name, args, _) in COMMANDS {
+        let head = format!("rpt {name:<7} {}", args.join(" "));
+        synopsis(&mut out, &head, |f| f.cmds.contains(name));
+    }
+    out.push_str("\nObservability (any command):\n");
+    synopsis(&mut out, "rpt <command> ...", |f| f.cmds.is_empty());
+    let _ = write!(
+        out,
+        "--log-level is off|error|warn|info|debug|trace (default warn;
+RPT_LOG=target=level overrides per target) and --quiet means
+--log-level error. --progress logs a step ticker during training (info
+on rpt::progress). --metrics-out enables metrics and writes a JSON
+snapshot to PATH periodically and at exit. --trace (or RPT_TRACE=1)
+enables trace recording; a serving process then exposes GET
+/debug/tracez. --trace-out also writes the event-ring dump to PATH at
+exit; render it with rpt trace-report.
+
+Serving: a flag rpt serve leaves out falls back to its variable, then to
+the default: --max-batch to RPT_SERVE_MAX_BATCH (default 8, at most
+{MAX_BATCH}) and --quant to RPT_QUANT=1. The decode queue takes
+RPT_SERVE_QUEUE_CAP places (default 4 x the max batch, at most {}) and
+hot-reload polls every RPT_SERVE_RELOAD_POLL_MS (default 50).
+
+Quantized serving: rpt quantize converts an f32 checkpoint into a
+quant-v1 one (f32 params + per-row int8 linear weights); rpt serve
+--quant (or RPT_QUANT=1) serves int8 — loading the stored section when
+--load points at a quant-v1 file, requantizing on the fly otherwise.
+
+Durable training: --checkpoint-dir DIR writes a rolling, atomically
+replaced DIR/train_state.json (params + Adam moments + RNG streams +
+loss curve) every ~10% of the run; --resume STATE continues a killed
+run bit-identically to one that was never interrupted. A --load model
+is never trained, so clean and detect refuse --load with either.
+
+Streaming corpora: rpt shard builds a sharded on-disk corpus (binary
+token shards + vocab.json + manifest.json); rpt pretrain streams it
+shard by shard — prefetching the next shard in the background unless
+--no-prefetch — with --accum-steps folding K micro-batches into one
+optimizer step, bit-identical to the equivalent large batch. Its
+--checkpoint-dir state records the corpus position (epoch, shard,
+offset, pending accumulation window), so --resume continues mid-corpus
+— even mid-window — on the exact uninterrupted trajectory.
+",
+        rpt_serve::MAX_QUEUE_CAP
+    );
+    out
+}
+
+/// Appends `head` and a `[--flag VALUE]` item for each flag `takes`
+/// selects, wrapping at 100 columns under the first item.
+fn synopsis(out: &mut String, head: &str, takes: impl Fn(&Flag) -> bool) {
+    let mut line = format!("  {}", head.trim_end());
+    let indent = line.len();
+    for f in FLAGS.iter().filter(|f| f.on_argv() && takes(f)) {
+        let item = match f.meta {
+            "" => format!("[{}]", f.name),
+            meta => format!("[{} {meta}]", f.name),
+        };
+        if line.len() + 1 + item.len() > 100 {
+            let _ = writeln!(out, "{line}");
+            line = " ".repeat(indent);
+        }
+        let _ = write!(line, " {item}");
+    }
+    let _ = writeln!(out, "{line}");
 }
 
 /// Runs a parsed command, returning the report to print.
 pub fn run(cmd: Command) -> Result<String, CliError> {
     match cmd {
-        Command::Help => Ok(USAGE.to_string()),
+        Command::Help => Ok(usage()),
         Command::Profile(path) => cmd_profile(&path),
         Command::Clean(path, opts) => cmd_clean(&path, &opts),
         Command::Detect(path, opts) => cmd_detect(&path, &opts),
@@ -1078,9 +1121,39 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    /// An environment with only the given variables set.
+    fn fake_env(vars: &[(&str, &str)]) -> impl Fn(&str) -> Option<String> {
+        let vars: Vec<(String, String)> = vars
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        move |var| vars.iter().find(|(k, _)| k == var).map(|(_, v)| v.clone())
+    }
+
+    /// The command `args` parse to in an empty environment.
+    fn parse_cmd(args: &[String]) -> Result<Command, CliError> {
+        parse(args, fake_env(&[])).map(|(cmd, _)| cmd)
+    }
+
+    /// The serve options and observability flags of `args` under `env`.
+    fn parse_serve(args: &[&str], env: &[(&str, &str)]) -> (ServeOptions, ObsOptions) {
+        match parse(&s(args), fake_env(env)) {
+            Ok((Command::Serve(_, opts), obs)) => (opts, obs),
+            other => panic!("{args:?} under {env:?}: {other:?}"),
+        }
+    }
+
+    /// The usage error `args` give under `env`.
+    fn usage_error(args: &[&str], env: &[(&str, &str)]) -> String {
+        match parse(&s(args), fake_env(env)) {
+            Err(CliError::Usage(msg)) => msg,
+            other => panic!("{args:?} under {env:?} parsed: {other:?}"),
+        }
+    }
+
     #[test]
     fn parse_shard_flags() {
-        let cmd = parse_args(&s(&[
+        let cmd = parse_cmd(&s(&[
             "shard",
             "corpus/",
             "--shard-size",
@@ -1103,17 +1176,17 @@ mod tests {
             )
         );
         assert_eq!(
-            parse_args(&s(&["shard", "c"])).unwrap(),
+            parse_cmd(&s(&["shard", "c"])).unwrap(),
             Command::Shard("c".into(), ShardOptions::default())
         );
-        assert!(parse_args(&s(&["shard"])).is_err());
-        assert!(parse_args(&s(&["shard", "c", "--shard-size", "0"])).is_err());
-        assert!(parse_args(&s(&["shard", "c", "--bogus", "1"])).is_err());
+        assert!(parse_cmd(&s(&["shard"])).is_err());
+        assert!(parse_cmd(&s(&["shard", "c", "--shard-size", "0"])).is_err());
+        assert!(parse_cmd(&s(&["shard", "c", "--bogus", "1"])).is_err());
     }
 
     #[test]
     fn parse_pretrain_flags() {
-        let cmd = parse_args(&s(&[
+        let cmd = parse_cmd(&s(&[
             "pretrain",
             "corpus/",
             "--steps",
@@ -1150,27 +1223,27 @@ mod tests {
             )
         );
         assert_eq!(
-            parse_args(&s(&["pretrain", "c"])).unwrap(),
+            parse_cmd(&s(&["pretrain", "c"])).unwrap(),
             Command::Pretrain("c".into(), PretrainOptions::default())
         );
-        assert!(parse_args(&s(&["pretrain"])).is_err());
-        assert!(parse_args(&s(&["pretrain", "c", "--accum-steps", "0"])).is_err());
-        assert!(parse_args(&s(&["pretrain", "c", "--batch-size", "x"])).is_err());
+        assert!(parse_cmd(&s(&["pretrain"])).is_err());
+        assert!(parse_cmd(&s(&["pretrain", "c", "--accum-steps", "0"])).is_err());
+        assert!(parse_cmd(&s(&["pretrain", "c", "--batch-size", "x"])).is_err());
     }
 
     #[test]
     fn parse_profile_and_help() {
         assert_eq!(
-            parse_args(&s(&["profile", "a.csv"])).unwrap(),
+            parse_cmd(&s(&["profile", "a.csv"])).unwrap(),
             Command::Profile("a.csv".into())
         );
-        assert_eq!(parse_args(&s(&["help"])).unwrap(), Command::Help);
-        assert_eq!(parse_args(&[]).unwrap(), Command::Help);
+        assert_eq!(parse_cmd(&s(&["help"])).unwrap(), Command::Help);
+        assert_eq!(parse_cmd(&[]).unwrap(), Command::Help);
     }
 
     #[test]
     fn parse_clean_flags() {
-        let cmd = parse_args(&s(&[
+        let cmd = parse_cmd(&s(&[
             "clean", "d.csv", "--column", "price", "--steps", "100", "--output", "out.csv",
         ]))
         .unwrap();
@@ -1186,24 +1259,31 @@ mod tests {
     }
 
     #[test]
-    fn split_obs_flags_extracts_and_preserves_order() {
-        let (rest, obs) = split_obs_flags(&s(&[
-            "clean",
-            "d.csv",
-            "--quiet",
-            "--steps",
-            "50",
-            "--metrics-out",
-            "m.json",
-            "--progress",
-            "--log-level",
-            "debug",
-            "--trace",
-            "--trace-out",
-            "t.json",
-        ]))
+    fn obs_flags_parse_anywhere_in_the_one_pass() {
+        let (cmd, obs) = parse(
+            &s(&[
+                "--quiet",
+                "clean",
+                "d.csv",
+                "--steps",
+                "50",
+                "--metrics-out",
+                "m.json",
+                "--progress",
+                "--log-level",
+                "debug",
+                "--trace",
+                "--trace-out",
+                "t.json",
+            ]),
+            fake_env(&[]),
+        )
         .unwrap();
-        assert_eq!(rest, s(&["clean", "d.csv", "--steps", "50"]));
+        let opts = CleanOptions {
+            steps: 50,
+            ..CleanOptions::default()
+        };
+        assert_eq!(cmd, Command::Clean("d.csv".into(), opts));
         assert_eq!(
             obs,
             ObsOptions {
@@ -1215,36 +1295,34 @@ mod tests {
                 trace_out: Some("t.json".into()),
             }
         );
+        // between the command and its file too, on a command without flags
+        let (cmd, obs) = parse(&s(&["profile", "--quiet", "t.csv"]), fake_env(&[])).unwrap();
+        assert_eq!(cmd, Command::Profile("t.csv".into()));
+        assert!(obs.quiet);
     }
 
     #[test]
-    fn split_obs_flags_requires_values() {
-        assert!(matches!(
-            split_obs_flags(&s(&["clean", "d.csv", "--log-level"])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            split_obs_flags(&s(&["clean", "d.csv", "--metrics-out"])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            split_obs_flags(&s(&["clean", "d.csv", "--trace-out"])),
-            Err(CliError::Usage(_))
-        ));
+    fn obs_flags_require_values() {
+        for flag in ["--log-level", "--metrics-out", "--trace-out"] {
+            assert_eq!(
+                usage_error(&["clean", "d.csv", flag], &[]),
+                format!("{flag} needs a value")
+            );
+        }
     }
 
     #[test]
     fn parse_trace_report() {
         assert_eq!(
-            parse_args(&s(&["trace-report", "t.json"])).unwrap(),
+            parse_cmd(&s(&["trace-report", "t.json"])).unwrap(),
             Command::TraceReport("t.json".into())
         );
         assert!(matches!(
-            parse_args(&s(&["trace-report"])),
+            parse_cmd(&s(&["trace-report"])),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            parse_args(&s(&["trace-report", "a", "b"])),
+            parse_cmd(&s(&["trace-report", "a", "b"])),
             Err(CliError::Usage(_))
         ));
     }
@@ -1295,13 +1373,13 @@ mod tests {
 
     #[test]
     fn parse_match_threshold() {
-        let cmd = parse_args(&s(&["match", "a.csv", "b.csv", "--threshold", "0.8"])).unwrap();
+        let cmd = parse_cmd(&s(&["match", "a.csv", "b.csv", "--threshold", "0.8"])).unwrap();
         assert_eq!(cmd, Command::Match("a.csv".into(), "b.csv".into(), 0.8));
     }
 
     #[test]
     fn parse_serve_flags() {
-        let cmd = parse_args(&s(&[
+        let cmd = parse_cmd(&s(&[
             "serve",
             "a.csv",
             "--addr",
@@ -1324,6 +1402,8 @@ mod tests {
                 ServeOptions {
                     addr: "0.0.0.0:8080".into(),
                     max_batch: Some(4),
+                    queue_cap: None,
+                    reload_poll_ms: None,
                     steps: 10,
                     load: Some("m.json".into()),
                     checkpoint_dir: Some("ckpt".into()),
@@ -1336,7 +1416,7 @@ mod tests {
     #[test]
     fn parse_quant_flag_is_valueless() {
         // --quant between value-taking flags must not swallow a value
-        let cmd = parse_args(&s(&["serve", "a.csv", "--quant", "--steps", "5"])).unwrap();
+        let cmd = parse_cmd(&s(&["serve", "a.csv", "--quant", "--steps", "5"])).unwrap();
         assert_eq!(
             cmd,
             Command::Serve(
@@ -1353,68 +1433,62 @@ mod tests {
     #[test]
     fn parse_quantize() {
         assert_eq!(
-            parse_args(&s(&["quantize", "m.json", "q8.json"])).unwrap(),
+            parse_cmd(&s(&["quantize", "m.json", "q8.json"])).unwrap(),
             Command::Quantize("m.json".into(), "q8.json".into())
         );
         assert!(matches!(
-            parse_args(&s(&["quantize", "m.json"])),
+            parse_cmd(&s(&["quantize", "m.json"])),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            parse_args(&s(&["quantize", "m.json", "q8.json", "extra"])),
+            parse_cmd(&s(&["quantize", "m.json", "q8.json", "extra"])),
             Err(CliError::Usage(_))
         ));
     }
 
     #[test]
     fn parse_serve_defaults_and_errors() {
-        let cmd = parse_args(&s(&["serve", "a.csv"])).unwrap();
+        let cmd = parse_cmd(&s(&["serve", "a.csv"])).unwrap();
         assert_eq!(cmd, Command::Serve("a.csv".into(), ServeOptions::default()));
+        assert!(matches!(parse_cmd(&s(&["serve"])), Err(CliError::Usage(_))));
         assert!(matches!(
-            parse_args(&s(&["serve"])),
+            parse_cmd(&s(&["serve", "a.csv", "--max-batch", "0"])),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            parse_args(&s(&["serve", "a.csv", "--max-batch", "0"])),
+            parse_cmd(&s(&["serve", "a.csv", "--addr"])),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            parse_args(&s(&["serve", "a.csv", "--addr"])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            parse_args(&s(&["serve", "a.csv", "--bogus", "1"])),
+            parse_cmd(&s(&["serve", "a.csv", "--bogus", "1"])),
             Err(CliError::Usage(_))
         ));
     }
 
     #[test]
     fn parse_errors() {
+        assert!(matches!(parse_cmd(&s(&["clean"])), Err(CliError::Usage(_))));
         assert!(matches!(
-            parse_args(&s(&["clean"])),
+            parse_cmd(&s(&["clean", "x.csv", "--bogus", "1"])),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            parse_args(&s(&["clean", "x.csv", "--bogus", "1"])),
+            parse_cmd(&s(&["frobnicate"])),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            parse_args(&s(&["frobnicate"])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            parse_args(&s(&["clean", "x.csv", "--steps", "NaN"])),
+            parse_cmd(&s(&["clean", "x.csv", "--steps", "NaN"])),
             Err(CliError::Usage(_))
         ));
         // detect fills nothing: the clean-only flags are unknown to it
         for flag in ["--column", "--output"] {
-            match parse_args(&s(&["detect", "x.csv", flag, "v"])) {
+            match parse_cmd(&s(&["detect", "x.csv", flag, "v"])) {
                 Err(CliError::Usage(msg)) => assert_eq!(msg, format!("unknown flag {flag}")),
                 other => panic!("detect accepted {flag}: {other:?}"),
             }
         }
         // a flag is never taken for the file, and stray words are rejected
-        let usage = |args: &[&str]| match parse_args(&s(args)) {
+        let usage = |args: &[&str]| match parse_cmd(&s(args)) {
             Err(CliError::Usage(msg)) => msg,
             other => panic!("{args:?} parsed: {other:?}"),
         };
@@ -1438,6 +1512,198 @@ mod tests {
         assert_eq!(
             usage(&["match", "a.csv", "b.csv", "c.csv"]),
             "unexpected argument c.csv"
+        );
+        assert_eq!(usage(&["help", "extra"]), "unexpected argument extra");
+        // a flag is matched whole: `--quant=1` is not `--quant` with a value
+        assert_eq!(
+            usage(&["serve", "t.csv", "--quant=1"]),
+            "unknown flag --quant=1"
+        );
+        // NaN would make every `score >= threshold` false and report 0 pairs
+        for t in ["NaN", "inf", "-inf"] {
+            assert_eq!(
+                usage(&["match", "a.csv", "b.csv", "--threshold", t]),
+                format!("bad --threshold {t}")
+            );
+        }
+    }
+
+    #[test]
+    fn env_fallbacks_take_the_flag_then_the_env_then_the_default() {
+        let env = [
+            ("RPT_SERVE_MAX_BATCH", "6"),
+            ("RPT_SERVE_QUEUE_CAP", "7"),
+            ("RPT_SERVE_RELOAD_POLL_MS", "9"),
+            ("RPT_QUANT", "true"),
+            ("RPT_TRACE", "1"),
+        ];
+        // the flag wins over its variable
+        let (opts, obs) = parse_serve(&["serve", "a.csv", "--max-batch", "3"], &env);
+        assert_eq!(opts.max_batch, Some(3));
+        let (opts, obs2) = parse_serve(
+            &["serve", "a.csv", "--quant", "--trace"],
+            &[("RPT_QUANT", "0"), ("RPT_TRACE", "no")],
+        );
+        assert!(opts.quant && obs2.trace);
+        assert!(obs.trace);
+        // the variable fills what the command line leaves out
+        let (opts, obs) = parse_serve(&["serve", "a.csv"], &env);
+        let cfg = serve_config(&opts);
+        assert_eq!(
+            (
+                cfg.max_batch,
+                cfg.queue_cap,
+                cfg.reload_poll_ms,
+                cfg.quant,
+                obs.trace
+            ),
+            (6, 7, 9, true, true)
+        );
+        // and the default what both leave out
+        let (opts, obs) = parse_serve(&["serve", "a.csv"], &[]);
+        let cfg = serve_config(&opts);
+        assert_eq!(
+            (
+                cfg.max_batch,
+                cfg.queue_cap,
+                cfg.reload_poll_ms,
+                cfg.quant,
+                obs.trace
+            ),
+            (8, 32, 50, false, false)
+        );
+        let (opts, _) = parse_serve(&["serve", "a.csv"], &[("RPT_QUANT", "0")]);
+        assert!(!opts.quant);
+        // the queue follows the max batch, from the flag or the variable
+        let (opts, _) = parse_serve(&["serve", "a.csv"], &[("RPT_SERVE_MAX_BATCH", "6")]);
+        assert_eq!(serve_config(&opts).queue_cap, 24);
+        let (opts, _) = parse_serve(&["serve", "a.csv", "--max-batch", "3"], &env[..1]);
+        assert_eq!(serve_config(&opts).queue_cap, 12);
+        // RPT_TRACE is read for every command, the serve variables only
+        // for serve
+        let bad = [("RPT_SERVE_MAX_BATCH", "x"), ("RPT_TRACE", "TRUE")];
+        let (_, obs) = parse(&s(&["profile", "a.csv"]), fake_env(&bad)).unwrap();
+        assert!(obs.trace);
+        // a variable is checked like its flag, and named in the error
+        assert_eq!(
+            usage_error(&["serve", "a.csv"], &bad),
+            "bad RPT_SERVE_MAX_BATCH x"
+        );
+        assert_eq!(
+            usage_error(&["serve", "a.csv"], &[("RPT_SERVE_QUEUE_CAP", "0")]),
+            "RPT_SERVE_QUEUE_CAP must be >= 1"
+        );
+        assert_eq!(
+            usage_error(&["serve", "a.csv"], &[("RPT_SERVE_RELOAD_POLL_MS", "-1")]),
+            "bad RPT_SERVE_RELOAD_POLL_MS -1"
+        );
+    }
+
+    #[test]
+    fn serve_sizes_above_the_ceiling_are_usage_errors() {
+        let huge = "1000000000000";
+        assert_eq!(
+            usage_error(&["serve", "a.csv", "--max-batch", huge], &[]),
+            format!("--max-batch must be <= {MAX_BATCH}")
+        );
+        assert_eq!(
+            usage_error(&["serve", "a.csv"], &[("RPT_SERVE_MAX_BATCH", huge)]),
+            format!("RPT_SERVE_MAX_BATCH must be <= {MAX_BATCH}")
+        );
+        assert_eq!(
+            usage_error(
+                &["serve", "a.csv"],
+                &[("RPT_SERVE_QUEUE_CAP", "4000000000000")]
+            ),
+            format!(
+                "RPT_SERVE_QUEUE_CAP must be <= {}",
+                rpt_serve::MAX_QUEUE_CAP
+            )
+        );
+        // the largest max batch still gets its 4x queue, inside the ceiling
+        let max = MAX_BATCH.to_string();
+        let (opts, _) = parse_serve(&["serve", "a.csv", "--max-batch", &max], &[]);
+        assert_eq!(serve_config(&opts).queue_cap, rpt_serve::MAX_QUEUE_CAP);
+        // options built in code saturate instead of wrapping, and
+        // `Server::start` refuses the result
+        let cfg = serve_config(&ServeOptions {
+            max_batch: Some(usize::MAX / 2),
+            ..ServeOptions::default()
+        });
+        assert_eq!(cfg.queue_cap, usize::MAX);
+    }
+
+    /// Every flag the table gives a command changes what that command
+    /// parses to, so no row is accepted and then ignored.
+    #[test]
+    fn every_table_flag_reaches_its_option() {
+        for f in FLAGS.iter().filter(|f| f.on_argv()) {
+            let cmds: &[&str] = if f.cmds.is_empty() {
+                &["profile"]
+            } else {
+                f.cmds
+            };
+            for cmd in cmds {
+                let Cmd(_, positionals, _) = COMMANDS.iter().find(|c| c.0 == *cmd).unwrap();
+                let mut args = vec![cmd.to_string()];
+                args.extend(positionals.iter().map(|a| a.to_string()));
+                let plain = parse(&args, fake_env(&[])).unwrap();
+                args.push(f.name.to_string());
+                match f.kind {
+                    Switch => {}
+                    Finite => args.push("0.25".into()),
+                    Text => args.push("error".into()),
+                    _ => args.push("3".into()),
+                }
+                let flagged = parse(&args, fake_env(&[])).unwrap();
+                assert_ne!(plain, flagged, "{cmd} {} is ignored", f.name);
+            }
+        }
+    }
+
+    #[test]
+    fn load_refuses_resume_and_checkpoint_dir() {
+        let dir = std::env::temp_dir().join("rpt-cli-test-load-conflict");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.csv");
+        std::fs::write(&path, "brand,maker\niphone,apple\n").unwrap();
+        let path = path.to_str().unwrap();
+        let load = Some("never-read.json".to_string());
+        for opts in [
+            CleanOptions {
+                load: load.clone(),
+                resume: Some("state.json".into()),
+                ..CleanOptions::default()
+            },
+            CleanOptions {
+                load: load.clone(),
+                checkpoint_dir: Some("ckpt".into()),
+                ..CleanOptions::default()
+            },
+        ] {
+            for result in [cmd_clean(path, &opts), cmd_detect(path, &opts)] {
+                match result {
+                    Err(CliError::Usage(msg)) => assert!(msg.starts_with("--load takes neither")),
+                    other => panic!("{opts:?} ran: {other:?}"),
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn usage_lists_every_flag_of_the_table() {
+        let text = usage();
+        for f in FLAGS.iter().filter(|f| f.on_argv()) {
+            assert!(
+                text.contains(&format!("[{}", f.name)),
+                "{} not listed",
+                f.name
+            );
+        }
+        assert!(
+            text.contains("  rpt pretrain <corpus-dir> [--steps N]"),
+            "{text}"
         );
     }
 
@@ -1509,7 +1775,7 @@ mod tests {
 
     #[test]
     fn parse_checkpoint_and_resume_flags() {
-        let cmd = parse_args(&s(&[
+        let cmd = parse_cmd(&s(&[
             "clean",
             "d.csv",
             "--checkpoint-dir",

@@ -1,9 +1,7 @@
 //! `rpt` — the plug-and-play binary. All logic lives in the library; this
 //! is argv handling and exit codes only.
 
-use rpt_cli::{
-    finish_observability, init_observability, parse_args, run, split_obs_flags, CliError, USAGE,
-};
+use rpt_cli::{finish_observability, init_observability, parse, run, usage, CliError};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -15,7 +13,7 @@ fn main() {
         Err(CliError::Usage(msg)) => {
             // Usage errors always reach the terminal: the user asked for
             // something malformed before any log level could apply.
-            eprintln!("error: {msg}\n\n{USAGE}");
+            eprintln!("error: {msg}\n\n{}", usage());
             2
         }
         Err(e) => {
@@ -28,7 +26,7 @@ fn main() {
 }
 
 fn real_main(args: &[String]) -> Result<String, CliError> {
-    let (rest, obs) = split_obs_flags(args)?;
+    let (cmd, obs) = parse(args, |var| std::env::var(var).ok())?;
     init_observability(&obs)?;
-    parse_args(&rest).and_then(run)
+    run(cmd)
 }

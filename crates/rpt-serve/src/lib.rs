@@ -44,7 +44,7 @@
 //! `503` + `Retry-After: 1`. The checkpoint named in
 //! [`ServeConfig::checkpoint`] is hot-reloaded when its file changes
 //! (atomic-rename writes only; torn files are rejected harmlessly).
-//! With [`ServeConfig::quant`] (`--quant` / `RPT_QUANT=1`) the batcher
+//! With [`ServeConfig::quant`] (`rpt serve --quant`) the batcher
 //! serves int8 quantized weights — stored `quant-v1` tensors when the
 //! reloaded checkpoint carries them, otherwise quantized at load.
 
@@ -69,25 +69,31 @@ use batcher::{Batcher, BatcherShared, Job, JobTrace, Prefiller, StageNs};
 use http::{Parsed, Request, RequestParser, Response};
 use obs::SERVE_OBS;
 
+/// Most decode requests [`Server::start`] lets wait in its queue.
+/// `std::sync::mpsc::sync_channel` allocates every place up front, so
+/// without a ceiling a mistyped size would abort the process on the
+/// allocation instead of failing to start.
+pub const MAX_QUEUE_CAP: usize = 1 << 16;
+
 /// Server settings. `Default` gives an ephemeral localhost port and the
-/// documented env-var fallbacks; builders override per field.
+/// documented constants; builders override per field. The server reads no
+/// environment variable: `rpt serve` resolves its `RPT_SERVE_*` /
+/// `RPT_QUANT` fallbacks itself.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Listen address (`127.0.0.1:0` → kernel-assigned port).
     pub addr: String,
-    /// Most requests coalesced into one fused decode batch
-    /// (`RPT_SERVE_MAX_BATCH`, default 8).
+    /// Most requests coalesced into one fused decode batch (default 8).
     pub max_batch: usize,
-    /// Bounded queue capacity; requests beyond it get 503
-    /// (`RPT_SERVE_QUEUE_CAP`, default `4 * max_batch`). A request holds
-    /// its place from before its source is encoded until the batcher
-    /// admits it, so at most `queue_cap` encoded sources wait at once.
+    /// Bounded queue capacity, at most [`MAX_QUEUE_CAP`]; requests beyond
+    /// it get 503 (default 32, `4 * max_batch`). A request holds its
+    /// place from before its source is encoded until the batcher admits
+    /// it, so at most `queue_cap` encoded sources wait at once.
     pub queue_cap: usize,
     /// Checkpoint file to watch for hot-reload (never loaded at startup;
     /// the server starts from the parameters it was handed).
     pub checkpoint: Option<PathBuf>,
-    /// Idle poll interval for reload/shutdown checks, ms
-    /// (`RPT_SERVE_RELOAD_POLL_MS`, default 50).
+    /// Idle poll interval for reload/shutdown checks, ms (default 50).
     pub reload_poll_ms: u64,
     /// Per-read socket timeout, ms (shutdown responsiveness).
     pub read_timeout_ms: u64,
@@ -95,47 +101,27 @@ pub struct ServeConfig {
     pub max_header_bytes: usize,
     /// 413 ceiling for request bodies, bytes.
     pub max_body_bytes: usize,
-    /// Serve int8 quantized weights (`RPT_QUANT=1`, default off). The
-    /// batcher attaches a quant set built from the live parameters —
-    /// or the `quant-v1` section of a reloaded checkpoint — and every
-    /// decode runs through the exact integer kernels.
+    /// Serve int8 quantized weights (default off). The batcher attaches a
+    /// quant set built from the live parameters — or the `quant-v1`
+    /// section of a reloaded checkpoint — and every decode runs through
+    /// the exact integer kernels.
     pub quant: bool,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self::with_max_batch(env_usize("RPT_SERVE_MAX_BATCH").unwrap_or(8))
-    }
-}
-
-impl ServeConfig {
-    /// The defaults with `max_batch` given explicitly, so the queue takes
-    /// its documented `4 * max_batch` size unless `RPT_SERVE_QUEUE_CAP`
-    /// overrides it.
-    pub fn with_max_batch(max_batch: usize) -> Self {
-        let max_batch = max_batch.max(1);
         Self {
             addr: "127.0.0.1:0".to_string(),
-            max_batch,
-            queue_cap: env_usize("RPT_SERVE_QUEUE_CAP")
-                .unwrap_or(4 * max_batch)
-                .max(1),
+            max_batch: 8,
+            queue_cap: 32,
             checkpoint: None,
-            reload_poll_ms: env_usize("RPT_SERVE_RELOAD_POLL_MS").unwrap_or(50) as u64,
+            reload_poll_ms: 50,
             read_timeout_ms: 50,
             max_header_bytes: http::DEFAULT_MAX_HEADER_BYTES,
             max_body_bytes: http::DEFAULT_MAX_BODY_BYTES,
-            quant: env_flag("RPT_QUANT"),
+            quant: false,
         }
     }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.parse().ok()
-}
-
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
 }
 
 struct Shared {
@@ -157,8 +143,16 @@ pub struct Server {
 
 impl Server {
     /// Binds, spawns the acceptor + batcher, and returns immediately.
-    /// The served parameters are exactly `params` until a hot-reload.
+    /// The served parameters are exactly `params` until a hot-reload. A
+    /// `queue_cap` above [`MAX_QUEUE_CAP`] is `InvalidInput`, refused
+    /// before anything is allocated or bound.
     pub fn start(model: Seq2Seq, params: ParamStore, cfg: ServeConfig) -> std::io::Result<Server> {
+        if cfg.queue_cap > MAX_QUEUE_CAP {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("queue_cap {} is above {MAX_QUEUE_CAP}", cfg.queue_cap),
+            ));
+        }
         rpt_obs::set_metrics_enabled(true);
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;

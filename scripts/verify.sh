@@ -4,7 +4,10 @@
 # 0. The format gate: `cargo fmt --all --check` over every workspace
 #    member (perfbench/ is its own package and is not checked).
 # 1. Offline release build + full workspace test suite (the tier-1 bar),
-#    then clippy over every target with warnings denied.
+#    then clippy over every target with warnings denied, then the serve
+#    and CLI suites again with RPT_QUANT / RPT_SERVE_* set in the
+#    environment: no library default reads them and the CLI tests pass
+#    a fake environment, so the results must not depend on the caller's.
 # 2. The equivalence suites re-run with a 4-thread global pool, proving
 #    that the data-parallel trainer and parallel matmul kernels are
 #    bit-identical to their serial reference paths when threading is
@@ -64,6 +67,8 @@ cargo fmt --all --check
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline -q --workspace --all-targets -- -D warnings
+RPT_QUANT=1 RPT_SERVE_QUEUE_CAP=3 RPT_SERVE_MAX_BATCH=64 \
+    cargo test -q --offline --release -p rpt-serve -p rpt-cli
 
 RPT_THREADS=4 cargo test -q --offline --test parallel_equivalence
 RPT_THREADS=4 cargo test -q --offline --release --test resume_equivalence
