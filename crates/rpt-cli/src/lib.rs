@@ -745,12 +745,12 @@ pub fn finish_observability() {
     }
 }
 
+type Str = &'static str;
+
 /// A command: its name and positionals as the help text shows them, and
 /// the usage error when argv runs out of positionals or a flag comes
 /// before they are complete.
 struct Cmd(Str, &'static [Str], Str);
-
-type Str = &'static str;
 
 /// `rpt help` (also `--help`, `-h`, and an empty command line).
 const HELP: Cmd = Cmd("help", &[], "");
@@ -827,8 +827,10 @@ struct Flag {
     cmds: &'static [Str],
     kind: Kind,
     env: Option<Str>,
-    set: fn(&mut Parsed, &str),
+    set: Setter,
 }
+
+type Setter = fn(&mut Parsed, &str);
 
 const fn flag(name: Str, meta: Str, cmds: &'static [Str], kind: Kind, set: Setter) -> Flag {
     Flag {
@@ -840,8 +842,6 @@ const fn flag(name: Str, meta: Str, cmds: &'static [Str], kind: Kind, set: Sette
         set,
     }
 }
-
-type Setter = fn(&mut Parsed, &str);
 
 impl Flag {
     /// The row with `var` as its env fallback.
@@ -925,7 +925,7 @@ pub fn parse(
     args: &[String],
     env: impl Fn(&str) -> Option<String>,
 ) -> Result<(Command, ObsOptions), CliError> {
-    let usage = |msg: String| Err(CliError::Usage(msg));
+    let fail = |msg: String| Err(CliError::Usage(msg));
     let (mut cmd, mut words, mut given) = (None::<&Cmd>, Vec::new(), Vec::new());
     let mut p = Parsed::default();
     let mut it = args.iter();
@@ -940,13 +940,13 @@ pub fn parse(
                     .find(|c| c.0 == arg || (help && c.0 == "help"))
                 {
                     Some(c) => cmd = Some(c),
-                    None => return usage(format!("unknown command {arg}")),
+                    None => return fail(format!("unknown command {arg}")),
                 }
                 continue;
             }
             (None, Some(Cmd(_, args, missing))) if words.len() < args.len() => {
                 if arg.starts_with("--") {
-                    return usage(missing.to_string());
+                    return fail(missing.to_string());
                 }
                 words.push(arg.clone());
                 continue;
@@ -956,9 +956,9 @@ pub fn parse(
                 match FLAGS.iter().filter(own).find(|f| f.name == arg) {
                     Some(f) => f,
                     None if arg.starts_with("--") && FLAGS.iter().any(|f| own(&f)) => {
-                        return usage(format!("unknown flag {arg}"))
+                        return fail(format!("unknown flag {arg}"))
                     }
-                    None => return usage(format!("unexpected argument {arg}")),
+                    None => return fail(format!("unexpected argument {arg}")),
                 }
             }
         };
@@ -966,7 +966,7 @@ pub fn parse(
             Switch => "",
             kind => {
                 let Some(value) = it.next() else {
-                    return usage(format!("{} needs a value", flag.name));
+                    return fail(format!("{} needs a value", flag.name));
                 };
                 kind.check(flag.name, value)?;
                 value
@@ -977,7 +977,7 @@ pub fn parse(
     }
     let Cmd(name, args, missing) = cmd.unwrap_or(&HELP);
     if words.len() < args.len() {
-        return usage(missing.to_string());
+        return fail(missing.to_string());
     }
     env_fallbacks(name, &given, &mut p, env)?;
     let mut words = words.into_iter();
@@ -1538,47 +1538,36 @@ mod tests {
             ("RPT_TRACE", "1"),
         ];
         // the flag wins over its variable
-        let (opts, obs) = parse_serve(&["serve", "a.csv", "--max-batch", "3"], &env);
+        let (opts, _) = parse_serve(&["serve", "a.csv", "--max-batch", "3"], &env);
         assert_eq!(opts.max_batch, Some(3));
-        let (opts, obs2) = parse_serve(
-            &["serve", "a.csv", "--quant", "--trace"],
-            &[("RPT_QUANT", "0"), ("RPT_TRACE", "no")],
-        );
-        assert!(opts.quant && obs2.trace);
-        assert!(obs.trace);
+        let off = [("RPT_QUANT", "0"), ("RPT_TRACE", "no")];
+        let (opts, obs) = parse_serve(&["serve", "a.csv", "--quant", "--trace"], &off);
+        assert!(opts.quant && obs.trace);
+        let resolved = |args: &[&str], env: &[(&str, &str)]| {
+            let (opts, obs) = parse_serve(args, env);
+            let cfg = serve_config(&opts);
+            (
+                cfg.max_batch,
+                cfg.queue_cap,
+                cfg.reload_poll_ms,
+                cfg.quant,
+                obs.trace,
+            )
+        };
         // the variable fills what the command line leaves out
-        let (opts, obs) = parse_serve(&["serve", "a.csv"], &env);
-        let cfg = serve_config(&opts);
-        assert_eq!(
-            (
-                cfg.max_batch,
-                cfg.queue_cap,
-                cfg.reload_poll_ms,
-                cfg.quant,
-                obs.trace
-            ),
-            (6, 7, 9, true, true)
-        );
+        assert_eq!(resolved(&["serve", "a.csv"], &env), (6, 7, 9, true, true));
         // and the default what both leave out
-        let (opts, obs) = parse_serve(&["serve", "a.csv"], &[]);
-        let cfg = serve_config(&opts);
         assert_eq!(
-            (
-                cfg.max_batch,
-                cfg.queue_cap,
-                cfg.reload_poll_ms,
-                cfg.quant,
-                obs.trace
-            ),
+            resolved(&["serve", "a.csv"], &[]),
             (8, 32, 50, false, false)
         );
-        let (opts, _) = parse_serve(&["serve", "a.csv"], &[("RPT_QUANT", "0")]);
-        assert!(!opts.quant);
+        assert!(!resolved(&["serve", "a.csv"], &off).3);
         // the queue follows the max batch, from the flag or the variable
-        let (opts, _) = parse_serve(&["serve", "a.csv"], &[("RPT_SERVE_MAX_BATCH", "6")]);
-        assert_eq!(serve_config(&opts).queue_cap, 24);
-        let (opts, _) = parse_serve(&["serve", "a.csv", "--max-batch", "3"], &env[..1]);
-        assert_eq!(serve_config(&opts).queue_cap, 12);
+        assert_eq!(resolved(&["serve", "a.csv"], &env[..1]).1, 24);
+        assert_eq!(
+            resolved(&["serve", "a.csv", "--max-batch", "3"], &env[..1]).1,
+            12
+        );
         // RPT_TRACE is read for every command, the serve variables only
         // for serve
         let bad = [("RPT_SERVE_MAX_BATCH", "x"), ("RPT_TRACE", "TRUE")];
