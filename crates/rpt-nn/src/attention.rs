@@ -2,7 +2,8 @@
 //! the backbone the paper builds every RPT architecture on).
 
 use rpt_rng::RngCore;
-use rpt_tensor::{ParamStore, Tensor, Var};
+use rpt_tensor::tensor::softmax_row;
+use rpt_tensor::{matmul_rows_strided, ParamStore, Tensor, Var};
 
 use crate::module::{Ctx, Linear};
 
@@ -82,55 +83,31 @@ impl MultiHeadAttention {
         self.o.forward(ctx, merged)
     }
 
-    /// Projects `x_kv` (`[b, t, d]`) through the K and V projections and
-    /// splits heads, returning the raw `[b*h, t, dh]` tensors for a KV
-    /// cache. Row for row this is the same arithmetic [`Self::forward`]
-    /// performs on its key/value side, so cached and uncached attention see
-    /// bit-identical keys and values.
+    /// Projects `x_kv` (`[b, t, d]`) through the K and V projections,
+    /// returning the raw `[b, t, d]` tensors for a KV cache: head `i` of a
+    /// position is its columns `i*dh..(i+1)*dh`. Row for row this is the
+    /// same arithmetic [`Self::forward`] performs on its key/value side
+    /// (which then only splits the heads apart), so cached and uncached
+    /// attention see bit-identical keys and values.
     pub fn project_kv(&self, ctx: &mut Ctx<'_>, x_kv: Var) -> (Tensor, Tensor) {
-        let h = self.n_heads;
         let k = self.k.forward(ctx, x_kv);
         let v = self.v.forward(ctx, x_kv);
-        let kh = ctx.tape.split_heads(k, h);
-        let vh = ctx.tape.split_heads(v, h);
-        (ctx.tape.value(kh), ctx.tape.value(vh))
+        (ctx.tape.value(k), ctx.tape.value(v))
     }
 
-    /// Attention from queries `x_q` (`[b, t_q, d]`) over *cached* keys and
-    /// values from [`Self::project_kv`] (`[b*h, t_k, dh]` each). The cached
-    /// operands enter the tape as constants, so this is inference-only: no
-    /// gradient flows to the K/V projections.
+    /// Attention from one query per row (`x_q`, `[rows, 1, d]`) over cached
+    /// keys and values, `views[r]` for row `r`. Inference-only: the cached
+    /// operands never enter the tape, so no gradient reaches the K/V
+    /// projections.
     ///
-    /// Performs exactly the ops of [`Self::forward`] after its K/V
-    /// projections — outputs are bit-identical to an uncached pass over the
-    /// same keys in the same order.
-    pub fn attend_cached(
-        &self,
-        ctx: &mut Ctx<'_>,
-        x_q: Var,
-        k: &Tensor,
-        v: &Tensor,
-        mask: Option<&Tensor>,
-    ) -> Var {
-        let kv = ctx.tape.constant(k.clone());
-        let ktv = ctx.tape.transpose_last(kv); // [b*h, dh, t_k]
-        let kt = ctx.tape.value(ktv);
-        self.attend_cached_kt(ctx, x_q, &kt, v, mask)
-    }
-
-    /// [`Self::attend_cached`] with the keys already transposed to
-    /// `[b*h, dh, t_k]`. Transposition is value-preserving, so callers that
-    /// attend over a *fixed* key set (e.g. cross-attention during
-    /// incremental decoding) can transpose once at cache-build time instead
-    /// of every step without changing a single output bit.
-    pub fn attend_cached_kt(
-        &self,
-        ctx: &mut Ctx<'_>,
-        x_q: Var,
-        kt: &Tensor,
-        v: &Tensor,
-        mask: Option<&Tensor>,
-    ) -> Var {
+    /// The Q and O projections run fused over all rows. The core (scores,
+    /// softmax and the weighted sum) runs per row-head over that row's own
+    /// `t` keys: its two products run on the same blocked kernel as
+    /// [`Self::forward`]'s batched ones (each output one `+0.0`-started
+    /// accumulator adding `a·b` in ascending inner index), and the scores
+    /// go through the same `softmax_row`. So the output is bit-identical
+    /// to an uncached pass over the same keys in the same order.
+    pub(crate) fn attend_cached(&self, ctx: &mut Ctx<'_>, x_q: Var, views: &[KvView<'_>]) -> Var {
         debug_assert!(
             ctx.tape.is_forward_only(),
             "attend_cached drops K/V gradients; use forward() on a recording tape"
@@ -138,20 +115,56 @@ impl MultiHeadAttention {
         let h = self.n_heads;
         let dh = self.d_model / h;
         let q = self.q.forward(ctx, x_q);
-        let qh = ctx.tape.split_heads(q, h); // [b*h, t_q, dh]
+        let qh = ctx.tape.split_heads(q, h); // [rows*h, 1, dh]
         let qh = ctx.tape.scale(qh, 1.0 / (dh as f32).sqrt());
-        let kt = ctx.tape.constant(kt.clone());
-        let mut scores = ctx.tape.matmul(qh, kt); // [b*h, t_q, t_k]
-        if let Some(m) = mask {
-            let mv = ctx.tape.constant(m.clone());
-            scores = ctx.tape.add(scores, mv);
+        let qv = ctx.tape.value(qh);
+        let mut out = vec![0.0f32; views.len() * h * dh];
+        let mut scores = Vec::new();
+        let heads = qv.data().chunks_exact(dh).zip(out.chunks_exact_mut(dh));
+        for (i, (q, out)) in heads.enumerate() {
+            views[i / h].attend(i % h, h, q, &mut scores, out);
         }
-        let attn = ctx.tape.softmax_last(scores);
-        let attn = ctx.dropout(attn, self.dropout);
-        let vv = ctx.tape.constant(v.clone());
-        let out = ctx.tape.matmul(attn, vv); // [b*h, t_q, dh]
-        let merged = ctx.tape.merge_heads(out, h); // [b, t_q, d]
+        let out = Tensor::from_vec(out, &[views.len() * h, 1, dh]).expect("attention shape");
+        let out = ctx.tape.constant(out);
+        let merged = ctx.tape.merge_heads(out, h); // [rows, 1, d]
         self.o.forward(ctx, merged)
+    }
+}
+
+/// One row's cached keys and values, as [`MultiHeadAttention::attend_cached`]
+/// reads them, for `d = h·dh`. Keys are pre-transposed, `[d, ld]`: key
+/// `j`'s head-`i` part is column `j` of lines `i*dh..(i+1)*dh`. Values are
+/// `[t, d]`, head `i` in columns `i*dh..(i+1)*dh`.
+pub(crate) struct KvView<'a> {
+    /// Pre-transposed keys, `[d, ld]`.
+    pub kt: &'a [f32],
+    /// Values, `[t, d]` or longer.
+    pub v: &'a [f32],
+    /// Key positions allocated per line of `kt`.
+    pub ld: usize,
+    /// Key positions attended.
+    pub t: usize,
+    /// Additive mask over the `t` keys, if any.
+    pub mask: Option<&'a [f32]>,
+}
+
+impl KvView<'_> {
+    /// `out = softmax(q·K + mask)·V` for head `head` of `h`, with `out`
+    /// zeroed: both products on the blocked kernel, reading this row's
+    /// keys and values in place.
+    fn attend(&self, head: usize, h: usize, q: &[f32], scores: &mut Vec<f32>, out: &mut [f32]) {
+        let (dh, t) = (q.len(), self.t);
+        scores.clear();
+        scores.resize(t, 0.0);
+        let kt = &self.kt[head * dh * self.ld..];
+        matmul_rows_strided(q, (kt, self.ld), scores, 1, dh, t);
+        if let Some(mask) = self.mask {
+            for (s, &m) in scores.iter_mut().zip(mask) {
+                *s += m;
+            }
+        }
+        softmax_row(scores);
+        matmul_rows_strided(scores, (&self.v[head * dh..], h * dh), out, 1, t, dh);
     }
 }
 

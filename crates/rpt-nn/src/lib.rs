@@ -50,7 +50,7 @@ pub use seq2seq::{
     make_denoising_shards, shard_seed, DenoisingShard, IncrementalState, Prefill, Seq2Seq,
     TransformerConfig,
 };
-pub use transformer::{Decoder, Encoder, LayerKv};
+pub use transformer::{CrossKv, Decoder, Encoder, KvCache};
 
 /// Large negative value used for additive attention masking.
 pub const NEG_INF: f32 = -1e9;

@@ -17,8 +17,6 @@ pub(crate) struct DecodeObs {
     pub fused_steps: rpt_obs::Counter,
     /// Total decoder rows advanced across fused steps (occupancy numerator).
     pub fused_rows: rpt_obs::Counter,
-    /// Leading fully-masked cache positions trimmed by slot compaction.
-    pub cache_compactions: rpt_obs::Counter,
 }
 
 pub(crate) static DECODE_OBS: LazyLock<DecodeObs> = LazyLock::new(|| DecodeObs {
@@ -32,5 +30,4 @@ pub(crate) static DECODE_OBS: LazyLock<DecodeObs> = LazyLock::new(|| DecodeObs {
     tokens_per_sec: rpt_obs::gauge("decode.tokens_per_sec"),
     fused_steps: rpt_obs::counter("decode.fused_steps"),
     fused_rows: rpt_obs::counter("decode.fused_rows"),
-    cache_compactions: rpt_obs::counter("decode.cache_compactions"),
 });

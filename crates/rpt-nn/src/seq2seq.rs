@@ -8,7 +8,7 @@ use rpt_tensor::{ParamStore, Tape, Tensor, Var};
 
 use crate::batch::TokenBatch;
 use crate::module::{Ctx, Embedding};
-use crate::transformer::{Decoder, Encoder, LayerKv};
+use crate::transformer::{CrossKv, Decoder, Encoder, KvCache};
 use crate::NEG_INF;
 
 /// Hyperparameters shared by the transformer models in this crate.
@@ -266,26 +266,20 @@ impl Seq2Seq {
     }
 
     /// Starts a width-1 incremental decode of one source (`src.b == 1`):
-    /// [`Self::begin_request`] plus `Eᵀ` and the `[h, 1, t_src]` cross mask,
-    /// advanced one token at a time by [`Self::decode_step`]. The crate's
-    /// decoders run through [`crate::MicroBatcher`]; this per-token API
-    /// serves callers that drive or time single steps.
+    /// [`Self::begin_request`] in a one-row [`KvCache`] plus `Eᵀ`, advanced
+    /// one token at a time by [`Self::decode_step`]. The crate's decoders
+    /// run through [`crate::MicroBatcher`], on the same cache; this
+    /// per-token API serves callers that drive or time single steps.
     pub fn begin_decode(&self, params: &mut ParamStore, src: &TokenBatch) -> IncrementalState {
-        let Prefill { layers, cross_row } = self.begin_request(params, src);
-        let t_src = cross_row.len();
-        let h = self.cfg.n_heads;
         IncrementalState {
-            layers,
+            cache: KvCache::new(self.begin_request(params, src), self.cfg.max_len),
             et: self.tied_projection(params),
-            cross_mask: Tensor::from_vec(cross_row.repeat(h), &[h, 1, t_src])
-                .expect("cross mask shape"),
-            pos: 0,
         }
     }
 
     /// Encodes one source (`src.b == 1`) into its [`Prefill`] — the
-    /// per-request half of [`Self::begin_decode`], which
-    /// [`crate::MicroBatcher`] pools into its fused cache slots. A pure
+    /// per-request half of [`Self::begin_decode`], which a
+    /// [`crate::MicroBatcher`] slot takes into its [`KvCache`]. A pure
     /// function of the parameter values and `src`: it only reads the
     /// weights, so any thread holding its own [`ParamStore`] clone of the
     /// same values computes the same bits.
@@ -301,11 +295,11 @@ impl Seq2Seq {
         let mut ctx = Ctx::new(&tape, params, &mut rng, false);
         ctx.quant = self.quant.as_deref();
         let enc = self.encode(&mut ctx, src);
-        let layers = self.decoder.begin_cache(&mut ctx, enc);
+        let cross = self.decoder.begin_cache(&mut ctx, enc);
         let cross_row = (0..src.t)
             .map(|i| if src.valid[i] { 0.0 } else { NEG_INF })
             .collect();
-        Prefill { layers, cross_row }
+        Prefill { cross, cross_row }
     }
 
     /// Materializes the tied output projection `Eᵀ` (`[d, vocab]`). Shared
@@ -330,41 +324,38 @@ impl Seq2Seq {
         tokens: &[usize],
     ) -> Tensor {
         assert_eq!(tokens.len(), 1, "decode_step advances one hypothesis");
-        let positions = [state.pos.min(self.cfg.max_len - 1)];
-        let out = self.decode_step_rows(
+        let positions = [state.cache.len().min(self.cfg.max_len - 1)];
+        self.decode_step_rows(
             params,
-            &mut state.layers,
+            &mut [&mut state.cache],
             tokens,
             &positions,
-            None,
-            &state.cross_mask,
             &state.et,
-        );
-        state.pos += 1;
-        out
+        )
     }
 
-    /// One incremental decode step over an arbitrary row batch, on its own
-    /// forward-only tape: row `i` embeds `tokens[i]` at `positions[i]`,
-    /// advances through the decoder against `layers` (whose
-    /// `[rows*h, ·, dh]` caches it appends to), and projects through `et`.
-    /// Rows may belong to *different* requests — per-row positions, an
-    /// optional self-attention mask (hiding fused-cache positions that
-    /// predate a request's admission), and a per-row cross mask. Every
-    /// per-row computation is independent of the other rows, so the
-    /// returned `[rows, vocab]` logits are bit-identical row for row to a
-    /// one-row step.
-    #[allow(clippy::too_many_arguments)]
+    /// One incremental decode step over the rows of `caches`, in order, on
+    /// its own forward-only tape: row `i` embeds `tokens[i]` at
+    /// `positions[i]`, advances through the decoder against its own job's
+    /// cache (which gains one position per row), and projects through
+    /// `et`. Rows may belong to *different* jobs. The weight products run
+    /// fused over every row; attention runs per row over the row's own
+    /// prefix and source. Every per-row computation is independent of the
+    /// other rows, so the returned `[rows, vocab]` logits are bit-identical
+    /// row for row to a one-row step.
     pub fn decode_step_rows(
         &self,
         params: &mut ParamStore,
-        layers: &mut [LayerKv],
+        caches: &mut [&mut KvCache],
         tokens: &[usize],
         positions: &[usize],
-        self_mask: Option<&Tensor>,
-        cross_mask: &Tensor,
         et: &Tensor,
     ) -> Tensor {
+        assert_eq!(
+            tokens.len(),
+            caches.iter().map(|c| c.rows()).sum::<usize>(),
+            "one token per cache row"
+        );
         assert_eq!(tokens.len(), positions.len(), "one position per row token");
         let obs = &*crate::obs::DECODE_OBS;
         let _t = rpt_obs::span("decode.step", &obs.step_ms);
@@ -378,9 +369,7 @@ impl Seq2Seq {
         let pos = self.pos_emb.forward_batch(&mut ctx, positions, b, 1);
         let x = ctx.tape.add(tok, pos);
         let x = ctx.dropout(x, self.cfg.dropout);
-        let h = self
-            .decoder
-            .forward_step(&mut ctx, x, layers, self_mask, Some(cross_mask));
+        let h = self.decoder.forward_step(&mut ctx, x, caches);
         let flat = ctx.tape.reshape(h, &[b, self.cfg.d_model]);
         // The tied projection: `h · Eᵀ` against the quantized table when a
         // quant set is attached (`E`'s rows are the output channels, so the
@@ -398,42 +387,37 @@ impl Seq2Seq {
 }
 
 /// One source's encoder output in the form the decoder consumes: the
-/// per-layer cross-attention K/V (self-attention caches still empty) and
-/// the additive cross-attention mask row (`0.0` for valid source keys,
-/// `NEG_INF` for padding). Produced by [`Seq2Seq::begin_request`] and
-/// spliced into the fused caches by [`crate::MicroBatcher::admit_prefilled`];
-/// it holds `n_dec_layers × 2 × t_src × d_model` floats.
+/// per-layer cross-attention K/V and the additive cross-attention mask row
+/// (`0.0` for valid source keys, `NEG_INF` for padding). Produced by
+/// [`Seq2Seq::begin_request`] and moved into a job's [`KvCache`] by
+/// [`crate::MicroBatcher::admit_prefilled`]; it holds
+/// `n_dec_layers × 2 × t_src × d_model` floats.
 #[derive(Debug, Clone)]
 pub struct Prefill {
-    /// Per-decoder-layer caches, `[h, ·, dh]` (one row).
-    pub layers: Vec<LayerKv>,
+    /// Per-decoder-layer cross-attention K/V.
+    pub cross: Vec<CrossKv>,
     /// Additive cross-attention mask row, one entry per source position.
     pub cross_row: Vec<f32>,
 }
 
-/// State carried across width-1 incremental decode steps: per-layer KV
-/// caches, the materialized tied projection and the cross-attention mask.
-/// Created by [`Seq2Seq::begin_decode`].
+/// State carried across width-1 incremental decode steps: the one-row
+/// [`KvCache`] and the materialized tied projection. Created by
+/// [`Seq2Seq::begin_decode`].
 pub struct IncrementalState {
-    layers: Vec<LayerKv>,
+    cache: KvCache,
     /// Tied output projection `Eᵀ` (`[d, vocab]`), materialized once.
     et: Tensor,
-    /// `[h, 1, t_src]` additive cross-attention mask (`0.0` for valid
-    /// source keys, `NEG_INF` for padding), built once.
-    cross_mask: Tensor,
-    /// Tokens fed so far — the position index of the next token.
-    pos: usize,
 }
 
 impl IncrementalState {
     /// Number of tokens decoded (and cached) so far.
     pub fn decoded_len(&self) -> usize {
-        self.pos
+        self.cache.len()
     }
 
-    /// Per-layer KV caches (exposed for tests).
-    pub fn layers(&self) -> &[LayerKv] {
-        &self.layers
+    /// The KV cache (exposed for tests).
+    pub fn cache(&self) -> &KvCache {
+        &self.cache
     }
 }
 

@@ -3,7 +3,7 @@
 use rpt_rng::RngCore;
 use rpt_tensor::{ParamStore, Tensor, Var};
 
-use crate::attention::MultiHeadAttention;
+use crate::attention::{KvView, MultiHeadAttention};
 use crate::module::{Ctx, LayerNorm, Linear};
 
 /// Position-wise feed-forward block: `Linear → GELU → dropout → Linear`.
@@ -89,51 +89,191 @@ impl EncoderLayer {
     }
 }
 
-/// Per-layer KV cache for incremental decoding.
-///
-/// Cross-attention keys/values are projected once from the encoder output
-/// when the cache is created; self-attention keys/values start empty and
-/// grow by one time step per [`DecoderLayer::forward_step`]. Rows are
-/// `rows*h`, where `rows` is the number of decoder rows advanced as a batch.
+/// One decoder layer's cross-attention keys and values over one source,
+/// projected once from the encoder output by [`DecoderLayer::begin_cache`].
 #[derive(Debug, Clone)]
-pub struct LayerKv {
-    /// Cached self-attention keys over the decoded prefix, `[rows*h, t, dh]`
-    /// (`None` before the first step).
-    pub self_k: Option<Tensor>,
-    /// Cached self-attention values over the decoded prefix.
-    pub self_v: Option<Tensor>,
-    /// Cross-attention keys over the (fixed) encoder output, stored
-    /// pre-transposed as `[rows*h, dh, t_src]` so each decode step skips the
-    /// transpose op.
-    pub cross_kt: Tensor,
-    /// Cross-attention values over the encoder output, `[rows*h, t_src, dh]`.
-    pub cross_v: Tensor,
+pub struct CrossKv {
+    /// Keys, stored pre-transposed as `[1, d, t_src]` so no decode step
+    /// transposes them.
+    pub kt: Tensor,
+    /// Values, `[1, t_src, d]`.
+    pub v: Tensor,
 }
 
-impl LayerKv {
-    fn append_self(&mut self, k_new: Tensor, v_new: Tensor) {
-        crate::obs::DECODE_OBS.cache_appends.inc();
-        self.self_k = Some(match self.self_k.take() {
-            Some(k) => k.concat_dim1(&k_new),
-            None => k_new,
-        });
-        self.self_v = Some(match self.self_v.take() {
-            Some(v) => v.concat_dim1(&v_new),
-            None => v_new,
-        });
+/// One row's self-attention cache in one layer: keys pre-transposed as
+/// `[d, cap]` and values as `[cap, d]`, of which positions `0..len` are
+/// filled.
+#[derive(Debug, Clone)]
+struct SelfKv {
+    kt: Vec<f32>,
+    v: Vec<f32>,
+}
+
+/// Smallest self-attention capacity a job's cache allocates.
+const FIRST_CAP: usize = 8;
+
+/// One decode job's KV cache: the cache a [`crate::MicroBatcher`] slot
+/// owns.
+///
+/// The cross-attention K/V come by move from the job's
+/// [`crate::Prefill`], unpadded, and all of the job's rows (its live beam
+/// hypotheses) read that one copy. Each row owns per-layer self-attention
+/// buffers that [`Decoder::forward_step`] appends to in place at position
+/// [`Self::len`]; their capacity doubles as needed up to the job's step
+/// bound. Every row of a job has decoded the same number of positions.
+#[derive(Debug, Clone)]
+pub struct KvCache {
+    cross: Vec<CrossKv>,
+    /// Additive cross-attention mask row: `0.0` for a valid source key,
+    /// `NEG_INF` for padding.
+    cross_row: Vec<f32>,
+    /// Per row, per layer.
+    rows: Vec<Vec<SelfKv>>,
+    len: usize,
+    cap: usize,
+    /// Capacity the doubling stops at: the most steps the job can take.
+    bound: usize,
+}
+
+impl KvCache {
+    /// A one-row cache over `prefill`'s source, for a job that decodes at
+    /// most `bound` positions (more still fit, one position at a time).
+    pub fn new(prefill: crate::Prefill, bound: usize) -> Self {
+        let crate::Prefill { cross, cross_row } = prefill;
+        let row = vec![
+            SelfKv {
+                kt: Vec::new(),
+                v: Vec::new(),
+            };
+            cross.len()
+        ];
+        Self {
+            cross,
+            cross_row,
+            rows: vec![row],
+            len: 0,
+            cap: 0,
+            bound,
+        }
     }
 
-    /// Reorders/replicates every cached tensor along the batch dimension.
-    /// `rows` indexes `[width*h]` rows of the *current* cache.
-    pub fn select_rows(&mut self, rows: &[usize]) {
-        if let Some(k) = &self.self_k {
-            self.self_k = Some(k.gather_batches(rows));
+    /// Decoded positions cached per row.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True before the first decode step.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Rows (beam hypotheses) this job advances per step.
+    pub fn rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Layer `layer`'s cross-attention K/V, shared by every row.
+    pub fn cross(&self, layer: usize) -> &CrossKv {
+        &self.cross[layer]
+    }
+
+    /// Row `row`'s self-attention key and value at position `pos` of
+    /// layer `layer`, `d` floats each.
+    pub fn self_kv(&self, layer: usize, row: usize, pos: usize) -> (Vec<f32>, Vec<f32>) {
+        assert!(pos < self.len, "position {pos} of {} cached", self.len);
+        let kv = &self.rows[row][layer];
+        let k = kv.kt.chunks_exact(self.cap).map(|line| line[pos]).collect();
+        let d = kv.kt.len() / self.cap;
+        (k, kv.v[pos * d..(pos + 1) * d].to_vec())
+    }
+
+    /// Keeps, reorders or replicates rows: new row `i` continues old row
+    /// `parents[i]` (the beam reorder). Only this job's rows move; a
+    /// parent's buffers are moved to its last child and copied for the
+    /// others.
+    pub fn select(&mut self, parents: &[usize]) {
+        let mut uses = vec![0usize; self.rows.len()];
+        for &p in parents {
+            uses[p] += 1;
         }
-        if let Some(v) = &self.self_v {
-            self.self_v = Some(v.gather_batches(rows));
+        let mut old: Vec<Option<Vec<SelfKv>>> = std::mem::take(&mut self.rows)
+            .into_iter()
+            .map(Some)
+            .collect();
+        self.rows = parents
+            .iter()
+            .map(|&p| {
+                uses[p] -= 1;
+                if uses[p] == 0 {
+                    old[p].take().expect("a row moves once")
+                } else {
+                    old[p].clone().expect("a moved row is not reused")
+                }
+            })
+            .collect();
+    }
+
+    /// Makes room for one more position in every buffer: doubles the
+    /// capacity, up to the bound, when it is full. Values only grow at
+    /// the end; each key line moves to its wider stride.
+    fn reserve_one(&mut self) {
+        if self.len < self.cap {
+            return;
         }
-        self.cross_kt = self.cross_kt.gather_batches(rows);
-        self.cross_v = self.cross_v.gather_batches(rows);
+        let cap = (2 * self.cap)
+            .max(FIRST_CAP)
+            .min(self.bound)
+            .max(self.len + 1);
+        for (layer, cross) in self.cross.iter().enumerate() {
+            let d = cross.kt.shape()[1];
+            for kv in self.rows.iter_mut().map(|row| &mut row[layer]) {
+                let mut kt = vec![0.0; d * cap];
+                if self.len > 0 {
+                    for (dst, src) in kt.chunks_exact_mut(cap).zip(kv.kt.chunks_exact(self.cap)) {
+                        dst[..self.len].copy_from_slice(&src[..self.len]);
+                    }
+                }
+                kv.kt = kt;
+                kv.v.resize(cap * d, 0.0);
+            }
+        }
+        self.cap = cap;
+    }
+
+    /// Writes one row's newest self-attention key and value (`d` floats
+    /// each) into layer `layer` at position [`Self::len`].
+    fn append(&mut self, layer: usize, row: usize, k: &[f32], v: &[f32]) {
+        let (cap, pos, d) = (self.cap, self.len, k.len());
+        let kv = &mut self.rows[row][layer];
+        for (line, &x) in kv.kt.chunks_exact_mut(cap).zip(k) {
+            line[pos] = x;
+        }
+        kv.v[pos * d..(pos + 1) * d].copy_from_slice(v);
+    }
+
+    /// Row `row`'s self-attention keys in layer `layer`, through the
+    /// position being decoded.
+    fn self_view(&self, layer: usize, row: usize) -> KvView<'_> {
+        let kv = &self.rows[row][layer];
+        KvView {
+            kt: &kv.kt,
+            v: &kv.v,
+            ld: self.cap,
+            t: self.len + 1,
+            mask: None,
+        }
+    }
+
+    /// Layer `layer`'s cross-attention keys, masked by the source's row.
+    fn cross_view(&self, layer: usize) -> KvView<'_> {
+        let cross = &self.cross[layer];
+        KvView {
+            kt: cross.kt.data(),
+            v: cross.v.data(),
+            ld: self.cross_row.len(),
+            t: self.cross_row.len(),
+            mask: Some(&self.cross_row),
+        }
     }
 }
 
@@ -213,56 +353,62 @@ impl DecoderLayer {
     }
 
     /// Precomputes this layer's cross-attention K/V from the encoder
-    /// output, starting an empty self-attention cache.
-    pub fn begin_cache(&self, ctx: &mut Ctx<'_>, enc_out: Var) -> LayerKv {
-        let (cross_k, cross_v) = self.cross_attn.project_kv(ctx, enc_out);
-        let kv = ctx.tape.constant(cross_k);
-        let ktv = ctx.tape.transpose_last(kv);
-        let cross_kt = ctx.tape.value(ktv);
-        LayerKv {
-            self_k: None,
-            self_v: None,
-            cross_kt,
-            cross_v,
+    /// output.
+    pub fn begin_cache(&self, ctx: &mut Ctx<'_>, enc_out: Var) -> CrossKv {
+        let (k, v) = self.cross_attn.project_kv(ctx, enc_out);
+        CrossKv {
+            kt: k.transpose_last(),
+            v,
         }
     }
 
-    /// One incremental decode step. `x` is the `[width, 1, d]` embedding of
-    /// each hypothesis's newest token; the step appends that token's
-    /// self-attention K/V to `cache` and attends over the full cached
-    /// prefix.
+    /// One incremental decode step of layer `li`. `x` is the `[rows, 1, d]`
+    /// embedding of every row's newest token, the rows of `caches` in
+    /// order. The step writes each row's self-attention K/V into its cache
+    /// at position `len` and attends over that row's own prefix and its
+    /// job's own source.
     ///
-    /// For a single request no self-attention mask is needed (`self_mask`
-    /// = `None`): every cached key is a real, strictly-earlier token, so
-    /// causality holds by construction. The reference path adds `0.0` at
-    /// exactly these positions, which only flips `-0.0` scores to `+0.0` —
-    /// a difference softmax erases — so the output stays bit-identical to
-    /// [`Self::forward`]. The fused multi-request decoder passes a mask
-    /// hiding the zero "lead-pad" keys of requests that joined the batch
-    /// after other requests had already cached earlier positions.
-    pub fn forward_step(
+    /// Every cached key is a real, strictly-earlier token of the row's own
+    /// job, so causality holds without a self-attention mask. The
+    /// reference path adds `0.0` at exactly these positions, which only
+    /// flips `-0.0` scores to `+0.0` — a difference softmax erases — so the
+    /// output stays bit-identical to [`Self::forward`].
+    fn forward_step(
         &self,
         ctx: &mut Ctx<'_>,
         x: Var,
-        cache: &mut LayerKv,
-        self_mask: Option<&Tensor>,
-        cross_mask: Option<&Tensor>,
+        li: usize,
+        caches: &mut [&mut KvCache],
     ) -> Var {
         let n1 = self.ln1.forward(ctx, x);
         let (k_new, v_new) = self.self_attn.project_kv(ctx, n1);
-        cache.append_self(k_new, v_new);
-        let (sk, sv) = (
-            cache.self_k.clone().expect("append_self just ran"),
-            cache.self_v.clone().expect("append_self just ran"),
-        );
-        let a = self.self_attn.attend_cached(ctx, n1, &sk, &sv, self_mask);
+        crate::obs::DECODE_OBS.cache_appends.inc();
+        // Row `r`'s newest K/V: row `r` of `[rows, 1, d]`.
+        let d = k_new.shape()[2];
+        let mut rows = k_new
+            .data()
+            .chunks_exact(d)
+            .zip(v_new.data().chunks_exact(d));
+        for cache in caches.iter_mut() {
+            for r in 0..cache.rows() {
+                let (k, v) = rows.next().expect("one K/V row per decoder row");
+                cache.append(li, r, k, v);
+            }
+        }
+        let views: Vec<KvView<'_>> = caches
+            .iter()
+            .flat_map(|c| (0..c.rows()).map(move |r| c.self_view(li, r)))
+            .collect();
+        let a = self.self_attn.attend_cached(ctx, n1, &views);
         let a = ctx.dropout(a, self.dropout);
         let x = ctx.tape.add(x, a);
 
         let n2 = self.ln2.forward(ctx, x);
-        let c =
-            self.cross_attn
-                .attend_cached_kt(ctx, n2, &cache.cross_kt, &cache.cross_v, cross_mask);
+        let views: Vec<KvView<'_>> = caches
+            .iter()
+            .flat_map(|c| (0..c.rows()).map(move |_| c.cross_view(li)))
+            .collect();
+        let c = self.cross_attn.attend_cached(ctx, n2, &views);
         let c = ctx.dropout(c, self.dropout);
         let x = ctx.tape.add(x, c);
 
@@ -379,7 +525,7 @@ impl Decoder {
 
     /// Precomputes every layer's cross-attention K/V from the encoder
     /// output.
-    pub fn begin_cache(&self, ctx: &mut Ctx<'_>, enc_out: Var) -> Vec<LayerKv> {
+    pub fn begin_cache(&self, ctx: &mut Ctx<'_>, enc_out: Var) -> Vec<CrossKv> {
         self.layers
             .iter()
             .map(|layer| layer.begin_cache(ctx, enc_out))
@@ -387,22 +533,22 @@ impl Decoder {
     }
 
     /// One incremental decode step through the whole stack plus the final
-    /// layer norm. `caches` must come from [`Self::begin_cache`].
-    pub fn forward_step(
-        &self,
-        ctx: &mut Ctx<'_>,
-        mut x: Var,
-        caches: &mut [LayerKv],
-        self_mask: Option<&Tensor>,
-        cross_mask: Option<&Tensor>,
-    ) -> Var {
-        assert_eq!(
-            caches.len(),
-            self.layers.len(),
-            "one KV cache per decoder layer"
-        );
-        for (layer, cache) in self.layers.iter().zip(caches.iter_mut()) {
-            x = layer.forward_step(ctx, x, cache, self_mask, cross_mask);
+    /// layer norm, over the rows of `caches` in order: each cache gains one
+    /// position per row.
+    pub fn forward_step(&self, ctx: &mut Ctx<'_>, mut x: Var, caches: &mut [&mut KvCache]) -> Var {
+        for cache in caches.iter_mut() {
+            assert_eq!(
+                cache.cross.len(),
+                self.layers.len(),
+                "one KV cache per decoder layer"
+            );
+            cache.reserve_one();
+        }
+        for (li, layer) in self.layers.iter().enumerate() {
+            x = layer.forward_step(ctx, x, li, caches);
+        }
+        for cache in caches.iter_mut() {
+            cache.len += 1;
         }
         self.final_ln.forward(ctx, x)
     }

@@ -387,7 +387,7 @@ pub fn trace_events() -> Vec<TraceEvent> {
 }
 
 /// A reconstructed span (begin matched to end by span id).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpanRec {
     /// Owning trace (0 = the ambient process trace).
     pub trace_id: u64,
@@ -404,34 +404,64 @@ pub struct SpanRec {
     pub dur_ns: Option<u64>,
 }
 
+/// What one event does to the span list.
+enum Mark {
+    /// Opens this span.
+    Begin(SpanRec),
+    /// Closes the span with this id, if it is open.
+    End(u64),
+    /// Neither.
+    Other,
+}
+
+/// The one begin/end matcher behind [`collect_spans`] and
+/// [`spans_from_dump`]: `mark` reads event `i`, and `end_ns` reads the time
+/// of an end event, only when the span it closes is open. Spans come out in
+/// begin order; an end with no open begin is ignored, and a span never
+/// closed keeps `dur_ns: None`.
+fn match_spans<E>(
+    events: &[E],
+    mark: impl Fn(usize, &E) -> Result<Mark, String>,
+    end_ns: impl Fn(usize, &E) -> Result<u64, String>,
+) -> Result<Vec<SpanRec>, String> {
+    let mut spans: Vec<SpanRec> = Vec::new();
+    let mut open: BTreeMap<u64, usize> = BTreeMap::new();
+    for (i, ev) in events.iter().enumerate() {
+        match mark(i, ev)? {
+            Mark::Begin(span) => {
+                open.insert(span.span_id, spans.len());
+                spans.push(span);
+            }
+            Mark::End(span_id) => {
+                if let Some(at) = open.remove(&span_id) {
+                    let t = end_ns(i, ev)?;
+                    spans[at].dur_ns = Some(t.saturating_sub(spans[at].start_ns));
+                }
+            }
+            Mark::Other => {}
+        }
+    }
+    Ok(spans)
+}
+
 /// Matches begin/end pairs in an event list into spans, in begin order.
 /// Public so `rpt trace-report` can reuse it on parsed dumps.
 pub fn collect_spans(events: &[TraceEvent]) -> Vec<SpanRec> {
-    let mut spans: Vec<SpanRec> = Vec::new();
-    let mut open: BTreeMap<u64, usize> = BTreeMap::new();
-    for ev in events {
-        match ev.kind {
-            "begin" => {
-                open.insert(ev.span_id, spans.len());
-                spans.push(SpanRec {
-                    trace_id: ev.trace_id,
-                    span_id: ev.span_id,
-                    parent_id: ev.parent_id,
-                    name: ev.name.to_string(),
-                    start_ns: ev.t_ns,
-                    dur_ns: None,
-                });
-            }
-            "end" => {
-                if let Some(&at) = open.get(&ev.span_id) {
-                    spans[at].dur_ns = Some(ev.t_ns.saturating_sub(spans[at].start_ns));
-                    open.remove(&ev.span_id);
-                }
-            }
-            _ => {}
-        }
-    }
-    spans
+    let mark = |_: usize, ev: &TraceEvent| {
+        Ok(match ev.kind {
+            "begin" => Mark::Begin(SpanRec {
+                trace_id: ev.trace_id,
+                span_id: ev.span_id,
+                parent_id: ev.parent_id,
+                name: ev.name.to_string(),
+                start_ns: ev.t_ns,
+                dur_ns: None,
+            }),
+            "end" => Mark::End(ev.span_id),
+            _ => Mark::Other,
+        })
+    };
+    match_spans(events, mark, |_, ev| Ok(ev.t_ns)).expect("ring events carry every field")
 }
 
 /// One aggregated node of the self-time profile, keyed by the span-name
@@ -582,47 +612,39 @@ pub fn spans_from_dump(doc: &Json) -> Result<Vec<SpanRec>, String> {
         .get("events")
         .and_then(|e| e.as_array())
         .ok_or("missing events array")?;
-    let mut spans: Vec<SpanRec> = Vec::new();
-    let mut open: BTreeMap<u64, usize> = BTreeMap::new();
-    for (i, ev) in events.iter().enumerate() {
-        let field_u64 = |key: &str| {
-            ev.get(key)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("event {i}: missing {key}"))
-        };
+    let mark = |i: usize, ev: &Json| {
         let kind = ev
             .get("kind")
             .and_then(|v| v.as_str())
             .ok_or_else(|| format!("event {i}: missing kind"))?;
-        match kind {
+        Ok(match kind {
             "begin" => {
-                let span_id = field_u64("span_id")?;
-                open.insert(span_id, spans.len());
-                spans.push(SpanRec {
-                    trace_id: field_u64("trace_id")?,
+                let span_id = dump_u64(i, ev, "span_id")?;
+                Mark::Begin(SpanRec {
+                    trace_id: dump_u64(i, ev, "trace_id")?,
                     span_id,
-                    parent_id: field_u64("parent_id")?,
+                    parent_id: dump_u64(i, ev, "parent_id")?,
                     name: ev
                         .get("name")
                         .and_then(|v| v.as_str())
                         .ok_or_else(|| format!("event {i}: missing name"))?
                         .to_string(),
-                    start_ns: field_u64("t_ns")?,
+                    start_ns: dump_u64(i, ev, "t_ns")?,
                     dur_ns: None,
-                });
+                })
             }
-            "end" => {
-                let span_id = field_u64("span_id")?;
-                if let Some(&at) = open.get(&span_id) {
-                    let t = field_u64("t_ns")?;
-                    spans[at].dur_ns = Some(t.saturating_sub(spans[at].start_ns));
-                    open.remove(&span_id);
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(spans)
+            "end" => Mark::End(dump_u64(i, ev, "span_id")?),
+            _ => Mark::Other,
+        })
+    };
+    match_spans(events, mark, |i, ev| dump_u64(i, ev, "t_ns"))
+}
+
+/// Field `key` of dump event `i`, as an integer.
+fn dump_u64(i: usize, ev: &Json, key: &str) -> Result<u64, String> {
+    ev.get(key)
+        .and_then(|v| v.as_u64())
+        .ok_or_else(|| format!("event {i}: missing {key}"))
 }
 
 /// The `/debug/tracez` document: ring stats, the profile tree, and the
@@ -867,6 +889,28 @@ mod tests {
         // A wrong schema is a typed error, not a panic.
         let bad = rpt_json::json!({ "schema": "rpt-trace-v999", "events": [] });
         assert!(spans_from_dump(&bad).is_err());
+    }
+
+    #[test]
+    fn dump_and_ring_match_spans_alike() {
+        let _gate = gate(true);
+        let tid = next_trace_id();
+        let root = begin_span(tid, 0, "t.match.root", 10);
+        emit_span(tid, root, "t.match.stage", 20, 60);
+        end_span(tid, root, 0, "t.match.root", 100);
+        // A span left open, and an end whose begin never happened.
+        begin_span(tid, 0, "t.match.open", 110);
+        end_span(tid, 1 << 40, 0, "t.match.orphan", 120);
+        let ours = |spans: Vec<SpanRec>| -> Vec<SpanRec> {
+            spans.into_iter().filter(|s| s.trace_id == tid).collect()
+        };
+        let doc = Json::parse(&trace_dump_json().to_string_pretty()).unwrap();
+        let from_dump = ours(spans_from_dump(&doc).unwrap());
+        let from_ring = ours(collect_spans(&trace_events()));
+        assert_eq!(from_dump, from_ring);
+        let names: Vec<&str> = from_ring.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["t.match.root", "t.match.stage", "t.match.open"]);
+        assert_eq!(from_ring[2].dur_ns, None, "the open span stays open");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! Connection threads encode each request's source themselves
 //! ([`Prefiller`]) against the immutable [`Snapshot`] the batcher
 //! publishes at start and after every successful reload, so a queued
-//! [`Job`] already carries its cross-attention K/V and admission is only a
-//! splice into the fused caches. A job encoded under a generation that is
+//! [`Job`] already carries its cross-attention K/V and admission only
+//! moves them into the job's batcher slot. A job encoded under a generation that is
 //! no longer serving (a reload landed between encode and admit) is
 //! re-encoded on the batcher thread and counted in `serve.prefill_stale`:
 //! no request is ever answered by two checkpoints.

@@ -30,8 +30,8 @@
 //!
 //! Each decode request's source is encoded (prefilled) on the connection
 //! thread that parsed it, against the batcher's published parameter
-//! snapshot; the batcher thread only splices the encoded K/V into its
-//! fused caches and decodes.
+//! snapshot; the batcher thread only moves the encoded K/V into the job's
+//! slot and decodes.
 //!
 //! Connections are pipelined: every complete request in a connection's
 //! buffer is parsed and submitted to the batcher immediately (responses
@@ -369,34 +369,15 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
 
         // 2. Write responses that are ready at the head of the line.
         while let Some(front) = inflight.front_mut() {
-            let (resp, keep_alive, trace) = match front {
-                Outcome::Ready(..) => match inflight.pop_front() {
-                    Some(Outcome::Ready(resp, ka, trace)) => (resp, ka, trace),
-                    _ => unreachable!("front was Ready"),
-                },
-                Outcome::Pending { rx, .. } => {
-                    let recv = rx.try_recv();
-                    if matches!(recv, Err(std::sync::mpsc::TryRecvError::Empty)) {
-                        break;
-                    }
-                    let Some(Outcome::Pending {
-                        keep_alive,
-                        started,
-                        trace,
-                        stages,
-                        ..
-                    }) = inflight.pop_front()
-                    else {
-                        unreachable!("front was Pending");
-                    };
-                    let resp = match recv {
-                        Ok((generation, out)) => {
-                            render_decode(generation, &out, trace, stages.as_deref(), &started)
-                        }
-                        Err(_) => Response::error(500, "internal", "batcher dropped the request"),
-                    };
-                    (resp, keep_alive, trace)
-                }
+            if let Outcome::Pending { rx, .. } = front {
+                let got = match rx.try_recv() {
+                    Err(std::sync::mpsc::TryRecvError::Empty) => break,
+                    recv => recv.ok(),
+                };
+                *front = settle(front, got);
+            }
+            let Some(Outcome::Ready(resp, keep_alive, trace)) = inflight.pop_front() else {
+                unreachable!("the head response is settled");
             };
             // Responses go out on a blocking socket: a full send buffer
             // waits rather than failing the write.
@@ -460,45 +441,43 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                 }
             }
         }
-        if let Some(Outcome::Pending { rx, .. }) = inflight.front() {
-            let wait = if read_now {
-                PENDING_WAIT
-            } else {
-                Duration::from_millis(shared.cfg.read_timeout_ms.max(1))
-            };
-            match rx.recv_timeout(wait) {
-                Ok((generation, out)) => {
-                    if let Some(Outcome::Pending {
-                        keep_alive,
-                        started,
-                        trace,
-                        stages,
-                        ..
-                    }) = inflight.front()
-                    {
-                        let resp =
-                            render_decode(generation, &out, *trace, stages.as_deref(), started);
-                        let (ka, tr) = (*keep_alive, *trace);
-                        *inflight.front_mut().unwrap() = Outcome::Ready(resp, ka, tr);
-                    }
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                    if let Some(Outcome::Pending {
-                        keep_alive, trace, ..
-                    }) = inflight.front()
-                    {
-                        let (ka, tr) = (*keep_alive, *trace);
-                        *inflight.front_mut().unwrap() = Outcome::Ready(
-                            Response::error(500, "internal", "batcher dropped the request"),
-                            ka,
-                            tr,
-                        );
-                    }
-                }
+        if let Some(front) = inflight.front_mut() {
+            if let Outcome::Pending { rx, .. } = front {
+                let wait = if read_now {
+                    PENDING_WAIT
+                } else {
+                    Duration::from_millis(shared.cfg.read_timeout_ms.max(1))
+                };
+                let got = match rx.recv_timeout(wait) {
+                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
+                    recv => recv.ok(),
+                };
+                *front = settle(front, got);
             }
         }
     }
+}
+
+/// Turns a pending decode into its response: the rendered output, or a
+/// 500 when the batcher dropped the job (`got` is `None`).
+fn settle(pending: &Outcome, got: Option<(u64, rpt_nn::JobOutput)>) -> Outcome {
+    let Outcome::Pending {
+        keep_alive,
+        started,
+        trace,
+        stages,
+        ..
+    } = pending
+    else {
+        unreachable!("only a pending decode settles");
+    };
+    let resp = match got {
+        Some((generation, out)) => {
+            render_decode(generation, &out, *trace, stages.as_deref(), started)
+        }
+        None => Response::error(500, "internal", "batcher dropped the request"),
+    };
+    Outcome::Ready(resp, *keep_alive, *trace)
 }
 
 /// Raises the cancel flag of every decode still owed to a vanished

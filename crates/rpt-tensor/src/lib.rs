@@ -49,7 +49,10 @@ pub use optim::{clip_global_norm, Adam, AdamConfig, AdamState, ParamId, ParamSto
 pub use quant::QuantMatrix;
 pub use serialize::{CheckpointError, TrainState};
 pub use tape::{Gradients, Tape, Var};
-pub use tensor::{matmul_chunk_count, matmul_rows_blocked_force, Tensor, PAR_MIN_MADDS_PER_CHUNK};
+pub use tensor::{
+    matmul_chunk_count, matmul_rows_blocked_force, matmul_rows_strided, Tensor,
+    PAR_MIN_MADDS_PER_CHUNK,
+};
 
 /// Numerical gradient checking utility, used by the test suites of this
 /// crate and of `rpt-nn` to validate analytic gradients of composite ops.

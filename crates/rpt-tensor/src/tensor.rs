@@ -421,122 +421,13 @@ impl Tensor {
             shape: vec![ids.len(), d],
         }
     }
-
-    /// Concatenates two 3-d tensors along the middle (time) dimension:
-    /// `[b, t1, d] + [b, t2, d] -> [b, t1 + t2, d]`. This is the KV-cache
-    /// append: one decode step's keys/values (`t2 == 1`) joined onto the
-    /// cached prefix.
-    pub fn concat_dim1(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.ndim(),
-            3,
-            "concat_dim1 lhs must be 3-d, got {:?}",
-            self.shape
-        );
-        assert_eq!(
-            other.ndim(),
-            3,
-            "concat_dim1 rhs must be 3-d, got {:?}",
-            other.shape
-        );
-        let (b, t1, d) = (self.shape[0], self.shape[1], self.shape[2]);
-        let (b2, t2, d2) = (other.shape[0], other.shape[1], other.shape[2]);
-        assert_eq!(
-            b, b2,
-            "concat_dim1 batch dims differ: {:?} vs {:?}",
-            self.shape, other.shape
-        );
-        assert_eq!(
-            d, d2,
-            "concat_dim1 last dims differ: {:?} vs {:?}",
-            self.shape, other.shape
-        );
-        let mut out = Vec::with_capacity(b * (t1 + t2) * d);
-        for bi in 0..b {
-            out.extend_from_slice(&self.data[bi * t1 * d..(bi + 1) * t1 * d]);
-            out.extend_from_slice(&other.data[bi * t2 * d..(bi + 1) * t2 * d]);
-        }
-        Tensor {
-            data: Arc::new(out),
-            shape: vec![b, t1 + t2, d],
-        }
-    }
-
-    /// Concatenates two tensors along dim 0. All trailing dimensions must
-    /// match; the data vectors are simply joined. This is the cache-slot
-    /// *admission* op: a new request's `[h, t, dh]` K/V rows are appended
-    /// onto the fused multi-request cache.
-    pub fn concat_dim0(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.shape[1..],
-            other.shape[1..],
-            "concat_dim0 trailing dims differ: {:?} vs {:?}",
-            self.shape,
-            other.shape
-        );
-        let mut out = Vec::with_capacity(self.data.len() + other.data.len());
-        out.extend_from_slice(&self.data);
-        out.extend_from_slice(&other.data);
-        let mut shape = self.shape.clone();
-        shape[0] += other.shape[0];
-        Tensor {
-            data: Arc::new(out),
-            shape,
-        }
-    }
-
-    /// Keeps time steps `start..` of a 3-d `[b, t, d]` tensor, producing
-    /// `[b, t - start, d]`. The fused multi-request decoder uses this to
-    /// trim leading cache positions once every live request masks them.
-    pub fn slice_dim1(&self, start: usize) -> Tensor {
-        assert_eq!(
-            self.ndim(),
-            3,
-            "slice_dim1 source must be 3-d, got {:?}",
-            self.shape
-        );
-        let (b, t, d) = (self.shape[0], self.shape[1], self.shape[2]);
-        assert!(start <= t, "slice_dim1 start {start} out of {t}");
-        let keep = t - start;
-        let mut out = Vec::with_capacity(b * keep * d);
-        for bi in 0..b {
-            out.extend_from_slice(&self.data[(bi * t + start) * d..(bi + 1) * t * d]);
-        }
-        Tensor {
-            data: Arc::new(out),
-            shape: vec![b, keep, d],
-        }
-    }
-
-    /// Gathers dim-0 slices of a 3-d tensor: `[b, t, d]` indexed by `idx`
-    /// yields `[idx.len(), t, d]`. Indices may repeat — beam search uses
-    /// this both to replicate a single hypothesis's KV cache across beams
-    /// and to reorder caches after pruning.
-    pub fn gather_batches(&self, idx: &[usize]) -> Tensor {
-        assert_eq!(
-            self.ndim(),
-            3,
-            "gather_batches source must be 3-d, got {:?}",
-            self.shape
-        );
-        let (b, t, d) = (self.shape[0], self.shape[1], self.shape[2]);
-        let mut out = Vec::with_capacity(idx.len() * t * d);
-        for &i in idx {
-            assert!(i < b, "gather_batches index {i} out of {b}");
-            out.extend_from_slice(&self.data[i * t * d..(i + 1) * t * d]);
-        }
-        Tensor {
-            data: Arc::new(out),
-            shape: vec![idx.len(), t, d],
-        }
-    }
 }
 
 /// Stable in-place softmax of a single row. The max scan and the
 /// normalizing multiply take the SIMD path when enabled; the `exp` loop
 /// and its running sum stay scalar so the summation order (and therefore
 /// every output bit) is identical under `RPT_SIMD=0` and `=1`.
-pub(crate) fn softmax_row(row: &mut [f32]) {
+pub fn softmax_row(row: &mut [f32]) {
     let max = crate::simd::row_max(row);
     let mut sum = 0.0f32;
     for x in row.iter_mut() {
@@ -615,6 +506,29 @@ impl<'a> View<'a> {
     fn covers(&self, rows: usize, cols: usize) -> bool {
         rows == 0 || cols == 0 || (rows - 1) * self.rs + (cols - 1) * self.cs < self.data.len()
     }
+}
+
+/// `out = a · B` for `a` of `[rows, k]` and the `[k, n]` matrix `B` whose
+/// row `i` starts at `b[i * ldb]` (`out`, `[rows, n]`, must be zeroed), on
+/// the blocked kernel under the runtime SIMD gate, on the calling thread.
+/// `B` is read in place, so a product over part of a wider buffer (one
+/// head of a KV cache) needs no copy; each element's arithmetic is that
+/// of the same product through [`Tensor::bmm`].
+pub fn matmul_rows_strided(
+    a: &[f32],
+    (b, ldb): (&[f32], usize),
+    out: &mut [f32],
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
+    let b = View {
+        data: b,
+        rs: ldb,
+        cs: 1,
+    };
+    let a = View::new(a, false, k);
+    matmul_view_blocked(a, b, out, rows, k, n, crate::simd::simd_enabled());
 }
 
 /// Cache-blocked matmul of `rows` output rows against a single `[k, n]`
@@ -1089,64 +1003,5 @@ mod tests {
             let want: Vec<u32> = naive.iter().map(|x| x.to_bits()).collect();
             assert_eq!(got, want, "shape [{m},{k}]x[{k},{n}]");
         }
-    }
-
-    #[test]
-    fn concat_dim1_appends_along_time() {
-        let a = Tensor::from_vec((0..8).map(|x| x as f32).collect(), &[2, 2, 2]).unwrap();
-        let b = Tensor::from_vec(vec![10.0, 11.0, 12.0, 13.0], &[2, 1, 2]).unwrap();
-        let c = a.concat_dim1(&b);
-        assert_eq!(c.shape(), &[2, 3, 2]);
-        assert_eq!(
-            c.data(),
-            &[0.0, 1.0, 2.0, 3.0, 10.0, 11.0, 4.0, 5.0, 6.0, 7.0, 12.0, 13.0]
-        );
-    }
-
-    #[test]
-    fn concat_dim0_appends_rows() {
-        let a = Tensor::from_vec((0..8).map(|x| x as f32).collect(), &[2, 2, 2]).unwrap();
-        let b = Tensor::from_vec(vec![10.0, 11.0, 12.0, 13.0], &[1, 2, 2]).unwrap();
-        let c = a.concat_dim0(&b);
-        assert_eq!(c.shape(), &[3, 2, 2]);
-        assert_eq!(
-            c.data(),
-            &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 10.0, 11.0, 12.0, 13.0]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "concat_dim0 trailing dims")]
-    fn concat_dim0_checks_trailing_dims() {
-        let a = Tensor::zeros(&[2, 2, 2]);
-        let b = Tensor::zeros(&[1, 3, 2]);
-        let _ = a.concat_dim0(&b);
-    }
-
-    #[test]
-    fn slice_dim1_trims_leading_time_steps() {
-        let a = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[2, 3, 2]).unwrap();
-        let s = a.slice_dim1(1);
-        assert_eq!(s.shape(), &[2, 2, 2]);
-        assert_eq!(s.data(), &[2.0, 3.0, 4.0, 5.0, 8.0, 9.0, 10.0, 11.0]);
-        let all = a.slice_dim1(0);
-        assert_eq!(all.data(), a.data());
-        let none = a.slice_dim1(3);
-        assert_eq!(none.shape(), &[2, 0, 2]);
-    }
-
-    #[test]
-    fn gather_batches_replicates_and_reorders() {
-        let a = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[3, 1, 2]).unwrap();
-        let g = a.gather_batches(&[2, 0, 0, 1]);
-        assert_eq!(g.shape(), &[4, 1, 2]);
-        assert_eq!(g.data(), &[4.0, 5.0, 0.0, 1.0, 0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "gather_batches index")]
-    fn gather_batches_bounds_checked() {
-        let a = Tensor::zeros(&[2, 1, 2]);
-        let _ = a.gather_batches(&[2]);
     }
 }

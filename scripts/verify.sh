@@ -82,14 +82,18 @@ RPT_THREADS=4 cargo test -q --offline --release --test streaming_fault_injection
 
 # Decode and serving bit-identity gate, under every RPT_SIMD x
 # RPT_THREADS combination: the one decode engine must match the
-# full-prefix reference decoders, and the micro-batched server must return
-# byte-identical decodes to single-request decoding.
+# full-prefix reference decoders, the micro-batched server must return
+# byte-identical decodes to single-request decoding, and the batcher's
+# own staggered-admission, cancel and cross-thread-prefill unit tests
+# must hold too.
 for simd in 0 1; do
     for threads in 1 4; do
         RPT_SIMD=$simd RPT_THREADS=$threads \
             cargo test -q --offline --test decode_equivalence
         RPT_SIMD=$simd RPT_THREADS=$threads \
             cargo test -q --offline --test serve_equivalence
+        RPT_SIMD=$simd RPT_THREADS=$threads \
+            cargo test -q --offline -p rpt-nn --lib multidecode
     done
 done
 

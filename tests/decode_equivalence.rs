@@ -15,10 +15,12 @@ use rpt::core::cleaning::{CleaningConfig, MaskPolicy, RptC};
 use rpt::core::vocabulary::build_vocab;
 use rpt::nn::{
     beam_search, beam_search_reference, forced_score, forced_score_reference, greedy_decode,
-    greedy_decode_reference, BeamConfig, Hypothesis, Seq2Seq, Sequence, TokenBatch,
+    greedy_decode_reference, BeamConfig, Hypothesis, JobOutput, JobSpec, MicroBatcher, Seq2Seq,
+    Sequence, TokenBatch,
 };
 use rpt::table::{Schema, Table, Value};
-use rpt::tensor::{ParamStore, Tensor};
+use rpt::tensor::ParamStore;
+use rpt_rng::{Rng, SeedableRng, SmallRng};
 
 /// Pretrains a tiny RPT-C denoising model on an FD table (brand → maker).
 fn trained_denoising_model() -> (RptC, Table) {
@@ -232,90 +234,274 @@ fn max_steps_truncation_matches_on_both_paths() {
 fn kv_cache_appends_one_position_per_step() {
     let (model, mut params) = trained_copy_model();
     let cfg = model.config().clone();
-    let (h, dh) = (cfg.n_heads, cfg.d_model / cfg.n_heads);
+    let d = cfg.d_model;
     let src = TokenBatch::from_sequences(&[Sequence::from_ids(vec![10, 9])], 16, 0);
     let t_src = src.t;
 
     let mut state = model.begin_decode(&mut params, &src);
     assert_eq!(state.decoded_len(), 0);
-    assert_eq!(state.layers().len(), cfg.n_dec_layers);
-    for layer in state.layers() {
-        assert!(layer.self_k.is_none(), "self cache starts empty");
-        assert_eq!(layer.cross_kt.shape(), &[h, dh, t_src]);
-        assert_eq!(layer.cross_v.shape(), &[h, t_src, dh]);
+    let cache = state.cache();
+    assert!(cache.is_empty(), "self cache starts empty");
+    assert_eq!(cache.rows(), 1);
+    for layer in 0..cfg.n_dec_layers {
+        assert_eq!(cache.cross(layer).kt.shape(), &[1, d, t_src]);
+        assert_eq!(cache.cross(layer).v.shape(), &[1, t_src, d]);
     }
-    let cross_kt_before = state.layers()[0].cross_kt.data().to_vec();
+    let cross_before: Vec<Vec<f32>> = (0..cfg.n_dec_layers)
+        .map(|l| [cache.cross(l).kt.data(), cache.cross(l).v.data()].concat())
+        .collect();
 
     let _ = model.decode_step(&mut params, &mut state, &[BOS]);
     assert_eq!(state.decoded_len(), 1);
-    let k_after_1 = {
-        let layer = &state.layers()[0];
-        let k = layer.self_k.as_ref().expect("one position cached");
-        assert_eq!(k.shape(), &[h, 1, dh]);
-        assert_eq!(layer.self_v.as_ref().unwrap().shape(), &[h, 1, dh]);
-        k.data().to_vec()
-    };
+    let first: Vec<(Vec<f32>, Vec<f32>)> = (0..cfg.n_dec_layers)
+        .map(|l| state.cache().self_kv(l, 0, 0))
+        .collect();
+    for (k, v) in &first {
+        assert_eq!((k.len(), v.len()), (d, d), "one position cached");
+    }
 
     let _ = model.decode_step(&mut params, &mut state, &[10]);
     assert_eq!(state.decoded_len(), 2);
-    let layer = &state.layers()[0];
-    let k = layer.self_k.as_ref().unwrap();
-    assert_eq!(k.shape(), &[h, 2, dh]);
-    // position 0 of every head is untouched by the append
-    for head in 0..h {
-        let row = &k.data()[head * 2 * dh..head * 2 * dh + dh];
-        let before = &k_after_1[head * dh..(head + 1) * dh];
-        assert_eq!(row, before, "append rewrote cached position 0, head {head}");
+    let cache = state.cache();
+    for (layer, before) in first.iter().enumerate() {
+        // position 0 of every head is untouched by the append
+        assert_eq!(
+            &cache.self_kv(layer, 0, 0),
+            before,
+            "append rewrote cached position 0, layer {layer}"
+        );
+        assert_ne!(
+            &cache.self_kv(layer, 0, 1),
+            before,
+            "position 1 was written"
+        );
+        assert_eq!(
+            [cache.cross(layer).kt.data(), cache.cross(layer).v.data()].concat(),
+            cross_before[layer],
+            "cross K/V must never change across steps"
+        );
     }
-    assert_eq!(
-        layer.cross_kt.data(),
-        &cross_kt_before[..],
-        "cross K must never change across steps"
-    );
 }
 
-/// KV-cache unit test: the row gather behind beam reordering and slot
-/// reclaim (`LayerKv::select_rows`) replicates/reorders cached rows.
+/// KV-cache unit test: the within-slot row gather behind beam reordering
+/// (`KvCache::select`) replicates rows, and the replicas share the job's
+/// one cross K/V.
 #[test]
 fn kv_cache_select_beams_replicates_rows() {
     let (model, mut params) = trained_copy_model();
     let cfg = model.config().clone();
-    let (h, dh) = (cfg.n_heads, cfg.d_model / cfg.n_heads);
     let src = TokenBatch::from_sequences(&[Sequence::from_ids(vec![9])], 16, 0);
 
     let mut state = model.begin_decode(&mut params, &src);
     let _ = model.decode_step(&mut params, &mut state, &[BOS]);
-    let base_k = state.layers()[0].self_k.as_ref().unwrap().data().to_vec();
+    let base = state.cache().self_kv(0, 0, 0);
 
-    // hypothesis 0 twice: each hypothesis row expands to its h head rows
-    let rows: Vec<usize> = (0..h).chain(0..h).collect();
-    let mut layers = state.layers().to_vec();
-    for layer in &mut layers {
-        layer.select_rows(&rows);
-    }
-    let k = layers[0].self_k.as_ref().unwrap();
-    assert_eq!(k.shape(), &[2 * h, 1, dh]);
-    assert_eq!(layers[0].cross_kt.shape()[0], 2 * h);
-    assert_eq!(layers[0].cross_v.shape()[0], 2 * h);
-    // both replicas carry the parent's rows
-    assert_eq!(&k.data()[..h * dh], &base_k[..]);
-    assert_eq!(&k.data()[h * dh..], &base_k[..]);
+    // hypothesis 0 twice
+    let mut cache = state.cache().clone();
+    cache.select(&[0, 0]);
+    assert_eq!(cache.rows(), 2);
+    assert_eq!(cache.len(), 1);
+    // both replicas carry the parent's keys and values
+    assert_eq!(cache.self_kv(0, 0, 0), base);
+    assert_eq!(cache.self_kv(0, 1, 0), base);
+    assert_eq!(cache.cross(0).kt.shape(), state.cache().cross(0).kt.shape());
 
-    // the widened batch keeps decoding: same token in both rows gives the
-    // same logits row twice (the unpadded source masks nothing)
-    let cross_mask = Tensor::zeros(&[2 * h, 1, src.t]);
+    // the widened job keeps decoding: same token in both rows gives the
+    // same logits row twice
     let et = model.tied_projection(&mut params);
     let (tokens, positions) = ([10, 10], [1, 1]);
-    let logits = model.decode_step_rows(
-        &mut params,
-        &mut layers,
-        &tokens,
-        &positions,
-        None,
-        &cross_mask,
-        &et,
-    );
+    let logits = model.decode_step_rows(&mut params, &mut [&mut cache], &tokens, &positions, &et);
     assert_eq!(logits.shape(), &[2, cfg.vocab_size]);
     let v = cfg.vocab_size;
     assert_eq!(&logits.data()[..v], &logits.data()[v..]);
+    assert_eq!(cache.len(), 2);
+    assert_eq!(cache.self_kv(0, 0, 1), cache.self_kv(0, 1, 1));
+}
+
+/// One job of the seeded schedule below: a random greedy, beam (width
+/// 1–4) or forced job over a random source of 1 to `max_len` tokens. A
+/// third of the greedy and beam jobs get an EOS id the model can never
+/// emit, and a third of all budgets exceed `max_len`, so some jobs decode
+/// until `max_len`.
+fn random_job(rng: &mut SmallRng, max_len: usize, vocab: usize) -> JobSpec {
+    let mut budget = || {
+        if rng.gen_range(0..3usize) == 0 {
+            max_len + 2
+        } else {
+            rng.gen_range(1..max_len)
+        }
+    };
+    let steps = budget();
+    let len = rng.gen_range(1..max_len + 1);
+    let ids: Vec<usize> = (0..len).map(|_| rng.gen_range(3..vocab)).collect();
+    let src = TokenBatch::from_sequences(&[Sequence::from_ids(ids)], max_len, 0);
+    let eos = if rng.gen_range(0..3usize) == 0 {
+        vocab
+    } else {
+        EOS
+    };
+    match rng.gen_range(0..3usize) {
+        0 => JobSpec::Greedy {
+            src,
+            bos: BOS,
+            eos,
+            max_steps: steps - 1,
+        },
+        1 => JobSpec::Beam {
+            src,
+            bos: BOS,
+            eos,
+            cfg: BeamConfig {
+                width: rng.gen_range(1..5usize),
+                max_steps: steps,
+                len_penalty: 1.0,
+            },
+        },
+        _ => JobSpec::Forced {
+            src,
+            bos: BOS,
+            eos: EOS,
+            targets: (1..steps).map(|_| rng.gen_range(3..vocab)).collect(),
+        },
+    }
+}
+
+/// Bit patterns of everything a job returns: tokens, and scores as `f32`
+/// bits.
+fn output_bits(out: &JobOutput) -> Vec<u64> {
+    match out {
+        JobOutput::Greedy { tokens } => tokens.iter().map(|&t| t as u64).collect(),
+        JobOutput::Beam { hypotheses } => hypotheses_bits(hypotheses),
+        JobOutput::Forced {
+            total_logprob,
+            per_token,
+        } => std::iter::once(total_logprob)
+            .chain(per_token)
+            .map(|x| u64::from(x.to_bits()))
+            .collect(),
+    }
+}
+
+fn hypotheses_bits(hypotheses: &[Hypothesis]) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for h in hypotheses {
+        bits.push(u64::from(h.score.to_bits()));
+        bits.push(h.tokens.len() as u64);
+        bits.extend(h.tokens.iter().map(|&t| t as u64));
+    }
+    bits
+}
+
+/// `spec` run alone through the single-request entry point, and through
+/// its full-prefix reference, as bit patterns.
+fn alone_and_reference(
+    model: &Seq2Seq,
+    params: &mut ParamStore,
+    spec: &JobSpec,
+) -> (Vec<u64>, Vec<u64>) {
+    let tokens = |t: Vec<usize>| t.into_iter().map(|t| t as u64).collect::<Vec<u64>>();
+    let forced = |(total, per): (f32, Vec<f32>)| {
+        output_bits(&JobOutput::Forced {
+            total_logprob: total,
+            per_token: per,
+        })
+    };
+    match spec {
+        JobSpec::Greedy {
+            src,
+            bos,
+            eos,
+            max_steps,
+        } => (
+            tokens(greedy_decode(model, params, src, *bos, *eos, *max_steps)),
+            tokens(greedy_decode_reference(
+                model, params, src, *bos, *eos, *max_steps,
+            )),
+        ),
+        JobSpec::Beam { src, bos, eos, cfg } => (
+            hypotheses_bits(&beam_search(model, params, src, *bos, *eos, cfg)),
+            hypotheses_bits(&beam_search_reference(model, params, src, *bos, *eos, cfg)),
+        ),
+        JobSpec::Forced {
+            src,
+            bos,
+            eos,
+            targets,
+        } => (
+            forced(forced_score(model, params, src, *bos, *eos, targets)),
+            forced(forced_score_reference(
+                model, params, src, *bos, *eos, targets,
+            )),
+        ),
+    }
+}
+
+/// A seeded schedule through one batcher: random greedy, beam and forced
+/// jobs (plus one over an empty source, whose single masked position must
+/// decode as it does alone) admitted a few at a time while others are
+/// mid-decode, some cancelled, some decoding to `max_len` so their
+/// self-attention caches grow to the bound. Every job that finishes must
+/// bit-equal the same job run alone and its full-prefix reference.
+#[test]
+fn seeded_schedule_matches_lone_runs_and_references() {
+    let (model, mut params) = trained_copy_model();
+    let (max_len, vocab) = (model.config().max_len, model.config().vocab_size);
+    let mut rng = SmallRng::seed_from_u64(20);
+    let mut jobs: Vec<JobSpec> = (0..24)
+        .map(|_| random_job(&mut rng, max_len, vocab))
+        .collect();
+    jobs.insert(
+        5,
+        JobSpec::Greedy {
+            src: TokenBatch::from_sequences(&[Sequence::from_ids(Vec::new())], max_len, 0),
+            bos: BOS,
+            eos: vocab,
+            max_steps: 6,
+        },
+    );
+    let reaches_max_len = |spec: &JobSpec| match spec {
+        JobSpec::Greedy { eos, max_steps, .. } => *eos == vocab && *max_steps >= max_len,
+        JobSpec::Beam { eos, cfg, .. } => *eos == vocab && cfg.max_steps >= max_len,
+        JobSpec::Forced { targets, .. } => targets.len() + 1 >= max_len,
+    };
+
+    let mut mb = MicroBatcher::new(&model, &mut params);
+    let mut got: Vec<Option<Vec<u64>>> = vec![None; jobs.len()];
+    let mut cancelled: Vec<usize> = Vec::new();
+    let mut next = 0;
+    while next < jobs.len() || !mb.is_idle() {
+        for _ in 0..rng.gen_range(0..4usize) {
+            if next < jobs.len() {
+                mb.admit(&model, &mut params, next as u64, jobs[next].clone());
+                next += 1;
+            }
+        }
+        if next > 0 && rng.gen_range(0..10usize) == 0 {
+            let id = rng.gen_range(0..next);
+            if mb.cancel(id as u64) {
+                cancelled.push(id);
+            }
+        }
+        for (id, out) in mb.step(&model, &mut params) {
+            got[id as usize] = Some(output_bits(&out));
+        }
+    }
+    assert!(!cancelled.is_empty(), "the schedule must cancel a job");
+    let to_bound = (0..jobs.len())
+        .filter(|i| reaches_max_len(&jobs[*i]) && !cancelled.contains(i))
+        .count();
+    assert!(
+        to_bound >= 2,
+        "the schedule must run some caches to their bound"
+    );
+    assert_eq!(mb.rows(), 0);
+
+    for (i, spec) in jobs.iter().enumerate() {
+        let (alone, reference) = alone_and_reference(&model, &mut params, spec);
+        assert_eq!(alone, reference, "job {i}: lone run vs reference");
+        match &got[i] {
+            Some(fused) => assert_eq!(fused, &alone, "job {i}: batched vs lone run"),
+            None => assert!(cancelled.contains(&i), "job {i} never finished"),
+        }
+    }
 }
