@@ -426,60 +426,52 @@ impl MicroBatcher {
     /// parameter values this batcher decodes with; the encode may run on
     /// any thread.
     pub fn admit_prefilled(&mut self, id: u64, spec: JobSpec, prefill: Prefill) {
-        let max_len = self.max_len;
-        let (driver, steps) = match spec {
+        // The most steps the job can take: the bound its self-attention
+        // buffers grow to.
+        let bound = match &spec {
+            JobSpec::Greedy { max_steps, .. } => *max_steps,
+            JobSpec::Beam { cfg, .. } => cfg.max_steps,
+            JobSpec::Forced { targets, .. } => targets.len() + 1,
+        };
+        let driver = match spec {
             JobSpec::Greedy {
                 bos,
                 eos,
                 max_steps,
                 ..
-            } => (
-                Driver::Greedy(GreedyDriver {
-                    prefix: vec![bos],
-                    eos,
-                    max_steps,
-                    steps: 0,
-                    max_len,
-                }),
+            } => Driver::Greedy(GreedyDriver {
+                prefix: vec![bos],
+                eos,
                 max_steps,
-            ),
+                steps: 0,
+                max_len: self.max_len,
+            }),
             JobSpec::Beam { bos, eos, cfg, .. } => {
                 assert!(cfg.width > 0, "beam width must be positive");
-                let steps = cfg.max_steps;
-                (
-                    Driver::Beam(BeamDriver {
-                        beams: vec![(vec![bos], 0.0)],
-                        done: Vec::new(),
-                        cfg,
-                        eos,
-                        max_len,
-                        steps: 0,
-                    }),
-                    steps,
-                )
+                Driver::Beam(BeamDriver {
+                    beams: vec![(vec![bos], 0.0)],
+                    done: Vec::new(),
+                    cfg,
+                    eos,
+                    max_len: self.max_len,
+                    steps: 0,
+                })
             }
             JobSpec::Forced {
                 bos, eos, targets, ..
-            } => {
-                let goals: Vec<usize> = targets.into_iter().chain(std::iter::once(eos)).collect();
-                let steps = goals.len();
-                (
-                    Driver::Forced(ForcedDriver {
-                        prefix: vec![bos],
-                        goals,
-                        scored: 0,
-                        total: 0.0,
-                        per_token: Vec::new(),
-                        max_len,
-                    }),
-                    steps,
-                )
-            }
+            } => Driver::Forced(ForcedDriver {
+                prefix: vec![bos],
+                goals: targets.into_iter().chain(std::iter::once(eos)).collect(),
+                scored: 0,
+                total: 0.0,
+                per_token: Vec::new(),
+                max_len: self.max_len,
+            }),
         };
         self.slots.push(Slot {
             id,
             driver,
-            cache: KvCache::new(prefill, steps.min(max_len)),
+            cache: KvCache::new(prefill, bound.min(self.max_len)),
         });
     }
 
