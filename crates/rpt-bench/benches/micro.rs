@@ -1,7 +1,7 @@
 //! Microbenchmarks for the substrate layers: tensor kernels, attention
 //! forward/backward, tuple tokenization, blocking, the ZeroER EM step,
-//! and FD profiling, plus the decode, serving, quantization, tracing and
-//! streaming artifacts under `bench_results/bench_*.json`.
+//! and FD profiling, plus the elementwise, decode, serving, quantization,
+//! tracing and streaming artifacts under `bench_results/bench_*.json`.
 //!
 //! The harness is std-only (`harness = false`; no criterion so the
 //! workspace stays dependency-free). Every timing goes through
@@ -22,7 +22,8 @@ use rpt_nn::{
 };
 use rpt_rng::{SeedableRng, SmallRng};
 use rpt_table::TableProfile;
-use rpt_tensor::{init, ParamStore, Tape, Tensor};
+use rpt_tensor::tape::gelu_forward;
+use rpt_tensor::{init, simd, ParamStore, Tape, Tensor};
 use rpt_tokenizer::{EncoderOptions, TupleEncoder, VocabBuilder};
 
 use std::hint::black_box;
@@ -99,21 +100,101 @@ fn bench_matmul() {
     );
 }
 
-fn bench_softmax_layernorm() {
+/// Elementwise kernels: GELU's forward at the training FFN shape
+/// `[84, 128]` (keeping `tanh` for the backward, as a recording tape does)
+/// and at one decode row `[1, 128]` (keeping nothing, as a forward-only
+/// tape does), each through the scalar and the forced AVX2 `tanh` twin;
+/// then a `[64, 64]` softmax and a layer-norm forward and backward through
+/// the dispatched kernels. Checks the GELU twins agree bit for bit, then
+/// writes `bench_results/bench_elementwise.json`.
+fn bench_elementwise() {
     let mut rng = SmallRng::seed_from_u64(2);
     let x = init::normal(&[64, 64], 1.0, &mut rng);
-    let names = ["tensor/softmax_64x64", "tape/layer_norm_fwd_bwd"];
-    measure(names, |arm| {
-        if arm == 0 {
-            black_box(x.softmax_last());
-            return;
+    let ffn = init::normal(&[84, 128], 1.0, &mut rng);
+    let row = init::normal(&[1, 128], 1.0, &mut rng);
+    let tanh_simd = |xs: &mut [f32]| {
+        if !simd::tanh_force(xs) {
+            simd::tanh_scalar(xs); // no AVX2: the artifact's `simd` says so
         }
-        let tape = Tape::new();
-        let v = tape.leaf(x.clone());
-        let n = tape.layer_norm(v, 1e-5);
-        let loss = tape.sum_all(tape.mul(n, n));
-        black_box(tape.backward(loss));
+    };
+    let gelu = |input: &Tensor, keep: bool, use_simd: bool| {
+        let mut out = vec![0.0f32; input.numel()];
+        let mut t = if keep {
+            vec![0.0f32; input.numel()]
+        } else {
+            Vec::new()
+        };
+        let keep_tanh = keep.then_some(t.as_mut_slice());
+        if use_simd {
+            gelu_forward(input.data(), &mut out, keep_tanh, tanh_simd);
+        } else {
+            gelu_forward(input.data(), &mut out, keep_tanh, simd::tanh_scalar);
+        }
+        out
+    };
+    for input in [&ffn, &row] {
+        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(gelu(input, true, false)),
+            bits(gelu(input, true, true)),
+            "gelu twins diverged at {:?}",
+            input.shape()
+        );
+    }
+
+    let names = [
+        "gelu/ffn_84x128_scalar",
+        "gelu/ffn_84x128_simd",
+        "gelu/row_1x128_scalar",
+        "gelu/row_1x128_simd",
+        "tensor/softmax_64x64",
+        "tape/layer_norm_fwd_bwd",
+    ];
+    let spreads = measure(names, |arm| match arm {
+        0..=3 => {
+            let input = if arm < 2 { &ffn } else { &row };
+            black_box(gelu(input, arm < 2, arm % 2 == 1));
+        }
+        4 => {
+            black_box(x.softmax_last());
+        }
+        _ => {
+            let tape = Tape::new();
+            let v = tape.leaf(x.clone());
+            let n = tape.layer_norm(v, 1e-5);
+            let loss = tape.sum_all(tape.mul(n, n));
+            black_box(tape.backward(loss));
+        }
     });
+    let gelu_runs: Vec<Json> = [("ffn_84x128", &ffn, true), ("row_1x128", &row, false)]
+        .iter()
+        .zip(spreads.chunks(2))
+        .map(|((name, input, keep), pair)| {
+            let elements = input.numel() as f64;
+            json!({
+                "name": *name,
+                "keeps_tanh": *keep,
+                "scalar_ns": pair[0].median as u64,
+                "scalar_ns_spread": pair[0],
+                "simd_ns": pair[1].median as u64,
+                "simd_ns_spread": pair[1],
+                "scalar_ns_per_element": pair[0].median / elements,
+                "simd_ns_per_element": pair[1].median / elements,
+                "speedup": pair[0].median / pair[1].median,
+            })
+        })
+        .collect();
+    emit(
+        "bench_elementwise",
+        json!({
+            "bench": "elementwise",
+            "gelu": gelu_runs,
+            "softmax_64x64_ns": spreads[4].median as u64,
+            "softmax_64x64_ns_spread": spreads[4],
+            "layer_norm_fwd_bwd_64x64_ns": spreads[5].median as u64,
+            "layer_norm_fwd_bwd_64x64_ns_spread": spreads[5],
+        }),
+    );
 }
 
 fn bench_attention() {
@@ -625,7 +706,7 @@ fn main() {
     let filter: Option<String> = std::env::args().skip(1).find(|a| !a.starts_with('-'));
     let groups: [(&str, fn()); 13] = [
         ("matmul", bench_matmul),
-        ("softmax_layernorm", bench_softmax_layernorm),
+        ("elementwise", bench_elementwise),
         ("attention", bench_attention),
         ("tokenizer", bench_tokenizer),
         ("blocking_and_em", bench_blocking_and_em),

@@ -486,7 +486,9 @@ impl RptC {
     /// Checkpoints carry the corpus position (epoch, shard, offset) and —
     /// mid-window — the accumulation state including pending gradients, so
     /// resume continues bit-identically from any crash point without
-    /// replaying examples.
+    /// replaying examples. A window whose loss or global gradient norm is
+    /// not finite ends the run with [`CorpusError::NonFinite`] before any
+    /// checkpoint is written, so the last good one stays on disk.
     pub fn pretrain_stream_on(
         &mut self,
         pool: &rpt_par::ThreadPool,
@@ -627,6 +629,13 @@ impl RptC {
             }
             let loss = trainer.accum_apply(&mut self.params);
             drop(step_span);
+            // The numerical guard: a non-finite window ends the run here,
+            // before a checkpoint below could persist what it did.
+            if !loss.is_finite() || !trainer.last_grad_norm().is_some_and(f32::is_finite) {
+                return Err(CorpusError::NonFinite {
+                    step: trainer.steps_done(),
+                });
+            }
             if let Some(t0) = step_started {
                 TRAIN_OBS.tokens.add(step_tokens);
                 let secs = t0.elapsed().as_secs_f64();

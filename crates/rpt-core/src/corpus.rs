@@ -78,6 +78,10 @@ pub enum CorpusError {
     Prefetch(PrefetchError),
     /// A checkpoint operation inside streaming training failed.
     Checkpoint(CheckpointError),
+    /// The loss or the global gradient norm of optimizer step `step`
+    /// (1-based) was not finite. Training stopped before that step could
+    /// be checkpointed.
+    NonFinite { step: usize },
 }
 
 impl fmt::Display for CorpusError {
@@ -87,6 +91,10 @@ impl fmt::Display for CorpusError {
             CorpusError::Format(m) => write!(f, "corpus format error: {m}"),
             CorpusError::Prefetch(e) => write!(f, "corpus prefetch error: {e}"),
             CorpusError::Checkpoint(e) => write!(f, "corpus checkpoint error: {e}"),
+            CorpusError::NonFinite { step } => write!(
+                f,
+                "non-finite loss or gradient norm at step {step}; training stopped"
+            ),
         }
     }
 }

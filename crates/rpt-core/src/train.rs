@@ -81,6 +81,8 @@ pub struct Trainer {
     /// Open gradient-accumulation window: one entry per shard folded so
     /// far, in fold order. Empty outside a window.
     pending: Vec<PendingShard>,
+    /// Pre-clip global gradient norm of the latest update.
+    last_grad_norm: Option<f32>,
 }
 
 /// One shard folded into an accumulation window: `(loss, weight, raw
@@ -108,6 +110,7 @@ impl Trainer {
             losses: Vec::new(),
             ckpt_every: None,
             pending: Vec::new(),
+            last_grad_norm: None,
         }
     }
 
@@ -119,6 +122,12 @@ impl Trainer {
     /// Loss recorded at each completed step.
     pub fn losses(&self) -> &[f32] {
         &self.losses
+    }
+
+    /// The pre-clip global gradient norm of the latest update (`None`
+    /// before the first). Not finite when a gradient was not.
+    pub fn last_grad_norm(&self) -> Option<f32> {
+        self.last_grad_norm
     }
 
     /// Mean loss over the last `n` steps (or fewer if not available).
@@ -158,6 +167,7 @@ impl Trainer {
         );
         self.adam.set_lr(lr);
         let grad_norm = self.adam.step_clipped(params, &pg, self.opts.clip);
+        self.last_grad_norm = Some(grad_norm);
         self.losses.push(loss_value);
         TRAIN_OBS.steps.inc();
         TRAIN_OBS.loss.set(loss_value as f64);
@@ -472,6 +482,25 @@ mod tests {
         let final_w = params.value(w).data()[0];
         assert!((final_w - 1.0).abs() < 0.1, "w = {final_w}");
         assert!(trainer.recent_loss(10) < trainer.losses()[0]);
+    }
+
+    #[test]
+    fn last_grad_norm_reports_the_latest_update() {
+        let mut params = ParamStore::new();
+        params.register("w", Tensor::scalar(4.0));
+        let mut trainer = Trainer::new(quadratic_opts(), 16);
+        assert_eq!(trainer.last_grad_norm(), None);
+        let mut step = |params: &mut ParamStore| {
+            params.begin_step();
+            let tape = Tape::new();
+            let loss = quadratic_loss(&tape, params, 1.0);
+            trainer.step(&tape, params, loss);
+            trainer.last_grad_norm().expect("set by the update")
+        };
+        // d/dw (w - 1)^2 at w = 4 is 6
+        assert_eq!(step(&mut params), 6.0);
+        params.set_value(ParamId::from_index(0), Tensor::scalar(f32::NAN));
+        assert!(step(&mut params).is_nan());
     }
 
     #[test]

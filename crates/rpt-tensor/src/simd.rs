@@ -11,6 +11,20 @@
 //!   pure elementwise stages are vectorized,
 //! * remainder lanes run the identical scalar loop.
 //!
+//! [`tanh`] is the one transcendental. Its scalar twin is a port of
+//! fdlibm's `tanhf` and `expm1f` (glibc's `libm.so.6` runs the same code,
+//! as plain SSE scalar operations with no FMA), so GELU's bits do not
+//! depend on the platform libm; on a host whose `tanhf` is not fdlibm's,
+//! checkpoints differ from those of builds that called it. The AVX2 twin
+//! runs that operation sequence on each lane: every branch either routine
+//! reaches is computed on all lanes and blended by the lane's own
+//! condition, and an 8-block holding a lane outside `2^-55 <= |x| < 22`
+//! (±0, tiny values, saturated values, ±inf, NaN) runs the scalar twin.
+//! Blends are easy to get subtly wrong, so the identity is proven by
+//! trying every input: an exhaustive 2^32 sweep in
+//! `tests/simd_equivalence.rs` (ignored by default; `scripts/verify.sh`
+//! runs it in release mode).
+//!
 //! Consequence: `RPT_SIMD=0` and `RPT_SIMD=1` produce byte-identical
 //! tensors, checkpoints, and loss curves (locked down by
 //! `tests/simd_equivalence.rs`), so the scalar path is a belt-and-braces
@@ -293,6 +307,286 @@ unsafe fn affine_row_avx2(dst: &mut [f32], src: &[f32], shift: f32, scale: f32) 
 }
 
 // ----------------------------------------------------------------------
+// tanh (GELU, the classifier pooler)
+// ----------------------------------------------------------------------
+
+/// `xs[i] = tanh(xs[i])`, in place. Dispatched.
+///
+/// The scalar twin is a port of fdlibm's `s_tanhf.c` and `s_expm1f.c`
+/// (see [`tanh_scalar`]), so the result does not depend on the platform
+/// libm. The AVX2 twin runs the same IEEE operations per lane, with every
+/// branch of the two routines computed and blended (see `tanh8_avx2`);
+/// an 8-block holding a lane outside `2^-55 <= |x| < 22` runs the scalar
+/// twin instead.
+pub fn tanh(xs: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if simd_enabled() && xs.len() >= 8 {
+        // SAFETY: simd_enabled() implies AVX2.
+        unsafe { tanh_avx2(xs) };
+        return;
+    }
+    tanh_scalar(xs);
+}
+
+/// Scalar twin of [`tanh`]: fdlibm's `tanhf` on every element. This is
+/// the code glibc's `libm.so.6` runs (as plain SSE scalar operations, no
+/// FMA), so on glibc hosts it agrees with `f32::tanh` bit for bit
+/// (checked on all 2^32 inputs against glibc 2.36).
+pub fn tanh_scalar(xs: &mut [f32]) {
+    for x in xs.iter_mut() {
+        *x = tanhf(*x);
+    }
+}
+
+/// Forced-SIMD [`tanh`]; `false` when AVX2 is unavailable.
+pub fn tanh_force(xs: &mut [f32]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if simd_available() {
+        // SAFETY: feature presence checked above.
+        unsafe { tanh_avx2(xs) };
+        return true;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = xs;
+    false
+}
+
+// fdlibm s_expm1f.c constants.
+const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
+const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
+const INVLN2: f32 = f32::from_bits(0x3fb8_aa3b);
+const Q1: f32 = f32::from_bits(0xbd08_8889);
+const Q2: f32 = f32::from_bits(0x3ad0_0d01);
+const Q3: f32 = f32::from_bits(0xb8a6_70cd);
+const Q4: f32 = f32::from_bits(0x3686_7e54);
+const Q5: f32 = f32::from_bits(0xb457_edbb);
+
+/// fdlibm `tanhf`, operation for operation.
+fn tanhf(x: f32) -> f32 {
+    let jx = x.to_bits();
+    let ix = jx & 0x7fff_ffff;
+    if ix >= 0x7f80_0000 {
+        // tanh(±inf) = ±1, tanh(NaN) = NaN
+        return if jx >> 31 == 0 {
+            1.0 / x + 1.0
+        } else {
+            1.0 / x - 1.0
+        };
+    }
+    let z = if ix < 0x41b0_0000 {
+        // |x| < 22
+        if ix == 0 {
+            return x; // ±0
+        }
+        if ix < 0x2400_0000 {
+            return x * (1.0 + x); // |x| < 2^-55
+        }
+        let ax = f32::from_bits(ix);
+        if ix >= 0x3f80_0000 {
+            // |x| >= 1
+            let t = expm1f(ax + ax);
+            1.0 - 2.0 / (t + 2.0)
+        } else {
+            let t = expm1f(-2.0 * ax);
+            -t / (t + 2.0)
+        }
+    } else {
+        // |x| >= 22: fdlibm's `one - tiny`, which rounds to 1
+        1.0
+    };
+    if jx >> 31 == 0 {
+        z
+    } else {
+        -z
+    }
+}
+
+/// fdlibm `expm1f`, operation for operation, on the arguments [`tanhf`]
+/// passes: finite, with `-2 < x < 0` or `2 <= x < 44`. The routine's
+/// overflow and non-finite filter is left out, since it never fires there.
+fn expm1f(x: f32) -> f32 {
+    let hx = x.to_bits() & 0x7fff_ffff;
+    let neg = x.is_sign_negative();
+    debug_assert!(hx < 0x42b1_7218 && !(neg && hx >= 0x4195_b844));
+    // argument reduction: x = k ln2 + (x - c), |x - c| <= 0.5 ln2
+    let (x, c, k) = if hx > 0x3eb1_7218 {
+        // |x| > 0.5 ln2
+        let (hi, lo, k) = if hx < 0x3f85_1592 {
+            // and |x| < 1.5 ln2
+            if neg {
+                (x + LN2_HI, -LN2_LO, -1)
+            } else {
+                (x - LN2_HI, LN2_LO, 1)
+            }
+        } else {
+            let k = (INVLN2 * x + if neg { -0.5 } else { 0.5 }) as i32;
+            let t = k as f32;
+            (x - t * LN2_HI, t * LN2_LO, k)
+        };
+        let xr = hi - lo;
+        (xr, (hi - xr) - lo, k)
+    } else if hx < 0x3300_0000 {
+        // |x| < 2^-25: fdlibm's `x - ((huge + x) - (huge + x))`, which is x
+        return x;
+    } else {
+        (x, 0.0, 0)
+    };
+    let hfx = 0.5 * x;
+    let hxs = x * hfx;
+    let r1 = 1.0 + hxs * (Q1 + hxs * (Q2 + hxs * (Q3 + hxs * (Q4 + hxs * Q5))));
+    let t = 3.0 - r1 * hfx;
+    let e = hxs * ((r1 - t) / (6.0 - x * t));
+    if k == 0 {
+        return x - (x * e - hxs);
+    }
+    let e = (x * (e - c) - c) - hxs;
+    // y * 2^k, by adding k to y's exponent field
+    let scale = |y: f32| f32::from_bits(y.to_bits().wrapping_add((k << 23) as u32));
+    match k {
+        -1 => 0.5 * (x - e) - 0.5,
+        1 if x < -0.25 => -2.0 * (e - (x + 0.5)),
+        1 => 1.0 + 2.0 * (x - e),
+        2..=22 => scale(f32::from_bits(0x3f80_0000 - (0x0100_0000 >> k)) - (e - x)),
+        23..=56 => scale((x - (e + f32::from_bits(((0x7f - k) << 23) as u32))) + 1.0),
+        _ => scale(1.0 - (e - x)) - 1.0, // k <= -2 or k > 56
+    }
+}
+
+/// [`tanh`] on AVX2: [`tanh8_avx2`] on every 8-block whose lanes all lie
+/// in `2^-55 <= |x| < 22`, the scalar twin on any other block and on the
+/// remainder.
+///
+/// # Safety
+/// Caller must ensure AVX2 is available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn tanh_avx2(xs: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let mut blocks = xs.chunks_exact_mut(8);
+    for b in &mut blocks {
+        let v = _mm256_loadu_ps(b.as_ptr());
+        let ix = _mm256_and_si256(_mm256_castps_si256(v), _mm256_set1_epi32(0x7fff_ffff));
+        let inside = _mm256_and_si256(
+            _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x23ff_ffff)),
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(0x41b0_0000), ix),
+        );
+        if _mm256_movemask_ps(_mm256_castsi256_ps(inside)) == 0xff {
+            _mm256_storeu_ps(b.as_mut_ptr(), tanh8_avx2(v, ix));
+        } else {
+            tanh_scalar(b);
+        }
+    }
+    tanh_scalar(blocks.into_remainder());
+}
+
+/// [`tanhf`] on eight lanes with `2^-55 <= |x| < 22`; `ix` holds the bits
+/// of `|x|`. Both branches of `tanhf` and every branch of `expm1f` they
+/// reach are computed on all lanes and blended, so each lane sees exactly
+/// its scalar operation sequence.
+///
+/// # Safety
+/// Caller must ensure AVX2 is available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn tanh8_avx2(
+    x: std::arch::x86_64::__m256,
+    ix: std::arch::x86_64::__m256i,
+) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let ps = |v: f32| _mm256_set1_ps(v);
+    let sign = ps(-0.0);
+    // |x| >= 1: t = expm1(2|x|), z = 1 - 2/(t + 2);
+    // |x| <  1: t = expm1(-2|x|), z = -t/(t + 2)
+    let big = _mm256_castsi256_ps(_mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x3f7f_ffff)));
+    let two_ax = _mm256_add_ps(_mm256_castsi256_ps(ix), _mm256_castsi256_ps(ix));
+    let t = expm1_8_avx2(_mm256_blendv_ps(_mm256_xor_ps(two_ax, sign), two_ax, big));
+    let num = _mm256_blendv_ps(_mm256_xor_ps(t, sign), ps(2.0), big);
+    let q = _mm256_div_ps(num, _mm256_add_ps(t, ps(2.0)));
+    let z = _mm256_blendv_ps(q, _mm256_sub_ps(ps(1.0), q), big);
+    // tanh(-x) = -tanh(x)
+    _mm256_xor_ps(z, _mm256_and_ps(x, sign))
+}
+
+/// [`expm1f`] on eight lanes with `-2 < x <= -2^-54` or `2 <= x < 44`,
+/// the arguments [`tanh8_avx2`] passes. Positive lanes are at least
+/// `1.5 ln2`, so the `k = 1` branch is never taken and is left out.
+///
+/// # Safety
+/// Caller must ensure AVX2 is available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn expm1_8_avx2(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let ps = |v: f32| _mm256_set1_ps(v);
+    let pi = |v: i32| _mm256_set1_epi32(v);
+    let mask = |m: __m256i| _mm256_castsi256_ps(m);
+    let hx = _mm256_and_si256(_mm256_castps_si256(x), pi(0x7fff_ffff));
+    // |x| >= 1.5 ln2: k = trunc(x/ln2 ± 0.5) (`blendv` on `x` picks by
+    // its sign bit), hi = x - k ln2_hi, lo = k ln2_lo
+    let half = _mm256_blendv_ps(ps(0.5), ps(-0.5), x);
+    let k_far = _mm256_cvttps_epi32(_mm256_add_ps(_mm256_mul_ps(ps(INVLN2), x), half));
+    let t = _mm256_cvtepi32_ps(k_far);
+    let hi_far = _mm256_sub_ps(x, _mm256_mul_ps(t, ps(LN2_HI)));
+    let lo_far = _mm256_mul_ps(t, ps(LN2_LO));
+    // 0.5 ln2 < |x| < 1.5 ln2, negative here: k = -1
+    let near = _mm256_cmpgt_epi32(pi(0x3f85_1592), hx);
+    let hi = _mm256_blendv_ps(hi_far, _mm256_add_ps(x, ps(LN2_HI)), mask(near));
+    let lo = _mm256_blendv_ps(lo_far, ps(-LN2_LO), mask(near));
+    let k = _mm256_blendv_epi8(k_far, pi(-1), near);
+    let xr = _mm256_sub_ps(hi, lo);
+    let c = _mm256_sub_ps(_mm256_sub_ps(hi, xr), lo);
+    // |x| <= 0.5 ln2: no reduction, k = 0
+    let reduced = _mm256_cmpgt_epi32(hx, pi(0x3eb1_7218));
+    let xr = _mm256_blendv_ps(x, xr, mask(reduced));
+    let k = _mm256_and_si256(k, reduced);
+
+    let hfx = _mm256_mul_ps(ps(0.5), xr);
+    let hxs = _mm256_mul_ps(xr, hfx);
+    let mut r = _mm256_add_ps(ps(Q4), _mm256_mul_ps(hxs, ps(Q5)));
+    for q in [Q3, Q2, Q1, 1.0] {
+        r = _mm256_add_ps(ps(q), _mm256_mul_ps(hxs, r));
+    }
+    let r1 = r;
+    let t = _mm256_sub_ps(ps(3.0), _mm256_mul_ps(r1, hfx));
+    let e = _mm256_mul_ps(
+        hxs,
+        _mm256_div_ps(
+            _mm256_sub_ps(r1, t),
+            _mm256_sub_ps(ps(6.0), _mm256_mul_ps(xr, t)),
+        ),
+    );
+    let y_k0 = _mm256_sub_ps(xr, _mm256_sub_ps(_mm256_mul_ps(xr, e), hxs));
+    let e = _mm256_sub_ps(
+        _mm256_sub_ps(_mm256_mul_ps(xr, _mm256_sub_ps(e, c)), c),
+        hxs,
+    );
+    let y_m1 = _mm256_sub_ps(_mm256_mul_ps(ps(0.5), _mm256_sub_ps(xr, e)), ps(0.5));
+    // y * 2^k, by adding k to y's exponent field
+    let k23 = _mm256_slli_epi32(k, 23);
+    let scale = |y: __m256| _mm256_castsi256_ps(_mm256_add_epi32(_mm256_castps_si256(y), k23));
+    // 2 <= k <= 22: t = 1 - 2^-k
+    let t_lo = _mm256_sub_epi32(pi(0x3f80_0000), _mm256_srlv_epi32(pi(0x0100_0000), k));
+    let y_lo = scale(_mm256_sub_ps(mask(t_lo), _mm256_sub_ps(e, xr)));
+    // 23 <= k <= 56: t = 2^-k
+    let t_hi = _mm256_slli_epi32(_mm256_sub_epi32(pi(0x7f), k), 23);
+    let y_hi = scale(_mm256_add_ps(
+        _mm256_sub_ps(xr, _mm256_add_ps(e, mask(t_hi))),
+        ps(1.0),
+    ));
+    // k <= -2 or k > 56
+    let y_far = _mm256_sub_ps(scale(_mm256_sub_ps(ps(1.0), _mm256_sub_ps(e, xr))), ps(1.0));
+    let far = _mm256_or_si256(_mm256_cmpgt_epi32(k, pi(56)), _mm256_cmpgt_epi32(pi(-1), k));
+    let mut y = _mm256_blendv_ps(y_lo, y_hi, mask(_mm256_cmpgt_epi32(k, pi(22))));
+    y = _mm256_blendv_ps(y, y_far, mask(far));
+    y = _mm256_blendv_ps(y, y_m1, mask(_mm256_cmpeq_epi32(k, pi(-1))));
+    y = _mm256_blendv_ps(y, y_k0, mask(_mm256_cmpeq_epi32(k, pi(0))));
+    // |x| < 2^-25: x itself
+    _mm256_blendv_ps(y, x, mask(_mm256_cmpgt_epi32(pi(0x3300_0000), hx)))
+}
+
+// ----------------------------------------------------------------------
 // Matmul register tile
 // ----------------------------------------------------------------------
 
@@ -428,6 +722,11 @@ mod tests {
         affine_row(&mut da, &xs, 0.4, 2.5);
         affine_row_scalar(&mut db, &xs, 0.4, 2.5);
         assert_eq!(bits(&da), bits(&db), "affine dispatch");
+        let mut a = xs.clone();
+        let mut b = xs.clone();
+        tanh(&mut a);
+        tanh_scalar(&mut b);
+        assert_eq!(bits(&a), bits(&b), "tanh dispatch");
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::sync::LazyLock;
 use rpt_rng::Rng;
 
 use crate::arena::Arena;
+use crate::simd;
 use crate::tensor::{softmax_row, Tensor};
 
 /// Handle to a node on a [`Tape`]. Cheap to copy; only valid for the tape
@@ -267,21 +268,32 @@ impl Tape {
     fn unary(
         &self,
         a: Var,
-        f: impl Fn(f32) -> f32 + 'static,
+        f: impl Fn(f32) -> f32,
         dfn: impl Fn(f32, f32) -> f32 + 'static,
     ) -> Var {
         let av = self.value(a);
-        let out = av.map(&f);
-        let av_c = av.clone();
+        let out = av.map(f);
+        self.push_unary(a, av, out, dfn)
+    }
+
+    /// Records `out`, an elementwise function of `a`'s value `av`, whose
+    /// derivative at input `x` and output `y` is `dfn(x, y)`.
+    fn push_unary(
+        &self,
+        a: Var,
+        av: Tensor,
+        out: Tensor,
+        dfn: impl Fn(f32, f32) -> f32 + 'static,
+    ) -> Var {
         let out_c = out.clone();
         let grad_fn = move |g: &Tensor| {
             let data: Vec<f32> = g
                 .data()
                 .iter()
-                .zip(av_c.data().iter().zip(out_c.data().iter()))
+                .zip(av.data().iter().zip(out_c.data().iter()))
                 .map(|(&gv, (&x, &y))| gv * dfn(x, y))
                 .collect();
-            vec![Tensor::from_vec(data, av_c.shape()).expect("unary grad shape")]
+            vec![Tensor::from_vec(data, av.shape()).expect("unary grad shape")]
         };
         self.push_op(out, &[a.id], grad_fn)
     }
@@ -290,22 +302,21 @@ impl Tape {
     // Activations
     // ------------------------------------------------------------------
 
-    /// GELU (tanh approximation, as used by BERT/BART). A recording tape
-    /// keeps the forward's `tanh(inner)` per element for the backward,
-    /// which would otherwise evaluate `tanh` again; a forward-only tape
-    /// keeps nothing.
+    /// GELU (tanh approximation, as used by BERT/BART), in one fused
+    /// pass ([`gelu_forward`]). A recording tape keeps the forward's
+    /// `tanh(inner)` per element for the backward, which would otherwise
+    /// evaluate `tanh` again; a forward-only tape keeps nothing.
     pub fn gelu(&self, a: Var) -> Var {
         let av = self.value(a);
         if self.forward_only {
-            return self.push(av.map(|x| gelu_from_tanh(x, gelu_tanh(x))), &[], None);
+            let mut out = vec![0.0f32; av.numel()];
+            gelu_forward(av.data(), &mut out, None, simd::tanh);
+            let out_t = Tensor::from_vec(out, av.shape()).expect("gelu shape");
+            return self.push(out_t, &[], None);
         }
-        let tanh: Vec<f32> = av.data().iter().map(|&x| gelu_tanh(x)).collect();
-        let out: Vec<f32> = av
-            .data()
-            .iter()
-            .zip(&tanh)
-            .map(|(&x, &t)| gelu_from_tanh(x, t))
-            .collect();
+        let mut tanh = vec![0.0f32; av.numel()];
+        let mut out = vec![0.0f32; av.numel()];
+        gelu_forward(av.data(), &mut out, Some(&mut tanh), simd::tanh);
         let out_t = Tensor::from_vec(out, av.shape()).expect("gelu shape");
         let grad_fn = move |g: &Tensor| {
             let ga: Vec<f32> = g
@@ -324,9 +335,13 @@ impl Tape {
         self.unary(a, |x| x.max(0.0), |x, _| if x > 0.0 { 1.0 } else { 0.0 })
     }
 
-    /// tanh.
+    /// tanh, through the dispatched [`simd::tanh`].
     pub fn tanh(&self, a: Var) -> Var {
-        self.unary(a, |x| x.tanh(), |_, y| 1.0 - y * y)
+        let av = self.value(a);
+        let mut out = av.data().to_vec();
+        simd::tanh(&mut out);
+        let out = Tensor::from_vec(out, av.shape()).expect("tanh shape");
+        self.push_unary(a, av, out, |_, y| 1.0 - y * y)
     }
 
     /// Logistic sigmoid.
@@ -595,9 +610,9 @@ impl Tape {
         for row in out.chunks_mut(last) {
             // The max reduction and the shift vectorize bit-identically;
             // the exp-sum stays scalar to preserve accumulation order.
-            let max = crate::simd::row_max(row);
+            let max = simd::row_max(row);
             let lse = max + row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln();
-            crate::simd::shift_in_place(row, lse);
+            simd::shift_in_place(row, lse);
         }
         let out_t = Tensor::from_vec(out, av.shape()).expect("log_softmax shape");
         let out_c = out_t.clone();
@@ -637,7 +652,7 @@ impl Tape {
             // Mean/variance sums stay scalar (order-sensitive); the
             // normalization itself is elementwise and vectorizes
             // bit-identically.
-            crate::simd::affine_row(&mut out[r * last..(r + 1) * last], src, mean, inv);
+            simd::affine_row(&mut out[r * last..(r + 1) * last], src, mean, inv);
         }
         let out_t = Tensor::from_vec(out, av.shape()).expect("layer_norm shape");
         let out_c = out_t.clone();
@@ -939,18 +954,63 @@ fn merge_heads_data(src: &[f32], b: usize, t: usize, h: usize, dh: usize) -> Vec
 
 const SQRT_2_OVER_PI: f32 = 0.797_884_6;
 
-/// `tanh(inner(x))`, the one transcendental GELU's forward and backward
-/// share.
-fn gelu_tanh(x: f32) -> f32 {
-    (SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)).tanh()
+/// Elements per block of [`gelu_forward`]: a block's input, `tanh` and
+/// output stay in L1 across the pass's three stages.
+const GELU_BLOCK: usize = 256;
+
+/// GELU's forward, `out = 0.5 x (1 + tanh(inner(x)))`, in one pass over
+/// blocks of [`GELU_BLOCK`] elements: `inner(x)` is written where the
+/// block's `tanh` goes, `tanh` runs over it in place, and the output is
+/// formed from it. The `tanh` values land in `keep_tanh` when given (the
+/// backward's cache) and in `out` itself otherwise, so the pass needs no
+/// other buffer. `tanh` is the in-place kernel: [`simd::tanh`] on the
+/// tape; benchmarks pass its forced twins.
+pub fn gelu_forward(
+    x: &[f32],
+    out: &mut [f32],
+    keep_tanh: Option<&mut [f32]>,
+    tanh: impl Fn(&mut [f32]),
+) {
+    assert_eq!(x.len(), out.len(), "gelu_forward output length");
+    let inner_then_tanh = |xb: &[f32], tb: &mut [f32]| {
+        for (t, &x) in tb.iter_mut().zip(xb) {
+            *t = gelu_inner(x);
+        }
+        tanh(tb);
+    };
+    let blocks = x.chunks(GELU_BLOCK).zip(out.chunks_mut(GELU_BLOCK));
+    match keep_tanh {
+        None => {
+            for (xb, ob) in blocks {
+                inner_then_tanh(xb, ob);
+                for (o, &x) in ob.iter_mut().zip(xb) {
+                    *o = gelu_from_tanh(x, *o);
+                }
+            }
+        }
+        Some(keep) => {
+            assert_eq!(x.len(), keep.len(), "gelu_forward tanh length");
+            for ((xb, ob), tb) in blocks.zip(keep.chunks_mut(GELU_BLOCK)) {
+                inner_then_tanh(xb, tb);
+                for ((o, &x), &t) in ob.iter_mut().zip(xb).zip(&*tb) {
+                    *o = gelu_from_tanh(x, t);
+                }
+            }
+        }
+    }
 }
 
-/// GELU from `t = gelu_tanh(x)`.
+/// The argument GELU passes to `tanh`.
+fn gelu_inner(x: f32) -> f32 {
+    SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)
+}
+
+/// GELU from `t = tanh(gelu_inner(x))`.
 fn gelu_from_tanh(x: f32, t: f32) -> f32 {
     0.5 * x * (1.0 + t)
 }
 
-/// GELU's derivative from `t = gelu_tanh(x)`.
+/// GELU's derivative from `t = tanh(gelu_inner(x))`.
 fn gelu_grad_from_tanh(x: f32, t: f32) -> f32 {
     let dinner = SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner

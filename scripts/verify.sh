@@ -20,14 +20,17 @@
 #    and the parallel trainer equivalence re-run under RPT_SIMD=0 and
 #    RPT_SIMD=1, proving the AVX2 kernels are bit-identical to the scalar
 #    path end to end; the kernel suite runs again with a 4-thread pool,
-#    so its remainder-tile grid also meets thread-chunk boundaries.
+#    so its remainder-tile grid also meets thread-chunk boundaries, and
+#    its ignored exhaustive sweep checks the AVX2 tanh against the scalar
+#    twin on all 2^32 inputs in release mode.
 # 4. A fast-mode smoke run of the decode, matmul, and thread-scaling
 #    microbenches, checking the fast decode path still beats the
 #    reference, the artifacts get written and parse, and the 4-thread
-#    matmul is not slower than serial (the PR-3 regression). After the
-#    serve, obs, quant and streaming smoke runs below, all seven fast
-#    artifacts must carry the rpt-bench-v2 provenance header and
-#    well-formed 5-sample `*_spread` objects.
+#    matmul is not slower than serial (the PR-3 regression), plus the
+#    elementwise (GELU, softmax, layer norm) microbench, which has no
+#    speed bar. After the serve, obs, quant and streaming smoke runs
+#    below, all eight fast artifacts must carry the rpt-bench-v2
+#    provenance header and well-formed 5-sample `*_spread` objects.
 # 5. A crash-recovery smoke drive of the CLI: train with a checkpoint
 #    directory, then resume from the rolling train-state file.
 # 6. A metrics smoke drive: the same CLI run with --metrics-out must
@@ -113,6 +116,10 @@ RPT_SIMD=1 cargo test -q --offline --test simd_equivalence
 # remainder tiles at every chunk boundary as well.
 RPT_SIMD=0 RPT_THREADS=4 cargo test -q --offline --test simd_equivalence
 RPT_SIMD=1 RPT_THREADS=4 cargo test -q --offline --test simd_equivalence
+# The exhaustive tanh sweep: every f32 bit pattern through the forced
+# AVX2 kernel and the scalar fdlibm twin (about 30 s in release mode on
+# two threads; the lane blends are only proven by trying every input).
+cargo test -q --offline --release --test simd_equivalence -- --ignored
 RPT_SIMD=0 RPT_THREADS=4 cargo test -q --offline --test train_kernels
 RPT_SIMD=1 RPT_THREADS=4 cargo test -q --offline --test train_kernels
 RPT_SIMD=0 RPT_THREADS=4 cargo test -q --offline --test parallel_equivalence
@@ -159,7 +166,12 @@ RPT_BENCH_FAST=1 RPT_BENCH_DIR="$smoke_dir" \
     cargo bench -q --offline -p rpt-bench --bench micro -- matmul
 RPT_BENCH_FAST=1 RPT_BENCH_DIR="$smoke_dir" \
     cargo bench -q --offline -p rpt-bench --bench micro -- parallel
-for artifact in bench_matmul bench_parallel; do
+# The elementwise artifact carries no speed bar: it records the scalar
+# and AVX2 GELU arms (checked bit-identical inside the bench) for the
+# committed full-mode bench_results/bench_elementwise.json to compare.
+RPT_BENCH_FAST=1 RPT_BENCH_DIR="$smoke_dir" \
+    cargo bench -q --offline -p rpt-bench --bench micro -- elementwise
+for artifact in bench_matmul bench_parallel bench_elementwise; do
     test -s "$smoke_dir/$artifact.json" || {
         echo "verify: $artifact artifact missing" >&2
         exit 1
@@ -293,7 +305,7 @@ print(f"verify: streaming bench OK (overlap {s['overlap_ratio']:.3f})")
 PY
 fi
 
-# Provenance and spread gate over the seven fast-mode artifacts above:
+# Provenance and spread gate over the eight fast-mode artifacts above:
 # each must carry the full rpt-bench-v2 header stamped in fast mode, and
 # every `*_spread` object must summarise the 5 interleaved fast-mode
 # samples with p10 <= median <= p90.
@@ -313,8 +325,9 @@ def spreads(node, path):
     elif isinstance(node, list):
         for i, v in enumerate(node):
             yield from spreads(v, f"{path}[{i}]")
-for name in ("bench_decode", "bench_matmul", "bench_parallel", "bench_serve",
-             "bench_obs", "bench_quant", "bench_streaming"):
+for name in ("bench_decode", "bench_matmul", "bench_parallel",
+             "bench_elementwise", "bench_serve", "bench_obs", "bench_quant",
+             "bench_streaming"):
     doc = json.load(open(f"{d}/{name}.json"))
     missing = [k for k in header if k not in doc]
     assert not missing, f"{name} missing header keys {missing}"

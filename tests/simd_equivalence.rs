@@ -303,3 +303,144 @@ fn remainder_tiles_match_naive_ascending_k_loop() {
         }
     }
 }
+
+/// Runs `xs` through the scalar and the forced AVX2 `tanh` and returns
+/// both results, NaN folded to one class.
+fn tanh_both(xs: &[f32]) -> (Vec<u32>, Vec<u32>) {
+    let mut scalar = xs.to_vec();
+    let mut vector = xs.to_vec();
+    simd::tanh_scalar(&mut scalar);
+    assert!(simd::tanh_force(&mut vector), "avx2 available");
+    (class_bits(&scalar), class_bits(&vector))
+}
+
+/// The branch boundaries of fdlibm's `tanhf` (`|x|` at 2^-55, 1 and 22)
+/// and of the `expm1f` it calls on `±2|x|` (2^-25, 0.5 ln2, 1.5 ln2 and
+/// every change of the reduction's `k`), a few ulps either side, both
+/// signs, plus ±0, subnormals, ±inf and NaN. Each value fills a whole
+/// 8-block, so in-range values run the vector lanes and the others the
+/// scalar fallback; a second pass packs them densely, so mixed blocks
+/// and the remainder lanes run too.
+#[test]
+fn tanh_branch_boundaries_simd_and_scalar_are_bit_identical() {
+    if !simd::simd_available() {
+        eprintln!("skipping: AVX2 not available on this host");
+        return;
+    }
+    // expm1f's argument is 2|x|: halving subtracts one from the exponent
+    let half = |bits: u32| bits - (1 << 23);
+    let mut centres: Vec<u32> = vec![
+        0x2400_0000, // tanhf: |x| < 2^-55
+        0x3f80_0000, // tanhf: |x| >= 1
+        0x41b0_0000, // tanhf: |x| >= 22
+        0x3eb1_7218, // the expm1f thresholds as tanh inputs
+        0x3f85_1592,
+        half(0x3300_0000), // expm1f: |x| < 2^-25
+        half(0x3eb1_7218), // expm1f: |x| > 0.5 ln2
+        half(0x3f85_1592), // expm1f: |x| < 1.5 ln2
+    ];
+    // expm1f's k = trunc(2|x|/ln2 + 0.5) steps at 2|x| = (k - 0.5) ln2
+    for k in 2..=64 {
+        let x = (k as f64 - 0.5) * std::f64::consts::LN_2 / 2.0;
+        centres.push((x as f32).to_bits());
+    }
+    let mut values: Vec<f32> = Vec::new();
+    for c in centres {
+        for b in c - 3..=c + 3 {
+            values.push(f32::from_bits(b));
+            values.push(-f32::from_bits(b));
+        }
+    }
+    values.extend([
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        f32::from_bits(0x0040_0000),
+        -f32::from_bits(0x007f_ffff),
+        f32::MIN_POSITIVE,
+        f32::MAX,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ]);
+    for &v in &values {
+        let (scalar, vector) = tanh_both(&[v; 8]);
+        assert_eq!(scalar, vector, "tanh({v:e}) bits {:#010x}", v.to_bits());
+    }
+    for len in [1, 7, 8, 9, 33] {
+        for piece in values.chunks(len) {
+            let (scalar, vector) = tanh_both(piece);
+            assert_eq!(scalar, vector, "tanh over {piece:?}");
+        }
+    }
+}
+
+/// About a million bit patterns, a fixed odd stride apart, cut into
+/// slices of 1, 7, 8, 9 and 33 elements in turn so that full 8-blocks,
+/// remainder lanes and both together all run.
+#[test]
+fn tanh_strided_sweep_simd_and_scalar_are_bit_identical() {
+    if !simd::simd_available() {
+        eprintln!("skipping: AVX2 not available on this host");
+        return;
+    }
+    let values: Vec<f32> = (0..=u32::MAX / 4099)
+        .map(|i| f32::from_bits(i * 4099))
+        .collect();
+    let mut rest = values.as_slice();
+    for len in [1, 7, 8, 9, 33].into_iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (piece, tail) = rest.split_at(len.min(rest.len()));
+        let (scalar, vector) = tanh_both(piece);
+        assert_eq!(scalar, vector, "tanh over {piece:?}");
+        rest = tail;
+    }
+}
+
+/// Every one of the 2^32 inputs, AVX2 against the scalar twin (NaN as one
+/// class). About 30 s in release mode on two threads;
+/// `scripts/verify.sh` runs it with
+/// `cargo test --release --test simd_equivalence -- --ignored`.
+#[test]
+#[ignore = "exhaustive: run in release mode with --ignored"]
+fn tanh_exhaustive_sweep_simd_matches_scalar() {
+    if !simd::simd_available() {
+        eprintln!("skipping: AVX2 not available on this host");
+        return;
+    }
+    let threads = hardware_threads().clamp(1, 4) as u64;
+    let per_thread = (1u64 << 32) / threads;
+    let mismatches: u64 = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                s.spawn(move || {
+                    let mut bad = 0u64;
+                    let mut block = vec![0.0f32; 4096];
+                    let (start, end) = (t * per_thread, (t + 1) * per_thread);
+                    for base in (start..end).step_by(block.len()) {
+                        for (i, x) in block.iter_mut().enumerate() {
+                            *x = f32::from_bits((base + i as u64) as u32);
+                        }
+                        let (scalar, vector) = tanh_both(&block);
+                        for (i, (s, v)) in scalar.iter().zip(&vector).enumerate() {
+                            if s != v {
+                                if bad < 8 {
+                                    eprintln!(
+                                        "tanh mismatch at {:#010x}: scalar {s:#010x}, avx2 {v:#010x}",
+                                        base + i as u64
+                                    );
+                                }
+                                bad += 1;
+                            }
+                        }
+                    }
+                    bad
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).sum()
+    });
+    assert_eq!(mismatches, 0, "tanh: AVX2 and scalar disagree");
+}

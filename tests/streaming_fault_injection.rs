@@ -235,6 +235,51 @@ fn killed_prefetch_thread_is_a_typed_error_not_a_hang() {
 }
 
 #[test]
+fn non_finite_step_is_a_typed_error_and_keeps_the_last_good_checkpoint() {
+    let f = fixture("non-finite");
+    let dir = fresh_dir("non-finite-ckpt");
+    let ckpt = CheckpointOpts {
+        dir: dir.clone(),
+        every: 1,
+    };
+    let opts = StreamOpts {
+        accum_steps: ACCUM,
+        ..Default::default()
+    };
+    let run = |model: &mut RptC| {
+        let source = Box::new(InMemoryCorpus::new(f.shards.clone(), &f.vocab));
+        model.pretrain_stream_on(&ThreadPool::new(1), source, &opts, Some(&ckpt), None)
+    };
+    run(&mut RptC::new(f.vocab.clone(), fault_config())).unwrap();
+    let state_path = dir.join(TRAIN_STATE_FILE);
+    let good_bytes = fs::read(&state_path).unwrap();
+
+    // One NaN in one layer-norm gain poisons the first window's loss and
+    // gradients.
+    let mut victim = RptC::new(f.vocab.clone(), fault_config());
+    let gamma = victim
+        .params
+        .iter()
+        .map(|(name, _)| name.to_string())
+        .find(|name| name.ends_with(".gamma"))
+        .expect("the model has a layer norm");
+    let id = victim.params.find(&gamma).unwrap();
+    let mut poisoned = victim.params.value(id).clone();
+    poisoned.data_mut()[0] = f32::NAN;
+    victim.params.set_value(id, poisoned);
+    match run(&mut victim).expect_err("a NaN parameter must stop training") {
+        CorpusError::NonFinite { step } => assert_eq!(step, 1),
+        other => panic!("expected a NonFinite error, got: {other}"),
+    }
+    assert_eq!(
+        fs::read(&state_path).unwrap(),
+        good_bytes,
+        "the non-finite step overwrote the last good checkpoint"
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn every_mid_corpus_crash_point_leaves_a_resumable_state() {
     let f = fixture("crash-sweep");
     let opts_base = StreamOpts {
