@@ -4,8 +4,8 @@
 //! At evaluation time it receives the same masked tuple serialization as
 //! RPT-C; the format mismatch is the point of the comparison.
 
-use rpt_core::cleaning::{CleaningConfig, FillResult, Filler, RptC};
-use rpt_core::train::Trainer;
+use rpt_core::cleaning::{CleaningConfig, FillResult, Filler, PairSource, RptC, StreamOpts};
+use rpt_core::corpus::CorpusError;
 use rpt_nn::Sequence;
 use rpt_rng::SmallRng;
 use rpt_rng::{Rng, SeedableRng};
@@ -37,46 +37,64 @@ impl BartText {
         sentence: &str,
         rng: &mut (impl Rng + ?Sized),
     ) -> Option<(Sequence, Vec<usize>)> {
-        let ids = self.inner.encoder().vocab().encode_text(sentence);
-        if ids.len() < 3 {
-            return None;
-        }
-        let span_len = rng.gen_range(1..=3usize.min(ids.len() - 1));
-        let start = rng.gen_range(0..=ids.len() - span_len);
-        let target: Vec<usize> = ids[start..start + span_len].to_vec();
-        let mut src = Vec::with_capacity(ids.len() - span_len + 1);
-        src.extend_from_slice(&ids[..start]);
-        src.push(MASK);
-        src.extend_from_slice(&ids[start + span_len..]);
-        Some((Sequence::from_ids(src), target))
+        text_pair(self.inner.encoder().vocab(), sentence, rng)
     }
 
-    /// Pretrains on prose (text infilling only). Returns the loss curve.
-    pub fn pretrain_text(&mut self, sentences: &[String]) -> Vec<f32> {
-        assert!(!sentences.is_empty(), "text corpus is empty");
-        let cfg = self.inner.config().clone();
-        let mut trainer = Trainer::new(cfg.train.clone(), cfg.model.d_model);
-        let mut rng = SmallRng::seed_from_u64(cfg.seed.wrapping_add(101));
-        while !trainer.finished() {
-            let mut srcs = Vec::with_capacity(cfg.train.batch_size);
-            let mut tgts = Vec::with_capacity(cfg.train.batch_size);
-            let mut guard = 0;
-            while srcs.len() < cfg.train.batch_size && guard < cfg.train.batch_size * 20 {
-                guard += 1;
-                let s = &sentences[rng.gen_range(0..sentences.len())];
-                if let Some((src, tgt)) = self.text_pair(s, &mut rng) {
-                    if src.ids.len() < cfg.model.max_len && !tgt.is_empty() {
-                        srcs.push(src);
-                        tgts.push(tgt);
-                    }
-                }
-            }
-            if srcs.is_empty() {
-                break;
-            }
-            self.inner.denoising_step(&srcs, &tgts, &mut trainer);
+    /// Pretrains on prose (text infilling only) through RPT-C's denoising
+    /// loop on the global thread pool. Returns the loss curve, or the
+    /// loop's error: no sentence yields a pair that fits the model, or a
+    /// step goes non-finite.
+    pub fn pretrain_text(&mut self, sentences: &[String]) -> Result<Vec<f32>, CorpusError> {
+        let rng = SmallRng::seed_from_u64(self.inner.config().seed.wrapping_add(101));
+        let pool = rpt_core::ThreadPool::global();
+        self.inner
+            .pretrain_pairs(pool, &StreamOpts::default(), None, None, |_| {
+                Ok(Sentences { sentences, rng })
+            })
+    }
+}
+
+fn text_pair(
+    vocab: &Vocab,
+    sentence: &str,
+    rng: &mut (impl Rng + ?Sized),
+) -> Option<(Sequence, Vec<usize>)> {
+    let ids = vocab.encode_text(sentence);
+    if ids.len() < 3 {
+        return None;
+    }
+    let span_len = rng.gen_range(1..=3usize.min(ids.len() - 1));
+    let start = rng.gen_range(0..=ids.len() - span_len);
+    let target: Vec<usize> = ids[start..start + span_len].to_vec();
+    let mut src = Vec::with_capacity(ids.len() - span_len + 1);
+    src.extend_from_slice(&ids[..start]);
+    src.push(MASK);
+    src.extend_from_slice(&ids[start + span_len..]);
+    Some((Sequence::from_ids(src), target))
+}
+
+/// Sentences sampled uniformly with replacement, each span-infilled; pairs
+/// whose source does not fit the model are skipped.
+struct Sentences<'a> {
+    sentences: &'a [String],
+    rng: SmallRng,
+}
+
+impl PairSource for Sentences<'_> {
+    const RNG_STREAM: &'static str = "batch";
+
+    fn next_pair(&mut self, model: &RptC) -> Result<Option<(Sequence, Vec<usize>)>, CorpusError> {
+        if self.sentences.is_empty() {
+            return Ok(None);
         }
-        trainer.losses().to_vec()
+        let s = &self.sentences[self.rng.gen_range(0..self.sentences.len())];
+        let pair = text_pair(model.encoder().vocab(), s, &mut self.rng);
+        Ok(pair
+            .filter(|(src, tgt)| src.ids.len() < model.config().model.max_len && !tgt.is_empty()))
+    }
+
+    fn rng_state(&self) -> [u64; 4] {
+        self.rng.state()
     }
 }
 
@@ -125,7 +143,7 @@ mod tests {
         let mut cfg = CleaningConfig::tiny();
         cfg.train.steps = 120;
         let mut bart = BartText::new(vocab, cfg);
-        let losses = bart.pretrain_text(&sentences);
+        let losses = bart.pretrain_text(&sentences).unwrap();
         let head: f32 = losses[..10].iter().sum::<f32>() / 10.0;
         let tail: f32 = losses[losses.len() - 10..].iter().sum::<f32>() / 10.0;
         assert!(tail < head, "loss {head} -> {tail}");

@@ -54,7 +54,7 @@ fn main() {
     // BART: same architecture, pretrained on prose only
     let mut bart = BartText::new(w.vocab.clone(), cfg);
     println!("pretraining BART on {} prose sentences ...", w.corpus.len());
-    let losses = bart.pretrain_text(&w.corpus);
+    let losses = bart.pretrain_text(&w.corpus).expect("BART pretraining");
     println!(
         "  loss {:.3} -> {:.3}  ({} steps, {:.0?})",
         losses[..20].iter().sum::<f32>() / 20.0,

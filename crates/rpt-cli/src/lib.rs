@@ -194,9 +194,10 @@ fn build_model(table: &Table, opts: &CleanOptions) -> Result<RptC, CliError> {
         let dir = opts.checkpoint_dir.as_deref();
         let (cfg, checkpoint) = training(train, dir, resume, ", --load <checkpoint>,")?;
         model = RptC::new(vocab, cfg);
+        let pool = rpt_core::ThreadPool::global();
         model
-            .pretrain_resumable(&[table], checkpoint.as_ref(), resume.map(Path::new))
-            .map_err(|e| CliError::Data(format!("training checkpoint: {e}")))?;
+            .pretrain_on(pool, &[table], checkpoint.as_ref(), resume.map(Path::new))
+            .map_err(|e| CliError::Data(format!("pretraining: {e}")))?;
     }
     if let Some(path) = &opts.save {
         serialize::save_file(&model.params, path)
@@ -1748,6 +1749,30 @@ mod tests {
         let last = repaired.trim_end().lines().last().unwrap();
         assert!(last.starts_with("iphone,"));
         assert_ne!(last, "iphone,", "null must be filled, got {last}");
+
+        // A file with nothing to learn from is a typed data error in both
+        // training commands, not a panic or an untrained model's fills.
+        type Train = fn(&str, &CleanOptions) -> Result<String, CliError>;
+        let empties = [
+            ("header.csv", "city,country\n"),
+            ("nulls.csv", "city,country\n,\n,\n"),
+        ];
+        for (name, text) in empties {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            for cmd in [cmd_clean as Train, cmd_detect] {
+                let opts = CleanOptions {
+                    steps: 5,
+                    ..Default::default()
+                };
+                match cmd(path.to_str().unwrap(), &opts) {
+                    Err(CliError::Data(msg)) => {
+                        assert!(msg.contains("no maskable examples"), "{name}: {msg}")
+                    }
+                    other => panic!("{name}: expected a data error, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

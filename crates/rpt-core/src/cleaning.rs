@@ -20,17 +20,17 @@ use rpt_rng::SliceRandom;
 use rpt_rng::SmallRng;
 use rpt_rng::{Rng, SeedableRng};
 use rpt_table::{Schema, Table, TableProfile, Tuple, Value};
-use rpt_tensor::serialize::CheckpointError;
 use rpt_tensor::ParamStore;
 use rpt_tokenizer::{EncodedTuple, EncoderOptions, TupleEncoder, Vocab, BOS, EOS, PAD};
 
-use rpt_tensor::serialize::{self, AccumState, CorpusPos};
+use rpt_tensor::serialize::{self, AccumState, CorpusPos, TrainState};
 
 use crate::corpus::{CorpusError, ShardSource, StreamCursor};
 use crate::train::{TrainOpts, Trainer, TRAIN_OBS, TRAIN_STATE_FILE};
 
-/// Durable-training options for [`RptC::pretrain_on`]: where to put the
-/// rolling [`TRAIN_STATE_FILE`] and how often to write it.
+/// Durable-training options for the pretraining loop
+/// ([`RptC::pretrain_pairs`]): where to put the rolling
+/// [`TRAIN_STATE_FILE`] and how often to write it.
 #[derive(Debug, Clone)]
 pub struct CheckpointOpts {
     /// Directory receiving the rolling checkpoint (must exist).
@@ -39,7 +39,9 @@ pub struct CheckpointOpts {
     pub every: usize,
 }
 
-/// Options for streaming pretraining ([`RptC::pretrain_stream_on`]).
+/// Options for the pretraining loop ([`RptC::pretrain_pairs`]). Table
+/// rows and prose train with the defaults; `prefetch` concerns only shard
+/// streams ([`RptC::pretrain_stream_on`]).
 #[derive(Debug, Clone)]
 pub struct StreamOpts {
     /// Micro-steps folded into each optimizer step (gradient
@@ -319,41 +321,37 @@ impl RptC {
 
     /// Pretrains on the given tables ("just corrupt tuples and optimize a
     /// reconstruction loss"). Returns the per-step loss curve.
+    ///
+    /// Panics where [`RptC::pretrain_on`] returns an error: the tables
+    /// offer no maskable example, or a step's loss or gradient is not
+    /// finite.
     pub fn pretrain(&mut self, tables: &[&Table]) -> Vec<f32> {
         self.pretrain_on(rpt_par::ThreadPool::global(), tables, None, None)
-            .expect("pretrain without checkpointing cannot fail on IO")
+            .unwrap_or_else(|e| panic!("pretraining failed: {e}"))
     }
 
-    /// [`RptC::pretrain_on`] on the process-global thread pool
-    /// (`RPT_THREADS`).
-    pub fn pretrain_resumable(
-        &mut self,
-        tables: &[&Table],
-        checkpoint: Option<&CheckpointOpts>,
-        resume: Option<&Path>,
-    ) -> Result<Vec<f32>, CheckpointError> {
-        self.pretrain_on(rpt_par::ThreadPool::global(), tables, checkpoint, resume)
-    }
-
-    /// Crash-safe resumable pretraining on an explicit thread pool.
+    /// Crash-safe resumable pretraining over table rows on an explicit
+    /// thread pool: [`RptC::pretrain_pairs`] drawing rows uniformly (with
+    /// replacement) through the `"batch"` RNG stream, each masked under
+    /// its table's FD profile when the policy is
+    /// [`MaskPolicy::FdAware`].
     ///
     /// With `checkpoint` set, a rolling [`TRAIN_STATE_FILE`] is written
     /// atomically into the directory every `every` steps (and at the
     /// final step). The snapshot captures params, Adam `m`/`v`/`t`, both
-    /// RNG streams (`"model"`: shard seeds / masking decisions made
-    /// through `self.rng`; `"batch"`: corpus sampling), the completed-step
-    /// counter, and the loss curve — so `resume` from a checkpoint taken
-    /// at step `k` followed by the remaining `N - k` steps is
-    /// byte-identical to an uninterrupted `N`-step run, at any thread
-    /// count (the data-parallel reduction is already thread-count
-    /// invariant, see DESIGN.md).
+    /// RNG streams (`"model"`: shard seeds; `"batch"`: row sampling and
+    /// masking), the completed-step counter, and the loss curve — so
+    /// `resume` from a checkpoint taken at step `k` followed by the
+    /// remaining `N - k` steps is byte-identical to an uninterrupted
+    /// `N`-step run, at any thread count (the data-parallel reduction is
+    /// already thread-count invariant, see DESIGN.md).
     pub fn pretrain_on(
         &mut self,
         pool: &rpt_par::ThreadPool,
         tables: &[&Table],
         checkpoint: Option<&CheckpointOpts>,
         resume: Option<&Path>,
-    ) -> Result<Vec<f32>, CheckpointError> {
+    ) -> Result<Vec<f32>, CorpusError> {
         let profiles: Vec<Option<TableProfile>> = tables
             .iter()
             .map(|t| match &self.cfg.mask_policy {
@@ -363,90 +361,23 @@ impl RptC {
                 _ => None,
             })
             .collect();
-        let corpus: Vec<(usize, usize)> = tables
+        let rows: Vec<(usize, usize)> = tables
             .iter()
             .enumerate()
             .flat_map(|(ti, t)| (0..t.len()).map(move |ri| (ti, ri)))
             .collect();
-        assert!(!corpus.is_empty(), "pretraining corpus is empty");
-
-        let mut trainer = Trainer::new(self.cfg.train.clone(), self.cfg.model.d_model);
-        if let Some(ckpt) = checkpoint {
-            trainer.checkpoint_every(ckpt.every);
-        }
-        let mut batch_rng = SmallRng::seed_from_u64(self.cfg.seed.wrapping_add(1));
-        if let Some(path) = resume {
-            let state = trainer.resume_from(&mut self.params, path)?;
-            for (name, s) in &state.rng_streams {
-                match name.as_str() {
-                    "model" => self.rng = SmallRng::restore(*s),
-                    "batch" => batch_rng = SmallRng::restore(*s),
-                    _ => {} // unknown streams are tolerated (forward compat)
-                }
-            }
-        }
-        let total_steps = self.cfg.train.steps;
-        let progress_every = (total_steps / 20).max(1);
-        while !trainer.finished() {
-            let mut srcs = Vec::with_capacity(self.cfg.train.batch_size);
-            let mut tgts = Vec::with_capacity(self.cfg.train.batch_size);
-            let mut guard = 0;
-            while srcs.len() < self.cfg.train.batch_size && guard < self.cfg.train.batch_size * 20 {
-                guard += 1;
-                let &(ti, ri) = corpus.choose(&mut batch_rng).unwrap();
-                let schema = tables[ti].schema();
-                let tuple = tables[ti].row(ri);
-                if let Some((src, tgt)) =
-                    self.training_pair(schema, tuple, profiles[ti].as_ref(), &mut batch_rng)
-                {
-                    srcs.push(src);
-                    tgts.push(tgt);
-                }
-            }
-            if srcs.is_empty() {
-                break;
-            }
-            // Throughput is observed from outside the step — values flow
-            // only into the metrics registry, never back into training
-            // state, so the trajectory is identical with metrics on or off.
-            let step_started = rpt_obs::metrics_enabled().then(std::time::Instant::now);
-            let step_tokens = step_started.map(|_| {
-                (srcs.iter().map(|s| s.ids.len()).sum::<usize>()
-                    + tgts.iter().map(|t| t.len()).sum::<usize>()) as u64
-            });
-            let loss = self.denoising_step_on(pool, &srcs, &tgts, &mut trainer);
-            if let (Some(t0), Some(toks)) = (step_started, step_tokens) {
-                TRAIN_OBS.tokens.add(toks);
-                let secs = t0.elapsed().as_secs_f64();
-                if secs > 0.0 {
-                    TRAIN_OBS.tokens_per_sec.set(toks as f64 / secs);
-                }
-            }
-            if trainer.steps_done().is_multiple_of(progress_every) || trainer.finished() {
-                rpt_obs::info!(
-                    target: "rpt::progress",
-                    "step {}/{} loss {:.4}",
-                    trainer.steps_done(),
-                    total_steps,
-                    loss
-                );
-            }
-            rpt_obs::tick_snapshot();
-            if trainer.checkpoint_due() {
-                if let Some(ckpt) = checkpoint {
-                    let streams = vec![
-                        ("model".to_string(), self.rng.state()),
-                        ("batch".to_string(), batch_rng.state()),
-                    ];
-                    trainer.save_checkpoint(
-                        &self.params,
-                        streams,
-                        ckpt.dir.join(TRAIN_STATE_FILE),
-                    )?;
-                }
-            }
-        }
-        Ok(trainer.losses().to_vec())
+        let seed = self.cfg.seed.wrapping_add(1);
+        let opts = StreamOpts::default();
+        self.pretrain_pairs(pool, &opts, checkpoint, resume, |state| {
+            let rng = saved_stream(state, TableRows::RNG_STREAM)
+                .map_or_else(|| SmallRng::seed_from_u64(seed), SmallRng::restore);
+            Ok(TableRows {
+                tables,
+                profiles,
+                rows,
+                rng,
+            })
+        })
     }
 
     /// [`RptC::pretrain_stream_on`] on the process-global thread pool
@@ -468,27 +399,14 @@ impl RptC {
     }
 
     /// Streaming pretraining over a sharded corpus (DESIGN.md §"Streaming
-    /// corpus"): shards are consumed epoch-major in manifest order —
-    /// optionally double-buffered through a prefetch thread — and each
-    /// optimizer step folds `opts.accum_steps` micro-batch gradients into
-    /// one Adam update, so neither the corpus nor the effective batch has
-    /// to fit in memory.
-    ///
-    /// The trajectory is a pure function of the logical corpus (the shard
-    /// partition and contents), the config seed, and the options: per-shard
-    /// masking streams are keyed to `(seed, epoch, shard)`, each window's
-    /// dropout seeds are keyed to one `"model"`-stream draw plus the shard
-    /// index within the window, and gradient reduction defers to the same
-    /// fixed-order weighted loop every non-streaming step runs. Transport
-    /// (disk vs memory, prefetch on vs off, thread count) never perturbs
-    /// it — `tests/streaming_equivalence.rs` proves all of this in bytes.
-    ///
-    /// Checkpoints carry the corpus position (epoch, shard, offset) and —
-    /// mid-window — the accumulation state including pending gradients, so
-    /// resume continues bit-identically from any crash point without
-    /// replaying examples. A window whose loss or global gradient norm is
-    /// not finite ends the run with [`CorpusError::NonFinite`] before any
-    /// checkpoint is written, so the last good one stays on disk.
+    /// corpus"): [`RptC::pretrain_pairs`] over a [`StreamCursor`], which
+    /// consumes shards epoch-major in manifest order — optionally
+    /// double-buffered through a prefetch thread — so the corpus never has
+    /// to fit in memory. Per-shard masking streams are keyed to
+    /// `(seed, epoch, shard)`, so transport (disk vs memory, prefetch on
+    /// vs off, thread count) never perturbs the trajectory —
+    /// `tests/streaming_equivalence.rs` proves this in bytes. Checkpoints
+    /// carry the corpus position (epoch, shard, offset).
     pub fn pretrain_stream_on(
         &mut self,
         pool: &rpt_par::ThreadPool,
@@ -497,45 +415,72 @@ impl RptC {
         checkpoint: Option<&CheckpointOpts>,
         resume: Option<&Path>,
     ) -> Result<Vec<f32>, CorpusError> {
+        let mask_seed = self.cfg.seed.wrapping_add(2);
+        self.pretrain_pairs(pool, opts, checkpoint, resume, |state| {
+            let pos = state.and_then(|s| s.corpus.as_ref());
+            StreamCursor::start(
+                source,
+                opts.prefetch,
+                mask_seed,
+                pos.map_or(0, |c| c.epoch),
+                pos.map_or(0, |c| c.shard),
+                pos.map_or(0, |c| c.offset),
+                saved_stream(state, StreamCursor::RNG_STREAM),
+            )
+        })
+    }
+
+    /// The denoising pretraining loop, over pairs drawn from the source
+    /// `open` builds (from the resumed train state, if any).
+    ///
+    /// Each optimizer step folds `opts.accum_steps` micro-batch gradients
+    /// into one Adam update, so the effective batch need not fit in
+    /// memory; a micro-batch is filled with up to `batch_size / k` pairs,
+    /// drawing at most 20 examples per slot. Each window's dropout seeds
+    /// are keyed to one `"model"`-stream draw plus the shard index within
+    /// the window, and gradient reduction runs one fixed-order weighted
+    /// loop, so the trajectory is bit-identical at every thread count.
+    ///
+    /// Mid-window checkpoints (`opts.stop_after_micro`, for sources with a
+    /// corpus position) carry the accumulation state including pending
+    /// gradients beside that position, so resume continues bit-identically
+    /// from any crash point without replaying examples.
+    ///
+    /// Two failures end the run with a typed error and no checkpoint: a
+    /// micro-batch that draws no maskable pair
+    /// ([`CorpusError::Format`]), and a window whose loss or global
+    /// gradient norm is not finite ([`CorpusError::NonFinite`]), so the
+    /// last good checkpoint stays on disk.
+    pub fn pretrain_pairs<S: PairSource>(
+        &mut self,
+        pool: &rpt_par::ThreadPool,
+        opts: &StreamOpts,
+        checkpoint: Option<&CheckpointOpts>,
+        resume: Option<&Path>,
+        open: impl FnOnce(Option<&TrainState>) -> Result<S, CorpusError>,
+    ) -> Result<Vec<f32>, CorpusError> {
         let accum = opts.accum_steps.max(1) as u64;
         let micro_size = self.cfg.train.batch_size.div_ceil(accum as usize).max(1);
-        let mask_seed = self.cfg.seed.wrapping_add(2);
 
         let mut trainer = Trainer::new(self.cfg.train.clone(), self.cfg.model.d_model);
         if let Some(ckpt) = checkpoint {
             trainer.checkpoint_every(ckpt.every);
         }
-        let mut pos = (0u64, 0u64, 0u64);
-        let mut corpus_rng_state: Option<[u64; 4]> = None;
+        let state = match resume {
+            Some(path) => Some(trainer.resume_from(&mut self.params, path)?),
+            None => None,
+        };
+        if let Some(s) = saved_stream(state.as_ref(), "model") {
+            self.rng = SmallRng::restore(s);
+        }
         // An in-flight accumulation window restored from a checkpoint:
         // `(micro_done, window_seed)`. The pending gradients themselves are
         // restored into the trainer by `resume_from`.
-        let mut window: Option<(u64, u64)> = None;
-        if let Some(path) = resume {
-            let state = trainer.resume_from(&mut self.params, path)?;
-            for (name, s) in &state.rng_streams {
-                match name.as_str() {
-                    "model" => self.rng = SmallRng::restore(*s),
-                    "corpus" => corpus_rng_state = Some(*s),
-                    _ => {} // unknown streams are tolerated (forward compat)
-                }
-            }
-            if let Some(c) = &state.corpus {
-                pos = (c.epoch, c.shard, c.offset);
-                if let Some(a) = &c.accum {
-                    window = Some((a.micro_done, a.window_seed));
-                }
-            }
-        }
-        let mut cursor = StreamCursor::start(
-            source,
-            opts.prefetch,
-            mask_seed,
-            pos.0,
-            pos.1,
-            pos.2,
-            corpus_rng_state,
-        )?;
+        let mut window = state
+            .as_ref()
+            .and_then(|s| s.corpus.as_ref()?.accum.as_ref())
+            .map(|a| (a.micro_done, a.window_seed));
+        let mut source = open(state.as_ref())?;
 
         let total_steps = self.cfg.train.steps;
         let progress_every = (total_steps / 20).max(1);
@@ -548,11 +493,10 @@ impl RptC {
                 // One `"model"` draw keys every dropout seed of the window.
                 None => (0, self.rng.gen()),
             };
-            // One step span per optimizer window, as `step_data_parallel`
-            // opens in the in-memory loop: forward/backward and
-            // reduce/apply nest under it.
+            // One step span per optimizer window: forward/backward and
+            // reduce/apply nest under it, and its elapsed time gives the
+            // throughput gauge.
             let step_span = rpt_obs::span("train.step", &TRAIN_OBS.step_ms);
-            let step_started = rpt_obs::metrics_enabled().then(std::time::Instant::now);
             let mut step_tokens = 0u64;
             while micro_done < accum {
                 let mut srcs = Vec::with_capacity(micro_size);
@@ -560,10 +504,7 @@ impl RptC {
                 let mut guard = 0usize;
                 while srcs.len() < micro_size && guard < micro_size * 20 {
                     guard += 1;
-                    let encoded = cursor.next_example()?;
-                    if let Some((src, tgt)) =
-                        self.pair_from_encoded(&encoded, None, cursor.rng_mut())
-                    {
+                    if let Some((src, tgt)) = source.next_pair(self)? {
                         srcs.push(src);
                         tgts.push(tgt);
                     }
@@ -573,11 +514,9 @@ impl RptC {
                         "corpus produced no maskable examples".into(),
                     ));
                 }
-                if step_started.is_some() {
-                    step_tokens += (srcs.iter().map(|s| s.ids.len()).sum::<usize>()
-                        + tgts.iter().map(|t| t.len()).sum::<usize>())
-                        as u64;
-                }
+                step_tokens += (srcs.iter().map(|s| s.ids.len()).sum::<usize>()
+                    + tgts.iter().map(|t| t.len()).sum::<usize>())
+                    as u64;
                 let shards = rpt_nn::make_denoising_shards(
                     &srcs,
                     &tgts,
@@ -618,9 +557,9 @@ impl RptC {
                 // gradients, window seed, corpus position — and leave. A
                 // resume finishes the window before its Adam step.
                 if let Some(ckpt) = checkpoint {
-                    self.save_stream_checkpoint(
+                    self.save_pairs_checkpoint(
                         &trainer,
-                        &cursor,
+                        &source,
                         Some((micro_done, window_seed)),
                         &ckpt.dir.join(TRAIN_STATE_FILE),
                     )?;
@@ -628,7 +567,7 @@ impl RptC {
                 return Ok(trainer.losses().to_vec());
             }
             let loss = trainer.accum_apply(&mut self.params);
-            drop(step_span);
+            let step_ms = step_span.finish();
             // The numerical guard: a non-finite window ends the run here,
             // before a checkpoint below could persist what it did.
             if !loss.is_finite() || !trainer.last_grad_norm().is_some_and(f32::is_finite) {
@@ -636,11 +575,13 @@ impl RptC {
                     step: trainer.steps_done(),
                 });
             }
-            if let Some(t0) = step_started {
+            // Throughput is observed from outside the step — values flow
+            // only into the metrics registry, never back into training
+            // state, so the trajectory is identical with metrics on or off.
+            if let Some(ms) = step_ms {
                 TRAIN_OBS.tokens.add(step_tokens);
-                let secs = t0.elapsed().as_secs_f64();
-                if secs > 0.0 {
-                    TRAIN_OBS.tokens_per_sec.set(step_tokens as f64 / secs);
+                if ms > 0.0 {
+                    TRAIN_OBS.tokens_per_sec.set(step_tokens as f64 * 1e3 / ms);
                 }
             }
             if trainer.steps_done().is_multiple_of(progress_every) || trainer.finished() {
@@ -655,9 +596,9 @@ impl RptC {
             rpt_obs::tick_snapshot();
             if trainer.checkpoint_due() {
                 if let Some(ckpt) = checkpoint {
-                    self.save_stream_checkpoint(
+                    self.save_pairs_checkpoint(
                         &trainer,
-                        &cursor,
+                        &source,
                         None,
                         &ckpt.dir.join(TRAIN_STATE_FILE),
                     )?;
@@ -667,23 +608,22 @@ impl RptC {
         Ok(trainer.losses().to_vec())
     }
 
-    /// Writes a streaming checkpoint: the regular train state plus corpus
-    /// position, the `"corpus"` masking stream, and — mid-window — the
-    /// accumulation state with its pending gradients.
-    fn save_stream_checkpoint(
+    /// Writes a rolling checkpoint: the regular train state plus the
+    /// source's RNG stream and, for sources with one, its corpus position
+    /// with — mid-window — the accumulation state and pending gradients.
+    fn save_pairs_checkpoint<S: PairSource>(
         &self,
         trainer: &Trainer,
-        cursor: &StreamCursor,
+        source: &S,
         window: Option<(u64, u64)>,
         path: &Path,
     ) -> Result<(), CorpusError> {
         let streams = vec![
             ("model".to_string(), self.rng.state()),
-            ("corpus".to_string(), cursor.rng_state()),
+            (S::RNG_STREAM.to_string(), source.rng_state()),
         ];
         let mut state = trainer.train_state(&self.params, streams);
-        let (epoch, shard, offset) = cursor.pos();
-        state.corpus = Some(CorpusPos {
+        state.corpus = source.pos().map(|(epoch, shard, offset)| CorpusPos {
             epoch,
             shard,
             offset,
@@ -695,55 +635,6 @@ impl RptC {
         });
         serialize::save_train_file(&self.params, &state, path)?;
         Ok(())
-    }
-
-    /// One optimizer step over prepared (source, target) pairs. Exposed so
-    /// the text-only baseline can reuse exactly the same machinery.
-    ///
-    /// The batch is split into micro-batch shards (`trainer.opts().micro_batch`,
-    /// `0` = one shard) and run data-parallel on the given pool; gradients
-    /// are reduced in fixed shard order, so the result is bit-identical for
-    /// any thread count.
-    pub fn denoising_step_on(
-        &mut self,
-        pool: &rpt_par::ThreadPool,
-        srcs: &[Sequence],
-        tgts: &[Vec<usize>],
-        trainer: &mut Trainer,
-    ) -> f32 {
-        let shards = rpt_nn::make_denoising_shards(
-            srcs,
-            tgts,
-            self.cfg.model.max_len,
-            PAD,
-            BOS,
-            EOS,
-            trainer.opts().micro_batch,
-            self.rng.gen(),
-        );
-        let model = &self.model;
-        trainer.step_data_parallel(
-            pool,
-            &mut self.params,
-            &shards,
-            |s| s.weight as f32,
-            |tape, params, shard| {
-                let mut rng = SmallRng::seed_from_u64(shard.seed);
-                let mut ctx = Ctx::new(tape, params, &mut rng, true);
-                model.reconstruction_loss(&mut ctx, &shard.src, &shard.tgt_in, &shard.tgt_out, PAD)
-            },
-        )
-    }
-
-    /// [`RptC::denoising_step_on`] on the process-global thread pool
-    /// (`RPT_THREADS`).
-    pub fn denoising_step(
-        &mut self,
-        srcs: &[Sequence],
-        tgts: &[Vec<usize>],
-        trainer: &mut Trainer,
-    ) -> f32 {
-        self.denoising_step_on(rpt_par::ThreadPool::global(), srcs, tgts, trainer)
     }
 
     /// Serializes `tuple` with `col` masked and returns the batchable
@@ -774,6 +665,83 @@ impl RptC {
             flags: Vec::new(),
         }
     }
+}
+
+/// Where [`RptC::pretrain_pairs`] draws its corrupted (source, target)
+/// pairs from: table rows ([`RptC::pretrain_on`]), a shard stream
+/// ([`StreamCursor`], [`RptC::pretrain_stream_on`]), or prose (the
+/// text-only BART baseline).
+pub trait PairSource {
+    /// Name under which checkpoints save this source's RNG, after
+    /// `"model"`.
+    const RNG_STREAM: &'static str;
+
+    /// Draws the next example and corrupts it for `model`; `Ok(None)` when
+    /// the drawn example offers nothing maskable.
+    fn next_pair(&mut self, model: &RptC) -> Result<Option<(Sequence, Vec<usize>)>, CorpusError>;
+
+    /// The exact state of this source's RNG, for checkpoints.
+    fn rng_state(&self) -> [u64; 4];
+
+    /// `(epoch, shard, offset)` of the next example, for sources with a
+    /// corpus position; checkpoints of the others carry none.
+    fn pos(&self) -> Option<(u64, u64, u64)> {
+        None
+    }
+}
+
+/// Table rows sampled uniformly with replacement, each masked under its
+/// table's FD profile (when the mask policy computed one).
+struct TableRows<'a> {
+    tables: &'a [&'a Table],
+    profiles: Vec<Option<TableProfile>>,
+    rows: Vec<(usize, usize)>,
+    rng: SmallRng,
+}
+
+impl PairSource for TableRows<'_> {
+    const RNG_STREAM: &'static str = "batch";
+
+    fn next_pair(&mut self, model: &RptC) -> Result<Option<(Sequence, Vec<usize>)>, CorpusError> {
+        let Some(&(ti, ri)) = self.rows.choose(&mut self.rng) else {
+            return Ok(None);
+        };
+        let table = self.tables[ti];
+        let profile = self.profiles[ti].as_ref();
+        Ok(model.training_pair(table.schema(), table.row(ri), profile, &mut self.rng))
+    }
+
+    fn rng_state(&self) -> [u64; 4] {
+        self.rng.state()
+    }
+}
+
+impl PairSource for StreamCursor {
+    const RNG_STREAM: &'static str = "corpus";
+
+    fn next_pair(&mut self, model: &RptC) -> Result<Option<(Sequence, Vec<usize>)>, CorpusError> {
+        let encoded = self.next_example()?;
+        Ok(model.pair_from_encoded(&encoded, None, self.rng_mut()))
+    }
+
+    fn rng_state(&self) -> [u64; 4] {
+        StreamCursor::rng_state(self)
+    }
+
+    fn pos(&self) -> Option<(u64, u64, u64)> {
+        Some(StreamCursor::pos(self))
+    }
+}
+
+/// The state of RNG stream `name` in a resumed train state (the last entry
+/// of that name wins; unknown streams are tolerated for forward compat).
+fn saved_stream(state: Option<&TrainState>, name: &str) -> Option<[u64; 4]> {
+    let streams = &state?.rng_streams;
+    streams
+        .iter()
+        .rev()
+        .find(|(n, _)| n == name)
+        .map(|(_, s)| *s)
 }
 
 impl RptC {

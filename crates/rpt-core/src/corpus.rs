@@ -637,12 +637,6 @@ pub struct ShardStream {
     wait_ms: f64,
 }
 
-/// Milliseconds since `started`; 0 when metrics were off at the start, so
-/// a dark stream reads no clock.
-fn elapsed_ms(started: Option<std::time::Instant>) -> f64 {
-    started.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3)
-}
-
 fn load_next(
     source: &mut dyn ShardSource,
     epoch: &mut u64,
@@ -650,11 +644,11 @@ fn load_next(
 ) -> Result<LoadedShard, CorpusError> {
     let n = source.manifest().shards.len() as u64;
     let (e, s) = (*epoch, *shard);
-    let _t = rpt_obs::trace_span("corpus.shard_load");
-    let started = rpt_obs::metrics_enabled().then(std::time::Instant::now);
+    // The span's elapsed ms also feed `corpus.overlap_ratio`; 0 when
+    // metrics are off, so a dark stream reads no clock.
+    let t = rpt_obs::span("corpus.shard_load", &OBS.load_ms);
     let examples = source.load_shard(s as usize)?;
-    let ms = elapsed_ms(started);
-    OBS.load_ms.record(ms);
+    let ms = t.finish().unwrap_or(0.0);
     if s + 1 == n {
         *epoch += 1;
         *shard = 0;
@@ -709,14 +703,11 @@ impl ShardStream {
                 shard,
             } => load_next(source.as_mut(), epoch, shard)?,
             ShardFeed::Prefetch(p) => {
-                let _t = rpt_obs::trace_span("corpus.prefetch_wait");
-                let started = rpt_obs::metrics_enabled().then(std::time::Instant::now);
+                let t = rpt_obs::span("corpus.prefetch_wait", &OBS.prefetch_wait_ms);
                 let item = p
                     .recv()?
                     .ok_or_else(|| format_err("prefetch stream ended unexpectedly"))?;
-                let waited = elapsed_ms(started);
-                OBS.prefetch_wait_ms.record(waited);
-                self.wait_ms += waited;
+                self.wait_ms += t.finish().unwrap_or(0.0);
                 item?
             }
         };

@@ -35,5 +35,7 @@ pub use corpus::{DiskCorpus, InMemoryCorpus, Manifest, ShardSource};
 pub use detect::{detect_errors, DetectionEval, DetectorConfig, Suspect};
 pub use er::{Blocker, Clusters, Consolidator, ErPipeline, Matcher};
 pub use ie::{IeConfig, RptI};
+/// The pool the training entry points (`RptC::pretrain_on`, …) take.
+pub use rpt_par::ThreadPool;
 pub use train::{TrainOpts, Trainer};
 pub use vocabulary::build_vocab;

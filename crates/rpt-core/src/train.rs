@@ -175,43 +175,20 @@ impl Trainer {
         loss_value
     }
 
-    /// One data-parallel optimization step over pre-built shards.
+    /// One micro-step of a gradient-accumulation window: computes each
+    /// shard's loss and raw (unscaled) gradients and folds them into the
+    /// pending window in shard order, touching no parameters.
     ///
     /// Each shard gets its own [`ParamStore`] clone (cheap: values are
     /// shared, only the binding table is private) and its own tape;
     /// `forward` builds the shard's loss graph. Workers run shards
-    /// concurrently on `pool`, but the reduction is always performed on the
-    /// caller's thread in shard order with weights `w_i / Σw`, so the
-    /// update — and hence the whole training trajectory — is bit-identical
-    /// for every thread count. With a single shard the scale is exactly
+    /// concurrently on `pool`, but [`Trainer::accum_apply`] later reduces
+    /// the whole window on the caller's thread in fold order with weights
+    /// `w_i / Σw`, so the update — and hence the whole training trajectory
+    /// — is bit-identical for every thread count, and k micro-steps
+    /// followed by one apply are bit-identical to one micro-step over the
+    /// concatenated shard list. With a single shard the scale is exactly
     /// `1.0` and the result matches [`Trainer::step`] bit-for-bit.
-    pub fn step_data_parallel<S: Sync>(
-        &mut self,
-        pool: &ThreadPool,
-        params: &mut ParamStore,
-        shards: &[S],
-        shard_weight: impl Fn(&S) -> f32 + Sync,
-        forward: impl Fn(&Tape, &mut ParamStore, &S) -> Var + Sync,
-    ) -> f32 {
-        assert!(!shards.is_empty(), "step_data_parallel: no shards");
-        assert!(
-            self.pending.is_empty(),
-            "step_data_parallel inside an open accumulation window"
-        );
-        let _t = rpt_obs::span("train.step", &TRAIN_OBS.step_ms);
-        self.accum_micro_step(pool, params, shards, shard_weight, forward);
-        self.accum_apply(params)
-    }
-
-    /// One micro-step of a gradient-accumulation window: computes each
-    /// shard's loss and raw (unscaled) gradients — concurrently on `pool`,
-    /// exactly as [`Trainer::step_data_parallel`] would — and folds them
-    /// into the pending window in shard order, touching no parameters.
-    ///
-    /// [`Trainer::accum_apply`] later reduces the whole window with the
-    /// same weighted fixed-order loop a single `step_data_parallel` over
-    /// the concatenated shard list runs, so k micro-steps followed by one
-    /// apply are bit-identical to the equivalent large batch.
     pub fn accum_micro_step<S: Sync>(
         &mut self,
         pool: &ThreadPool,
@@ -239,8 +216,7 @@ impl Trainer {
 
     /// The weighted fixed-order reduction over a window's shards: weights
     /// are summed in fold order, each shard's gradient is scaled by
-    /// `w_i / Σw` and added into the accumulator in fold order. These are
-    /// the float operations `step_data_parallel` has always run: the first
+    /// `w_i / Σw` and added into the accumulator in fold order: the first
     /// shard holding a parameter is scaled in place and becomes its
     /// accumulator, and every later one is scaled and added in the same
     /// pass (`acc += g · scale`, the product rounded before the add).
@@ -435,18 +411,6 @@ impl Trainer {
         self.restore_state(params, &state)?;
         Ok(state)
     }
-
-    /// Atomically writes the current state (see [`Trainer::train_state`])
-    /// to `path`.
-    pub fn save_checkpoint(
-        &self,
-        params: &ParamStore,
-        rng_streams: Vec<(String, [u64; 4])>,
-        path: impl AsRef<Path>,
-    ) -> Result<(), CheckpointError> {
-        let state = self.train_state(params, rng_streams);
-        serialize::save_train_file(params, &state, path)
-    }
 }
 
 #[cfg(test)]
@@ -550,13 +514,14 @@ mod tests {
             params.register("w", Tensor::scalar(4.0));
             let mut trainer = Trainer::new(quadratic_opts(), 16);
             while !trainer.finished() {
-                trainer.step_data_parallel(
+                trainer.accum_micro_step(
                     &pool,
-                    &mut params,
+                    &params,
                     &[1.0f32],
                     |_| 1.0,
                     |tape, params, &target| quadratic_loss(tape, params, target),
                 );
+                trainer.accum_apply(&mut params);
             }
             (
                 params.value(ParamId::from_index(0)).data()[0],
@@ -582,13 +547,14 @@ mod tests {
             // fixed-order reduction
             let shards = [(1.0f32, 3.0f32), (2.0, 1.0), (0.5, 2.0)];
             while !trainer.finished() {
-                trainer.step_data_parallel(
+                trainer.accum_micro_step(
                     &pool,
-                    &mut params,
+                    &params,
                     &shards,
                     |&(_, w)| w,
                     |tape, params, &(target, _)| quadratic_loss(tape, params, target),
                 );
+                trainer.accum_apply(&mut params);
             }
             (
                 params.value(ParamId::from_index(0)).data()[0].to_bits(),

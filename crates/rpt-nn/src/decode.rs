@@ -80,8 +80,7 @@ pub fn greedy_decode(
     max_steps: usize,
 ) -> Vec<usize> {
     let obs = &*crate::obs::DECODE_OBS;
-    let _t = rpt_obs::span("decode.greedy", &obs.call_ms);
-    let started = rpt_obs::metrics_enabled().then(std::time::Instant::now);
+    let t = rpt_obs::span("decode.greedy", &obs.call_ms);
     let spec = JobSpec::Greedy {
         src: src.clone(),
         bos,
@@ -91,23 +90,19 @@ pub fn greedy_decode(
     let JobOutput::Greedy { tokens } = run_alone(model, params, spec) else {
         unreachable!("a greedy job yields greedy output");
     };
-    record_decode_rate(obs, started, tokens.len());
+    record_decode_rate(obs, t.finish(), tokens.len());
     tokens
 }
 
 /// Records generated-token count and the resulting tokens/sec gauge for
-/// one decode call. `started` is `Some` only when metrics were enabled at
-/// call entry, so the disabled path never reads a clock.
-fn record_decode_rate(
-    obs: &crate::obs::DecodeObs,
-    started: Option<std::time::Instant>,
-    tokens: usize,
-) {
-    let Some(t0) = started else { return };
+/// one decode call. `ms` is the call span's elapsed time, `Some` only when
+/// metrics were enabled at call entry, so the disabled path never reads a
+/// clock.
+fn record_decode_rate(obs: &crate::obs::DecodeObs, ms: Option<f64>, tokens: usize) {
+    let Some(ms) = ms else { return };
     obs.tokens.add(tokens as u64);
-    let secs = t0.elapsed().as_secs_f64();
-    if secs > 0.0 && tokens > 0 {
-        obs.tokens_per_sec.set(tokens as f64 / secs);
+    if ms > 0.0 && tokens > 0 {
+        obs.tokens_per_sec.set(tokens as f64 / (ms / 1e3));
     }
 }
 
@@ -123,8 +118,7 @@ pub fn beam_search(
     cfg: &BeamConfig,
 ) -> Vec<Hypothesis> {
     let obs = &*crate::obs::DECODE_OBS;
-    let _t = rpt_obs::span("decode.beam", &obs.call_ms);
-    let started = rpt_obs::metrics_enabled().then(std::time::Instant::now);
+    let t = rpt_obs::span("decode.beam", &obs.call_ms);
     let spec = JobSpec::Beam {
         src: src.clone(),
         bos,
@@ -135,7 +129,7 @@ pub fn beam_search(
         unreachable!("a beam job yields beam output");
     };
     let best_len = hypotheses.first().map_or(0, |h| h.tokens.len());
-    record_decode_rate(obs, started, best_len);
+    record_decode_rate(obs, t.finish(), best_len);
     hypotheses
 }
 

@@ -226,11 +226,17 @@ impl Span {
         });
         Span { timer, ring }
     }
-}
 
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some((id, parent, name)) = self.ring {
+    /// Closes the span now, recording exactly as dropping it does, and
+    /// returns the elapsed milliseconds the histogram half recorded —
+    /// `None` when metrics were off at open, so a dark caller that derives
+    /// a rate from the span still reads no clock.
+    pub fn finish(mut self) -> Option<f64> {
+        self.close()
+    }
+
+    fn close(&mut self) -> Option<f64> {
+        if let Some((id, parent, name)) = self.ring.take() {
             push(Event {
                 kind: KIND_END,
                 name,
@@ -241,9 +247,17 @@ impl Drop for Span {
             });
             PARENT.set(parent);
         }
-        if let Some((hist, start)) = &self.timer {
-            hist.record(start.elapsed().as_secs_f64() * 1e3);
-        }
+        self.timer.take().map(|(hist, start)| {
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            hist.record(ms);
+            ms
+        })
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -746,6 +760,17 @@ mod tests {
         assert_eq!((outer.trace_id, inner.trace_id), (0, 0));
         assert!(outer.dur_ns.is_some() && inner.dur_ns.is_some());
         assert!(inner.dur_ns.unwrap() <= outer.dur_ns.unwrap());
+    }
+
+    #[test]
+    fn finish_records_like_drop_and_returns_the_elapsed_ms() {
+        let _gate = gate(true);
+        crate::set_metrics_enabled(true);
+        let hist = crate::histogram("t.finish_ms");
+        let ms = span("t.finish", &hist).finish().expect("metrics are on");
+        assert_eq!(hist.count(), 1);
+        assert_eq!(hist.sum(), ms, "the returned value is the recorded one");
+        assert!(only_span("t.finish").dur_ns.is_some(), "ring half closed");
     }
 
     #[test]

@@ -44,6 +44,11 @@ fn disabled_metrics_record_nothing() {
     {
         let _s = span("disabled_span", &h);
     }
+    assert_eq!(
+        span("disabled_span", &h).finish(),
+        None,
+        "a dark span reads no clock"
+    );
     assert_eq!(h.count(), 0, "disabled histogram must not record");
     assert_eq!(h.sum(), 0.0);
     assert!(h.bucket_counts().iter().all(|&n| n == 0));

@@ -94,10 +94,14 @@ fn atomic_swap_mid_traffic_torn_writes_rejected() {
 
     // A torn checkpoint (simulating a non-atomic writer dying mid-write)
     // must be rejected: reload_errors increments, the server keeps
-    // serving generation 1, and later requests still succeed.
+    // serving generation 1, and later requests still succeed. The half
+    // file lands in one rename, so the watcher sees exactly one torn
+    // file — an in-place write would show it an empty file first.
     let full = std::fs::read(&ckpt).expect("read checkpoint");
     let errors_before = reload_errors.value();
-    std::fs::write(&ckpt, &full[..full.len() / 2]).expect("tear checkpoint");
+    let torn = ckpt.with_extension("torn");
+    std::fs::write(&torn, &full[..full.len() / 2]).expect("write torn copy");
+    std::fs::rename(&torn, &ckpt).expect("tear checkpoint");
     eventually(
         || reload_errors.value() > errors_before,
         "the torn checkpoint to be rejected",

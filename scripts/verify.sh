@@ -8,6 +8,9 @@
 #    and CLI suites again with RPT_QUANT / RPT_SERVE_* set in the
 #    environment: no library default reads them and the CLI tests pass
 #    a fake environment, so the results must not depend on the caller's.
+#    perfbench/ (the benchmark, its own package) is built and its tests
+#    run, so a crate API change that breaks it, or its check of the
+#    BENCHMARK.json metric names, fails here rather than in a bench run.
 # 2. The equivalence suites re-run with a 4-thread global pool, proving
 #    that the data-parallel trainer and parallel matmul kernels are
 #    bit-identical to their serial reference paths when threading is
@@ -72,6 +75,7 @@ cargo test -q --offline --workspace
 cargo clippy --offline -q --workspace --all-targets -- -D warnings
 RPT_QUANT=1 RPT_SERVE_QUEUE_CAP=3 RPT_SERVE_MAX_BATCH=64 \
     cargo test -q --offline --release -p rpt-serve -p rpt-cli
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 RPT_THREADS=4 cargo test -q --offline --test parallel_equivalence
 RPT_THREADS=4 cargo test -q --offline --release --test resume_equivalence

@@ -50,7 +50,7 @@ fn rpt_c_beats_text_only_bart_on_relational_fills() {
     rptc.pretrain(&[&abt.table_a, &abt.table_b, &wal.table_a, &wal.table_b]);
 
     let mut bart = BartText::new(vocab.clone(), cfg);
-    bart.pretrain_text(&corpus);
+    bart.pretrain_text(&corpus).unwrap();
 
     let test = &benches[1].table_a; // amazon-google: unseen by both
     let rpt_maker = evaluate_fill(&mut rptc, test, 1, 20, &vocab);

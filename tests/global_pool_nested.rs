@@ -1,20 +1,20 @@
-//! Regression: `denoising_step` runs micro-batch shards on the *global*
-//! pool while each shard's forward/backward dispatches its matmuls to the
-//! same pool. Before `rpt-par` gained re-entrancy detection, a worker
-//! executing a shard would enqueue a matmul job onto its own suspended
-//! recv loop and then block on the latch — a deadlock in exactly the
-//! feature's advertised configuration (`RPT_THREADS > 1`, `micro_batch > 0`).
+//! Regression: pretraining runs micro-batch shards on the *global* pool
+//! while each shard's forward/backward dispatches its matmuls to the same
+//! pool. Before `rpt-par` gained re-entrancy detection, a worker executing
+//! a shard would enqueue a matmul job onto its own suspended recv loop and
+//! then block on the latch — a deadlock in exactly the feature's
+//! advertised configuration (`RPT_THREADS > 1`, `micro_batch > 0`).
 //!
 //! This file holds a single test so it owns the process: the env var must
 //! be set before the first use of `ThreadPool::global()`.
 
 use rpt::core::cleaning::{CleaningConfig, RptC};
-use rpt::core::train::{TrainOpts, Trainer};
+use rpt::core::train::TrainOpts;
 use rpt::core::vocabulary::build_vocab;
 use rpt::datagen::standard_benchmarks;
 use rpt::par::ThreadPool;
 use rpt::table::Table;
-use rpt_rng::{Rng, SeedableRng, SmallRng};
+use rpt_rng::{SeedableRng, SmallRng};
 
 #[test]
 fn denoising_step_on_multithreaded_global_pool_completes() {
@@ -41,26 +41,11 @@ fn denoising_step_on_multithreaded_global_pool_completes() {
     };
 
     let mut model = RptC::new(vocab, cfg.clone());
-    let mut trainer = Trainer::new(cfg.train.clone(), cfg.model.d_model);
-    let mut data_rng = SmallRng::seed_from_u64(123);
-    while !trainer.finished() {
-        let mut srcs = Vec::with_capacity(cfg.train.batch_size);
-        let mut tgts = Vec::with_capacity(cfg.train.batch_size);
-        let mut guard = 0;
-        while srcs.len() < cfg.train.batch_size && guard < cfg.train.batch_size * 50 {
-            guard += 1;
-            let ti = data_rng.gen_range(0..tables.len());
-            let ri = data_rng.gen_range(0..tables[ti].len());
-            if let Some((src, tgt)) =
-                model.training_pair(tables[ti].schema(), tables[ti].row(ri), None, &mut data_rng)
-            {
-                srcs.push(src);
-                tgts.push(tgt);
-            }
-        }
-        assert!(!srcs.is_empty(), "corpus produced no training pairs");
-        let loss = model.denoising_step(&srcs, &tgts, &mut trainer);
+    let losses = model
+        .pretrain_on(ThreadPool::global(), &tables, None, None)
+        .unwrap_or_else(|e| panic!("corpus produced no training pairs, or a step failed: {e}"));
+    for loss in &losses {
         assert!(loss.is_finite(), "loss went non-finite: {loss}");
     }
-    assert_eq!(trainer.losses().len(), cfg.train.steps);
+    assert_eq!(losses.len(), cfg.train.steps);
 }

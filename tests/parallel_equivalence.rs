@@ -16,7 +16,7 @@ use rpt::par::ThreadPool;
 use rpt::table::Table;
 use rpt::tensor::serialize::to_json;
 use rpt::tensor::{ParamStore, Tape};
-use rpt_rng::{Rng, SeedableRng, SmallRng};
+use rpt_rng::{SeedableRng, SmallRng};
 
 fn equivalence_config() -> CleaningConfig {
     let mut cfg = CleaningConfig::tiny();
@@ -33,37 +33,6 @@ fn equivalence_config() -> CleaningConfig {
     cfg
 }
 
-/// Pre-generates the full batch schedule so every run trains on exactly
-/// the same data, then trains a fresh identically-seeded model on `pool`.
-fn batch_schedule(
-    model: &RptC,
-    tables: &[&Table],
-    steps: usize,
-    batch_size: usize,
-) -> Vec<(Vec<Sequence>, Vec<Vec<usize>>)> {
-    let mut rng = SmallRng::seed_from_u64(123);
-    let mut batches = Vec::with_capacity(steps);
-    while batches.len() < steps {
-        let mut srcs = Vec::with_capacity(batch_size);
-        let mut tgts = Vec::with_capacity(batch_size);
-        let mut guard = 0;
-        while srcs.len() < batch_size && guard < batch_size * 50 {
-            guard += 1;
-            let ti = rng.gen_range(0..tables.len());
-            let ri = rng.gen_range(0..tables[ti].len());
-            if let Some((src, tgt)) =
-                model.training_pair(tables[ti].schema(), tables[ti].row(ri), None, &mut rng)
-            {
-                srcs.push(src);
-                tgts.push(tgt);
-            }
-        }
-        assert!(!srcs.is_empty(), "corpus produced no training pairs");
-        batches.push((srcs, tgts));
-    }
-    batches
-}
-
 #[test]
 fn checkpoint_is_bit_identical_across_thread_counts() {
     let mut rng = SmallRng::seed_from_u64(6);
@@ -72,19 +41,13 @@ fn checkpoint_is_bit_identical_across_thread_counts() {
     let vocab = build_vocab(&tables, &[], 1, 4000);
     let cfg = equivalence_config();
 
-    let template = RptC::new(vocab.clone(), cfg.clone());
-    let batches = batch_schedule(&template, &tables, cfg.train.steps, cfg.train.batch_size);
-
     let run = |threads: usize| -> (String, Vec<u32>) {
         let pool = ThreadPool::new(threads);
         let mut model = RptC::new(vocab.clone(), cfg.clone());
-        let mut trainer = Trainer::new(cfg.train.clone(), cfg.model.d_model);
-        for (srcs, tgts) in &batches {
-            model.denoising_step_on(&pool, srcs, tgts, &mut trainer);
-        }
+        let losses = model.pretrain_on(&pool, &tables, None, None).unwrap();
         (
             to_json(&model.params),
-            trainer.losses().iter().map(|x| x.to_bits()).collect(),
+            losses.iter().map(|x| x.to_bits()).collect(),
         )
     };
 
@@ -155,9 +118,9 @@ fn single_shard_data_parallel_reproduces_serial_trainer() {
                 0, // micro_batch 0: one shard, seeded exactly like the serial run
                 1000 + step as u64,
             );
-            trainer.step_data_parallel(
+            trainer.accum_micro_step(
                 &pool,
-                &mut params,
+                &params,
                 &shards,
                 |s| s.weight as f32,
                 |tape, params, shard| {
@@ -172,6 +135,7 @@ fn single_shard_data_parallel_reproduces_serial_trainer() {
                     )
                 },
             );
+            trainer.accum_apply(&mut params);
         }
         to_json(&params)
     };

@@ -48,6 +48,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 }
 
 struct Fixture {
+    tables: Vec<Table>,
     vocab: Vocab,
     shards: Vec<Vec<EncodedExample>>,
     corpus_dir: PathBuf,
@@ -63,7 +64,7 @@ fn fixture(tag: &str) -> Fixture {
     let mut rng = SmallRng::seed_from_u64(6);
     let (_u, mut benches) = standard_benchmarks(20, &mut rng);
     let b = benches.remove(0);
-    let tables = [b.table_a, b.table_b];
+    let tables = vec![b.table_a, b.table_b];
     let refs: Vec<&Table> = tables.iter().collect();
     let vocab = build_vocab(&refs, &[], 1, 4000);
     let encoder = TupleEncoder::new(vocab.clone(), Default::default());
@@ -75,6 +76,7 @@ fn fixture(tag: &str) -> Fixture {
     let corpus_dir = fresh_dir(&format!("corpus-{tag}"));
     corpus::write_corpus(&corpus_dir, &shards, &vocab).unwrap();
     Fixture {
+        tables,
         vocab,
         shards,
         corpus_dir,
@@ -256,18 +258,21 @@ fn non_finite_step_is_a_typed_error_and_keeps_the_last_good_checkpoint() {
 
     // One NaN in one layer-norm gain poisons the first window's loss and
     // gradients.
-    let mut victim = RptC::new(f.vocab.clone(), fault_config());
-    let gamma = victim
-        .params
-        .iter()
-        .map(|(name, _)| name.to_string())
-        .find(|name| name.ends_with(".gamma"))
-        .expect("the model has a layer norm");
-    let id = victim.params.find(&gamma).unwrap();
-    let mut poisoned = victim.params.value(id).clone();
-    poisoned.data_mut()[0] = f32::NAN;
-    victim.params.set_value(id, poisoned);
-    match run(&mut victim).expect_err("a NaN parameter must stop training") {
+    let victim = || {
+        let mut victim = RptC::new(f.vocab.clone(), fault_config());
+        let gamma = victim
+            .params
+            .iter()
+            .map(|(name, _)| name.to_string())
+            .find(|name| name.ends_with(".gamma"))
+            .expect("the model has a layer norm");
+        let id = victim.params.find(&gamma).unwrap();
+        let mut poisoned = victim.params.value(id).clone();
+        poisoned.data_mut()[0] = f32::NAN;
+        victim.params.set_value(id, poisoned);
+        victim
+    };
+    match run(&mut victim()).expect_err("a NaN parameter must stop training") {
         CorpusError::NonFinite { step } => assert_eq!(step, 1),
         other => panic!("expected a NonFinite error, got: {other}"),
     }
@@ -275,6 +280,22 @@ fn non_finite_step_is_a_typed_error_and_keeps_the_last_good_checkpoint() {
         fs::read(&state_path).unwrap(),
         good_bytes,
         "the non-finite step overwrote the last good checkpoint"
+    );
+
+    // The same guard stops pretraining over table rows.
+    let tables: Vec<&Table> = f.tables.iter().collect();
+    let run_tables =
+        |model: &mut RptC| model.pretrain_on(&ThreadPool::new(1), &tables, Some(&ckpt), None);
+    run_tables(&mut RptC::new(f.vocab.clone(), fault_config())).unwrap();
+    let good_bytes = fs::read(&state_path).unwrap();
+    match run_tables(&mut victim()).expect_err("a NaN parameter must stop training") {
+        CorpusError::NonFinite { step } => assert_eq!(step, 1),
+        other => panic!("expected a NonFinite error from table rows, got: {other}"),
+    }
+    assert_eq!(
+        fs::read(&state_path).unwrap(),
+        good_bytes,
+        "the non-finite table step overwrote the last good checkpoint"
     );
     fs::remove_dir_all(&dir).ok();
 }
