@@ -90,14 +90,16 @@ fn main() {
             ..Default::default()
         },
     );
-    matcher.pretrain_mlm(&w.all_tables(), 400);
+    matcher
+        .pretrain_mlm(&w.all_tables(), 400)
+        .expect("training step went non-finite");
     let sets: Vec<(&ErBenchmark, PairSet)> = w
         .benches
         .iter()
         .map(|b| (b, b.labeled_pairs(3, &w.universe, &mut rng)))
         .collect();
     let refs: Vec<(&ErBenchmark, &PairSet)> = sets.iter().map(|(b, p)| (*b, p)).collect();
-    matcher.train(&refs);
+    matcher.train(&refs).expect("training step went non-finite");
 
     // e1 = iPhone 10 / e2 = iPhone X (alias + unit variants) / e3 = iPhone 11
     let fig_schema = Schema::text_columns(&["product", "company", "year", "memory", "screen"]);
@@ -189,7 +191,7 @@ fn main() {
         },
     );
     let (train, test) = tasks.split_at(180);
-    rpti.train(train);
+    rpti.train(train).expect("training step went non-finite");
 
     // the paper's s1: interpret the task from one example, apply to t1
     let example = test

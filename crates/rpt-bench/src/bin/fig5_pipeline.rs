@@ -36,7 +36,9 @@ fn main() {
         },
     );
     println!("MLM-pretraining matcher trunk on all tables ...");
-    matcher.pretrain_mlm(&w.all_tables(), 450);
+    matcher
+        .pretrain_mlm(&w.all_tables(), 450)
+        .expect("training step went non-finite");
     let src_blocker = Blocker::default();
     let sets: Vec<(&ErBenchmark, PairSet)> = w
         .benches
@@ -52,7 +54,7 @@ fn main() {
         "fine-tuning matcher on {} source benchmarks ...",
         refs.len()
     );
-    matcher.train(&refs);
+    matcher.train(&refs).expect("training step went non-finite");
 
     // --- few-shot calibration curve, on the *candidate* distribution ----
     let bench = w.bench(target);

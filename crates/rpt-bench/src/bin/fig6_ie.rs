@@ -34,7 +34,7 @@ fn main() {
         },
     );
     println!("training span extractor on {} QA tasks ...", train.len());
-    let losses = rpti.train(train);
+    let losses = rpti.train(train).expect("training step went non-finite");
     println!(
         "  loss {:.3} -> {:.3} ({:.0?})\n",
         losses[..20].iter().sum::<f32>() / 20.0,

@@ -76,8 +76,9 @@ fn main() {
     // centralized: pooled training
     {
         let mut m = Matcher::new(w.vocab.clone(), base_cfg.clone());
-        m.pretrain_mlm(&w.all_tables(), 250);
-        m.train(&clients);
+        m.pretrain_mlm(&w.all_tables(), 250)
+            .expect("training step went non-finite");
+        m.train(&clients).expect("training step went non-finite");
         let (f1, t) = best_f1(&m.score_pairs(bench, &candidates), &labels);
         println!(
             "{:<14} {:>8} {:>12}",
@@ -91,13 +92,14 @@ fn main() {
     // federated: FedAvg with the same total step budget
     {
         let mut m = Matcher::new(w.vocab.clone(), base_cfg.clone());
-        m.pretrain_mlm(&w.all_tables(), 250);
+        m.pretrain_mlm(&w.all_tables(), 250)
+            .expect("training step went non-finite");
         let fed = FederatedConfig {
             rounds: 10,
             local_steps: 600 / (10 * clients.len()).max(1),
             server_lr: 1.0,
         };
-        federated_rounds(&mut m, &clients, &fed);
+        federated_rounds(&mut m, &clients, &fed).expect("training step went non-finite");
         let (f1, t) = best_f1(&m.score_pairs(bench, &candidates), &labels);
         println!(
             "{:<14} {:>8} {:>12}",
@@ -111,8 +113,10 @@ fn main() {
     // single clients: each benchmark alone
     for (client_bench, pairs) in &sets {
         let mut m = Matcher::new(w.vocab.clone(), base_cfg.clone());
-        m.pretrain_mlm(&w.all_tables(), 250);
-        m.train(&[(*client_bench, pairs)]);
+        m.pretrain_mlm(&w.all_tables(), 250)
+            .expect("training step went non-finite");
+        m.train(&[(*client_bench, pairs)])
+            .expect("training step went non-finite");
         let (f1, t) = best_f1(&m.score_pairs(bench, &candidates), &labels);
         println!(
             "{:<14} {:>8} {:>12}",

@@ -57,7 +57,9 @@ fn train_rpt_e(
     };
     let mut matcher = Matcher::new(w.vocab.clone(), cfg);
     // unsupervised MLM pretraining on every table (incl. target: no labels)
-    matcher.pretrain_mlm(&w.all_tables(), 600);
+    matcher
+        .pretrain_mlm(&w.all_tables(), 600)
+        .expect("training step went non-finite");
     let blocker = Blocker::default();
     let sets: Vec<(String, PairSet)> = sources
         .iter()
@@ -72,7 +74,7 @@ fn train_rpt_e(
         .collect();
     let refs: Vec<(&ErBenchmark, &PairSet)> =
         sets.iter().map(|(name, ps)| (w.bench(name), ps)).collect();
-    matcher.train(&refs);
+    matcher.train(&refs).expect("training step went non-finite");
 
     // few-shot threshold calibration (E1-style): the user supplies 8
     // known matching pairs, plus 24 random blocked candidates they label

@@ -172,20 +172,31 @@ fn training(
     Ok((cfg, checkpoint))
 }
 
-fn build_model(table: &Table, opts: &CleanOptions) -> Result<RptC, CliError> {
+/// The int8 tensors a loaded checkpoint carried, if any.
+type QuantSection = Option<Vec<(String, rpt_tensor::QuantMatrix)>>;
+
+/// Reads a checkpoint file once, with the CLI's error wording.
+fn read_checkpoint(path: &str) -> Result<serialize::Checkpoint, CliError> {
+    serialize::Checkpoint::read(path).map_err(|e| CliError::Data(format!("{path}: {e}")))
+}
+
+/// Trains a cleaning model over the table, or loads one with `--load`;
+/// a loaded checkpoint's quant section comes back from the same read.
+fn build_model(table: &Table, opts: &CleanOptions) -> Result<(RptC, QuantSection), CliError> {
     let vocab = build_vocab(&[table], &[], 1, 20_000);
     let resume = opts.resume.as_deref();
     let mut model;
+    let mut quant = None;
     if let Some(path) = &opts.load {
         if resume.is_some() || opts.checkpoint_dir.is_some() {
             let msg = "--load takes neither --resume nor --checkpoint-dir: it trains nothing";
             return Err(CliError::Usage(msg.into()));
         }
         model = RptC::new(vocab, CleaningConfig::default());
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| CliError::Data(format!("cannot read checkpoint {path}: {e}")))?;
-        serialize::load_json(&mut model.params, &json)
+        let ckpt = read_checkpoint(path)?;
+        serialize::apply_params(&mut model.params, ckpt.params)
             .map_err(|e| CliError::Data(format!("checkpoint {path}: {e}")))?;
+        quant = ckpt.quant;
     } else {
         let train = TrainOpts {
             steps: opts.steps,
@@ -203,7 +214,7 @@ fn build_model(table: &Table, opts: &CleanOptions) -> Result<RptC, CliError> {
         serialize::save_file(&model.params, path)
             .map_err(|e| CliError::Data(format!("cannot save checkpoint: {e}")))?;
     }
-    Ok(model)
+    Ok((model, quant))
 }
 
 /// `rpt clean` — fill NULLs (optionally restricted to one column); returns
@@ -217,7 +228,7 @@ pub fn cmd_clean(path: &str, opts: &CleanOptions) -> Result<String, CliError> {
             .ok_or_else(|| CliError::Usage(format!("no column named {name}")))?],
         None => (0..table.schema().arity()).collect(),
     };
-    let mut model = build_model(&table, opts)?;
+    let (mut model, _) = build_model(&table, opts)?;
     let mut report = String::new();
     let mut repairs = 0usize;
     let rows = table.len();
@@ -253,7 +264,7 @@ pub fn cmd_clean(path: &str, opts: &CleanOptions) -> Result<String, CliError> {
 /// `rpt detect` — hybrid error detection over every column.
 pub fn cmd_detect(path: &str, opts: &CleanOptions) -> Result<String, CliError> {
     let table = load_table(path)?;
-    let mut model = build_model(&table, opts)?;
+    let (mut model, _) = build_model(&table, opts)?;
     let cols: Vec<usize> = (0..table.schema().arity()).collect();
     let suspects = detect_errors(&mut model, &table, &cols, &DetectorConfig::default());
     let mut report = String::new();
@@ -327,16 +338,14 @@ pub fn cmd_match(path_a: &str, path_b: &str, threshold: f32) -> Result<String, C
 }
 
 /// `rpt quantize` — convert an f32 checkpoint (the format `rpt clean
-/// --save` writes) into a `quant-v1` checkpoint: the same f32 params plus
-/// a per-row int8 section for every linear weight, which `rpt serve
-/// --quant --load` attaches directly instead of requantizing at startup.
+/// --save` writes) into a quantized one: the same f32 params plus a quant
+/// section holding a per-row int8 tensor for every linear weight, which
+/// `rpt serve --quant --load` attaches directly instead of requantizing
+/// at startup.
 /// Model-free: works on any checkpoint without rebuilding the
 /// architecture that produced it.
 pub fn cmd_quantize(input: &str, output: &str) -> Result<String, CliError> {
-    let json = std::fs::read_to_string(input)
-        .map_err(|e| CliError::Data(format!("cannot read checkpoint {input}: {e}")))?;
-    let store = serialize::load_params_any(&json)
-        .map_err(|e| CliError::Data(format!("checkpoint {input}: {e}")))?;
+    let store = read_checkpoint(input)?.into_store();
     let qs = rpt_nn::build_quant_set(&store);
     if qs.is_empty() {
         return Err(CliError::Data(format!(
@@ -352,8 +361,49 @@ pub fn cmd_quantize(input: &str, output: &str) -> Result<String, CliError> {
         ""
     };
     Ok(format!(
-        "quantized {n_linear} linear weight(s){tied} -> {output} (quant-v1)\n"
+        "quantized {n_linear} linear weight(s){tied} -> {output} (quant section)\n"
     ))
+}
+
+/// `rpt inspect` — which sections a checkpoint holds and what is in them:
+/// one line each for `params`, `train` and `quant`.
+pub fn cmd_inspect(path: &str) -> Result<String, CliError> {
+    let ckpt = read_checkpoint(path)?;
+    let scalars: usize = ckpt.params.iter().map(|(_, t)| t.numel()).sum();
+    let mut report = format!("params: {} tensors, {scalars} scalars\n", ckpt.params.len());
+    match &ckpt.train {
+        None => report.push_str("train: none\n"),
+        Some(t) => {
+            let _ = write!(report, "train: {} steps done", t.steps_done);
+            if let Some(a) = &t.adam {
+                let _ = write!(report, ", adam t={}", a.t);
+            }
+            let _ = write!(report, ", {} rng streams", t.rng_streams.len());
+            if let Some(c) = &t.corpus {
+                let _ = write!(
+                    report,
+                    ", corpus epoch {} shard {} offset {}",
+                    c.epoch, c.shard, c.offset
+                );
+                if let Some(a) = &c.accum {
+                    let _ = write!(
+                        report,
+                        " (open window: {} micro-steps, {} pending shards)",
+                        a.micro_done,
+                        a.pending.len()
+                    );
+                }
+            }
+            report.push('\n');
+        }
+    }
+    match &ckpt.quant {
+        None => report.push_str("quant: none\n"),
+        Some(q) => {
+            let _ = writeln!(report, "quant: {} int8 tensors", q.len());
+        }
+    }
+    Ok(report)
 }
 
 /// Options for `rpt shard`.
@@ -605,7 +655,7 @@ pub fn serve_config(opts: &ServeOptions) -> rpt_serve::ServeConfig {
 /// socket is bound, then blocks forever.
 pub fn cmd_serve(path: &str, opts: &ServeOptions) -> Result<String, CliError> {
     let table = load_table(path)?;
-    let model = build_model(
+    let (model, stored_quant) = build_model(
         &table,
         &CleanOptions {
             steps: opts.steps,
@@ -619,23 +669,16 @@ pub fn cmd_serve(path: &str, opts: &ServeOptions) -> Result<String, CliError> {
         create_dir(dir)?;
     }
     if cfg.quant {
-        if let Some(path) = &opts.load {
-            // An `rpt quantize` output carries the int8 tensors; attach
-            // them so the server serves exactly the quantized file. A
-            // plain f32 checkpoint (or a stale section) falls through and
-            // the batcher requantizes from the loaded params.
-            match serialize::load_quant_file(path) {
-                Ok(Some(entries)) => match rpt_nn::quant_set_from_named(&params, entries) {
-                    Ok(qs) => model.set_quant(Some(std::sync::Arc::new(qs))),
-                    Err(e) => rpt_obs::warn!(
-                        target: "rpt_cli",
-                        "quant section in {path} rejected ({e}); requantizing"
-                    ),
-                },
-                Ok(None) => {}
+        // A quantized checkpoint (`rpt quantize` output) carries the int8
+        // tensors, read with the params; attach them so the server serves
+        // exactly the quantized file. A plain f32 checkpoint (or a stale
+        // section) falls through and the batcher requantizes.
+        if let Some(entries) = stored_quant {
+            match rpt_nn::quant_set_from_named(&params, entries) {
+                Ok(qs) => model.set_quant(Some(std::sync::Arc::new(qs))),
                 Err(e) => rpt_obs::warn!(
                     target: "rpt_cli",
-                    "quant section in {path} unreadable ({e}); requantizing"
+                    "stored quant section rejected ({e}); requantizing"
                 ),
             }
         }
@@ -665,6 +708,8 @@ pub enum Command {
     Serve(String, ServeOptions),
     /// `rpt quantize <model.json> <out.json>`
     Quantize(String, String),
+    /// `rpt inspect <checkpoint>`
+    Inspect(String),
     /// `rpt shard <out-dir> [flags]`
     Shard(String, ShardOptions),
     /// `rpt pretrain <corpus-dir> [flags]`
@@ -764,6 +809,7 @@ const COMMANDS: &[Cmd] = &[
     Cmd("match",        &["<a.csv>", "<b.csv>"],         "match needs two files"),
     Cmd("serve",        &["<file.csv>"],                 "serve needs a file"),
     Cmd("quantize",     &["<model.json>", "<out.json>"], "quantize needs an input and an output"),
+    Cmd("inspect",      &["<checkpoint>"],               "inspect needs a checkpoint file"),
     Cmd("shard",        &["<out-dir>"],                  "shard needs an output directory"),
     Cmd("pretrain",     &["<corpus-dir>"],               "pretrain needs a corpus directory"),
     Cmd("trace-report", &["<dump.json>"],                "trace-report needs a dump file"),
@@ -990,6 +1036,7 @@ pub fn parse(
         "match" => Command::Match(word(), word(), p.threshold.unwrap_or(0.5)),
         "serve" => Command::Serve(word(), p.serve),
         "quantize" => Command::Quantize(word(), word()),
+        "inspect" => Command::Inspect(word()),
         "shard" => Command::Shard(word(), p.shard),
         "pretrain" => Command::Pretrain(word(), p.pretrain),
         "trace-report" => Command::TraceReport(word()),
@@ -1054,16 +1101,24 @@ the default: --max-batch to RPT_SERVE_MAX_BATCH (default 8, at most
 RPT_SERVE_QUEUE_CAP places (default 4 x the max batch, at most {}) and
 hot-reload polls every RPT_SERVE_RELOAD_POLL_MS (default 50).
 
+Checkpoints: --save, --checkpoint-dir and rpt quantize write one binary
+container (raw f32 bits behind a checksum) with a params section and,
+when present, a train and a quant section; rpt inspect lists them. The
+.json file names are kept for continuity: the format is recognised by
+content, and JSON checkpoints from earlier builds still load.
+
 Quantized serving: rpt quantize converts an f32 checkpoint into a
-quant-v1 one (f32 params + per-row int8 linear weights); rpt serve
---quant (or RPT_QUANT=1) serves int8 — loading the stored section when
---load points at a quant-v1 file, requantizing on the fly otherwise.
+quantized one (f32 params + a quant section of per-row int8 linear
+weights); rpt serve --quant (or RPT_QUANT=1) serves int8 — using the
+stored section when --load points at a quantized file, requantizing on
+the fly otherwise.
 
 Durable training: --checkpoint-dir DIR writes a rolling, atomically
-replaced DIR/train_state.json (params + Adam moments + RNG streams +
-loss curve) every ~10% of the run; --resume STATE continues a killed
-run bit-identically to one that was never interrupted. A --load model
-is never trained, so clean and detect refuse --load with either.
+replaced DIR/train_state.json (params + a train section: Adam moments,
+RNG streams, loss curve) every ~10% of the run; --resume STATE
+continues a killed run bit-identically to one that was never
+interrupted. A --load model is never trained, so clean and detect
+refuse --load with either.
 
 Streaming corpora: rpt shard builds a sharded on-disk corpus (binary
 token shards + vocab.json + manifest.json); rpt pretrain streams it
@@ -1108,6 +1163,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
         Command::Match(a, b, t) => cmd_match(&a, &b, t),
         Command::Serve(path, opts) => cmd_serve(&path, &opts),
         Command::Quantize(input, output) => cmd_quantize(&input, &output),
+        Command::Inspect(path) => cmd_inspect(&path),
         Command::Shard(out_dir, opts) => cmd_shard(&out_dir, &opts),
         Command::Pretrain(corpus_dir, opts) => cmd_pretrain(&corpus_dir, &opts),
         Command::TraceReport(path) => cmd_trace_report(&path),
@@ -1443,6 +1499,14 @@ mod tests {
         ));
         assert!(matches!(
             parse_cmd(&s(&["quantize", "m.json", "q8.json", "extra"])),
+            Err(CliError::Usage(_))
+        ));
+        assert_eq!(
+            parse_cmd(&s(&["inspect", "q8.json"])).unwrap(),
+            Command::Inspect("q8.json".into())
+        );
+        assert!(matches!(
+            parse_cmd(&s(&["inspect"])),
             Err(CliError::Usage(_))
         ));
     }
@@ -1916,14 +1980,14 @@ mod tests {
         .unwrap();
 
         let report = cmd_quantize(model.to_str().unwrap(), q8.to_str().unwrap()).unwrap();
-        assert!(report.contains("quant-v1"), "{report}");
+        assert!(report.contains("quant section"), "{report}");
 
         // The output carries both halves: an int8 section matching what
         // requantizing the stored f32 params produces...
         let entries = serialize::load_quant_file(&q8)
             .unwrap()
             .expect("quant section");
-        let store = serialize::load_params_any(&std::fs::read_to_string(&q8).unwrap()).unwrap();
+        let store = serialize::Checkpoint::read(&q8).unwrap().into_store();
         let rebuilt = rpt_nn::build_quant_set(&store);
         assert_eq!(entries.len(), rebuilt.iter_named().count());
         for (name, qm) in entries.iter() {
@@ -1938,14 +2002,23 @@ mod tests {
             );
             assert_eq!(qm.scales(), expect.scales(), "{name}: scales differ");
         }
-        // ...and f32 params a plain loader still accepts (quant-v1 is
-        // backward compatible).
-        let original =
-            serialize::load_params_any(&std::fs::read_to_string(&model).unwrap()).unwrap();
+        // ...and the f32 params of the input, unchanged.
+        let original = serialize::Checkpoint::read(&model).unwrap().into_store();
         for (name, t) in original.iter() {
             let got = store.value(store.find(name).expect(name));
             assert_eq!(got.data(), t.data(), "{name} f32 payload differs");
         }
+        // `rpt inspect` lists the sections of both files.
+        let listed = cmd_inspect(q8.to_str().unwrap()).unwrap();
+        let params = format!("params: {} tensors", store.len());
+        let quant = format!("quant: {} int8 tensors", entries.len());
+        assert!(
+            listed.contains(&params) && listed.contains(&quant),
+            "{listed}"
+        );
+        assert!(listed.contains("train: none"), "{listed}");
+        let listed = cmd_inspect(model.to_str().unwrap()).unwrap();
+        assert!(listed.contains("quant: none"), "{listed}");
 
         // A garbage input is a typed error, not a panic.
         let bad = dir.join("bad.json");

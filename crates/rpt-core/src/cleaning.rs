@@ -570,11 +570,7 @@ impl RptC {
             let step_ms = step_span.finish();
             // The numerical guard: a non-finite window ends the run here,
             // before a checkpoint below could persist what it did.
-            if !loss.is_finite() || !trainer.last_grad_norm().is_some_and(f32::is_finite) {
-                return Err(CorpusError::NonFinite {
-                    step: trainer.steps_done(),
-                });
-            }
+            trainer.check_finite()?;
             // Throughput is observed from outside the step — values flow
             // only into the metrics registry, never back into training
             // state, so the trajectory is identical with metrics on or off.

@@ -11,6 +11,9 @@
 //! trailer:   u64 FNV-1a checksum of everything above
 //! ```
 //!
+//! The magic, version and trailer are the framing checkpoints share
+//! ([`rpt_tensor::serialize::frame`]).
+//!
 //! All integers are little-endian. Every file is written through the
 //! checkpoint layer's atomic write-fsync-rename path, with the manifest
 //! written **last** — it is the commit point, so a crash mid-build leaves
@@ -37,6 +40,9 @@ use rpt_json::{json, Json};
 use rpt_par::{PrefetchError, Prefetcher};
 use rpt_rng::{SeedableRng, SmallRng};
 use rpt_table::Table;
+use rpt_tensor::serialize::frame::{
+    begin_frame, end_frame, fnv1a64, unframe, ByteReader, FrameError,
+};
 use rpt_tensor::serialize::{atomic_write_with, CheckpointError, CheckpointIo, StdCheckpointIo};
 use rpt_tokenizer::{EncodedTuple, TupleEncoder, Vocab};
 
@@ -107,9 +113,21 @@ impl From<io::Error> for CorpusError {
     }
 }
 
+impl From<crate::train::NonFiniteStep> for CorpusError {
+    fn from(e: crate::train::NonFiniteStep) -> Self {
+        CorpusError::NonFinite { step: e.step }
+    }
+}
+
 impl From<PrefetchError> for CorpusError {
     fn from(e: PrefetchError) -> Self {
         CorpusError::Prefetch(e)
+    }
+}
+
+impl From<FrameError> for CorpusError {
+    fn from(e: FrameError) -> Self {
+        format_err(format!("shard {e}"))
     }
 }
 
@@ -167,15 +185,6 @@ impl EncodedExample {
     }
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Hash of a vocabulary's canonical JSON — stamped into the manifest so a
 /// corpus can never be silently trained with the wrong token table.
 pub fn vocab_hash(vocab: &Vocab) -> u64 {
@@ -184,9 +193,7 @@ pub fn vocab_hash(vocab: &Vocab) -> u64 {
 
 /// Serializes one shard of examples to the binary format.
 pub fn encode_shard(examples: &[EncodedExample]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(SHARD_MAGIC);
-    out.extend_from_slice(&CORPUS_FORMAT_VERSION.to_le_bytes());
+    let mut out = begin_frame(SHARD_MAGIC, CORPUS_FORMAT_VERSION, 0);
     out.extend_from_slice(&(examples.len() as u32).to_le_bytes());
     for ex in examples {
         debug_assert_eq!(ex.ids.len(), ex.cols.len());
@@ -204,72 +211,26 @@ pub fn encode_shard(examples: &[EncodedExample]) -> Vec<u8> {
             out.extend_from_slice(&e.to_le_bytes());
         }
     }
-    let checksum = fnv1a64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
-}
-
-struct ShardReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ShardReader<'a> {
-    fn u32(&mut self) -> Result<u32, CorpusError> {
-        let end = self.pos + 4;
-        let chunk = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or_else(|| format_err("shard truncated mid-record"))?;
-        self.pos = end;
-        Ok(u32::from_le_bytes(chunk.try_into().unwrap()))
-    }
+    end_frame(out)
 }
 
 /// Decodes and fully validates a binary shard: magic, version, record
 /// bounds, and the trailing whole-file checksum. Any torn write, torn
 /// read, or bit flip is a typed [`CorpusError::Format`].
 pub fn decode_shard(bytes: &[u8]) -> Result<Vec<EncodedExample>, CorpusError> {
-    if bytes.len() < SHARD_MAGIC.len() + 4 + 4 + 8 {
-        return Err(format_err("shard shorter than its fixed header"));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().unwrap());
-    let actual = fnv1a64(body);
-    if stored != actual {
-        return Err(format_err(format!(
-            "shard checksum mismatch: stored {stored:#x}, computed {actual:#x}"
-        )));
-    }
-    if &body[..SHARD_MAGIC.len()] != SHARD_MAGIC {
-        return Err(format_err("shard magic mismatch"));
-    }
-    let mut r = ShardReader {
-        bytes: body,
-        pos: SHARD_MAGIC.len(),
-    };
-    let version = r.u32()?;
-    if version != CORPUS_FORMAT_VERSION {
-        return Err(format_err(format!(
-            "shard format version {version}, this build reads {CORPUS_FORMAT_VERSION}"
-        )));
-    }
-    let count = r.u32()? as usize;
-    let mut examples = Vec::with_capacity(count);
+    let mut r = unframe(bytes, SHARD_MAGIC, CORPUS_FORMAT_VERSION)?;
+    // every tuple carries at least its two u32 counts
+    let count = r.count(8)?;
+    let mut examples = r.vec_for(count);
     for _ in 0..count {
         let n_ids = r.u32()? as usize;
         let n_spans = r.u32()? as usize;
-        let mut ids = Vec::with_capacity(n_ids);
-        for _ in 0..n_ids {
-            ids.push(r.u32()?);
-        }
-        let mut cols = Vec::with_capacity(n_ids);
-        for _ in 0..n_ids {
-            cols.push(r.u32()?);
-        }
-        let mut spans = Vec::with_capacity(n_spans);
-        for _ in 0..n_spans {
-            let (c, s, e) = (r.u32()?, r.u32()?, r.u32()?);
+        let ids = u32s(&mut r, n_ids)?;
+        let cols = u32s(&mut r, n_ids)?;
+        let flat = u32s(&mut r, n_spans.saturating_mul(3))?;
+        let mut spans = Vec::with_capacity(flat.len() / 3);
+        for span in flat.chunks_exact(3) {
+            let (c, s, e) = (span[0], span[1], span[2]);
             if s > e || e as usize > n_ids {
                 return Err(format_err(format!(
                     "shard span {s}..{e} out of bounds for {n_ids} tokens"
@@ -279,13 +240,17 @@ pub fn decode_shard(bytes: &[u8]) -> Result<Vec<EncodedExample>, CorpusError> {
         }
         examples.push(EncodedExample { ids, cols, spans });
     }
-    if r.pos != body.len() {
-        return Err(format_err(format!(
-            "shard has {} trailing bytes after the last record",
-            body.len() - r.pos
-        )));
-    }
+    r.finish()?;
     Ok(examples)
+}
+
+/// `n` little-endian `u32`s, bounds-checked before allocation.
+fn u32s(r: &mut ByteReader, n: usize) -> Result<Vec<u32>, CorpusError> {
+    let bytes = r.take(4 * n as u64)?;
+    Ok(bytes
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+        .collect())
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ use rpt_datagen::{ErBenchmark, PairSet};
 use rpt_tensor::Tensor;
 
 use super::matcher::Matcher;
-use crate::train::TrainOpts;
+use crate::train::{NonFiniteStep, TrainOpts};
 
 /// Federated-training settings.
 #[derive(Debug, Clone)]
@@ -40,7 +40,8 @@ impl Default for FederatedConfig {
 }
 
 /// Runs FedAvg over the clients, mutating `matcher`'s parameters in place.
-/// Returns the mean local loss of the final round.
+/// Returns the mean local loss of the final round, or the first client
+/// step that went non-finite.
 ///
 /// Each client is one `(benchmark, labeled pairs)` owner; their pairs never
 /// leave the closure — only parameter deltas are aggregated, mirroring the
@@ -49,7 +50,7 @@ pub fn federated_rounds(
     matcher: &mut Matcher,
     clients: &[(&ErBenchmark, &PairSet)],
     cfg: &FederatedConfig,
-) -> f32 {
+) -> Result<f32, NonFiniteStep> {
     assert!(!clients.is_empty(), "federated training needs clients");
     let mut last_round_loss = f32::NAN;
     for _round in 0..cfg.rounds {
@@ -77,7 +78,7 @@ pub fn federated_rounds(
                 warmup: (cfg.local_steps / 5).max(1),
                 ..matcher.train_opts().clone()
             };
-            let losses = matcher.train_with_opts(&[(bench, pairs)], &opts);
+            let losses = matcher.train_with_opts(&[(bench, pairs)], &opts)?;
             round_loss += losses.last().copied().unwrap_or(f32::NAN);
             // accumulate Δ = local − global
             for (i, g) in global.iter().enumerate() {
@@ -101,7 +102,7 @@ pub fn federated_rounds(
         }
         last_round_loss = round_loss / clients.len() as f32;
     }
-    last_round_loss
+    Ok(last_round_loss)
 }
 
 #[cfg(test)]
@@ -144,7 +145,8 @@ mod tests {
                 local_steps: 20,
                 server_lr: 1.0,
             },
-        );
+        )
+        .unwrap();
         assert!(loss.is_finite());
         let after = matcher.params.value(rpt_tensor::ParamId::from_index(0));
         assert_ne!(before, after.data(), "server model must move");
@@ -175,7 +177,8 @@ mod tests {
                 local_steps: 10,
                 server_lr: 0.0,
             },
-        );
+        )
+        .unwrap();
         let after = matcher.params.value(rpt_tensor::ParamId::from_index(2));
         assert_eq!(before, after.data());
     }

@@ -13,7 +13,7 @@ use rpt_table::{Schema, Tuple};
 use rpt_tensor::{ParamStore, Tape};
 use rpt_tokenizer::{EncoderOptions, TupleEncoder, Vocab, PAD};
 
-use crate::train::{TrainOpts, Trainer};
+use crate::train::{NonFiniteStep, TrainOpts, Trainer};
 
 /// Matcher hyperparameters.
 #[derive(Debug, Clone)]
@@ -135,8 +135,13 @@ impl Matcher {
     /// uses BERT": before seeing any match labels, the encoder learns
     /// token semantics (aliases, model variants, unit variants) from raw
     /// tables, which is what transfers across benchmarks. Returns the loss
-    /// curve.
-    pub fn pretrain_mlm(&mut self, tables: &[&rpt_table::Table], steps: usize) -> Vec<f32> {
+    /// curve, or [`NonFiniteStep`] when a step's loss or gradient norm is
+    /// not finite.
+    pub fn pretrain_mlm(
+        &mut self,
+        tables: &[&rpt_table::Table],
+        steps: usize,
+    ) -> Result<Vec<f32>, NonFiniteStep> {
         let pool: Vec<(usize, usize)> = tables
             .iter()
             .enumerate()
@@ -188,8 +193,9 @@ impl Matcher {
             let mut ctx = Ctx::new(&tape, &mut self.params, &mut step_rng, true);
             let loss = self.clf.mlm_loss(&mut ctx, &batch, &targets, PAD);
             trainer.step(&tape, &mut self.params, loss);
+            trainer.check_finite()?;
         }
-        trainer.losses().to_vec()
+        Ok(trainer.losses().to_vec())
     }
 
     /// The configured optimization settings.
@@ -199,8 +205,9 @@ impl Matcher {
 
     /// Trains on labeled pairs from several benchmarks (the collaborative /
     /// leave-one-out regime: when testing on D1, train on D2..D5).
-    /// Returns the loss curve.
-    pub fn train(&mut self, data: &[(&ErBenchmark, &PairSet)]) -> Vec<f32> {
+    /// Returns the loss curve, or [`NonFiniteStep`] when a step's loss or
+    /// gradient norm is not finite.
+    pub fn train(&mut self, data: &[(&ErBenchmark, &PairSet)]) -> Result<Vec<f32>, NonFiniteStep> {
         let opts = self.cfg.train.clone();
         self.train_with_opts(data, &opts)
     }
@@ -211,7 +218,7 @@ impl Matcher {
         &mut self,
         data: &[(&ErBenchmark, &PairSet)],
         opts: &TrainOpts,
-    ) -> Vec<f32> {
+    ) -> Result<Vec<f32>, NonFiniteStep> {
         let mut positives: Vec<(usize, LabeledPair)> = Vec::new();
         let mut negatives: Vec<(usize, LabeledPair)> = Vec::new();
         for (bi, (_, ps)) in data.iter().enumerate() {
@@ -258,8 +265,9 @@ impl Matcher {
             let mut ctx = Ctx::new(&tape, &mut self.params, &mut step_rng, true);
             let loss = self.clf.loss(&mut ctx, &batch, &labels);
             trainer.step(&tape, &mut self.params, loss);
+            trainer.check_finite()?;
         }
-        trainer.losses().to_vec()
+        Ok(trainer.losses().to_vec())
     }
 
     /// P(match) for each `(a_row, b_row)` candidate of a benchmark.
@@ -334,8 +342,8 @@ mod tests {
         let train_refs: Vec<(&ErBenchmark, &PairSet)> =
             benches[1..].iter().zip(train_sets.iter()).collect();
         // unsupervised MLM pretraining on raw tables (labels never used)
-        matcher.pretrain_mlm(&tables, 200);
-        let losses = matcher.train(&train_refs);
+        matcher.pretrain_mlm(&tables, 200).unwrap();
+        let losses = matcher.train(&train_refs).unwrap();
         assert!(losses.last().unwrap() < &losses[0]);
 
         let test_pairs = benches[0].labeled_pairs(3, &universe, &mut rng);
@@ -387,6 +395,29 @@ mod tests {
         matcher.set_threshold(1.0);
         // untrained probabilities are strictly below 1.0 almost surely
         assert!(matcher.predict(&benches[0], &pairs).iter().all(|&p| !p));
+    }
+
+    #[test]
+    fn non_finite_parameters_stop_mlm_pretraining_and_training() {
+        let mut rng = SmallRng::seed_from_u64(8);
+        let (universe, benches) = standard_benchmarks(10, &mut rng);
+        let tables: Vec<&rpt_table::Table> = vec![&benches[0].table_a, &benches[0].table_b];
+        let vocab = build_vocab(&tables, &[], 1, 2000);
+        let pairs = benches[0].labeled_pairs(3, &universe, &mut rng);
+
+        let mut matcher = Matcher::new(vocab.clone(), MatcherConfig::tiny());
+        crate::train::poison_first_param(&mut matcher.params);
+        assert_eq!(
+            matcher.pretrain_mlm(&tables, 5),
+            Err(NonFiniteStep { step: 1 })
+        );
+
+        let mut matcher = Matcher::new(vocab, MatcherConfig::tiny());
+        crate::train::poison_first_param(&mut matcher.params);
+        assert_eq!(
+            matcher.train(&[(&benches[0], &pairs)]),
+            Err(NonFiniteStep { step: 1 })
+        );
     }
 
     #[test]

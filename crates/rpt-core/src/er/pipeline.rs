@@ -265,7 +265,7 @@ mod tests {
             .collect();
         let refs: Vec<(&rpt_datagen::ErBenchmark, &rpt_datagen::PairSet)> =
             benches[1..].iter().zip(train_sets.iter()).collect();
-        matcher.train(&refs);
+        matcher.train(&refs).expect("training step went non-finite");
 
         let mut pipeline = ErPipeline::new(Blocker::default(), matcher);
         let report = pipeline.evaluate(&benches[0], &universe);

@@ -16,7 +16,7 @@ use rpt_rng::{Rng, SeedableRng};
 use rpt_tensor::{ParamStore, Tape};
 use rpt_tokenizer::{normalize, Vocab, CLS, PAD, SEP};
 
-use crate::train::{TrainOpts, Trainer};
+use crate::train::{NonFiniteStep, TrainOpts, Trainer};
 
 /// RPT-I hyperparameters.
 #[derive(Debug, Clone)]
@@ -235,8 +235,9 @@ impl RptI {
 
     /// Supervised QA training on IE tasks (questions derive from the gold
     /// attribute — the analogue of fine-tuning on SQuAD). Returns the loss
-    /// curve.
-    pub fn train(&mut self, tasks: &[IeTask]) -> Vec<f32> {
+    /// curve, or [`NonFiniteStep`] when a step's loss or gradient norm is
+    /// not finite.
+    pub fn train(&mut self, tasks: &[IeTask]) -> Result<Vec<f32>, NonFiniteStep> {
         let prepared: Vec<(Sequence, usize, usize)> = tasks
             .iter()
             .filter_map(|t| {
@@ -261,8 +262,9 @@ impl RptI {
             let mut ctx = Ctx::new(&tape, &mut self.params, &mut step_rng, true);
             let loss = self.span.loss(&mut ctx, &batch, &starts, &ends);
             trainer.step(&tape, &mut self.params, loss);
+            trainer.check_finite()?;
         }
-        trainer.losses().to_vec()
+        Ok(trainer.losses().to_vec())
     }
 
     /// Extracts the answer span for a question over a context, returning
@@ -375,7 +377,7 @@ mod tests {
         cfg.train.peak_lr = 4e-3;
         let mut rpti = RptI::new(vocab, cfg);
         let (train, test) = tasks.split_at(45);
-        let losses = rpti.train(train);
+        let losses = rpti.train(train).expect("training step went non-finite");
         let head: f32 = losses[..10].iter().sum::<f32>() / 10.0;
         let tail: f32 = losses[losses.len() - 10..].iter().sum::<f32>() / 10.0;
         assert!(tail < head * 0.7, "IE loss did not drop: {head} -> {tail}");
@@ -387,6 +389,14 @@ mod tests {
             eval.exact,
             eval.n
         );
+    }
+
+    #[test]
+    fn non_finite_parameters_stop_training() {
+        let (tasks, vocab) = setup(10, 4);
+        let mut rpti = RptI::new(vocab, IeConfig::tiny());
+        crate::train::poison_first_param(&mut rpti.params);
+        assert_eq!(rpti.train(&tasks), Err(NonFiniteStep { step: 1 }));
     }
 
     #[test]

@@ -36,6 +36,36 @@ pub(crate) static TRAIN_OBS: LazyLock<TrainObs> = LazyLock::new(|| TrainObs {
 /// newest complete checkpoint always survives a crash.
 pub const TRAIN_STATE_FILE: &str = "train_state.json";
 
+/// An optimizer step whose loss or pre-clip global gradient norm was not
+/// finite. `step` is 1-based; the update was already applied, so the
+/// parameters are not to be trusted or saved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NonFiniteStep {
+    /// The step that went non-finite.
+    pub step: usize,
+}
+
+impl std::fmt::Display for NonFiniteStep {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "non-finite loss or gradient norm at step {}; training stopped",
+            self.step
+        )
+    }
+}
+
+impl std::error::Error for NonFiniteStep {}
+
+/// Overwrites the first parameter with NaN — the fault the numerical
+/// guard tests inject into each training loop.
+#[cfg(test)]
+pub(crate) fn poison_first_param(params: &mut ParamStore) {
+    let id = ParamId::from_index(0);
+    let shape = params.value(id).shape().to_vec();
+    params.set_value(id, Tensor::full(&shape, f32::NAN));
+}
+
 /// Optimization hyperparameters.
 #[derive(Debug, Clone)]
 pub struct TrainOpts {
@@ -128,6 +158,19 @@ impl Trainer {
     /// before the first). Not finite when a gradient was not.
     pub fn last_grad_norm(&self) -> Option<f32> {
         self.last_grad_norm
+    }
+
+    /// The numerical guard every training loop runs after each update: an
+    /// error when the latest step's loss or gradient norm is not finite.
+    pub fn check_finite(&self) -> Result<(), NonFiniteStep> {
+        let loss_ok = self.losses.last().is_some_and(|l| l.is_finite());
+        if loss_ok && self.last_grad_norm.is_some_and(f32::is_finite) {
+            Ok(())
+        } else {
+            Err(NonFiniteStep {
+                step: self.steps_done(),
+            })
+        }
     }
 
     /// Mean loss over the last `n` steps (or fewer if not available).

@@ -106,8 +106,8 @@ pub fn build_quant_set(params: &ParamStore) -> QuantSet {
     qs
 }
 
-/// Rebuilds a [`QuantSet`] from named tensors (a loaded `quant-v1`
-/// checkpoint section), resolving each name against `params`. Unknown
+/// Rebuilds a [`QuantSet`] from named tensors (a loaded checkpoint's
+/// quant section), resolving each name against `params`. Unknown
 /// names are an error — a quant section must describe the model it rides
 /// with.
 pub fn quant_set_from_named(

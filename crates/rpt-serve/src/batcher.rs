@@ -16,12 +16,14 @@
 //!
 //! ## Hot reload
 //!
-//! The checkpoint file (PR-4 atomic-rename format) is stat-ed between
-//! batches; a changed `(mtime, len)` pair marks a reload as pending. The
-//! batcher then stops admitting (so in-flight requests finish on the old
-//! parameters — the drain), and once idle loads the file into a clone of
-//! the live [`ParamStore`]. A torn or invalid file fails validation in
-//! `load_file`, increments `serve.reload_errors`, and leaves the old
+//! The checkpoint file (written by atomic rename) is stat-ed between
+//! batches; a changed `(mtime, len, inode)` stamp marks a reload as
+//! pending. The batcher then stops admitting (so in-flight requests finish
+//! on the old parameters — the drain), and once idle reads the file once
+//! and loads its parameters into a clone of the live [`ParamStore`] (and,
+//! serving int8, its quant section from the same read). A torn or invalid
+//! file fails the checksum or validation in [`Checkpoint::read`] or
+//! [`apply_params`], increments `serve.reload_errors`, and leaves the old
 //! parameters serving; the attempt is not retried until the stat changes
 //! again. On success the clone is swapped in, the tied projection is
 //! rebuilt, the new [`Snapshot`] is published, and
@@ -34,8 +36,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime};
 
 use rpt_nn::{JobOutput, JobSpec, MicroBatcher, Prefill, Seq2Seq, TokenBatch};
-use rpt_tensor::serialize::load_file;
-use rpt_tensor::ParamStore;
+use rpt_tensor::serialize::{apply_params, Checkpoint};
+use rpt_tensor::{ParamStore, QuantMatrix};
 
 use crate::obs::SERVE_OBS;
 
@@ -171,7 +173,7 @@ pub(crate) struct Batcher {
     /// Serve int8 quantized weights (rebuilt on every hot-reload).
     quant: bool,
     checkpoint: Option<PathBuf>,
-    seen_stat: Option<(SystemTime, u64)>,
+    seen_stat: Option<FileStamp>,
     reload_pending: bool,
     poll: Duration,
     shared: Arc<BatcherShared>,
@@ -191,7 +193,7 @@ impl Batcher {
     ) -> Self {
         if quant && model.quant().is_none() {
             // The caller handed plain f32 weights; quantize in place. A
-            // caller that loaded a `quant-v1` checkpoint attaches the
+            // caller that loaded a quantized checkpoint attaches the
             // stored int8 tensors itself before starting the server.
             model.set_quant(Some(Arc::new(rpt_nn::build_quant_set(&params))));
         }
@@ -388,7 +390,7 @@ impl Batcher {
         SERVE_OBS.kv_slots_in_use.set(self.mb.slots_in_use() as f64);
     }
 
-    /// Marks a reload pending when the checkpoint's `(mtime, len)` moved.
+    /// Marks a reload pending when the checkpoint's [`FileStamp`] moved.
     fn check_stat(&mut self) {
         let Some(path) = self.checkpoint.as_deref() else {
             return;
@@ -401,19 +403,25 @@ impl Batcher {
     }
 
     /// Attempts the pending reload (caller guarantees the batcher is
-    /// idle, so no request ever spans two parameter sets).
+    /// idle, so no request ever spans two parameter sets). The file is
+    /// read once: the parameters and any quant section come from the same
+    /// bytes, so a rename landing mid-reload cannot mix two generations.
     fn reload(&mut self) {
         self.reload_pending = false;
         let Some(path) = self.checkpoint.as_deref() else {
             return;
         };
         let mut candidate = self.params.clone();
-        match load_file(&mut candidate, path) {
-            Ok(()) => {
+        let loaded = Checkpoint::read(path).and_then(|ckpt| {
+            apply_params(&mut candidate, ckpt.params)?;
+            Ok(ckpt.quant)
+        });
+        match loaded {
+            Ok(stored_quant) => {
                 self.params = candidate;
                 let mut model = self.snap.model.clone();
                 if self.quant {
-                    model.set_quant(Some(Arc::new(self.quant_set_for(path))));
+                    model.set_quant(Some(Arc::new(self.quant_set_for(stored_quant))));
                 }
                 self.mb = MicroBatcher::new(&model, &mut self.params);
                 let generation = self.snap.generation + 1;
@@ -434,29 +442,37 @@ impl Batcher {
         }
     }
 
-    /// The int8 weight set for a freshly reloaded checkpoint: the file's
-    /// `quant-v1` section when it carries one (an `rpt quantize` output),
+    /// The int8 weight set for a freshly reloaded checkpoint: its stored
+    /// quant section when it carries one (an `rpt quantize` output),
     /// otherwise requantized from the loaded f32 parameters. Both paths
     /// are deterministic functions of the same weights, so either way the
     /// serving output is the quantized model of *this* checkpoint.
-    fn quant_set_for(&self, path: &std::path::Path) -> rpt_nn::QuantSet {
-        match rpt_tensor::serialize::load_quant_file(path) {
-            Ok(Some(entries)) => match rpt_nn::quant_set_from_named(&self.params, entries) {
+    fn quant_set_for(&self, stored: Option<Vec<(String, QuantMatrix)>>) -> rpt_nn::QuantSet {
+        if let Some(entries) = stored {
+            match rpt_nn::quant_set_from_named(&self.params, entries) {
                 Ok(qs) => return qs,
                 Err(e) => {
                     rpt_obs::warn!(target: "serve", "stored quant section rejected ({e}); requantizing");
                 }
-            },
-            Ok(None) => {}
-            Err(e) => {
-                rpt_obs::warn!(target: "serve", "stored quant section unreadable ({e}); requantizing");
             }
         }
         rpt_nn::build_quant_set(&self.params)
     }
 }
 
-fn stat(path: &std::path::Path) -> Option<(SystemTime, u64)> {
+/// What identifies one version of the watched file: its mtime, its
+/// length and (on Unix) its inode. Two checkpoints of one architecture
+/// have the same length, and mtimes come from a coarse clock, so an atomic
+/// replace within one clock tick is seen through the inode: the rename
+/// installs the staging file's inode, which differs from the one it
+/// replaces.
+type FileStamp = (SystemTime, u64, u64);
+
+fn stat(path: &std::path::Path) -> Option<FileStamp> {
     let meta = std::fs::metadata(path).ok()?;
-    Some((meta.modified().ok()?, meta.len()))
+    #[cfg(unix)]
+    let ino = std::os::unix::fs::MetadataExt::ino(&meta);
+    #[cfg(not(unix))]
+    let ino = 0;
+    Some((meta.modified().ok()?, meta.len(), ino))
 }

@@ -45,7 +45,7 @@
 //! [`ServeConfig::checkpoint`] is hot-reloaded when its file changes
 //! (atomic-rename writes only; torn files are rejected harmlessly).
 //! With [`ServeConfig::quant`] (`rpt serve --quant`) the batcher
-//! serves int8 quantized weights — stored `quant-v1` tensors when the
+//! serves int8 quantized weights — the stored quant section when the
 //! reloaded checkpoint carries them, otherwise quantized at load.
 
 pub mod api;
@@ -102,8 +102,8 @@ pub struct ServeConfig {
     /// 413 ceiling for request bodies, bytes.
     pub max_body_bytes: usize,
     /// Serve int8 quantized weights (default off). The batcher attaches a
-    /// quant set built from the live parameters — or the `quant-v1`
-    /// section of a reloaded checkpoint — and every decode runs through
+    /// quant set built from the live parameters — or the quant section
+    /// of a reloaded checkpoint — and every decode runs through
     /// the exact integer kernels.
     pub quant: bool,
 }

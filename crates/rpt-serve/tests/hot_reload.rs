@@ -250,3 +250,90 @@ fn reload_between_prefill_and_admit_reencodes_under_the_new_generation() {
     assert_eq!(rpt_obs::gauge("serve.kv_slots_in_use").value(), 0.0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// What a server answers for the scoring probe and a greedy clean.
+fn answers(addr: std::net::SocketAddr) -> (f64, String) {
+    let (status, body) = common::request(addr, "POST", "/v1/clean", CLEAN);
+    assert_eq!(status, 200, "clean failed: {body}");
+    let tokens = rpt_json::Json::parse(&body)
+        .expect("clean body is JSON")
+        .get("tokens")
+        .expect("clean body has tokens")
+        .to_string();
+    (probe_score(addr), tokens)
+}
+
+const CLEAN: &str = r#"{"src": [9, 10, 11], "max_steps": 6}"#;
+
+/// A quantized server reloads a quantized checkpoint with exactly one
+/// read of the file — params and int8 section from the same bytes — and
+/// then answers exactly like a fresh server started from that file.
+#[test]
+fn quantized_reload_reads_once_and_matches_a_fresh_server() {
+    use rpt_tensor::serialize::{apply_params, save_quant_file, Checkpoint};
+    let _guard = common::serial();
+    rpt_obs::set_metrics_enabled(true);
+    let dir = common::fresh_dir("quant-reload");
+    let ckpt = dir.join("model.json");
+
+    let (model_a, params_a) = common::tiny_model(0);
+    let (model_b, params_b) = common::tiny_model(7);
+    // The stored int8 tensors come from a third weight set, so the answers
+    // show that the file's section is served, not a requantization.
+    let stored = rpt_nn::build_quant_set(&common::tiny_model(9).1);
+    let config = |checkpoint| ServeConfig {
+        checkpoint,
+        quant: true,
+        max_batch: 4,
+        queue_cap: 8,
+        reload_poll_ms: 5,
+        read_timeout_ms: 10,
+        ..ServeConfig::default()
+    };
+
+    save_file(&params_a, &ckpt).expect("seed checkpoint");
+    let server =
+        Server::start(model_a, params_a.clone(), config(Some(ckpt.clone()))).expect("start");
+    let addr = server.addr();
+    let before = answers(addr);
+    let reloads = rpt_obs::counter("serve.reloads");
+    let loads = rpt_obs::counter("ckpt.loads");
+    let (reloads_before, loads_before) = (reloads.value(), loads.value());
+
+    save_quant_file(&params_b, stored.iter_named(), &ckpt).expect("quantized swap");
+    eventually(|| reloads.value() > reloads_before, "the quantized reload");
+    assert_eq!(reloads.value(), reloads_before + 1);
+    assert_eq!(
+        loads.value(),
+        loads_before + 1,
+        "a reload must read the checkpoint exactly once"
+    );
+    let reloaded = answers(addr);
+    server.shutdown();
+    assert_ne!(reloaded, before, "generations are distinguishable");
+
+    // The fresh server loads the file the way `rpt serve --quant --load`
+    // does: one read, params applied, the stored section attached.
+    let file = Checkpoint::read(&ckpt).expect("read quantized checkpoint");
+    let mut params = params_a;
+    apply_params(&mut params, file.params).expect("params");
+    let qs = rpt_nn::quant_set_from_named(&params, file.quant.expect("quant section"))
+        .expect("quant section matches the model");
+    let mut model = model_b;
+    model.set_quant(Some(std::sync::Arc::new(qs)));
+    let fresh = Server::start(model, params, config(None)).expect("start fresh");
+    assert_eq!(
+        answers(fresh.addr()),
+        reloaded,
+        "the reloaded server answers unlike a fresh one"
+    );
+    fresh.shutdown();
+
+    // Requantizing B instead of attaching the stored section answers
+    // differently, so the equality above is the stored section's.
+    let requantized =
+        Server::start(common::tiny_model(7).0, params_b, config(None)).expect("start requantized");
+    assert_ne!(answers(requantized.addr()), reloaded);
+    requantized.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,35 +1,64 @@
-//! Checkpointing: save/load a [`ParamStore`] (and optionally the full
-//! training state) as JSON, atomically.
+//! Checkpointing: save and load a [`ParamStore`] — optionally with the
+//! full training state and int8 weights — as one binary container,
+//! written atomically.
 //!
-//! JSON is verbose but human-inspectable and needs no dependencies beyond
-//! the in-tree `rpt-json`; the models in this reproduction are small (well
-//! under a million scalars), so file size is not a concern. The params
-//! format is unchanged from the original `serde_json` emitter —
-//! `{"format_version":1,"params":[{"name":...,"shape":[...],"data":[...]}]}` —
-//! so checkpoints written before the migration load identically. Floats
-//! are written with shortest round-trip decimal encoding, which makes
-//! `f32` tensors bit-identical after a save/load cycle.
+//! The container uses the framing streaming-corpus shards use ([`frame`]:
+//! magic, `u32` version, FNV-1a64 trailer) around a list of sections:
 //!
-//! Two extensions support crash-safe resumable training (see DESIGN.md,
-//! "Durable training state"):
+//! ```text
+//! magic "RPTCKPT1" · u32 version (1)
+//! section*: u32 tag · u64 byte length · payload
+//!   tag 1 params: u32 n · n × tensor
+//!   tag 2 train:  u64 steps_done · u32 n · f32 losses[n]
+//!                 · u8 has_adam [u64 t · u32 n · n × (name · shape · f32 m[] · f32 v[])]
+//!                 · u32 n · n × (name · u64 state[4])
+//!                 · u8 has_corpus [u64 epoch · u64 shard · u64 offset
+//!                   · u8 has_accum [u64 micro_done · u64 window_seed
+//!                     · u32 n · n × (f32 loss · f32 weight · u32 m · m × tensor)]]
+//!   tag 3 quant:  u32 n · n × (name · u32 n_out · u32 k · f32 scales[n_out] · i8 data[n_out·k])
+//! u64 FNV-1a64 of everything above
 //!
-//! * **[`TrainState`]** (format_version 2) adds a `"train"` object with
-//!   Adam's `m`/`v`/`t`, named RNG stream states, the completed-step
-//!   counter, and the loss curve — while keeping `"params"` readable by
-//!   v1 loaders, and v1 files readable here.
-//! * **Atomic writes**: every save goes write-temp → fsync → rename →
-//!   fsync-dir through the [`CheckpointIo`] trait, so a crash at any
-//!   point leaves a complete old or complete new file, never a torn one.
+//! tensor = name · shape · f32 data[product of shape]
+//! name   = u32 byte length · UTF-8 bytes
+//! shape  = u32 rank · u64 dims[rank]
+//! ```
+//!
+//! Integers and floats are little-endian and floats are stored as their
+//! raw bits, so every round trip is bit-exact by construction and a load
+//! is one read, one checksum pass and a copy. The reader checks every
+//! length against the bytes that remain before allocating, so a truncated,
+//! bit-flipped or hostile file is a typed [`CheckpointError`], never a
+//! panic or an oversized allocation.
+//!
+//! One reader, [`Checkpoint::decode`], returns every section of a file at
+//! once; [`load_file`], [`load_train_file`] and [`load_quant_file`] are
+//! views of it. JSON checkpoints written by earlier builds (format
+//! versions 1 and 2 and `quant-v1`, see `legacy`) are recognised by their
+//! leading `{` and imported into the same [`Checkpoint`] value, so they
+//! still load everywhere; nothing writes JSON any more.
+//!
+//! Every save goes write-temp → fsync → rename → fsync-dir through the
+//! [`CheckpointIo`] trait, so a crash at any point leaves a complete old
+//! or complete new file, never a torn one (DESIGN.md, "Durable training
+//! state").
 
+use std::collections::HashSet;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::LazyLock;
 
-use rpt_json::{json, Json, JsonError};
+use rpt_json::JsonError;
 
 use crate::optim::{AdamState, ParamStore};
+use crate::quant::{QuantMatrix, QMATMUL_MAX_K};
 use crate::tensor::Tensor;
+
+pub mod frame;
+mod legacy;
+
+use frame::{ByteReader, FrameError};
+pub use legacy::MAX_LEGACY_BYTES;
 
 /// Checkpoint-IO metrics (DESIGN.md §Observability): every stage of the
 /// atomic-write protocol is timed separately so a slow fsync is
@@ -63,9 +92,6 @@ static OBS: LazyLock<CkptObs> = LazyLock::new(|| CkptObs {
     fsync_ms: rpt_obs::histogram("ckpt.fsync_ms"),
     rename_ms: rpt_obs::histogram("ckpt.rename_ms"),
 });
-
-/// The checkpoint format revision this build writes.
-const FORMAT_VERSION: u32 = 1;
 
 // ---------------------------------------------------------------------------
 // Atomic checkpoint I/O
@@ -273,9 +299,18 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 pub enum CheckpointError {
     /// Underlying filesystem error.
     Io(io::Error),
-    /// Malformed JSON.
+    /// Malformed legacy JSON.
     Parse(JsonError),
-    /// Well-formed JSON that is not a checkpoint, or a checkpoint that
+    /// The container's trailer disagrees with its bytes: a bit flip, or a
+    /// torn write or read.
+    Checksum { stored: u64, computed: u64 },
+    /// Bytes that are not a checkpoint: wrong magic or version, a
+    /// truncated section, a length past the end, an unknown or repeated
+    /// section.
+    Format(String),
+    /// A legacy JSON file above [`MAX_LEGACY_BYTES`].
+    TooLarge { len: u64, limit: u64 },
+    /// A well-formed checkpoint whose contents are inconsistent, or that
     /// does not match the store's parameters.
     Mismatch(String),
 }
@@ -285,6 +320,15 @@ impl std::fmt::Display for CheckpointError {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint io error: {e}"),
             CheckpointError::Parse(e) => write!(f, "checkpoint parse error: {e}"),
+            CheckpointError::Checksum { stored, computed } => write!(
+                f,
+                "checkpoint checksum mismatch: stored {stored:#x}, computed {computed:#x}"
+            ),
+            CheckpointError::Format(m) => write!(f, "checkpoint format error: {m}"),
+            CheckpointError::TooLarge { len, limit } => write!(
+                f,
+                "JSON checkpoint of {len} bytes exceeds the {limit}-byte import ceiling"
+            ),
             CheckpointError::Mismatch(m) => write!(f, "checkpoint mismatch: {m}"),
         }
     }
@@ -304,190 +348,44 @@ impl From<JsonError> for CheckpointError {
     }
 }
 
+impl From<FrameError> for CheckpointError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Checksum { stored, computed } => {
+                CheckpointError::Checksum { stored, computed }
+            }
+            other => CheckpointError::Format(other.to_string()),
+        }
+    }
+}
+
 fn structure(msg: impl Into<String>) -> CheckpointError {
     CheckpointError::Mismatch(msg.into())
 }
 
-fn shape_json(shape: &[usize]) -> Vec<Json> {
-    shape.iter().map(|&d| Json::from(d)).collect()
-}
-
-fn floats_json(data: &[f32]) -> Vec<Json> {
-    data.iter().map(|&x| Json::from(x)).collect()
-}
-
-fn param_records(store: &ParamStore) -> Vec<Json> {
-    store
-        .iter()
-        .map(|(name, t)| {
-            json!({
-                "name": name,
-                "shape": shape_json(t.shape()),
-                "data": floats_json(t.data()),
-            })
-        })
-        .collect()
-}
-
-/// Serializes every parameter of `store` to a JSON string.
-pub fn to_json(store: &ParamStore) -> String {
-    json!({
-        "format_version": FORMAT_VERSION,
-        "params": param_records(store),
-    })
-    .to_string()
-}
-
-fn parse_shape(record: &Json, name: &str, key: &str) -> Result<Vec<usize>, CheckpointError> {
-    record
-        .get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| structure(format!("param {name} without {key}")))?
-        .iter()
-        .map(|d| d.as_u64().map(|d| d as usize))
-        .collect::<Option<_>>()
-        .ok_or_else(|| structure(format!("param {name} has non-integer {key}")))
-}
-
-fn parse_floats(record: &Json, name: &str, key: &str) -> Result<Vec<f32>, CheckpointError> {
-    record
-        .get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| structure(format!("param {name} without {key}")))?
-        .iter()
-        .map(|x| x.as_f64().map(|x| x as f32))
-        .collect::<Option<_>>()
-        .ok_or_else(|| structure(format!("param {name} has non-numeric {key}")))
-}
-
-fn load_params_doc(store: &mut ParamStore, doc: &Json) -> Result<(), CheckpointError> {
-    doc.get("format_version")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| structure("missing format_version"))?;
-    let params = doc
-        .get("params")
-        .and_then(Json::as_array)
-        .ok_or_else(|| structure("missing params array"))?;
-    for record in params {
-        let name = record
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| structure("param record without name"))?;
-        let shape = parse_shape(record, name, "shape")?;
-        let data = parse_floats(record, name, "data")?;
-
-        let Some(id) = store.find(name) else {
-            // Extra params in the file are tolerated (forward compat).
-            continue;
-        };
-        if store.value(id).shape() != shape.as_slice() {
-            return Err(structure(format!(
-                "parameter {} has shape {:?} in store but {:?} in checkpoint",
-                name,
-                store.value(id).shape(),
-                shape
-            )));
-        }
-        let t = Tensor::from_vec(data, &shape).map_err(|e| structure(format!("{name}: {e}")))?;
-        store.set_value(id, t);
-    }
-    Ok(())
-}
-
-/// Loads parameter values from JSON into an existing store, matching by
-/// name. Every parameter in the store must be present with the same shape.
-/// Accepts both params-only (v1) and full train-state (v2) checkpoints.
-pub fn load_json(store: &mut ParamStore, json: &str) -> Result<(), CheckpointError> {
-    let doc = Json::parse(json)?;
-    load_params_doc(store, &doc)
-}
-
-/// Parses a checkpoint into a *fresh* store holding every parameter the
-/// file records, no model required — the offline path for tools (like
-/// `rpt quantize`) that transform checkpoints without rebuilding the
-/// architecture that produced them.
-pub fn load_params_any(json: &str) -> Result<ParamStore, CheckpointError> {
-    let doc = Json::parse(json)?;
-    doc.get("format_version")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| structure("missing format_version"))?;
-    let params = doc
-        .get("params")
-        .and_then(Json::as_array)
-        .ok_or_else(|| structure("missing params array"))?;
-    let mut store = ParamStore::new();
-    for record in params {
-        let name = record
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| structure("param record without name"))?;
-        if store.find(name).is_some() {
-            return Err(structure(format!("duplicate parameter {name}")));
-        }
-        let shape = parse_shape(record, name, "shape")?;
-        let data = parse_floats(record, name, "data")?;
-        let t = Tensor::from_vec(data, &shape).map_err(|e| structure(format!("{name}: {e}")))?;
-        store.register(name, t);
-    }
-    Ok(store)
-}
-
-/// Writes the store to a file, atomically: a crash mid-save leaves any
-/// previous checkpoint at `path` intact.
-pub fn save_file(store: &ParamStore, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-    save_file_with(&mut StdCheckpointIo, store, path)
-}
-
-/// [`save_file`] over an injectable IO layer (for crash-safety tests).
-pub fn save_file_with(
-    io: &mut dyn CheckpointIo,
-    store: &ParamStore,
-    path: impl AsRef<Path>,
-) -> Result<(), CheckpointError> {
-    let _t = rpt_obs::span("ckpt.save", &OBS.save_ms);
-    atomic_write_with(io, path.as_ref(), to_json(store).as_bytes())?;
-    Ok(())
-}
-
-/// Loads a file into the store.
-pub fn load_file(store: &mut ParamStore, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-    let _t = rpt_obs::span("ckpt.load", &OBS.load_ms);
-    let json = fs::read_to_string(path)?;
-    OBS.loads.inc();
-    OBS.bytes_read.add(json.len() as u64);
-    load_json(store, &json)
+fn format_err(msg: impl Into<String>) -> CheckpointError {
+    CheckpointError::Format(msg.into())
 }
 
 // ---------------------------------------------------------------------------
-// Full training-state checkpoints (format_version 2)
+// Training state
 // ---------------------------------------------------------------------------
-
-/// The checkpoint format revision full train-state checkpoints use.
-const TRAIN_FORMAT_VERSION: u32 = 2;
 
 /// Everything beyond parameter values a training run needs to resume
 /// bit-identically: Adam's moments and step counter, the RNG streams that
-/// drive batching/dropout, the completed-step count, and the loss curve.
-///
-/// Versioning rules: a v2 file is `{"format_version":2, "params":[...],
-/// "train":{...}}`. The `params` array is byte-compatible with v1, so
-/// params-only loaders ([`load_json`]) read v2 files unchanged, and v1
-/// files load here as a default `TrainState` (no moments — they
-/// reinitialize cleanly — no RNG streams, zero completed steps).
+/// drive batching/dropout, the completed-step count, the loss curve and,
+/// for streaming runs, the corpus position.
 #[derive(Debug, Clone, Default)]
 pub struct TrainState {
-    /// Optimizer state; `None` for params-only (v1) checkpoints.
+    /// Optimizer state; `None` when the run had not created one.
     pub adam: Option<AdamState>,
-    /// Named xoshiro256++ states (e.g. `"model"`, `"batch"`), serialized
-    /// as hex words so full-range `u64`s survive JSON exactly.
+    /// Named xoshiro256++ states (e.g. `"model"`, `"batch"`).
     pub rng_streams: Vec<(String, [u64; 4])>,
     /// Optimizer steps completed when the snapshot was taken.
     pub steps_done: u64,
     /// Loss recorded at each completed step.
     pub losses: Vec<f32>,
-    /// Streaming-corpus position; `None` for in-memory runs. Written as a
-    /// `"corpus"` key inside `"train"`, which pre-streaming readers ignore
-    /// under the unknown-keys rule — so v2 files stay loadable everywhere.
+    /// Streaming-corpus position; `None` for in-memory runs.
     pub corpus: Option<CorpusPos>,
 }
 
@@ -515,8 +413,7 @@ pub struct CorpusPos {
 pub struct AccumState {
     /// Micro-steps already folded into this window.
     pub micro_done: u64,
-    /// Base seed of the window's indexed shard-seed sequence, serialized
-    /// as a hex word so the full `u64` survives JSON exactly.
+    /// Base seed of the window's indexed shard-seed sequence.
     pub window_seed: u64,
     /// One entry per data-parallel shard already folded, in global shard
     /// order (micro-steps contribute their shards in sequence).
@@ -535,300 +432,459 @@ pub struct PendingGrad {
     pub grads: Vec<(String, Tensor)>,
 }
 
-/// Serializes parameters plus full training state (format_version 2).
-pub fn train_state_to_json(store: &ParamStore, state: &TrainState) -> String {
-    let adam = match &state.adam {
-        None => Json::Null,
-        Some(a) => json!({
-            "t": a.t,
-            "moments": a
-                .moments
-                .iter()
-                .map(|(name, m, v)| {
-                    json!({
-                        "name": name.as_str(),
-                        "shape": shape_json(m.shape()),
-                        "m": floats_json(m.data()),
-                        "v": floats_json(v.data()),
-                    })
-                })
-                .collect::<Vec<_>>(),
-        }),
-    };
-    let rng: Vec<Json> = state
-        .rng_streams
-        .iter()
-        .map(|(name, s)| {
-            json!({
-                "name": name.as_str(),
-                "state": s
-                    .iter()
-                    .map(|w| Json::from(format!("{w:#x}")))
-                    .collect::<Vec<_>>(),
-            })
-        })
-        .collect();
-    let corpus = match &state.corpus {
-        None => Json::Null,
-        Some(c) => corpus_pos_json(c),
-    };
-    json!({
-        "format_version": TRAIN_FORMAT_VERSION,
-        "params": param_records(store),
-        "train": {
-            "adam": adam,
-            "rng": rng,
-            "steps_done": state.steps_done,
-            "losses": floats_json(&state.losses),
-            "corpus": corpus,
-        },
-    })
-    .to_string()
-}
-
-fn corpus_pos_json(c: &CorpusPos) -> Json {
-    let accum = match &c.accum {
-        None => Json::Null,
-        Some(a) => json!({
-            "micro_done": a.micro_done,
-            "window_seed": format!("{:#x}", a.window_seed),
-            "pending": a
-                .pending
-                .iter()
-                .map(|p| {
-                    json!({
-                        "loss": p.loss,
-                        "weight": p.weight,
-                        "grads": p
-                            .grads
-                            .iter()
-                            .map(|(name, g)| {
-                                json!({
-                                    "name": name.as_str(),
-                                    "shape": shape_json(g.shape()),
-                                    "data": floats_json(g.data()),
-                                })
-                            })
-                            .collect::<Vec<_>>(),
-                    })
-                })
-                .collect::<Vec<_>>(),
-        }),
-    };
-    json!({
-        "epoch": c.epoch,
-        "shard": c.shard,
-        "offset": c.offset,
-        "accum": accum,
-    })
-}
-
-fn parse_corpus_pos(store: &ParamStore, doc: &Json) -> Result<CorpusPos, CheckpointError> {
-    let field = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| structure(format!("corpus position without {key}")))
-    };
-    let accum = match doc.get("accum") {
-        None | Some(Json::Null) => None,
-        Some(a) => {
-            let micro_done = a
-                .get("micro_done")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| structure("accum state without micro_done"))?;
-            let hex = a
-                .get("window_seed")
-                .and_then(Json::as_str)
-                .and_then(|s| s.strip_prefix("0x"))
-                .ok_or_else(|| structure("accum state without hex window_seed"))?;
-            let window_seed = u64::from_str_radix(hex, 16)
-                .map_err(|_| structure("accum state has a malformed window_seed"))?;
-            let mut pending = Vec::new();
-            for record in a
-                .get("pending")
-                .and_then(Json::as_array)
-                .ok_or_else(|| structure("accum state without pending array"))?
-            {
-                let loss = record
-                    .get("loss")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| structure("pending gradient without loss"))?
-                    as f32;
-                let weight = record
-                    .get("weight")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| structure("pending gradient without weight"))?
-                    as f32;
-                let mut grads = Vec::new();
-                for g in record
-                    .get("grads")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| structure("pending gradient without grads array"))?
-                {
-                    let name = g
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| structure("pending gradient record without name"))?;
-                    let shape = parse_shape(g, name, "shape")?;
-                    let data = parse_floats(g, name, "data")?;
-                    let t = Tensor::from_vec(data, &shape)
-                        .map_err(|e| structure(format!("pending gradient for {name}: {e}")))?;
-                    if let Some(id) = store.find(name) {
-                        if store.value(id).shape() != shape.as_slice() {
-                            return Err(structure(format!(
-                                "pending gradient for {} has shape {:?} but the parameter is {:?}",
-                                name,
-                                shape,
-                                store.value(id).shape()
-                            )));
-                        }
-                    }
-                    grads.push((name.to_string(), t));
-                }
-                pending.push(PendingGrad {
-                    loss,
-                    weight,
-                    grads,
-                });
+impl TrainState {
+    /// Internal consistency, checked on every decode: one loss per
+    /// completed step, Adam's counter at the step count, and no all-zero
+    /// (invalid xoshiro) RNG state.
+    fn validate(&self) -> Result<(), CheckpointError> {
+        if self.losses.len() as u64 != self.steps_done {
+            return Err(structure(format!(
+                "train state records {} losses for {} completed steps",
+                self.losses.len(),
+                self.steps_done
+            )));
+        }
+        if let Some(a) = &self.adam {
+            if a.t != self.steps_done {
+                return Err(structure(format!(
+                    "adam step counter {} disagrees with steps_done {}",
+                    a.t, self.steps_done
+                )));
             }
+        }
+        if let Some((name, _)) = self.rng_streams.iter().find(|(_, s)| s == &[0; 4]) {
+            return Err(structure(format!(
+                "rng stream {name} has an all-zero (invalid xoshiro) state"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Adam moments and pending gradients must be shaped like the
+    /// parameters they belong to (names the store lacks are tolerated).
+    fn check_shapes(&self, store: &ParamStore) -> Result<(), CheckpointError> {
+        let moments = self.adam.iter().flat_map(|a| &a.moments);
+        let pending = self.corpus.iter().flat_map(|c| &c.accum);
+        let grads = pending.flat_map(|a| &a.pending).flat_map(|p| &p.grads);
+        let named = moments
+            .map(|(n, m, _)| ("adam moments", n, m))
+            .chain(grads.map(|(n, g)| ("pending gradient", n, g)));
+        for (what, name, t) in named {
+            if let Some(id) = store.find(name) {
+                if store.value(id).shape() != t.shape() {
+                    return Err(structure(format!(
+                        "{what} for {name} have shape {:?} but the parameter is {:?}",
+                        t.shape(),
+                        store.value(id).shape()
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The container
+// ---------------------------------------------------------------------------
+
+const MAGIC: &[u8; 8] = b"RPTCKPT1";
+/// The container revision this build reads and writes.
+const VERSION: u32 = 1;
+
+const PARAMS: u32 = 1;
+const TRAIN: u32 = 2;
+const QUANT: u32 = 3;
+
+/// Everything one checkpoint file holds, decoded from a single read.
+#[derive(Debug, Default)]
+pub struct Checkpoint {
+    /// Named parameter tensors, in file order (names are unique).
+    pub params: Vec<(String, Tensor)>,
+    /// The training state; `None` for params-only files.
+    pub train: Option<TrainState>,
+    /// Named int8 tensors; `None` when the file has no quant section.
+    pub quant: Option<Vec<(String, QuantMatrix)>>,
+}
+
+impl Checkpoint {
+    /// Decodes a checkpoint: the binary container, or a legacy JSON file
+    /// (recognised by its leading `{`).
+    pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
+        let first = bytes.iter().find(|b| !b.is_ascii_whitespace());
+        let ckpt = if first == Some(&b'{') {
+            legacy::import(bytes)?
+        } else {
+            decode_container(bytes)?
+        };
+        let mut names = HashSet::with_capacity(ckpt.params.len());
+        if let Some((name, _)) = ckpt.params.iter().find(|(n, _)| !names.insert(n.as_str())) {
+            return Err(structure(format!("duplicate parameter {name}")));
+        }
+        if let Some(train) = &ckpt.train {
+            train.validate()?;
+        }
+        Ok(ckpt)
+    }
+
+    /// Reads and decodes the file at `path` in one read.
+    pub fn read(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
+        let _t = rpt_obs::span("ckpt.load", &OBS.load_ms);
+        let bytes = fs::read(path)?;
+        OBS.loads.inc();
+        OBS.bytes_read.add(bytes.len() as u64);
+        Self::decode(&bytes)
+    }
+
+    /// Loads the parameters into `store` and returns the training state
+    /// (`TrainState::default()` for a params-only file: Adam moments are
+    /// cleanly reinitialized by the resuming trainer). The state is checked
+    /// against the store before any parameter is written.
+    pub fn load_train(self, store: &mut ParamStore) -> Result<TrainState, CheckpointError> {
+        let state = self.train.unwrap_or_default();
+        state.check_shapes(store)?;
+        apply_params(store, self.params)?;
+        Ok(state)
+    }
+
+    /// Moves the parameters into a fresh store holding every tensor the
+    /// file records — the model-free path for tools (like `rpt quantize`)
+    /// that transform checkpoints without rebuilding the architecture.
+    pub fn into_store(self) -> ParamStore {
+        let mut store = ParamStore::new();
+        for (name, t) in self.params {
+            store.register(name, t);
+        }
+        store
+    }
+}
+
+/// Loads `params` into an existing store, matching by name. Every
+/// parameter that is in both must have the same shape; extra parameters in
+/// the file are ignored (forward compatibility). Nothing is written to the
+/// store unless every shape matches.
+pub fn apply_params(
+    store: &mut ParamStore,
+    params: Vec<(String, Tensor)>,
+) -> Result<(), CheckpointError> {
+    let mut found = Vec::with_capacity(params.len());
+    for (name, t) in params {
+        let Some(id) = store.find(&name) else {
+            continue;
+        };
+        if store.value(id).shape() != t.shape() {
+            return Err(structure(format!(
+                "parameter {} has shape {:?} in store but {:?} in checkpoint",
+                name,
+                store.value(id).shape(),
+                t.shape()
+            )));
+        }
+        found.push((id, t));
+    }
+    for (id, t) in found {
+        store.set_value(id, t);
+    }
+    Ok(())
+}
+
+/// Product of a shape's dimensions, `None` on overflow.
+fn checked_numel(shape: &[usize]) -> Option<usize> {
+    shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+}
+
+/// Builds a quantized tensor from decoded parts, checking what
+/// [`QuantMatrix::from_parts`] would otherwise panic on.
+fn validate_quant(
+    name: &str,
+    n_out: u64,
+    k: u64,
+    data: Vec<i8>,
+    scales: Vec<f32>,
+) -> Result<QuantMatrix, CheckpointError> {
+    if k > QMATMUL_MAX_K as u64 {
+        return Err(structure(format!(
+            "quant tensor {name} has inner dimension {k} above {QMATMUL_MAX_K}"
+        )));
+    }
+    if n_out.checked_mul(k) != Some(data.len() as u64) || scales.len() as u64 != n_out {
+        return Err(structure(format!(
+            "quant tensor {name} sizes disagree: {n_out}x{k} with {} weights, {} scales",
+            data.len(),
+            scales.len()
+        )));
+    }
+    Ok(QuantMatrix::from_parts(
+        n_out as usize,
+        k as usize,
+        data,
+        scales,
+    ))
+}
+
+/// Serializes a checkpoint: `store`'s parameters, plus the training state
+/// and the int8 tensors when given (`Some(&[])` writes an empty quant
+/// section). Equal inputs give equal bytes.
+pub fn encode(
+    store: &ParamStore,
+    train: Option<&TrainState>,
+    quant: Option<&[(&str, &QuantMatrix)]>,
+) -> Vec<u8> {
+    let mut out = frame::begin_frame(MAGIC, VERSION, 4 * store.num_scalars() + 64 * store.len());
+    section(&mut out, PARAMS, |out| {
+        put_u32(out, store.len() as u32);
+        for (name, t) in store.iter() {
+            put_tensor(out, name, t);
+        }
+    });
+    if let Some(state) = train {
+        section(&mut out, TRAIN, |out| put_train(out, state));
+    }
+    if let Some(tensors) = quant {
+        section(&mut out, QUANT, |out| {
+            put_u32(out, tensors.len() as u32);
+            for (name, qm) in tensors {
+                put_str(out, name);
+                put_u32(out, qm.n_out() as u32);
+                put_u32(out, qm.k() as u32);
+                put_f32s(out, qm.scales());
+                out.extend(qm.weights().iter().map(|&w| w as u8));
+            }
+        });
+    }
+    frame::end_frame(out)
+}
+
+fn section(out: &mut Vec<u8>, tag: u32, body: impl FnOnce(&mut Vec<u8>)) {
+    put_u32(out, tag);
+    let at = out.len();
+    put_u64(out, 0);
+    body(out);
+    let len = (out.len() - at - 8) as u64;
+    out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+}
+
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn put_f32s(out: &mut Vec<u8>, xs: &[f32]) {
+    out.reserve(4 * xs.len());
+    for x in xs {
+        out.extend_from_slice(&x.to_le_bytes());
+    }
+}
+
+fn put_shape(out: &mut Vec<u8>, shape: &[usize]) {
+    put_u32(out, shape.len() as u32);
+    for &d in shape {
+        put_u64(out, d as u64);
+    }
+}
+
+fn put_tensor(out: &mut Vec<u8>, name: &str, t: &Tensor) {
+    put_str(out, name);
+    put_shape(out, t.shape());
+    put_f32s(out, t.data());
+}
+
+fn put_flag(out: &mut Vec<u8>, present: bool) {
+    out.push(present as u8);
+}
+
+fn put_train(out: &mut Vec<u8>, state: &TrainState) {
+    put_u64(out, state.steps_done);
+    put_u32(out, state.losses.len() as u32);
+    put_f32s(out, &state.losses);
+    put_flag(out, state.adam.is_some());
+    if let Some(a) = &state.adam {
+        put_u64(out, a.t);
+        put_u32(out, a.moments.len() as u32);
+        for (name, m, v) in &a.moments {
+            debug_assert_eq!(m.shape(), v.shape(), "adam moments of {name}");
+            put_str(out, name);
+            put_shape(out, m.shape());
+            put_f32s(out, m.data());
+            put_f32s(out, v.data());
+        }
+    }
+    put_u32(out, state.rng_streams.len() as u32);
+    for (name, words) in &state.rng_streams {
+        put_str(out, name);
+        for &w in words {
+            put_u64(out, w);
+        }
+    }
+    put_flag(out, state.corpus.is_some());
+    if let Some(c) = &state.corpus {
+        put_u64(out, c.epoch);
+        put_u64(out, c.shard);
+        put_u64(out, c.offset);
+        put_flag(out, c.accum.is_some());
+        if let Some(a) = &c.accum {
+            put_u64(out, a.micro_done);
+            put_u64(out, a.window_seed);
+            put_u32(out, a.pending.len() as u32);
+            for p in &a.pending {
+                out.extend_from_slice(&p.loss.to_le_bytes());
+                out.extend_from_slice(&p.weight.to_le_bytes());
+                put_u32(out, p.grads.len() as u32);
+                for (name, g) in &p.grads {
+                    put_tensor(out, name, g);
+                }
+            }
+        }
+    }
+}
+
+fn decode_container(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+    let mut r = frame::unframe(bytes, MAGIC, VERSION)?;
+    let mut params = None;
+    let mut ckpt = Checkpoint::default();
+    while r.remaining() > 0 {
+        let tag = r.u32()?;
+        let len = r.u64()?;
+        let mut body = ByteReader::new(r.take(len)?);
+        let repeated = match tag {
+            PARAMS => params.replace(get_list(&mut body, get_tensor)?).is_some(),
+            TRAIN => ckpt.train.replace(get_train(&mut body)?).is_some(),
+            QUANT => ckpt
+                .quant
+                .replace(get_list(&mut body, get_quant)?)
+                .is_some(),
+            _ => return Err(format_err(format!("unknown section tag {tag}"))),
+        };
+        if repeated {
+            return Err(format_err(format!("section {tag} appears twice")));
+        }
+        body.finish()?;
+    }
+    ckpt.params = params.ok_or_else(|| format_err("no params section"))?;
+    Ok(ckpt)
+}
+
+/// A `u32`-counted list of records, each at least 4 bytes long.
+fn get_list<T>(
+    r: &mut ByteReader,
+    item: impl Fn(&mut ByteReader) -> Result<T, CheckpointError>,
+) -> Result<Vec<T>, CheckpointError> {
+    let n = r.count(4)?;
+    let mut out = r.vec_for(n);
+    for _ in 0..n {
+        out.push(item(r)?);
+    }
+    Ok(out)
+}
+
+fn get_str(r: &mut ByteReader) -> Result<String, CheckpointError> {
+    let n = r.u32()?;
+    let bytes = r.take(n as u64)?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| format_err("name is not UTF-8"))
+}
+
+fn get_f32s(r: &mut ByteReader, n: usize) -> Result<Vec<f32>, CheckpointError> {
+    let bytes = r.take(4 * n as u64)?;
+    Ok(bytes
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+        .collect())
+}
+
+/// A shape and its element count.
+fn get_shape(r: &mut ByteReader) -> Result<(Vec<usize>, usize), CheckpointError> {
+    let rank = r.count(8)?;
+    let mut shape = r.vec_for(rank);
+    for _ in 0..rank {
+        let d = r.u64()?;
+        shape.push(usize::try_from(d).map_err(|_| format_err("dimension overflows usize"))?);
+    }
+    // Checked against 4-byte elements, so the data read below is bounded
+    // by the file before it is allocated.
+    let numel = checked_numel(&shape)
+        .filter(|&n| n as u64 <= r.remaining() as u64 / 4)
+        .ok_or_else(|| format_err(format!("a rank-{rank} shape exceeds the section")))?;
+    Ok((shape, numel))
+}
+
+fn get_tensor(r: &mut ByteReader) -> Result<(String, Tensor), CheckpointError> {
+    let name = get_str(r)?;
+    let (shape, numel) = get_shape(r)?;
+    let data = get_f32s(r, numel)?;
+    let t = Tensor::from_vec(data, &shape).expect("length checked against the shape");
+    Ok((name, t))
+}
+
+fn get_flag(r: &mut ByteReader) -> Result<bool, CheckpointError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        b => Err(format_err(format!("presence flag {b} is neither 0 nor 1"))),
+    }
+}
+
+fn get_train(r: &mut ByteReader) -> Result<TrainState, CheckpointError> {
+    let steps_done = r.u64()?;
+    let n = r.count(4)?;
+    let losses = get_f32s(r, n)?;
+    let adam = if get_flag(r)? {
+        let t = r.u64()?;
+        let moments = get_list(r, |r| {
+            let name = get_str(r)?;
+            let (shape, numel) = get_shape(r)?;
+            let m = get_f32s(r, numel)?;
+            let v = get_f32s(r, numel)?;
+            let shaped = |d| Tensor::from_vec(d, &shape).expect("length checked against the shape");
+            Ok((name, shaped(m), shaped(v)))
+        })?;
+        Some(AdamState { t, moments })
+    } else {
+        None
+    };
+    let rng_streams = get_list(r, |r| {
+        let name = get_str(r)?;
+        let mut state = [0u64; 4];
+        for w in &mut state {
+            *w = r.u64()?;
+        }
+        Ok((name, state))
+    })?;
+    let corpus = if get_flag(r)? {
+        let (epoch, shard, offset) = (r.u64()?, r.u64()?, r.u64()?);
+        let accum = if get_flag(r)? {
+            let micro_done = r.u64()?;
+            let window_seed = r.u64()?;
+            let pending = get_list(r, |r| {
+                Ok(PendingGrad {
+                    loss: r.f32()?,
+                    weight: r.f32()?,
+                    grads: get_list(r, get_tensor)?,
+                })
+            })?;
             Some(AccumState {
                 micro_done,
                 window_seed,
                 pending,
             })
-        }
-    };
-    Ok(CorpusPos {
-        epoch: field("epoch")?,
-        shard: field("shard")?,
-        offset: field("offset")?,
-        accum,
-    })
-}
-
-fn parse_adam(store: &ParamStore, doc: &Json) -> Result<AdamState, CheckpointError> {
-    let t = doc
-        .get("t")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| structure("adam state without step counter t"))?;
-    let mut moments = Vec::new();
-    for record in doc
-        .get("moments")
-        .and_then(Json::as_array)
-        .ok_or_else(|| structure("adam state without moments array"))?
-    {
-        let name = record
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| structure("adam moment record without name"))?;
-        let shape = parse_shape(record, name, "shape")?;
-        let m = parse_floats(record, name, "m")?;
-        let v = parse_floats(record, name, "v")?;
-        let m = Tensor::from_vec(m, &shape)
-            .map_err(|e| structure(format!("adam m for {name}: {e}")))?;
-        let v = Tensor::from_vec(v, &shape)
-            .map_err(|e| structure(format!("adam v for {name}: {e}")))?;
-        if let Some(id) = store.find(name) {
-            if store.value(id).shape() != shape.as_slice() {
-                return Err(structure(format!(
-                    "adam moments for {} have shape {:?} but the parameter is {:?}",
-                    name,
-                    shape,
-                    store.value(id).shape()
-                )));
-            }
-        }
-        moments.push((name.to_string(), m, v));
-    }
-    Ok(AdamState { t, moments })
-}
-
-fn parse_rng_streams(doc: &Json) -> Result<Vec<(String, [u64; 4])>, CheckpointError> {
-    let mut streams = Vec::new();
-    for record in doc
-        .as_array()
-        .ok_or_else(|| structure("train.rng is not an array"))?
-    {
-        let name = record
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| structure("rng stream without name"))?;
-        let words = record
-            .get("state")
-            .and_then(Json::as_array)
-            .ok_or_else(|| structure(format!("rng stream {name} without state")))?;
-        if words.len() != 4 {
-            return Err(structure(format!(
-                "rng stream {name} has {} state words, expected 4",
-                words.len()
-            )));
-        }
-        let mut state = [0u64; 4];
-        for (slot, w) in state.iter_mut().zip(words) {
-            let hex = w
-                .as_str()
-                .and_then(|s| s.strip_prefix("0x"))
-                .ok_or_else(|| structure(format!("rng stream {name} has a non-hex word")))?;
-            *slot = u64::from_str_radix(hex, 16)
-                .map_err(|_| structure(format!("rng stream {name} has a malformed word")))?;
-        }
-        if state.iter().all(|&w| w == 0) {
-            return Err(structure(format!(
-                "rng stream {name} has an all-zero (invalid xoshiro) state"
-            )));
-        }
-        streams.push((name.to_string(), state));
-    }
-    Ok(streams)
-}
-
-/// Loads parameters into `store` and returns the training state. v1
-/// (params-only) checkpoints yield `TrainState::default()` — Adam moments
-/// are cleanly reinitialized by the resuming trainer.
-pub fn load_train_json(store: &mut ParamStore, json: &str) -> Result<TrainState, CheckpointError> {
-    let doc = Json::parse(json)?;
-    load_params_doc(store, &doc)?;
-    let Some(train) = doc.get("train") else {
-        return Ok(TrainState::default());
-    };
-    let adam = match train.get("adam") {
-        None | Some(Json::Null) => None,
-        Some(a) => Some(parse_adam(store, a)?),
-    };
-    let rng_streams = match train.get("rng") {
-        None => Vec::new(),
-        Some(r) => parse_rng_streams(r)?,
-    };
-    let steps_done = train
-        .get("steps_done")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| structure("train state without steps_done"))?;
-    let losses: Vec<f32> = train
-        .get("losses")
-        .and_then(Json::as_array)
-        .ok_or_else(|| structure("train state without losses"))?
-        .iter()
-        .map(|x| x.as_f64().map(|x| x as f32))
-        .collect::<Option<_>>()
-        .ok_or_else(|| structure("train state has non-numeric losses"))?;
-    if losses.len() as u64 != steps_done {
-        return Err(structure(format!(
-            "train state records {} losses for {} completed steps",
-            losses.len(),
-            steps_done
-        )));
-    }
-    if let Some(a) = &adam {
-        if a.t != steps_done {
-            return Err(structure(format!(
-                "adam step counter {} disagrees with steps_done {}",
-                a.t, steps_done
-            )));
-        }
-    }
-    let corpus = match train.get("corpus") {
-        None | Some(Json::Null) => None,
-        Some(c) => Some(parse_corpus_pos(store, c)?),
+        } else {
+            None
+        };
+        Some(CorpusPos {
+            epoch,
+            shard,
+            offset,
+            accum,
+        })
+    } else {
+        None
     };
     Ok(TrainState {
         adam,
@@ -839,7 +895,50 @@ pub fn load_train_json(store: &mut ParamStore, json: &str) -> Result<TrainState,
     })
 }
 
-/// Atomically writes a full train-state checkpoint.
+fn get_quant(r: &mut ByteReader) -> Result<(String, QuantMatrix), CheckpointError> {
+    let name = get_str(r)?;
+    let (n_out, k) = (r.u32()? as u64, r.u32()? as u64);
+    let scales = get_f32s(r, n_out as usize)?;
+    let data = r.take(n_out * k)?.iter().map(|&b| b as i8).collect();
+    let qm = validate_quant(&name, n_out, k, data, scales)?;
+    Ok((name, qm))
+}
+
+// ---------------------------------------------------------------------------
+// Files
+// ---------------------------------------------------------------------------
+
+fn save_with(
+    io: &mut dyn CheckpointIo,
+    path: &Path,
+    bytes: impl FnOnce() -> Vec<u8>,
+) -> Result<(), CheckpointError> {
+    let _t = rpt_obs::span("ckpt.save", &OBS.save_ms);
+    atomic_write_with(io, path, &bytes())?;
+    Ok(())
+}
+
+/// Writes the store to a file, atomically: a crash mid-save leaves any
+/// previous checkpoint at `path` intact.
+pub fn save_file(store: &ParamStore, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
+    save_file_with(&mut StdCheckpointIo, store, path)
+}
+
+/// [`save_file`] over an injectable IO layer (for crash-safety tests).
+pub fn save_file_with(
+    io: &mut dyn CheckpointIo,
+    store: &ParamStore,
+    path: impl AsRef<Path>,
+) -> Result<(), CheckpointError> {
+    save_with(io, path.as_ref(), || encode(store, None, None))
+}
+
+/// Loads a checkpoint's parameters into the store (see [`apply_params`]).
+pub fn load_file(store: &mut ParamStore, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
+    apply_params(store, Checkpoint::read(path)?.params)
+}
+
+/// Atomically writes parameters plus the full training state.
 pub fn save_train_file(
     store: &ParamStore,
     state: &TrainState,
@@ -855,149 +954,23 @@ pub fn save_train_file_with(
     state: &TrainState,
     path: impl AsRef<Path>,
 ) -> Result<(), CheckpointError> {
-    let _t = rpt_obs::span("ckpt.save", &OBS.save_ms);
-    atomic_write_with(
-        io,
-        path.as_ref(),
-        train_state_to_json(store, state).as_bytes(),
-    )?;
-    Ok(())
+    save_with(io, path.as_ref(), || encode(store, Some(state), None))
 }
 
-/// Loads a full train-state checkpoint file.
+/// Loads a checkpoint file's parameters into `store` and returns its
+/// training state (see [`Checkpoint::load_train`]).
 pub fn load_train_file(
     store: &mut ParamStore,
     path: impl AsRef<Path>,
 ) -> Result<TrainState, CheckpointError> {
-    let _t = rpt_obs::span("ckpt.load", &OBS.load_ms);
-    let json = fs::read_to_string(path)?;
-    OBS.loads.inc();
-    OBS.bytes_read.add(json.len() as u64);
-    load_train_json(store, &json)
+    Checkpoint::read(path)?.load_train(store)
 }
 
-// ---------------------------------------------------------------------------
-// Quantized checkpoints (the `quant-v1` section)
-// ---------------------------------------------------------------------------
-
-/// Identifier of the quantized-tensor section layout this build writes.
-pub const QUANT_FORMAT: &str = "quant-v1";
-
-/// Serializes the f32 parameters plus a `"quant"` section holding int8
-/// tensors and their per-row scales:
-///
-/// ```text
-/// {"format_version":1,
-///  "params":[...],                      // unchanged v1 array
-///  "quant":{"format":"quant-v1",
-///           "tensors":[{"name":...,"n_out":...,"k":...,
-///                       "scales":[...],"data":[...]}]}}
-/// ```
-///
-/// `data` is the `[n_out, k]` row-major i8 weights as JSON integers. The
-/// `params` array is byte-compatible with v1, and [`load_params_doc`]
-/// ignores unknown top-level keys — so quantized checkpoints load
-/// anywhere a plain checkpoint does, with the quant section simply unused.
-pub fn quant_to_json<'a>(
-    store: &ParamStore,
-    tensors: impl IntoIterator<Item = (&'a str, &'a crate::quant::QuantMatrix)>,
-) -> String {
-    let records: Vec<Json> = tensors
-        .into_iter()
-        .map(|(name, qm)| {
-            json!({
-                "name": name,
-                "n_out": qm.n_out(),
-                "k": qm.k(),
-                "scales": floats_json(qm.scales()),
-                "data": qm.weights().iter().map(|&w| Json::from(w)).collect::<Vec<_>>(),
-            })
-        })
-        .collect();
-    json!({
-        "format_version": FORMAT_VERSION,
-        "params": param_records(store),
-        "quant": {
-            "format": QUANT_FORMAT,
-            "tensors": records,
-        },
-    })
-    .to_string()
-}
-
-/// Parses the `"quant"` section of a checkpoint, returning the named int8
-/// tensors — or `None` when the checkpoint has no such section (a plain
-/// f32 checkpoint).
-pub fn load_quant_json(
-    json: &str,
-) -> Result<Option<Vec<(String, crate::quant::QuantMatrix)>>, CheckpointError> {
-    let doc = Json::parse(json)?;
-    let Some(quant) = doc.get("quant") else {
-        return Ok(None);
-    };
-    let format = quant
-        .get("format")
-        .and_then(Json::as_str)
-        .ok_or_else(|| structure("quant section without format"))?;
-    if format != QUANT_FORMAT {
-        return Err(structure(format!(
-            "unsupported quant format {format:?} (this build reads {QUANT_FORMAT:?})"
-        )));
-    }
-    let mut out = Vec::new();
-    for record in quant
-        .get("tensors")
-        .and_then(Json::as_array)
-        .ok_or_else(|| structure("quant section without tensors array"))?
-    {
-        let name = record
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| structure("quant tensor without name"))?;
-        let n_out = record
-            .get("n_out")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| structure(format!("quant tensor {name} without n_out")))?
-            as usize;
-        let k = record
-            .get("k")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| structure(format!("quant tensor {name} without k")))?
-            as usize;
-        let scales = parse_floats(record, name, "scales")?;
-        let data: Vec<i8> = record
-            .get("data")
-            .and_then(Json::as_array)
-            .ok_or_else(|| structure(format!("quant tensor {name} without data")))?
-            .iter()
-            .map(|x| {
-                x.as_i64()
-                    .filter(|v| (-128..=127).contains(v))
-                    .map(|v| v as i8)
-            })
-            .collect::<Option<_>>()
-            .ok_or_else(|| structure(format!("quant tensor {name} has non-i8 data")))?;
-        if data.len() != n_out * k || scales.len() != n_out {
-            return Err(structure(format!(
-                "quant tensor {name} sizes disagree: {}x{} with {} weights, {} scales",
-                n_out,
-                k,
-                data.len(),
-                scales.len()
-            )));
-        }
-        out.push((
-            name.to_string(),
-            crate::quant::QuantMatrix::from_parts(n_out, k, data, scales),
-        ));
-    }
-    Ok(Some(out))
-}
-
-/// Atomically writes a quantized checkpoint (params + quant section).
+/// Atomically writes a quantized checkpoint: the f32 parameters plus a
+/// quant section holding each int8 tensor and its per-row scales.
 pub fn save_quant_file<'a>(
     store: &ParamStore,
-    tensors: impl IntoIterator<Item = (&'a str, &'a crate::quant::QuantMatrix)>,
+    tensors: impl IntoIterator<Item = (&'a str, &'a QuantMatrix)>,
     path: impl AsRef<Path>,
 ) -> Result<(), CheckpointError> {
     save_quant_file_with(&mut StdCheckpointIo, store, tensors, path)
@@ -1007,61 +980,63 @@ pub fn save_quant_file<'a>(
 pub fn save_quant_file_with<'a>(
     io: &mut dyn CheckpointIo,
     store: &ParamStore,
-    tensors: impl IntoIterator<Item = (&'a str, &'a crate::quant::QuantMatrix)>,
+    tensors: impl IntoIterator<Item = (&'a str, &'a QuantMatrix)>,
     path: impl AsRef<Path>,
 ) -> Result<(), CheckpointError> {
-    let _t = rpt_obs::span("ckpt.save", &OBS.save_ms);
-    atomic_write_with(io, path.as_ref(), quant_to_json(store, tensors).as_bytes())?;
-    Ok(())
+    let tensors: Vec<_> = tensors.into_iter().collect();
+    save_with(io, path.as_ref(), || encode(store, None, Some(&tensors)))
 }
 
-/// Reads the `"quant"` section of a checkpoint file (`None` for plain f32
-/// checkpoints). Parameters load separately through [`load_file`].
+/// Reads a checkpoint's quant section (`None` for plain f32 checkpoints).
+/// A caller that also needs the parameters reads the file once with
+/// [`Checkpoint::read`] instead.
 pub fn load_quant_file(
     path: impl AsRef<Path>,
-) -> Result<Option<Vec<(String, crate::quant::QuantMatrix)>>, CheckpointError> {
-    let json = fs::read_to_string(path)?;
-    load_quant_json(&json)
+) -> Result<Option<Vec<(String, QuantMatrix)>>, CheckpointError> {
+    Ok(Checkpoint::read(path)?.quant)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn params_of(bytes: &[u8]) -> Vec<(String, Tensor)> {
+        Checkpoint::decode(bytes).unwrap().params
+    }
+
     #[test]
     fn roundtrip_preserves_values() {
         let mut store = ParamStore::new();
         let a = store.register("layer.w", Tensor::from_vec(vec![1.5, -2.5], &[2]).unwrap());
         let b = store.register("layer.b", Tensor::scalar(0.25));
-        let json = to_json(&store);
+        let bytes = encode(&store, None, None);
 
         let mut store2 = ParamStore::new();
         let a2 = store2.register("layer.w", Tensor::zeros(&[2]));
         let b2 = store2.register("layer.b", Tensor::zeros(&[1]));
-        load_json(&mut store2, &json).unwrap();
+        apply_params(&mut store2, params_of(&bytes)).unwrap();
         assert_eq!(store2.value(a2).data(), store.value(a).data());
         assert_eq!(store2.value(b2).data(), store.value(b).data());
     }
 
     #[test]
     fn roundtrip_is_bit_exact_on_awkward_floats() {
-        // values whose decimal forms are non-terminating or subnormal
+        // subnormals, extremes, negative zero and NaN payloads: raw bits
+        // survive where no decimal form would
         let vals = vec![
             0.1f32,
             1.0 / 3.0,
-            f32::MIN_POSITIVE / 8.0, // subnormal
+            f32::MIN_POSITIVE / 8.0,
             -3.402_823_5e38,
             1.000_000_1,
-            5.877_472e-39,
+            -0.0,
+            f32::from_bits(0x7fc0_1234),
+            f32::NEG_INFINITY,
         ];
         let mut store = ParamStore::new();
-        let id = store.register("w", Tensor::from_vec(vals.clone(), &[6]).unwrap());
-        let json = to_json(&store);
-        let mut store2 = ParamStore::new();
-        let id2 = store2.register("w", Tensor::zeros(&[6]));
-        load_json(&mut store2, &json).unwrap();
-        let _ = id;
-        for (a, b) in vals.iter().zip(store2.value(id2).data()) {
+        store.register("w", Tensor::from_vec(vals.clone(), &[8]).unwrap());
+        let back = params_of(&encode(&store, None, None));
+        for (a, b) in vals.iter().zip(back[0].1.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} reloaded as {b}");
         }
     }
@@ -1074,13 +1049,13 @@ mod tests {
         let mut store = ParamStore::new();
         let w = store.register("layer.w", Tensor::zeros(&[2]));
         let b = store.register("layer.b", Tensor::zeros(&[1]));
-        load_json(&mut store, old).unwrap();
+        apply_params(&mut store, params_of(old.as_bytes())).unwrap();
         assert_eq!(store.value(w).data(), &[1.5, -2.5]);
         assert_eq!(store.value(b).data(), &[0.25]);
     }
 
     #[test]
-    fn load_params_any_rebuilds_the_store_model_free() {
+    fn into_store_rebuilds_the_store_model_free() {
         let mut store = ParamStore::new();
         store.register(
             "enc.ff1.w",
@@ -1090,9 +1065,9 @@ mod tests {
             "enc.ff1.b",
             Tensor::from_vec(vec![0.5, -0.5], &[2]).unwrap(),
         );
-        let json = to_json(&store);
-
-        let loaded = load_params_any(&json).unwrap();
+        let loaded = Checkpoint::decode(&encode(&store, None, None))
+            .unwrap()
+            .into_store();
         let names: Vec<&str> = loaded.iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["enc.ff1.w", "enc.ff1.b"]);
         for (name, t) in store.iter() {
@@ -1104,37 +1079,40 @@ mod tests {
         }
 
         assert!(matches!(
-            load_params_any(r#"{"params":[]}"#),
+            Checkpoint::decode(br#"{"params":[]}"#),
             Err(CheckpointError::Mismatch(_))
         ));
         let dup = r#"{"format_version":1,"params":[{"name":"w","shape":[1],"data":[1.0]},{"name":"w","shape":[1],"data":[2.0]}]}"#;
         assert!(matches!(
-            load_params_any(dup),
+            Checkpoint::decode(dup.as_bytes()),
             Err(CheckpointError::Mismatch(_))
         ));
     }
 
     #[test]
-    fn shape_mismatch_is_an_error() {
+    fn shape_mismatch_is_an_error_and_writes_nothing() {
         let mut store = ParamStore::new();
+        store.register("a", Tensor::scalar(1.0));
         store.register("w", Tensor::zeros(&[2]));
-        let json = to_json(&store);
+        let bytes = encode(&store, None, None);
         let mut store2 = ParamStore::new();
+        let a = store2.register("a", Tensor::scalar(7.0));
         store2.register("w", Tensor::zeros(&[3]));
         assert!(matches!(
-            load_json(&mut store2, &json),
+            apply_params(&mut store2, params_of(&bytes)),
             Err(CheckpointError::Mismatch(_))
         ));
+        assert_eq!(store2.value(a).data(), &[7.0]);
     }
 
     #[test]
     fn unknown_params_in_file_are_ignored() {
         let mut store = ParamStore::new();
         store.register("old", Tensor::scalar(1.0));
-        let json = to_json(&store);
+        let bytes = encode(&store, None, None);
         let mut store2 = ParamStore::new();
         let n = store2.register("new", Tensor::scalar(7.0));
-        load_json(&mut store2, &json).unwrap();
+        apply_params(&mut store2, params_of(&bytes)).unwrap();
         assert_eq!(store2.value(n).data(), &[7.0]);
     }
 
@@ -1189,22 +1167,16 @@ mod tests {
 
     #[test]
     fn quant_checkpoint_roundtrips_bit_exactly() {
-        use crate::quant::QuantMatrix;
         let mut store = ParamStore::new();
         let w = store.register(
             "lin.w",
             Tensor::from_vec(vec![0.5, -1.5, 2.0, 0.25, -0.75, 1.0], &[2, 3]).unwrap(),
         );
         let qm = QuantMatrix::quantize_transposed(store.value(w).data(), 2, 3);
-        let json = quant_to_json(&store, [("lin.w", &qm)]);
+        let ckpt = Checkpoint::decode(&encode(&store, None, Some(&[("lin.w", &qm)]))).unwrap();
+        assert_eq!(ckpt.params[0].1.data(), store.value(w).data());
 
-        // params still load through the plain path (quant key ignored)
-        let mut store2 = ParamStore::new();
-        let w2 = store2.register("lin.w", Tensor::zeros(&[2, 3]));
-        load_json(&mut store2, &json).unwrap();
-        assert_eq!(store2.value(w2).data(), store.value(w).data());
-
-        let tensors = load_quant_json(&json).unwrap().expect("quant section");
+        let tensors = ckpt.quant.expect("quant section");
         assert_eq!(tensors.len(), 1);
         let (name, back) = &tensors[0];
         assert_eq!(name, "lin.w");
@@ -1222,21 +1194,35 @@ mod tests {
     fn plain_checkpoints_have_no_quant_section() {
         let mut store = ParamStore::new();
         store.register("w", Tensor::scalar(1.0));
-        assert!(load_quant_json(&to_json(&store)).unwrap().is_none());
+        let ckpt = Checkpoint::decode(&encode(&store, None, None)).unwrap();
+        assert!(ckpt.quant.is_none() && ckpt.train.is_none());
+        let empty = Checkpoint::decode(&encode(&store, None, Some(&[]))).unwrap();
+        assert_eq!(empty.quant.map(|q| q.len()), Some(0));
     }
 
     #[test]
     fn unsupported_quant_format_is_rejected() {
         let json = r#"{"format_version":1,"params":[],"quant":{"format":"quant-v9","tensors":[]}}"#;
         assert!(matches!(
-            load_quant_json(json),
+            Checkpoint::decode(json.as_bytes()),
+            Err(CheckpointError::Mismatch(_))
+        ));
+    }
+
+    #[test]
+    fn oversized_quant_inner_dimension_is_typed_not_a_panic() {
+        let k = QMATMUL_MAX_K + 1;
+        let json = format!(
+            r#"{{"format_version":1,"params":[],"quant":{{"format":"quant-v1","tensors":[{{"name":"w","n_out":0,"k":{k},"scales":[],"data":[]}}]}}}}"#
+        );
+        assert!(matches!(
+            Checkpoint::decode(json.as_bytes()),
             Err(CheckpointError::Mismatch(_))
         ));
     }
 
     #[test]
     fn quant_save_is_atomic_under_faults() {
-        use crate::quant::QuantMatrix;
         let dir = std::env::temp_dir().join("rpt-serialize-quant-atomic");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("q8.json");
@@ -1254,16 +1240,36 @@ mod tests {
     }
 
     #[test]
-    fn garbage_json_is_a_parse_error() {
-        let mut store = ParamStore::new();
-        store.register("w", Tensor::scalar(0.0));
+    fn garbage_is_a_typed_error() {
         assert!(matches!(
-            load_json(&mut store, "not json"),
+            Checkpoint::decode(b"{not json"),
             Err(CheckpointError::Parse(_))
         ));
         assert!(matches!(
-            load_json(&mut store, "{\"format_version\": 1}"),
+            Checkpoint::decode(b"{\"format_version\": 1}"),
             Err(CheckpointError::Mismatch(_))
+        ));
+        assert!(matches!(
+            Checkpoint::decode(b"not a checkpoint at all"),
+            Err(CheckpointError::Format(_))
+        ));
+        let mut store = ParamStore::new();
+        store.register("w", Tensor::scalar(0.0));
+        let mut bytes = encode(&store, None, None);
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        assert!(matches!(
+            Checkpoint::decode(&bytes),
+            Err(CheckpointError::Checksum { .. })
+        ));
+    }
+
+    #[test]
+    fn legacy_json_above_the_ceiling_is_refused_before_parsing() {
+        assert!(legacy::check_len(MAX_LEGACY_BYTES).is_ok());
+        assert!(matches!(
+            legacy::check_len(MAX_LEGACY_BYTES + 1),
+            Err(CheckpointError::TooLarge { .. })
         ));
     }
 }

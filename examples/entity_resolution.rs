@@ -45,14 +45,16 @@ fn main() {
             ..Default::default()
         },
     );
-    matcher.pretrain_mlm(&tables, 250);
+    matcher
+        .pretrain_mlm(&tables, 250)
+        .expect("training step went non-finite");
     let sets: Vec<_> = benches
         .iter()
         .filter(|b| b.name != target.name)
         .map(|b| (b, b.labeled_pairs(3, &universe, &mut rng)))
         .collect();
     let refs: Vec<_> = sets.iter().map(|(b, p)| (*b, p)).collect();
-    matcher.train(&refs);
+    matcher.train(&refs).expect("training step went non-finite");
 
     // --- PET-style few-shot interpretation ------------------------------
     let (i1, j1) = target.all_matches()[0];

@@ -48,7 +48,7 @@ fn main() {
             ..Default::default()
         },
     );
-    rpti.train(train);
+    rpti.train(train).expect("training step went non-finite");
 
     // --- the crowdsourcing workflow of Fig. 1(c) -------------------------
     println!("\n-- one-shot task interpretation --");

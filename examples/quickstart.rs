@@ -79,7 +79,7 @@ fn main() {
         .map(|b| (b, b.labeled_pairs(3, &universe, &mut rng)))
         .collect();
     let refs: Vec<_> = sets.iter().map(|(b, p)| (*b, p)).collect();
-    matcher.train(&refs);
+    matcher.train(&refs).expect("training step went non-finite");
     let (i, j) = abt.all_matches()[0];
     let p_match = matcher.score_pairs(abt, &[(i, j)])[0];
     let p_rand = matcher.score_pairs(abt, &[(i, (j + 7) % abt.table_b.len())])[0];
@@ -102,7 +102,7 @@ fn main() {
         },
     );
     let (train, test) = tasks.split_at(100);
-    rpti.train(train);
+    rpti.train(train).expect("training step went non-finite");
     let example = &train[0];
     let attr = infer_attribute(&[(&example.description, &example.answer)]);
     let target = test

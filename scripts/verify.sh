@@ -55,8 +55,9 @@
 #    vs large batch, mid-window kills — all bit-identical), a fast-mode
 #    streaming bench whose artifact must parse with positive throughput
 #    in every arm, and a CLI smoke drive: `rpt shard` a corpus, run a
-#    short accumulated `rpt pretrain` with checkpoints (the kill), then
-#    --resume from the mid-corpus train state to completion.
+#    short accumulated `rpt pretrain` with checkpoints (the kill), check
+#    with `rpt inspect` that the train state records the corpus position,
+#    then --resume from the mid-corpus train state to completion.
 # 10. The observability gate: the tracing bit-identity suite at 1 and 4
 #    threads (instrumented training and serving byte-identical to dark),
 #    a fast-mode traced-vs-dark serve load-generator run — the committed
@@ -393,7 +394,10 @@ test -s "$smoke_dir/stream-ckpt/train_state.json" || {
     echo "verify: streaming train-state checkpoint missing" >&2
     exit 1
 }
-grep -q '"epoch"' "$smoke_dir/stream-ckpt/train_state.json" || {
+# The train section of the binary checkpoint must hold the corpus
+# position (`rpt inspect` prints one line per section).
+./target/release/rpt inspect "$smoke_dir/stream-ckpt/train_state.json" \
+    | grep -q '^train: .*corpus epoch' || {
     echo "verify: streaming checkpoint carries no corpus position" >&2
     exit 1
 }
@@ -549,9 +553,9 @@ wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
 
 # Quantize-then-serve smoke drive: train and save an f32 model, convert
-# it to a quant-v1 checkpoint with `rpt quantize`, then serve the
-# quantized file. /healthz must report quantization on and /v1/clean
-# must still answer.
+# it to a quantized checkpoint with `rpt quantize` (`rpt inspect` must
+# list its quant section), then serve the quantized file. /healthz must
+# report quantization on and /v1/clean must still answer.
 ./target/release/rpt clean "$smoke_dir/toy.csv" --steps 20 \
     --save "$smoke_dir/model.json" --output "$smoke_dir/out4.csv" >/dev/null
 ./target/release/rpt quantize "$smoke_dir/model.json" \
@@ -560,8 +564,9 @@ test -s "$smoke_dir/model.q8.json" || {
     echo "verify: rpt quantize produced no checkpoint" >&2
     exit 1
 }
-grep -q '"quant-v1"' "$smoke_dir/model.q8.json" || {
-    echo "verify: quantized checkpoint has no quant-v1 section" >&2
+./target/release/rpt inspect "$smoke_dir/model.q8.json" \
+    | grep -q '^quant: [1-9][0-9]* int8 tensors' || {
+    echo "verify: quantized checkpoint has no quant section" >&2
     exit 1
 }
 ./target/release/rpt serve "$smoke_dir/toy.csv" --steps 20 \

@@ -7,7 +7,7 @@ use rpt::core::train::TrainOpts;
 use rpt::core::vocabulary::build_vocab;
 use rpt::datagen::standard_benchmarks;
 use rpt::table::Table;
-use rpt::tensor::serialize::{load_file, load_json, save_file, to_json};
+use rpt::tensor::serialize::{apply_params, encode, load_file, save_file, Checkpoint};
 use rpt_rng::SeedableRng;
 use rpt_rng::SmallRng;
 
@@ -28,11 +28,14 @@ fn trained_rpt_c_roundtrips_through_json() {
     let mut model = RptC::new(vocab.clone(), cfg.clone());
     model.pretrain(&tables);
 
-    let json = to_json(&model.params);
-    assert!(json.len() > 1000, "checkpoint suspiciously small");
+    let bytes = encode(&model.params, None, None);
+    assert!(bytes.len() > 1000, "checkpoint suspiciously small");
 
     let mut fresh = RptC::new(vocab, cfg);
-    load_json(&mut fresh.params, &json).expect("load checkpoint");
+    let params = Checkpoint::decode(&bytes)
+        .expect("decode checkpoint")
+        .params;
+    apply_params(&mut fresh.params, params).expect("load checkpoint");
 
     let schema = benches[0].table_a.schema();
     for row in 0..5 {
@@ -46,9 +49,9 @@ fn trained_rpt_c_roundtrips_through_json() {
 
 #[test]
 fn checkpoint_file_roundtrip_is_bit_identical() {
-    // The rpt-json writer uses shortest round-trip decimal encoding, so
-    // every f32 a training run produces must survive save -> load with
-    // identical bits, through an actual file.
+    // The container stores raw f32 bits, so every f32 a training run
+    // produces must survive save -> load with identical bits, through an
+    // actual file.
     let mut rng = SmallRng::seed_from_u64(11);
     let (_u, benches) = standard_benchmarks(15, &mut rng);
     let tables: Vec<&Table> = vec![&benches[2].table_a];
@@ -91,11 +94,14 @@ fn checkpoint_into_differently_seeded_model_still_matches() {
     cfg.train.steps = 40;
     let mut model = RptC::new(vocab.clone(), cfg.clone());
     model.pretrain(&tables);
-    let json = to_json(&model.params);
+    let bytes = encode(&model.params, None, None);
 
     cfg.seed = 999; // different init
     let mut fresh = RptC::new(vocab, cfg);
-    load_json(&mut fresh.params, &json).expect("load checkpoint");
+    let params = Checkpoint::decode(&bytes)
+        .expect("decode checkpoint")
+        .params;
+    apply_params(&mut fresh.params, params).expect("load checkpoint");
     let schema = benches[1].table_a.schema();
     let tuple = benches[1].table_a.row(0);
     assert_eq!(

@@ -82,7 +82,9 @@ fn rpt_e_beats_zeroer_on_held_out_benchmark() {
     cfg.train = tiny_train(450);
     cfg.train.peak_lr = 2e-3;
     let mut matcher = Matcher::new(vocab, cfg);
-    matcher.pretrain_mlm(&tables, 150);
+    matcher
+        .pretrain_mlm(&tables, 150)
+        .expect("training step went non-finite");
     // negatives from each source's blocked candidates (the deployment
     // distribution — see DESIGN.md)
     let blocker = Blocker::default();
@@ -94,7 +96,7 @@ fn rpt_e_beats_zeroer_on_held_out_benchmark() {
         })
         .collect();
     let refs: Vec<_> = sets.iter().map(|(b, p)| (*b, p)).collect();
-    matcher.train(&refs);
+    matcher.train(&refs).expect("training step went non-finite");
 
     let target = &benches[0];
     let blocker = Blocker::default();
@@ -159,7 +161,7 @@ fn er_pipeline_end_to_end() {
         .map(|b| (b, b.labeled_pairs(3, &universe, &mut rng)))
         .collect();
     let refs: Vec<_> = sets.iter().map(|(b, p)| (*b, p)).collect();
-    matcher.train(&refs);
+    matcher.train(&refs).expect("training step went non-finite");
 
     let mut pipeline = ErPipeline::new(Blocker::default(), matcher);
     let run = pipeline.run(&benches[0]);
@@ -187,7 +189,7 @@ fn rpt_i_extracts_and_interprets() {
     cfg.train = tiny_train(250);
     let mut rpti = RptI::new(vocab, cfg);
     let (train, test) = tasks.split_at(120);
-    rpti.train(train);
+    rpti.train(train).expect("training step went non-finite");
     let eval = rpti.evaluate(test, None);
     assert!(eval.token_f1 > 0.3, "IE token F1 {:.3}", eval.token_f1);
 
@@ -231,7 +233,7 @@ fn trained_matcher_not_dominated_by_jaccard_floor() {
         .map(|b| (b, b.labeled_pairs(3, &universe, &mut rng)))
         .collect();
     let refs: Vec<_> = sets.iter().map(|(b, p)| (*b, p)).collect();
-    matcher.train(&refs);
+    matcher.train(&refs).expect("training step went non-finite");
 
     let target = &benches[0];
     let blocker = Blocker::default();

@@ -11,8 +11,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use rpt::tensor::serialize::{
-    load_train_file, load_train_json, save_train_file, save_train_file_with, staging_path,
-    train_state_to_json, Fault, FaultyIo,
+    encode, load_train_file, save_train_file, save_train_file_with, staging_path, Checkpoint,
+    Fault, FaultyIo,
 };
 use rpt::tensor::{AdamState, CheckpointError, ParamStore, Tensor, TrainState};
 
@@ -122,20 +122,29 @@ fn faulted_first_save_leaves_nothing_behind() {
     }
 }
 
-/// Truncated and garbage files are parse errors, never panics.
+/// Decodes checkpoint bytes into a probe store shaped like `generation`'s.
+fn load_probe(bytes: &[u8], shape: &[usize]) -> Result<TrainState, CheckpointError> {
+    let mut probe = ParamStore::new();
+    probe.register("w", Tensor::zeros(shape));
+    Checkpoint::decode(bytes)?.load_train(&mut probe)
+}
+
+/// Truncated and garbage files are typed checksum or format errors,
+/// never panics.
 #[test]
 fn truncated_and_garbage_checkpoints_are_typed_errors() {
     let dir = fresh_dir("corrupt");
     let (store, state) = generation(5.0);
-    let full = train_state_to_json(&store, &state);
+    let full = encode(&store, Some(&state), None);
 
     // every truncation point of a real checkpoint must fail cleanly
     for cut in [1, full.len() / 4, full.len() / 2, full.len() - 1] {
-        let mut probe = ParamStore::new();
-        probe.register("w", Tensor::zeros(&[2]));
-        let err = load_train_json(&mut probe, &full[..cut]).unwrap_err();
+        let err = load_probe(&full[..cut], &[2]).unwrap_err();
         assert!(
-            matches!(err, CheckpointError::Parse(_)),
+            matches!(
+                err,
+                CheckpointError::Checksum { .. } | CheckpointError::Format(_)
+            ),
             "cut at {cut}: {err}"
         );
     }
@@ -145,7 +154,7 @@ fn truncated_and_garbage_checkpoints_are_typed_errors() {
     let mut probe = ParamStore::new();
     probe.register("w", Tensor::zeros(&[2]));
     let err = load_train_file(&mut probe, &path).unwrap_err();
-    assert!(matches!(err, CheckpointError::Parse(_)), "{err}");
+    assert!(matches!(err, CheckpointError::Format(_)), "{err}");
 
     let missing = dir.join("no-such-file.json");
     let err = load_train_file(&mut probe, &missing).unwrap_err();
@@ -153,46 +162,64 @@ fn truncated_and_garbage_checkpoints_are_typed_errors() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// Well-formed JSON with inconsistent training state is a `Mismatch`
-/// error: the loader validates before anything mutates the caller.
+/// Well-formed checkpoints with inconsistent training state are
+/// `Mismatch` errors, in the container and in legacy JSON alike: the
+/// loader validates before anything mutates the caller.
 #[test]
 fn inconsistent_train_state_is_a_mismatch_error() {
     let (store, state) = generation(5.0);
-    let good = train_state_to_json(&store, &state);
+    let mut cases: Vec<(Vec<u8>, &str)> = Vec::new();
+    let mut bad = state.clone();
+    bad.steps_done = 7;
+    cases.push((
+        encode(&store, Some(&bad), None),
+        "loss count disagreeing with steps_done",
+    ));
+    let mut bad = state.clone();
+    bad.adam.as_mut().unwrap().t = 9;
+    cases.push((
+        encode(&store, Some(&bad), None),
+        "adam step counter disagreeing with steps_done",
+    ));
+    let mut bad = state.clone();
+    bad.rng_streams[0].1 = [0; 4];
+    cases.push((
+        encode(&store, Some(&bad), None),
+        "all-zero (invalid xoshiro) rng state",
+    ));
 
-    let cases: Vec<(String, &str)> = vec![
+    // The same checks on a legacy JSON train state, plus the cases only a
+    // text encoding can express.
+    let legacy = fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/train_state_v2.json"),
+    )
+    .unwrap();
+    let words = "[\"0x1\",\"0x2\",\"0x3\",\"0xffffffffffffffff\"]";
+    for (from, to, what) in [
+        ("\"steps_done\":3", "\"steps_done\":7", "legacy loss count"),
+        ("\"t\":3", "\"t\":9", "legacy adam step counter"),
+        ("\"0x7\"", "\"oops\"", "legacy non-hex rng state word"),
         (
-            good.replace("\"steps_done\":5", "\"steps_done\":7"),
-            "loss count disagreeing with steps_done",
+            words,
+            "[\"0x0\",\"0x0\",\"0x0\",\"0x0\"]",
+            "legacy all-zero rng state",
         ),
         (
-            good.replace("\"t\":5", "\"t\":9"),
-            "adam step counter disagreeing with steps_done",
+            words,
+            "[\"0x1\",\"0x2\",\"0x3\"]",
+            "legacy rng state word count",
         ),
-        (
-            good.replace("\"0x6\"", "\"oops\""),
-            "non-hex rng state word",
-        ),
-        (
-            good.replace(
-                "[\"0x6\",\"0x2\",\"0x3\",\"0x4\"]",
-                "[\"0x0\",\"0x0\",\"0x0\",\"0x0\"]",
-            ),
-            "all-zero (invalid xoshiro) rng state",
-        ),
-        (
-            good.replace(
-                "[\"0x6\",\"0x2\",\"0x3\",\"0x4\"]",
-                "[\"0x6\",\"0x2\",\"0x3\"]",
-            ),
-            "wrong rng state word count",
-        ),
-    ];
+    ] {
+        let doc = legacy.replace(from, to);
+        assert_ne!(doc, legacy, "substitution for {what} did not apply");
+        cases.push((doc.into_bytes(), what));
+    }
     for (doc, what) in &cases {
-        assert_ne!(doc, &good, "substitution for {what} did not apply");
         let mut probe = ParamStore::new();
-        probe.register("w", Tensor::zeros(&[2]));
-        let err = load_train_json(&mut probe, doc).unwrap_err();
+        probe.register("enc.ff1.w", Tensor::zeros(&[2, 3]));
+        let err = Checkpoint::decode(doc)
+            .and_then(|c| c.load_train(&mut probe))
+            .unwrap_err();
         assert!(
             matches!(err, CheckpointError::Mismatch(_)),
             "{what}: expected Mismatch, got {err}"
@@ -200,9 +227,7 @@ fn inconsistent_train_state_is_a_mismatch_error() {
     }
 
     // adam moments shaped unlike their parameter
-    let mut probe = ParamStore::new();
-    probe.register("w", Tensor::zeros(&[3]));
-    let err = load_train_json(&mut probe, &good).unwrap_err();
+    let err = load_probe(&encode(&store, Some(&state), None), &[3]).unwrap_err();
     assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
 }
 

@@ -14,7 +14,7 @@ use rpt::datagen::standard_benchmarks;
 use rpt::nn::{make_denoising_shards, Ctx, Seq2Seq, Sequence, TokenBatch, TransformerConfig};
 use rpt::par::ThreadPool;
 use rpt::table::Table;
-use rpt::tensor::serialize::to_json;
+use rpt::tensor::serialize::encode;
 use rpt::tensor::{ParamStore, Tape};
 use rpt_rng::{SeedableRng, SmallRng};
 
@@ -41,12 +41,12 @@ fn checkpoint_is_bit_identical_across_thread_counts() {
     let vocab = build_vocab(&tables, &[], 1, 4000);
     let cfg = equivalence_config();
 
-    let run = |threads: usize| -> (String, Vec<u32>) {
+    let run = |threads: usize| -> (Vec<u8>, Vec<u32>) {
         let pool = ThreadPool::new(threads);
         let mut model = RptC::new(vocab.clone(), cfg.clone());
         let losses = model.pretrain_on(&pool, &tables, None, None).unwrap();
         (
-            to_json(&model.params),
+            encode(&model.params, None, None),
             losses.iter().map(|x| x.to_bits()).collect(),
         )
     };
@@ -98,7 +98,7 @@ fn single_shard_data_parallel_reproduces_serial_trainer() {
             let loss = model.reconstruction_loss(&mut ctx, &src, &tgt_in, &tgt_out, pad);
             trainer.step(&tape, &mut params, loss);
         }
-        to_json(&params)
+        encode(&params, None, None)
     };
 
     let parallel = {
@@ -137,7 +137,7 @@ fn single_shard_data_parallel_reproduces_serial_trainer() {
             );
             trainer.accum_apply(&mut params);
         }
-        to_json(&params)
+        encode(&params, None, None)
     };
 
     assert_eq!(

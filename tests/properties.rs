@@ -8,7 +8,7 @@ use rpt::core::er::transitive_closure;
 use rpt::core::train::{TrainOpts, Trainer};
 use rpt::nn::metrics::{numeric_closeness, token_f1, BinaryConfusion};
 use rpt::table::{csv, Schema, Table, Value};
-use rpt::tensor::serialize::{load_train_json, to_json, train_state_to_json};
+use rpt::tensor::serialize::{encode, Checkpoint};
 use rpt::tensor::{AdamState, ParamStore, Tensor, TrainState};
 use rpt::tokenizer::{
     normalize, EncoderOptions, TupleEncoder, Vocab, VocabBuilder, ATTR, MASK, NUM_SPECIAL, VAL,
@@ -313,9 +313,9 @@ fn numeric_closeness_properties() {
 }
 
 /// Full train-state checkpoints round-trip bit-exactly: random params,
-/// Adam moments, full-range RNG words (including values above `i64::MAX`,
-/// which would be lossy as JSON numbers), and loss curves all survive a
-/// serialize → parse cycle with every bit intact.
+/// Adam moments, full-range RNG words (including values above
+/// `i64::MAX`), and loss curves all survive an encode → decode cycle with
+/// every bit intact.
 #[test]
 fn train_state_roundtrip_is_bit_exact() {
     let mut rng = SmallRng::seed_from_u64(0x57A7E);
@@ -353,12 +353,14 @@ fn train_state_roundtrip_is_bit_exact() {
             state.rng_streams.push((format!("s{s}"), words));
         }
 
-        let doc = train_state_to_json(&store, &state);
+        let doc = encode(&store, Some(&state), None);
         let mut store2 = ParamStore::new();
         for (name, t) in store.iter() {
             store2.register(name, Tensor::zeros(t.shape()));
         }
-        let back = load_train_json(&mut store2, &doc).unwrap();
+        let back = Checkpoint::decode(&doc)
+            .and_then(|c| c.load_train(&mut store2))
+            .unwrap();
 
         for ((_, a), (_, b)) in store.iter().zip(store2.iter()) {
             let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -384,7 +386,7 @@ fn train_state_roundtrip_is_bit_exact() {
     }
 }
 
-/// Params-only (v1) checkpoints stay loadable as training state: they
+/// Params-only checkpoints stay loadable as training state: they
 /// yield a default `TrainState`, and restoring that into a `Trainer`
 /// leaves Adam freshly reinitialized — no moments, step counter zero.
 #[test]
@@ -397,11 +399,13 @@ fn params_only_checkpoint_resumes_with_fresh_optimizer() {
             .map(|_| rng.gen_range(-2.0..2.0f64) as f32)
             .collect();
         store.register("w", Tensor::from_vec(data.clone(), &[len]).unwrap());
-        let v1 = to_json(&store); // format_version 1, no "train" object
+        let params_only = encode(&store, None, None); // no train section
 
         let mut store2 = ParamStore::new();
         store2.register("w", Tensor::zeros(&[len]));
-        let state = load_train_json(&mut store2, &v1).unwrap();
+        let state = Checkpoint::decode(&params_only)
+            .and_then(|c| c.load_train(&mut store2))
+            .unwrap();
         assert!(state.adam.is_none(), "case {case}");
         assert!(state.rng_streams.is_empty(), "case {case}");
         assert_eq!(state.steps_done, 0, "case {case}");
@@ -525,13 +529,13 @@ fn shard_boundaries_preserve_tuple_integrity_at_random_sizes() {
     }
 }
 
-/// Format-v2 train states carrying a corpus position (including a
-/// mid-window accumulation state with pending gradients) round-trip
-/// bit-exactly — and v1 "old readers" that only understand params ignore
-/// the unknown keys instead of failing.
+/// Train states carrying a corpus position (including a mid-window
+/// accumulation state with pending gradients) round-trip bit-exactly —
+/// and a params-only reader ignores the train section instead of
+/// failing.
 #[test]
 fn v2_corpus_position_roundtrips_and_old_readers_ignore_it() {
-    use rpt::tensor::serialize::{load_json, AccumState, CorpusPos, PendingGrad};
+    use rpt::tensor::serialize::{apply_params, AccumState, CorpusPos, PendingGrad};
     let mut rng = SmallRng::seed_from_u64(0xC0425);
     for case in 0..24 {
         let len = rng.gen_range(1..5usize);
@@ -572,10 +576,12 @@ fn v2_corpus_position_roundtrips_and_old_readers_ignore_it() {
             accum,
         });
 
-        let doc = train_state_to_json(&store, &state);
+        let doc = encode(&store, Some(&state), None);
         let mut store2 = ParamStore::new();
         store2.register("w", Tensor::zeros(&[len]));
-        let back = load_train_json(&mut store2, &doc).unwrap();
+        let back = Checkpoint::decode(&doc)
+            .and_then(|c| c.load_train(&mut store2))
+            .unwrap();
         let orig = state.corpus.as_ref().unwrap();
         let got = back.corpus.as_ref().expect("corpus position dropped");
         assert_eq!(got.epoch, orig.epoch, "case {case}");
@@ -601,14 +607,15 @@ fn v2_corpus_position_roundtrips_and_old_readers_ignore_it() {
             _ => panic!("case {case}: accumulation state dropped or invented"),
         }
 
-        // The v1 reader only knows params; the "train" object (and the
-        // corpus position inside it) must be ignored, not rejected.
+        // A params-only reader takes the params section; the train
+        // section (and the corpus position inside it) is ignored, not
+        // rejected.
         let mut store3 = ParamStore::new();
         store3.register("w", Tensor::zeros(&[len]));
-        load_json(&mut store3, &doc).unwrap();
+        apply_params(&mut store3, Checkpoint::decode(&doc).unwrap().params).unwrap();
         for ((_, a), (_, b)) in store.iter().zip(store3.iter()) {
             let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(a), bits(b), "case {case}: v1 reader params drifted");
+            assert_eq!(bits(a), bits(b), "case {case}: params-only reader drifted");
         }
     }
 }
