@@ -104,14 +104,19 @@ fn bench_matmul() {
 /// `[84, 128]` (keeping `tanh` for the backward, as a recording tape does)
 /// and at one decode row `[1, 128]` (keeping nothing, as a forward-only
 /// tape does), each through the scalar and the forced AVX2 `tanh` twin;
-/// then a `[64, 64]` softmax and a layer-norm forward and backward through
-/// the dispatched kernels. Checks the GELU twins agree bit for bit, then
-/// writes `bench_results/bench_elementwise.json`.
+/// `exp` and a log-sum-exp over one 1000-wide logits row and a softmax
+/// over a 9-wide row (decode self-attention's short rows: one full 8-block
+/// and a masked remainder), each through the scalar and the forced AVX2
+/// kernels; then a `[64, 64]` softmax and a layer-norm forward and
+/// backward through the dispatched kernels. Checks every twin pair agrees
+/// bit for bit, then writes `bench_results/bench_elementwise.json`.
 fn bench_elementwise() {
     let mut rng = SmallRng::seed_from_u64(2);
     let x = init::normal(&[64, 64], 1.0, &mut rng);
     let ffn = init::normal(&[84, 128], 1.0, &mut rng);
     let row = init::normal(&[1, 128], 1.0, &mut rng);
+    let logits = init::normal(&[1, 1000], 4.0, &mut rng);
+    let scores = init::normal(&[1, 9], 2.0, &mut rng);
     let tanh_simd = |xs: &mut [f32]| {
         if !simd::tanh_force(xs) {
             simd::tanh_scalar(xs); // no AVX2: the artifact's `simd` says so
@@ -132,30 +137,90 @@ fn bench_elementwise() {
         }
         out
     };
+    // The exp-based kernels on one path: scalar, or forced AVX2 (falling
+    // back to scalar without AVX2+FMA; the artifact's `simd` says so).
+    let exp_by = |xs: &mut [f32], use_simd: bool| {
+        if !(use_simd && simd::exp_force(xs)) {
+            simd::exp_scalar(xs);
+        }
+    };
+    let lse_by = |xs: &[f32], use_simd: bool| {
+        let max = simd::row_max_scalar(xs);
+        let sum = match use_simd.then(|| simd::exp_sum_force(xs, max)).flatten() {
+            Some(sum) => sum,
+            None => simd::exp_sum_scalar(xs, max),
+        };
+        max + sum.ln()
+    };
+    let softmax_by = |xs: &mut [f32], use_simd: bool| {
+        let max = simd::row_max_scalar(xs);
+        if !(use_simd && simd::shift_in_place_force(xs, max)) {
+            simd::shift_in_place_scalar(xs, max);
+        }
+        exp_by(xs, use_simd);
+        let mut sum = 0.0f32;
+        for &e in xs.iter() {
+            sum += e;
+        }
+        if !(use_simd && simd::scale_in_place_force(xs, 1.0 / sum)) {
+            simd::scale_in_place_scalar(xs, 1.0 / sum);
+        }
+    };
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for input in [&ffn, &row] {
-        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(
-            bits(gelu(input, true, false)),
-            bits(gelu(input, true, true)),
+            bits(&gelu(input, true, false)),
+            bits(&gelu(input, true, true)),
             "gelu twins diverged at {:?}",
             input.shape()
         );
     }
+    let twins = |f: &dyn Fn(&mut [f32], bool), input: &Tensor| {
+        let mut pair = [input.data().to_vec(), input.data().to_vec()];
+        f(&mut pair[0], false);
+        f(&mut pair[1], true);
+        assert_eq!(bits(&pair[0]), bits(&pair[1]), "twins diverged");
+    };
+    twins(&exp_by, &logits);
+    twins(&softmax_by, &scores);
+    let lse = [false, true].map(|s| lse_by(logits.data(), s).to_bits());
+    assert_eq!(lse[0], lse[1], "log_sum_exp twins diverged");
 
     let names = [
         "gelu/ffn_84x128_scalar",
         "gelu/ffn_84x128_simd",
         "gelu/row_1x128_scalar",
         "gelu/row_1x128_simd",
+        "exp/row_1x1000_scalar",
+        "exp/row_1x1000_simd",
+        "log_sum_exp/row_1x1000_scalar",
+        "log_sum_exp/row_1x1000_simd",
+        "softmax/row_1x9_scalar",
+        "softmax/row_1x9_simd",
         "tensor/softmax_64x64",
         "tape/layer_norm_fwd_bwd",
     ];
+    let mut buf = vec![0.0f32; logits.numel()];
     let spreads = measure(names, |arm| match arm {
         0..=3 => {
             let input = if arm < 2 { &ffn } else { &row };
             black_box(gelu(input, arm < 2, arm % 2 == 1));
         }
-        4 => {
+        4..=9 => {
+            let use_simd = arm % 2 == 1;
+            let input = [&logits, &logits, &scores][(arm - 4) / 2];
+            let xs = &mut buf[..input.numel()];
+            xs.copy_from_slice(input.data());
+            match arm {
+                4 | 5 => exp_by(xs, use_simd),
+                6 | 7 => {
+                    black_box(lse_by(xs, use_simd));
+                }
+                _ => softmax_by(xs, use_simd),
+            }
+            black_box(xs);
+        }
+        10 => {
             black_box(x.softmax_last());
         }
         _ => {
@@ -166,22 +231,29 @@ fn bench_elementwise() {
             black_box(tape.backward(loss));
         }
     });
+    // One scalar/AVX2 pair of arms as a JSON record.
+    let twin_run = |name: &str, input: &Tensor, pair: &[Spread]| {
+        let elements = input.numel() as f64;
+        json!({
+            "name": name,
+            "scalar_ns": pair[0].median as u64,
+            "scalar_ns_spread": pair[0],
+            "simd_ns": pair[1].median as u64,
+            "simd_ns_spread": pair[1],
+            "scalar_ns_per_element": pair[0].median / elements,
+            "simd_ns_per_element": pair[1].median / elements,
+            "speedup": pair[0].median / pair[1].median,
+        })
+    };
     let gelu_runs: Vec<Json> = [("ffn_84x128", &ffn, true), ("row_1x128", &row, false)]
         .iter()
         .zip(spreads.chunks(2))
         .map(|((name, input, keep), pair)| {
-            let elements = input.numel() as f64;
-            json!({
-                "name": *name,
-                "keeps_tanh": *keep,
-                "scalar_ns": pair[0].median as u64,
-                "scalar_ns_spread": pair[0],
-                "simd_ns": pair[1].median as u64,
-                "simd_ns_spread": pair[1],
-                "scalar_ns_per_element": pair[0].median / elements,
-                "simd_ns_per_element": pair[1].median / elements,
-                "speedup": pair[0].median / pair[1].median,
-            })
+            let mut run = twin_run(name, input, pair);
+            if let Json::Object(m) = &mut run {
+                m.insert("keeps_tanh".to_string(), Json::Bool(*keep));
+            }
+            run
         })
         .collect();
     emit(
@@ -189,10 +261,13 @@ fn bench_elementwise() {
         json!({
             "bench": "elementwise",
             "gelu": gelu_runs,
-            "softmax_64x64_ns": spreads[4].median as u64,
-            "softmax_64x64_ns_spread": spreads[4],
-            "layer_norm_fwd_bwd_64x64_ns": spreads[5].median as u64,
-            "layer_norm_fwd_bwd_64x64_ns_spread": spreads[5],
+            "exp": [twin_run("row_1x1000", &logits, &spreads[4..6])],
+            "log_sum_exp": [twin_run("row_1x1000", &logits, &spreads[6..8])],
+            "softmax_short": [twin_run("row_1x9", &scores, &spreads[8..10])],
+            "softmax_64x64_ns": spreads[10].median as u64,
+            "softmax_64x64_ns_spread": spreads[10],
+            "layer_norm_fwd_bwd_64x64_ns": spreads[11].median as u64,
+            "layer_norm_fwd_bwd_64x64_ns_spread": spreads[11],
         }),
     );
 }

@@ -534,11 +534,15 @@ pub fn cmd_pretrain(corpus_dir: &str, opts: &PretrainOptions) -> Result<String, 
     ))
 }
 
+/// The largest trace dump `rpt trace-report` reads: several times the
+/// dump of a full 65536-event trace ring.
+pub const MAX_TRACE_DUMP_BYTES: u64 = 64 << 20;
+
 /// `rpt trace-report` — render a `--trace-out` dump (`rpt-trace-v1`) as
 /// a self-time profile: one line per span-name path from its trace root,
 /// children flamegraph-ordered (heaviest total time first).
 pub fn cmd_trace_report(path: &str) -> Result<String, CliError> {
-    let text = std::fs::read_to_string(path)
+    let text = rpt_json::read_capped(path, MAX_TRACE_DUMP_BYTES)
         .map_err(|e| CliError::Data(format!("cannot read trace dump {path}: {e}")))?;
     let doc = rpt_json::Json::parse(&text)
         .map_err(|e| CliError::Data(format!("trace dump {path}: {e}")))?;
@@ -1415,6 +1419,16 @@ mod tests {
             cmd_trace_report(bad.to_str().unwrap()),
             Err(CliError::Data(_))
         ));
+        // A dump above the ceiling is refused unread (sparse: no data).
+        let big = dir.join("big.json");
+        std::fs::File::create(&big)
+            .unwrap()
+            .set_len(MAX_TRACE_DUMP_BYTES + 1)
+            .unwrap();
+        match cmd_trace_report(big.to_str().unwrap()) {
+            Err(CliError::Data(m)) => assert!(m.contains("exceeds"), "{m}"),
+            other => panic!("oversized dump: {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -23,7 +23,9 @@ use rpt_table::{Schema, Table, TableProfile, Tuple, Value};
 use rpt_tensor::ParamStore;
 use rpt_tokenizer::{EncodedTuple, EncoderOptions, TupleEncoder, Vocab, BOS, EOS, PAD};
 
-use rpt_tensor::serialize::{self, AccumState, CorpusPos, TrainState};
+use rpt_tensor::serialize::{
+    self, AccumState, CheckpointIo, CorpusPos, StdCheckpointIo, TrainState,
+};
 
 use crate::corpus::{CorpusError, ShardSource, StreamCursor};
 use crate::train::{TrainOpts, Trainer, TRAIN_OBS, TRAIN_STATE_FILE};
@@ -169,6 +171,9 @@ pub struct RptC {
     /// Trainable parameters (public for checkpointing).
     pub params: ParamStore,
     rng: SmallRng,
+    /// What the pretraining loop reads a resume checkpoint and writes its
+    /// rolling checkpoints through ([`RptC::set_checkpoint_io`]).
+    ckpt_io: Box<dyn CheckpointIo + Send + Sync>,
 }
 
 impl RptC {
@@ -186,7 +191,15 @@ impl RptC {
             model,
             params,
             rng,
+            ckpt_io: Box::new(StdCheckpointIo),
         }
+    }
+
+    /// Routes the pretraining loop's checkpoint reads (`resume`) and
+    /// writes through `io` instead of the plain filesystem — the
+    /// fault-injection harness passes a `FaultyIo`.
+    pub fn set_checkpoint_io(&mut self, io: Box<dyn CheckpointIo + Send + Sync>) {
+        self.ckpt_io = io;
     }
 
     /// The tokenizer/serializer.
@@ -467,7 +480,7 @@ impl RptC {
             trainer.checkpoint_every(ckpt.every);
         }
         let state = match resume {
-            Some(path) => Some(trainer.resume_from(&mut self.params, path)?),
+            Some(path) => Some(trainer.resume_from(&mut *self.ckpt_io, &mut self.params, path)?),
             None => None,
         };
         if let Some(s) = saved_stream(state.as_ref(), "model") {
@@ -608,7 +621,7 @@ impl RptC {
     /// source's RNG stream and, for sources with one, its corpus position
     /// with — mid-window — the accumulation state and pending gradients.
     fn save_pairs_checkpoint<S: PairSource>(
-        &self,
+        &mut self,
         trainer: &Trainer,
         source: &S,
         window: Option<(u64, u64)>,
@@ -629,7 +642,7 @@ impl RptC {
                 pending: trainer.export_pending(&self.params),
             }),
         });
-        serialize::save_train_file(&self.params, &state, path)?;
+        serialize::save_train_file_with(&mut *self.ckpt_io, &self.params, &state, path)?;
         Ok(())
     }
 

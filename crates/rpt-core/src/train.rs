@@ -7,7 +7,7 @@ use std::sync::LazyLock;
 
 use rpt_nn::schedule::linear_warmup;
 use rpt_par::ThreadPool;
-use rpt_tensor::serialize::{self, CheckpointError, PendingGrad, TrainState};
+use rpt_tensor::serialize::{Checkpoint, CheckpointError, CheckpointIo, PendingGrad, TrainState};
 use rpt_tensor::{Adam, AdamConfig, ParamId, ParamStore, Tape, Tensor, Var};
 
 /// Training metrics (DESIGN.md §Observability). Values only flow *out* of
@@ -442,15 +442,17 @@ impl Trainer {
         Ok(())
     }
 
-    /// Loads a checkpoint file: parameters into `params`, optimizer state
-    /// and loss curve into this trainer. Returns the full state so the
-    /// caller can restore its RNG streams.
+    /// Loads a checkpoint file, read through `io`: parameters into
+    /// `params`, optimizer state and loss curve into this trainer. Returns
+    /// the full state so the caller can restore its RNG streams. A failed
+    /// or torn read is a typed error that changes nothing.
     pub fn resume_from(
         &mut self,
+        io: &mut dyn CheckpointIo,
         params: &mut ParamStore,
         path: impl AsRef<Path>,
     ) -> Result<TrainState, CheckpointError> {
-        let state = serialize::load_train_file(params, path)?;
+        let state = Checkpoint::read_with(io, path)?.load_train(params)?;
         self.restore_state(params, &state)?;
         Ok(state)
     }

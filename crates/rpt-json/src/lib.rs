@@ -17,6 +17,38 @@ mod write;
 
 pub use parse::{parse, JsonError};
 
+use std::io::{self, Read as _};
+use std::path::Path;
+
+/// Reads the text file at `path`, refusing one above `limit` bytes with an
+/// [`io::ErrorKind::FileTooLarge`] error before anything is read: a JSON
+/// document becomes a tree several times its size, so an unbounded file
+/// could exhaust memory before the parser sees a byte. The read itself is
+/// bounded too, in case the file grows after its size was taken.
+pub fn read_capped(path: impl AsRef<Path>, limit: u64) -> io::Result<String> {
+    let path = path.as_ref();
+    let too_large = |len: u64| {
+        io::Error::new(
+            io::ErrorKind::FileTooLarge,
+            format!(
+                "{}: {len} bytes exceeds the {limit}-byte limit",
+                path.display()
+            ),
+        )
+    };
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    if len > limit {
+        return Err(too_large(len));
+    }
+    let mut text = String::with_capacity(len as usize);
+    file.take(limit + 1).read_to_string(&mut text)?;
+    if text.len() as u64 > limit {
+        return Err(too_large(text.len() as u64));
+    }
+    Ok(text)
+}
+
 /// An insertion-ordered string → [`Json`] map (what JSON objects hold).
 ///
 /// Backed by a `Vec` of pairs: artifact objects are small and write-once,
@@ -270,6 +302,27 @@ impl From<f64> for Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn read_capped_refuses_a_sparse_file_above_the_limit() {
+        let dir = std::env::temp_dir().join(format!("rpt-json-cap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("big.json");
+        // sparse: set_len writes no data
+        std::fs::File::create(&path)
+            .unwrap()
+            .set_len(1 << 40)
+            .unwrap();
+        let err = read_capped(&path, 1 << 20).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::FileTooLarge, "{err}");
+        std::fs::write(&path, "[1, 2]").unwrap();
+        assert_eq!(read_capped(&path, 6).unwrap(), "[1, 2]");
+        assert_eq!(
+            read_capped(&path, 5).unwrap_err().kind(),
+            io::ErrorKind::FileTooLarge
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn scalars_write_like_serde_json() {

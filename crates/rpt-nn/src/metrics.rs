@@ -3,9 +3,10 @@
 //! and evaluation code paths.
 
 /// Log-softmax of one logits row (host side): `x - logsumexp(x)`, computed
-/// with the max-subtraction trick for stability. The max reduction and the
-/// final shift use the bit-identical SIMD kernels from `rpt-tensor`; the
-/// exp-sum stays scalar to preserve accumulation order (see DESIGN.md).
+/// with the max-subtraction trick for stability. The max reduction, the
+/// `exp` and the final shift use the bit-identical SIMD kernels from
+/// `rpt-tensor`; the exp-sum adds in ascending order on both paths (see
+/// DESIGN.md).
 pub fn log_softmax_row(row: &[f32]) -> Vec<f32> {
     let lse = log_sum_exp(row);
     let mut out = row.to_vec();
@@ -16,9 +17,9 @@ pub fn log_softmax_row(row: &[f32]) -> Vec<f32> {
 /// `logsumexp(row)`, the shift [`log_softmax_row`] subtracts: element `i`
 /// of the log-softmax is exactly `row[i] - log_sum_exp(row)`, so callers
 /// that need one entry or a running argmax skip the row copy.
-pub(crate) fn log_sum_exp(row: &[f32]) -> f32 {
+pub fn log_sum_exp(row: &[f32]) -> f32 {
     let max = rpt_tensor::simd::row_max(row);
-    max + row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln()
+    max + rpt_tensor::simd::exp_sum(row, max).ln()
 }
 
 /// Index of the maximum element; ties break toward the last occurrence

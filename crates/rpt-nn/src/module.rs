@@ -106,7 +106,8 @@ impl Linear {
         if let Some(qm) = ctx.quant.and_then(|q| q.linear(self.w)) {
             return self.forward_quant(ctx, x, qm);
         }
-        let shape = ctx.tape.value(x).shape().to_vec();
+        let xv = ctx.tape.value(x);
+        let shape = xv.shape();
         let w = ctx.p(self.w);
         let y = match shape.len() {
             2 => {
@@ -140,16 +141,18 @@ impl Linear {
         debug_assert_eq!(qm.k(), self.d_in, "quant weight inner dim mismatch");
         debug_assert_eq!(qm.n_out(), self.d_out, "quant weight outer dim mismatch");
         let xv = ctx.tape.value(x);
-        let shape = xv.shape().to_vec();
-        let (m, out_shape) = match shape.len() {
-            2 => (shape[0], vec![shape[0], self.d_out]),
-            3 => (shape[0] * shape[1], vec![shape[0], shape[1], self.d_out]),
-            d => panic!("Linear expects 2-d or 3-d input, got {d}-d"),
-        };
+        let shape = xv.shape();
+        let nd = shape.len();
+        if !(2..=3).contains(&nd) {
+            panic!("Linear expects 2-d or 3-d input, got {nd}-d");
+        }
+        let m = shape[..nd - 1].iter().product();
+        let mut out_shape = [self.d_out; 3];
+        out_shape[..nd - 1].copy_from_slice(&shape[..nd - 1]);
         let y = qm.matmul_f32(xv.data(), m);
         let y = ctx
             .tape
-            .constant(Tensor::from_vec(y, &out_shape).expect("quant linear shape"));
+            .constant(Tensor::from_vec(y, &out_shape[..nd]).expect("quant linear shape"));
         match self.b {
             Some(b) => {
                 let bv = ctx.p(b);

@@ -50,8 +50,8 @@ pub use quant::QuantMatrix;
 pub use serialize::{CheckpointError, TrainState};
 pub use tape::{Gradients, Tape, Var};
 pub use tensor::{
-    matmul_chunk_count, matmul_rows_blocked_force, matmul_rows_strided, Tensor,
-    PAR_MIN_MADDS_PER_CHUNK,
+    matmul_chunk_count, matmul_rows_blocked_force, matmul_rows_strided, Tensor, TensorError,
+    MAX_DIMS, PAR_MIN_MADDS_PER_CHUNK,
 };
 
 /// Numerical gradient checking utility, used by the test suites of this

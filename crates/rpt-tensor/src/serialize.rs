@@ -52,7 +52,7 @@ use rpt_json::JsonError;
 
 use crate::optim::{AdamState, ParamStore};
 use crate::quant::{QuantMatrix, QMATMUL_MAX_K};
-use crate::tensor::Tensor;
+use crate::tensor::{Tensor, MAX_DIMS};
 
 pub mod frame;
 mod legacy;
@@ -113,9 +113,10 @@ pub trait CheckpointIo {
     fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()>;
     /// Flushes the directory entry (the rename itself) to stable storage.
     fn sync_dir(&mut self, dir: &Path) -> io::Result<()>;
-    /// Reads the whole file at `path`. Streaming-corpus shard reads go
-    /// through this hook so the fault harness can serve torn or failing
-    /// reads; the default is the plain filesystem.
+    /// Reads the whole file at `path`. Streaming-corpus shard reads and
+    /// training resumes ([`Checkpoint::read_with`]) go through this hook so
+    /// the fault harness can serve torn or failing reads; the default is
+    /// the plain filesystem.
     fn read_file(&mut self, path: &Path) -> io::Result<Vec<u8>> {
         fs::read(path)
     }
@@ -529,8 +530,18 @@ impl Checkpoint {
 
     /// Reads and decodes the file at `path` in one read.
     pub fn read(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
+        Self::read_with(&mut StdCheckpointIo, path)
+    }
+
+    /// [`Checkpoint::read`] through an injectable IO layer's
+    /// [`CheckpointIo::read_file`], so the fault harness can tear or fail
+    /// the read.
+    pub fn read_with(
+        io: &mut dyn CheckpointIo,
+        path: impl AsRef<Path>,
+    ) -> Result<Self, CheckpointError> {
         let _t = rpt_obs::span("ckpt.load", &OBS.load_ms);
-        let bytes = fs::read(path)?;
+        let bytes = io.read_file(path.as_ref())?;
         OBS.loads.inc();
         OBS.bytes_read.add(bytes.len() as u64);
         Self::decode(&bytes)
@@ -802,6 +813,7 @@ fn get_f32s(r: &mut ByteReader, n: usize) -> Result<Vec<f32>, CheckpointError> {
 /// A shape and its element count.
 fn get_shape(r: &mut ByteReader) -> Result<(Vec<usize>, usize), CheckpointError> {
     let rank = r.count(8)?;
+    check_rank(rank)?;
     let mut shape = r.vec_for(rank);
     for _ in 0..rank {
         let d = r.u64()?;
@@ -819,8 +831,23 @@ fn get_tensor(r: &mut ByteReader) -> Result<(String, Tensor), CheckpointError> {
     let name = get_str(r)?;
     let (shape, numel) = get_shape(r)?;
     let data = get_f32s(r, numel)?;
-    let t = Tensor::from_vec(data, &shape).expect("length checked against the shape");
-    Ok((name, t))
+    Ok((name, shaped(data, &shape)?))
+}
+
+/// A [`CheckpointError::Format`] for a shape of more dims than a
+/// [`Tensor`] holds.
+fn check_rank(rank: usize) -> Result<(), CheckpointError> {
+    if rank > MAX_DIMS {
+        return Err(format_err(format!(
+            "a rank-{rank} shape exceeds the {MAX_DIMS}-d tensor limit"
+        )));
+    }
+    Ok(())
+}
+
+/// `data` as a tensor of `shape`, both read from the file.
+fn shaped(data: Vec<f32>, shape: &[usize]) -> Result<Tensor, CheckpointError> {
+    Tensor::from_vec(data, shape).map_err(|e| format_err(e.to_string()))
 }
 
 fn get_flag(r: &mut ByteReader) -> Result<bool, CheckpointError> {
@@ -842,8 +869,7 @@ fn get_train(r: &mut ByteReader) -> Result<TrainState, CheckpointError> {
             let (shape, numel) = get_shape(r)?;
             let m = get_f32s(r, numel)?;
             let v = get_f32s(r, numel)?;
-            let shaped = |d| Tensor::from_vec(d, &shape).expect("length checked against the shape");
-            Ok((name, shaped(m), shaped(v)))
+            Ok((name, shaped(m, &shape)?, shaped(v, &shape)?))
         })?;
         Some(AdamState { t, moments })
     } else {

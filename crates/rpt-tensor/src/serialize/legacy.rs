@@ -21,8 +21,8 @@
 use rpt_json::Json;
 
 use super::{
-    checked_numel, structure, validate_quant, AccumState, AdamState, Checkpoint, CheckpointError,
-    CorpusPos, PendingGrad, TrainState,
+    check_rank, checked_numel, structure, validate_quant, AccumState, AdamState, Checkpoint,
+    CheckpointError, CorpusPos, PendingGrad, TrainState,
 };
 use crate::quant::QuantMatrix;
 use crate::tensor::Tensor;
@@ -100,11 +100,12 @@ fn array<'a>(doc: &'a Json, key: &str, what: &str) -> Result<&'a [Json], Checkpo
 }
 
 fn parse_shape(record: &Json, name: &str) -> Result<Vec<usize>, CheckpointError> {
-    record
+    let dims = record
         .get("shape")
         .and_then(Json::as_array)
-        .ok_or_else(|| structure(format!("{name} without shape")))?
-        .iter()
+        .ok_or_else(|| structure(format!("{name} without shape")))?;
+    check_rank(dims.len())?;
+    dims.iter()
         .map(|d| d.as_u64().map(|d| d as usize))
         .collect::<Option<_>>()
         .ok_or_else(|| structure(format!("{name} has a non-integer shape")))

@@ -5,25 +5,36 @@
 //! sequence per output element as the scalar code it replaces:
 //!
 //! * multiply-accumulates are a separate `vmulps` + `vaddps` (never
-//!   `vfmadd`, whose single rounding would change low bits),
+//!   `vfmadd`, whose single rounding would change low bits) — except in
+//!   [`exp`], whose scalar twin fuses exactly where its vector twin does,
 //! * reductions that are rounding-sensitive (sums) keep the scalar
 //!   sequential order — only order-insensitive reductions (`max`) and
 //!   pure elementwise stages are vectorized,
 //! * remainder lanes run the identical scalar loop.
 //!
-//! [`tanh`] is the one transcendental. Its scalar twin is a port of
-//! fdlibm's `tanhf` and `expm1f` (glibc's `libm.so.6` runs the same code,
-//! as plain SSE scalar operations with no FMA), so GELU's bits do not
-//! depend on the platform libm; on a host whose `tanhf` is not fdlibm's,
-//! checkpoints differ from those of builds that called it. The AVX2 twin
-//! runs that operation sequence on each lane: every branch either routine
-//! reaches is computed on all lanes and blended by the lane's own
-//! condition, and an 8-block holding a lane outside `2^-55 <= |x| < 22`
-//! (±0, tiny values, saturated values, ±inf, NaN) runs the scalar twin.
-//! Blends are easy to get subtly wrong, so the identity is proven by
-//! trying every input: an exhaustive 2^32 sweep in
+//! The two transcendentals are in-repo ports, so their bits do not depend
+//! on the platform libm; on a host whose libm differs, checkpoints differ
+//! from those of builds that called it.
+//!
+//! * [`tanh`] (GELU): the scalar twin ports fdlibm's `tanhf` and `expm1f`
+//!   (glibc's `libm.so.6` runs the same code, as plain SSE scalar
+//!   operations with no FMA). The AVX2 twin runs that operation sequence
+//!   on each lane: every branch either routine reaches is computed on all
+//!   lanes and blended by the lane's own condition, and an 8-block holding
+//!   a lane outside `2^-55 <= |x| < 22` (±0, tiny values, saturated
+//!   values, ±inf, NaN) runs the scalar twin.
+//! * [`exp`] (softmax, log-softmax, sigmoid, log-sum-exp): the scalar
+//!   twin ports glibc 2.36's `expf` as its FMA build runs it (a 32-entry
+//!   table of `2^(i/32)` and a cubic, in double precision, with fused
+//!   multiply-adds). The AVX2+FMA twin runs the main path on two halves of
+//!   four doubles and blends in the lanes `expf` answers early
+//!   (underflow, overflow, NaN).
+//!
+//! Blends are easy to get subtly wrong, so each identity is proven by
+//! trying every input: exhaustive 2^32 sweeps in
 //! `tests/simd_equivalence.rs` (ignored by default; `scripts/verify.sh`
-//! runs it in release mode).
+//! runs them in release mode), the `exp` one also against the platform's
+//! `f32::exp`.
 //!
 //! Consequence: `RPT_SIMD=0` and `RPT_SIMD=1` produce byte-identical
 //! tensors, checkpoints, and loss curves (locked down by
@@ -34,6 +45,9 @@
 //!
 //! [`simd_enabled`] is resolved once per process: the CPU must report
 //! AVX2 (`is_x86_feature_detected!`) and `RPT_SIMD` must not be `0`.
+//! [`exp`]'s vector twin needs FMA as well; its scalar twin uses FMA
+//! instructions where the CPU has them, whatever `RPT_SIMD` says (the
+//! rounding is the same either way).
 //! Non-x86_64 builds compile only the scalar twins and the dispatchers
 //! become direct calls.
 //!
@@ -587,6 +601,293 @@ unsafe fn expm1_8_avx2(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m25
 }
 
 // ----------------------------------------------------------------------
+// exp (softmax, log-softmax, sigmoid, log-sum-exp)
+// ----------------------------------------------------------------------
+
+/// `xs[i] = exp(xs[i])`, in place. Dispatched: the AVX2+FMA twin needs
+/// both features and `RPT_SIMD` not `0`.
+///
+/// The scalar twin is a port of glibc 2.36's `expf` as built for FMA
+/// hosts (see [`exp_scalar`]), so the result does not depend on the
+/// platform libm. The AVX2 twin runs the same double-precision operations
+/// on eight lanes (see `exp8_avx2`); a remainder of 1..=7 elements runs
+/// the scalar twin's FMA-compiled loop.
+pub fn exp(xs: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if simd_enabled() && fma_available() {
+        // SAFETY: simd_enabled() implies AVX2; FMA checked above.
+        unsafe { exp_avx2(xs) };
+        return;
+    }
+    exp_scalar(xs);
+}
+
+/// Scalar twin of [`exp`]: glibc's `expf` (the `exp2f_data` 32-entry
+/// table, evaluated in double precision with fused multiply-adds) on
+/// every element. On glibc hosts with FMA it agrees with `f32::exp` bit
+/// for bit (checked on all 2^32 inputs against glibc 2.36). Compiled with
+/// FMA instructions where the CPU has them; elsewhere `mul_add` rounds the
+/// same way in software.
+pub fn exp_scalar(xs: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: FMA checked above.
+        unsafe { exp_scalar_fma(xs) };
+        return;
+    }
+    for x in xs.iter_mut() {
+        *x = expf(*x);
+    }
+}
+
+/// Forced-SIMD [`exp`]; `false` when AVX2 or FMA is unavailable.
+pub fn exp_force(xs: &mut [f32]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if simd_available() && fma_available() {
+        // SAFETY: feature presence checked above.
+        unsafe { exp_avx2(xs) };
+        return true;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = xs;
+    false
+}
+
+/// `Σ exp(x - shift)` over `xs`, summed in ascending order: the
+/// denominator of a softmax and the argument of a log-sum-exp. The
+/// shifted values are exponentiated through [`exp`] a stack block at a
+/// time, so `xs` is not modified and nothing is allocated.
+pub fn exp_sum(xs: &[f32], shift: f32) -> f32 {
+    exp_sum_by(xs, shift, exp)
+}
+
+/// Scalar twin of [`exp_sum`].
+pub fn exp_sum_scalar(xs: &[f32], shift: f32) -> f32 {
+    exp_sum_by(xs, shift, exp_scalar)
+}
+
+/// Forced-SIMD [`exp_sum`]; `None` when AVX2 or FMA is unavailable.
+pub fn exp_sum_force(xs: &[f32], shift: f32) -> Option<f32> {
+    exp_available().then(|| {
+        exp_sum_by(xs, shift, |b| {
+            exp_force(b);
+        })
+    })
+}
+
+fn exp_sum_by(xs: &[f32], shift: f32, exp: impl Fn(&mut [f32])) -> f32 {
+    let mut block = [0.0f32; 256];
+    let mut sum = 0.0f32;
+    for chunk in xs.chunks(block.len()) {
+        let b = &mut block[..chunk.len()];
+        for (d, &x) in b.iter_mut().zip(chunk) {
+            *d = x - shift;
+        }
+        exp(b);
+        for &e in b.iter() {
+            sum += e;
+        }
+    }
+    sum
+}
+
+/// True when [`exp_force`] can run: the CPU reports AVX2 and FMA.
+fn exp_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        simd_available() && fma_available()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// True when the CPU reports FMA.
+#[cfg(target_arch = "x86_64")]
+fn fma_available() -> bool {
+    static AVAIL: OnceLock<bool> = OnceLock::new();
+    *AVAIL.get_or_init(|| std::arch::is_x86_feature_detected!("fma"))
+}
+
+// glibc 2.36 e_exp2f_data.c (EXP2F_TABLE_BITS = 5): TAB[i] holds the bits
+// of 2^(i/32) minus i << 47, so adding k << 47 scales it by 2^(k/32 - i/32).
+const EXP2F_TAB: [u64; 32] = [
+    0x3ff0000000000000,
+    0x3fefd9b0d3158574,
+    0x3fefb5586cf9890f,
+    0x3fef9301d0125b51,
+    0x3fef72b83c7d517b,
+    0x3fef54873168b9aa,
+    0x3fef387a6e756238,
+    0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb,
+    0x3feedea64c123422,
+    0x3feece086061892d,
+    0x3feebfdad5362a27,
+    0x3feeb42b569d4f82,
+    0x3feeab07dd485429,
+    0x3feea47eb03a5585,
+    0x3feea09e667f3bcd,
+    0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187,
+    0x3feea589994cce13,
+    0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5,
+    0x3feec49182a3f090,
+    0x3feed503b23e255d,
+    0x3feee89f995ad3ad,
+    0x3feeff76f2fb5e47,
+    0x3fef199bdd85529c,
+    0x3fef3720dcef9069,
+    0x3fef5818dcfba487,
+    0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da,
+    0x3fefd0765b6e4540,
+];
+/// 32 / ln 2.
+const EXPF_INVLN2N: f64 = f64::from_bits(0x4047_1547_652b_82fe);
+/// 1.5 * 2^52: adding it rounds to an integer held in the low mantissa bits.
+const EXPF_SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+/// The cubic for 2^(r/32) - 1, highest degree first.
+const EXPF_C: [f64; 3] = [
+    f64::from_bits(0x3ebc_6af8_4b91_2394),
+    f64::from_bits(0x3f2e_bfce_50fa_c4f3),
+    f64::from_bits(0x3f96_2e42_ff0c_52d6),
+];
+/// Above ln(2^128): the result overflows to +inf.
+const EXPF_OFLOW: f32 = f32::from_bits(0x42b1_7217);
+/// Below ln(2^-150): the result underflows to +0.
+const EXPF_UFLOW: f32 = f32::from_bits(0xc2cf_f1b4);
+/// Below ln(2^-149) (and not below [`EXPF_UFLOW`]): glibc returns the
+/// smallest subnormal, `0x1.4p-75f * 0x1.4p-75f`.
+const EXPF_MAY_UFLOW: f32 = f32::from_bits(0xc2ce_8ecf);
+
+/// glibc's `expf`, operation for operation, with the contractions of its
+/// FMA build: `x * 32/ln2` is fused into both the rounding shift and the
+/// reduced argument, and the cubic is three fused multiply-adds.
+#[inline(always)]
+fn expf(x: f32) -> f32 {
+    let abstop = (x.to_bits() >> 20) & 0x7ff;
+    if abstop >= 0x42b {
+        // |x| >= 88 or NaN
+        if x == f32::NEG_INFINITY {
+            return 0.0;
+        }
+        if abstop >= 0x7f8 {
+            return x + x; // +inf, or NaN quieted
+        }
+        if x > EXPF_OFLOW {
+            return f32::INFINITY;
+        }
+        if x < EXPF_UFLOW {
+            return 0.0;
+        }
+        if x < EXPF_MAY_UFLOW {
+            return f32::from_bits(1);
+        }
+    }
+    // x * 32/ln2 = k + r, |r| <= 1/2, k an integer
+    let xd = x as f64;
+    let kd = EXPF_INVLN2N.mul_add(xd, EXPF_SHIFT);
+    let ki = kd.to_bits();
+    let kd = kd - EXPF_SHIFT;
+    let r = EXPF_INVLN2N.mul_add(xd, -kd);
+    // exp(x) = 2^(k/32) * 2^(r/32) ~= s * (C0 r^3 + C1 r^2 + C2 r + 1)
+    let s = f64::from_bits(EXP2F_TAB[(ki % 32) as usize].wrapping_add(ki << 47));
+    let z = EXPF_C[0].mul_add(r, EXPF_C[1]);
+    let r2 = r * r;
+    let y = EXPF_C[2].mul_add(r, 1.0);
+    let y = z.mul_add(r2, y);
+    (y * s) as f32
+}
+
+/// [`exp_scalar`]'s loop compiled with FMA, so `mul_add` is one `vfmadd`
+/// instead of a libm call.
+///
+/// # Safety
+/// Caller must ensure FMA is available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn exp_scalar_fma(xs: &mut [f32]) {
+    for x in xs.iter_mut() {
+        *x = expf(*x);
+    }
+}
+
+/// [`exp`] on AVX2+FMA: [`exp8_avx2`] on every 8-block, the FMA-compiled
+/// scalar twin on the remainder. (A masked 8-lane block for the remainder
+/// measured 3-5x slower than the scalar loop on 1-7 elements: a
+/// `vmaskmovps` load cannot take its data from the row's just-written
+/// stores.)
+///
+/// # Safety
+/// Caller must ensure AVX2 and FMA are available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn exp_avx2(xs: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let mut blocks = xs.chunks_exact_mut(8);
+    for b in &mut blocks {
+        _mm256_storeu_ps(b.as_mut_ptr(), exp8_avx2(_mm256_loadu_ps(b.as_ptr())));
+    }
+    exp_scalar_fma(blocks.into_remainder());
+}
+
+/// [`expf`] on eight lanes: the main path on two halves of four doubles
+/// ([`exp4_avx2`]), then the lanes `expf` answers early (below
+/// [`EXPF_MAY_UFLOW`], below [`EXPF_UFLOW`] or `-inf`, above
+/// [`EXPF_OFLOW`] or `+inf`, NaN) blended in. Every other lane with
+/// `|x| >= 88` takes the main path in `expf` too.
+///
+/// # Safety
+/// Caller must ensure AVX2 and FMA are available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn exp8_avx2(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let lo = exp4_avx2(_mm256_cvtps_pd(_mm256_castps256_ps128(x)));
+    let hi = exp4_avx2(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(x)));
+    let y = _mm256_set_m128(hi, lo);
+    let below = |c: f32| _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(c));
+    let tiny = _mm256_castsi256_ps(_mm256_set1_epi32(1));
+    let y = _mm256_blendv_ps(y, tiny, below(EXPF_MAY_UFLOW));
+    let y = _mm256_andnot_ps(below(EXPF_UFLOW), y);
+    let over = _mm256_cmp_ps::<_CMP_GT_OQ>(x, _mm256_set1_ps(EXPF_OFLOW));
+    let y = _mm256_blendv_ps(y, _mm256_set1_ps(f32::INFINITY), over);
+    let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x);
+    _mm256_blendv_ps(y, _mm256_add_ps(x, x), nan)
+}
+
+/// [`expf`]'s main path on four lanes already widened to double, rounded
+/// back to four floats. Any input is safe: the table index is masked to
+/// five bits.
+///
+/// # Safety
+/// Caller must ensure AVX2 and FMA are available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn exp4_avx2(xd: std::arch::x86_64::__m256d) -> std::arch::x86_64::__m128 {
+    use std::arch::x86_64::*;
+    let pd = |v: f64| _mm256_set1_pd(v);
+    let kd = _mm256_fmadd_pd(pd(EXPF_INVLN2N), xd, pd(EXPF_SHIFT));
+    let ki = _mm256_castpd_si256(kd);
+    let kd = _mm256_sub_pd(kd, pd(EXPF_SHIFT));
+    let r = _mm256_fmsub_pd(pd(EXPF_INVLN2N), xd, kd);
+    let idx = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+    let t = _mm256_i64gather_epi64::<8>(EXP2F_TAB.as_ptr().cast(), idx);
+    let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+    let z = _mm256_fmadd_pd(pd(EXPF_C[0]), r, pd(EXPF_C[1]));
+    let r2 = _mm256_mul_pd(r, r);
+    let y = _mm256_fmadd_pd(pd(EXPF_C[2]), r, pd(1.0));
+    let y = _mm256_fmadd_pd(z, r2, y);
+    _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
+}
+
+// ----------------------------------------------------------------------
 // Matmul register tile
 // ----------------------------------------------------------------------
 
@@ -727,6 +1028,27 @@ mod tests {
         tanh(&mut a);
         tanh_scalar(&mut b);
         assert_eq!(bits(&a), bits(&b), "tanh dispatch");
+        let mut a = xs.clone();
+        let mut b = xs.clone();
+        exp(&mut a);
+        exp_scalar(&mut b);
+        assert_eq!(bits(&a), bits(&b), "exp dispatch");
+        assert_eq!(
+            exp_sum(&xs, 1.5).to_bits(),
+            exp_sum_scalar(&xs, 1.5).to_bits(),
+            "exp_sum dispatch"
+        );
+    }
+
+    /// The scalar twin compiled without FMA instructions (`mul_add`
+    /// through the software routine) rounds as the FMA-compiled one does.
+    #[test]
+    fn exp_without_fma_instructions_matches_the_scalar_twin() {
+        let xs: Vec<f32> = (0..4001).map(|i| i as f32 * 0.05 - 110.0).collect();
+        let mut want = xs.clone();
+        exp_scalar(&mut want);
+        let got: Vec<f32> = xs.iter().map(|&x| expf(x)).collect();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

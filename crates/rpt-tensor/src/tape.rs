@@ -344,9 +344,17 @@ impl Tape {
         self.push_unary(a, av, out, |_, y| 1.0 - y * y)
     }
 
-    /// Logistic sigmoid.
+    /// Logistic sigmoid, `1 / (1 + exp(-x))` through the dispatched
+    /// [`simd::exp`].
     pub fn sigmoid(&self, a: Var) -> Var {
-        self.unary(a, |x| 1.0 / (1.0 + (-x).exp()), |_, y| y * (1.0 - y))
+        let av = self.value(a);
+        let mut out: Vec<f32> = av.data().iter().map(|&x| -x).collect();
+        simd::exp(&mut out);
+        for y in out.iter_mut() {
+            *y = 1.0 / (1.0 + *y);
+        }
+        let out = Tensor::from_vec(out, av.shape()).expect("sigmoid shape");
+        self.push_unary(a, av, out, |_, y| y * (1.0 - y))
     }
 
     // ------------------------------------------------------------------
@@ -356,7 +364,7 @@ impl Tape {
     /// Reinterprets the buffer with a new shape (element count preserved).
     pub fn reshape(&self, a: Var, shape: &[usize]) -> Var {
         let av = self.value(a);
-        let old_shape = av.shape().to_vec();
+        let old_shape = av.dims();
         let out = av.reshape(shape);
         let grad_fn = move |g: &Tensor| vec![g.reshape(&old_shape)];
         self.push_op(out, &[a.id], grad_fn)
@@ -462,11 +470,11 @@ impl Tape {
             out.extend_from_slice(&av.data()[r * da..(r + 1) * da]);
             out.extend_from_slice(&bv.data()[r * db..(r + 1) * db]);
         }
-        let mut shape = av.shape().to_vec();
+        let mut shape = av.dims();
         shape[nd - 1] = da + db;
         let out_t = Tensor::from_vec(out, &shape).expect("concat shape");
-        let a_shape = av.shape().to_vec();
-        let b_shape = bv.shape().to_vec();
+        let a_shape = av.dims();
+        let b_shape = bv.dims();
         let grad_fn = move |g: &Tensor| {
             let mut ga = Vec::with_capacity(rows * da);
             let mut gb = Vec::with_capacity(rows * db);
@@ -608,10 +616,10 @@ impl Tape {
         let last = *av.shape().last().expect("log_softmax 0-d");
         let mut out = av.data().to_vec();
         for row in out.chunks_mut(last) {
-            // The max reduction and the shift vectorize bit-identically;
-            // the exp-sum stays scalar to preserve accumulation order.
+            // Every stage is bit-identical to its scalar twin; the exp-sum
+            // adds in ascending order on both paths.
             let max = simd::row_max(row);
-            let lse = max + row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln();
+            let lse = max + simd::exp_sum(row, max).ln();
             simd::shift_in_place(row, lse);
         }
         let out_t = Tensor::from_vec(out, av.shape()).expect("log_softmax shape");
@@ -626,8 +634,10 @@ impl Tape {
             {
                 let gsum: f32 = g_row.iter().sum();
                 let dst = &mut ga[row_i * last..(row_i + 1) * last];
-                for ((o, &gv), &ls) in dst.iter_mut().zip(g_row.iter()).zip(ls_row.iter()) {
-                    *o = gv - ls.exp() * gsum;
+                dst.copy_from_slice(ls_row);
+                simd::exp(dst);
+                for (o, &gv) in dst.iter_mut().zip(g_row.iter()) {
+                    *o = gv - *o * gsum;
                 }
             }
             vec![Tensor::from_vec(ga, out_c.shape()).expect("log_softmax grad shape")]
@@ -735,7 +745,7 @@ impl Tape {
             .map(|(&x, &m)| x * m)
             .collect();
         let out_t = Tensor::from_vec(out, av.shape()).expect("dropout shape");
-        let shape = av.shape().to_vec();
+        let shape = av.dims();
         let grad_fn = move |g: &Tensor| {
             let ga: Vec<f32> = g
                 .data()
@@ -756,7 +766,7 @@ impl Tape {
     pub fn sum_all(&self, a: Var) -> Var {
         let av = self.value(a);
         let out = Tensor::scalar(av.sum());
-        let shape = av.shape().to_vec();
+        let shape = av.dims();
         let grad_fn = move |g: &Tensor| {
             let gv = g.data()[0];
             vec![Tensor::full(&shape, gv)]

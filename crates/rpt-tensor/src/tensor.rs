@@ -3,6 +3,7 @@
 //! ops are built from.
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, LazyLock};
 
 /// Kernel metrics (DESIGN.md §Observability); inert unless metrics are on.
@@ -25,6 +26,8 @@ static MATMUL_OBS: LazyLock<MatmulObs> = LazyLock::new(|| MatmulObs {
 pub enum TensorError {
     /// The data length does not match the product of the shape dimensions.
     ShapeMismatch { expected: usize, got: usize },
+    /// The shape has more than [`MAX_DIMS`] dimensions.
+    Rank { got: usize },
 }
 
 impl fmt::Display for TensorError {
@@ -33,21 +36,87 @@ impl fmt::Display for TensorError {
             TensorError::ShapeMismatch { expected, got } => {
                 write!(f, "shape requires {expected} elements but data has {got}")
             }
+            TensorError::Rank { got } => {
+                write!(
+                    f,
+                    "shape has {got} dimensions; at most {MAX_DIMS} are supported"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for TensorError {}
 
-/// An immutable, row-major, reference-counted `f32` tensor.
+/// Most dimensions a tensor may have: every op in the workspace works on
+/// 1-d to 3-d tensors (`[b, t, d]` activations, `[b*h, t, dh]` heads).
+pub const MAX_DIMS: usize = 3;
+
+/// A tensor's dimension sizes, held inline: copying one moves a few words
+/// and allocates nothing. Dereferences to the `&[usize]` of its dims.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Shape {
+    /// The dims, then zeros (so the derived equality compares dims only).
+    dims: [usize; MAX_DIMS],
+    len: u8,
+}
+
+impl Shape {
+    /// The shape `dims`, or a [`TensorError::Rank`] for more than
+    /// [`MAX_DIMS`] of them.
+    fn new(dims: &[usize]) -> Result<Self, TensorError> {
+        if dims.len() > MAX_DIMS {
+            return Err(TensorError::Rank { got: dims.len() });
+        }
+        let mut s = Shape {
+            dims: [0; MAX_DIMS],
+            len: dims.len() as u8,
+        };
+        s.dims[..dims.len()].copy_from_slice(dims);
+        Ok(s)
+    }
+
+    /// [`Shape::new`] for shapes the code itself builds.
+    ///
+    /// # Panics
+    /// For more than [`MAX_DIMS`] dims.
+    fn of(dims: &[usize]) -> Self {
+        Self::new(dims).unwrap_or_else(|e| panic!("shape {dims:?}: {e}"))
+    }
+}
+
+impl Deref for Shape {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        &self.dims[..self.len as usize]
+    }
+}
+
+impl DerefMut for Shape {
+    fn deref_mut(&mut self) -> &mut [usize] {
+        &mut self.dims[..self.len as usize]
+    }
+}
+
+impl fmt::Debug for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// An immutable, row-major, reference-counted `f32` tensor of at most
+/// [`MAX_DIMS`] dimensions.
 ///
-/// Cloning is O(1). All shape-changing operations produce new tensors;
-/// in-place mutation is only available through [`Tensor::map_inplace`] /
-/// [`Tensor::data_mut`], which copy-on-write when the buffer is shared.
+/// Cloning is O(1) and allocates nothing: one reference-count increment,
+/// the shape copied inline. All shape-changing operations produce new
+/// tensors; in-place mutation is only available through
+/// [`Tensor::map_inplace`] / [`Tensor::data_mut`], which copy-on-write
+/// when the buffer is shared.
 #[derive(Clone)]
 pub struct Tensor {
     data: Arc<Vec<f32>>,
-    shape: Vec<usize>,
+    shape: Shape,
 }
 
 impl fmt::Debug for Tensor {
@@ -65,8 +134,10 @@ impl fmt::Debug for Tensor {
 }
 
 impl Tensor {
-    /// Builds a tensor from a flat row-major buffer.
+    /// Builds a tensor from a flat row-major buffer. Fails if the shape has
+    /// more than [`MAX_DIMS`] dims or does not hold `data.len()` elements.
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Result<Self, TensorError> {
+        let shape = Shape::new(shape)?;
         let expected: usize = shape.iter().product();
         if expected != data.len() {
             return Err(TensorError::ShapeMismatch {
@@ -76,7 +147,7 @@ impl Tensor {
         }
         Ok(Self {
             data: Arc::new(data),
-            shape: shape.to_vec(),
+            shape,
         })
     }
 
@@ -86,12 +157,11 @@ impl Tensor {
     }
 
     /// All-zeros tensor.
+    ///
+    /// # Panics
+    /// If `shape` has more than [`MAX_DIMS`] dims.
     pub fn zeros(shape: &[usize]) -> Self {
-        let n: usize = shape.iter().product();
-        Self {
-            data: Arc::new(vec![0.0; n]),
-            shape: shape.to_vec(),
-        }
+        Self::full(shape, 0.0)
     }
 
     /// All-ones tensor.
@@ -100,17 +170,26 @@ impl Tensor {
     }
 
     /// Tensor filled with a constant.
+    ///
+    /// # Panics
+    /// If `shape` has more than [`MAX_DIMS`] dims.
     pub fn full(shape: &[usize], v: f32) -> Self {
+        let shape = Shape::of(shape);
         let n: usize = shape.iter().product();
         Self {
             data: Arc::new(vec![v; n]),
-            shape: shape.to_vec(),
+            shape,
         }
     }
 
     /// The shape as a slice of dimension sizes.
     pub fn shape(&self) -> &[usize] {
         &self.shape
+    }
+
+    /// The shape by value, for closures that outlive the borrow of `self`.
+    pub(crate) fn dims(&self) -> Shape {
+        self.shape
     }
 
     /// Total number of elements.
@@ -136,7 +215,8 @@ impl Tensor {
     /// Returns a tensor with the same buffer but a different shape.
     ///
     /// # Panics
-    /// If the element counts differ.
+    /// If the element counts differ, or `shape` has more than
+    /// [`MAX_DIMS`] dims.
     pub fn reshape(&self, shape: &[usize]) -> Self {
         let expected: usize = shape.iter().product();
         assert_eq!(
@@ -148,7 +228,7 @@ impl Tensor {
         );
         Self {
             data: Arc::clone(&self.data),
-            shape: shape.to_vec(),
+            shape: Shape::of(shape),
         }
     }
 
@@ -157,7 +237,7 @@ impl Tensor {
         let data: Vec<f32> = self.data.iter().map(|&x| f(x)).collect();
         Self {
             data: Arc::new(data),
-            shape: self.shape.clone(),
+            shape: self.shape,
         }
     }
 
@@ -183,7 +263,7 @@ impl Tensor {
             .collect();
         Self {
             data: Arc::new(data),
-            shape: self.shape.clone(),
+            shape: self.shape,
         }
     }
 
@@ -342,9 +422,9 @@ impl Tensor {
             [batch, m, k, n],
         );
         let shape = if nd == 2 {
-            vec![m, n]
+            Shape::of(&[m, n])
         } else {
-            vec![batch, m, n]
+            Shape::of(&[batch, m, n])
         };
         Tensor {
             data: Arc::new(out),
@@ -366,7 +446,7 @@ impl Tensor {
                 }
                 Tensor {
                     data: Arc::new(out),
-                    shape: vec![n, m],
+                    shape: Shape::of(&[n, m]),
                 }
             }
             3 => {
@@ -383,7 +463,7 @@ impl Tensor {
                 }
                 Tensor {
                     data: Arc::new(out),
-                    shape: vec![b, n, m],
+                    shape: Shape::of(&[b, n, m]),
                 }
             }
             d => panic!("transpose_last supports 2-d / 3-d tensors, got {d}-d"),
@@ -399,7 +479,7 @@ impl Tensor {
         }
         Tensor {
             data: Arc::new(out),
-            shape: self.shape.clone(),
+            shape: self.shape,
         }
     }
 
@@ -418,24 +498,25 @@ impl Tensor {
         }
         Tensor {
             data: Arc::new(out),
-            shape: vec![ids.len(), d],
+            shape: Shape::of(&[ids.len(), d]),
         }
     }
 }
 
-/// Stable in-place softmax of a single row. The max scan and the
-/// normalizing multiply take the SIMD path when enabled; the `exp` loop
-/// and its running sum stay scalar so the summation order (and therefore
-/// every output bit) is identical under `RPT_SIMD=0` and `=1`.
+/// Stable in-place softmax of a single row. The max scan, the shift, the
+/// `exp` and the normalizing multiply take the SIMD path when enabled, each
+/// bit-identical to its scalar twin; the running sum stays one ascending
+/// scalar loop, so the summation order (and therefore every output bit) is
+/// identical under `RPT_SIMD=0` and `=1`.
 pub fn softmax_row(row: &mut [f32]) {
     let max = crate::simd::row_max(row);
+    crate::simd::shift_in_place(row, max);
+    crate::simd::exp(row);
     let mut sum = 0.0f32;
-    for x in row.iter_mut() {
-        *x = (*x - max).exp();
-        sum += *x;
+    for &x in row.iter() {
+        sum += x;
     }
-    let inv = 1.0 / sum;
-    crate::simd::scale_in_place(row, inv);
+    crate::simd::scale_in_place(row, 1.0 / sum);
 }
 
 /// Output rows per register block of the matmul microkernel. Each block of
@@ -858,6 +939,10 @@ mod tests {
     #[test]
     fn from_vec_checks_shape() {
         assert!(Tensor::from_vec(vec![1.0, 2.0], &[3]).is_err());
+        assert_eq!(
+            Tensor::from_vec(vec![1.0], &[1; MAX_DIMS + 1]).unwrap_err(),
+            TensorError::Rank { got: MAX_DIMS + 1 }
+        );
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
         assert_eq!(t.shape(), &[2, 2]);
         assert_eq!(t.numel(), 4);

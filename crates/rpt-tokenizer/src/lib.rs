@@ -26,7 +26,7 @@ pub mod encoder;
 pub mod vocab;
 
 pub use encoder::{EncodedPair, EncodedTuple, EncoderOptions, TupleEncoder};
-pub use vocab::{normalize, Vocab, VocabBuilder};
+pub use vocab::{normalize, Vocab, VocabBuilder, MAX_VOCAB_BYTES};
 
 /// Token id of `[PAD]` (also used as the ignored target index in losses).
 pub const PAD: usize = 0;

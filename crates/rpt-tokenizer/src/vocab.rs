@@ -106,6 +106,10 @@ impl VocabBuilder {
     }
 }
 
+/// The largest vocabulary file [`Vocab::load_file`] reads: far above any
+/// vocabulary the builders here make (tens of thousands of short tokens).
+pub const MAX_VOCAB_BYTES: u64 = 64 << 20;
+
 /// A frozen vocabulary: id 0..[`NUM_SPECIAL`] are the special tokens, the
 /// rest are corpus tokens in frequency order.
 #[derive(Debug, Clone)]
@@ -201,8 +205,10 @@ impl Vocab {
     }
 
     /// Loads a vocabulary from a file written by [`Vocab::save_file`].
+    /// A file above [`MAX_VOCAB_BYTES`] is refused unread with an
+    /// [`std::io::ErrorKind::FileTooLarge`] error.
     pub fn load_file(path: impl AsRef<std::path::Path>) -> std::io::Result<Vocab> {
-        let text = std::fs::read_to_string(path)?;
+        let text = rpt_json::read_capped(path, MAX_VOCAB_BYTES)?;
         Vocab::from_json(&text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
@@ -317,5 +323,17 @@ mod tests {
         assert_eq!(v2.len(), v.len());
         assert_eq!(v2.id_of("gamma"), v.id_of("gamma"));
         assert!(Vocab::from_json("{}").is_err());
+    }
+
+    #[test]
+    fn a_vocab_file_above_the_ceiling_is_refused_unread() {
+        let path =
+            std::env::temp_dir().join(format!("rpt_vocab_ceiling_{}.json", std::process::id()));
+        // sparse: set_len writes no data
+        let f = std::fs::File::create(&path).unwrap();
+        f.set_len(MAX_VOCAB_BYTES + 1).unwrap();
+        let err = Vocab::load_file(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), std::io::ErrorKind::FileTooLarge, "{err}");
     }
 }

@@ -24,8 +24,9 @@
 #    RPT_SIMD=1, proving the AVX2 kernels are bit-identical to the scalar
 #    path end to end; the kernel suite runs again with a 4-thread pool,
 #    so its remainder-tile grid also meets thread-chunk boundaries, and
-#    its ignored exhaustive sweep checks the AVX2 tanh against the scalar
-#    twin on all 2^32 inputs in release mode.
+#    its ignored exhaustive sweeps check the AVX2 tanh and exp against
+#    their scalar twins (exp also against the platform's f32::exp) on all
+#    2^32 inputs in release mode.
 # 4. A fast-mode smoke run of the decode, matmul, and thread-scaling
 #    microbenches, checking the fast decode path still beats the
 #    reference, the artifacts get written and parse, and the 4-thread
@@ -121,9 +122,11 @@ RPT_SIMD=1 cargo test -q --offline --test simd_equivalence
 # remainder tiles at every chunk boundary as well.
 RPT_SIMD=0 RPT_THREADS=4 cargo test -q --offline --test simd_equivalence
 RPT_SIMD=1 RPT_THREADS=4 cargo test -q --offline --test simd_equivalence
-# The exhaustive tanh sweep: every f32 bit pattern through the forced
-# AVX2 kernel and the scalar fdlibm twin (about 30 s in release mode on
-# two threads; the lane blends are only proven by trying every input).
+# The exhaustive tanh and exp sweeps: every f32 bit pattern through the
+# forced AVX2 kernels and the scalar twins (fdlibm's tanhf, glibc's expf),
+# exp also through the platform's f32::exp (about 30 s each in release
+# mode on two threads; the lane blends are only proven by trying every
+# input).
 cargo test -q --offline --release --test simd_equivalence -- --ignored
 RPT_SIMD=0 RPT_THREADS=4 cargo test -q --offline --test train_kernels
 RPT_SIMD=1 RPT_THREADS=4 cargo test -q --offline --test train_kernels
@@ -172,8 +175,9 @@ RPT_BENCH_FAST=1 RPT_BENCH_DIR="$smoke_dir" \
 RPT_BENCH_FAST=1 RPT_BENCH_DIR="$smoke_dir" \
     cargo bench -q --offline -p rpt-bench --bench micro -- parallel
 # The elementwise artifact carries no speed bar: it records the scalar
-# and AVX2 GELU arms (checked bit-identical inside the bench) for the
-# committed full-mode bench_results/bench_elementwise.json to compare.
+# and AVX2 arms of GELU, exp, log-sum-exp and softmax (checked
+# bit-identical inside the bench) for the committed full-mode
+# bench_results/bench_elementwise.json to compare.
 RPT_BENCH_FAST=1 RPT_BENCH_DIR="$smoke_dir" \
     cargo bench -q --offline -p rpt-bench --bench micro -- elementwise
 for artifact in bench_matmul bench_parallel bench_elementwise; do

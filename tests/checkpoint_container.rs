@@ -22,7 +22,9 @@ use rpt::tensor::serialize::frame::fnv1a64;
 use rpt::tensor::serialize::{
     encode, load_file, load_train_file, AccumState, Checkpoint, CorpusPos, PendingGrad,
 };
-use rpt::tensor::{AdamState, CheckpointError, ParamStore, QuantMatrix, Tensor, TrainState};
+use rpt::tensor::{
+    AdamState, CheckpointError, ParamStore, QuantMatrix, Tensor, TrainState, MAX_DIMS,
+};
 
 // ---------------------------------------------------------------------------
 // Largest-allocation probe
@@ -468,4 +470,47 @@ fn seeded_random_mutations_are_typed_errors() {
             check_mutant(&m, resealed, &format!("mutation {i}"));
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Rank bound
+// ---------------------------------------------------------------------------
+
+/// A params-only container holding one tensor `w` of shape
+/// `[1; MAX_DIMS + 1]` with a single element: a valid encoding of the
+/// `[1; MAX_DIMS]` tensor, with one more unit dim spliced into its shape
+/// (rank field, dims and section length patched). The trailer is left as
+/// the original file's, so the file is raw until resealed.
+fn over_rank_container() -> Vec<u8> {
+    let mut store = ParamStore::new();
+    store.register("w", t(&[0.5], &[1; MAX_DIMS]));
+    let mut bytes = encode(&store, None, None);
+    // magic · version · tag · section length · count · name ("w") · rank
+    let (len_at, rank_at) = (8 + 4 + 4, 8 + 4 + 4 + 8 + 4 + 4 + 1);
+    assert_eq!(bytes[rank_at..rank_at + 4], (MAX_DIMS as u32).to_le_bytes());
+    bytes[rank_at..rank_at + 4].copy_from_slice(&(MAX_DIMS as u32 + 1).to_le_bytes());
+    bytes.splice(rank_at + 4..rank_at + 4, 1u64.to_le_bytes());
+    let len = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap()) + 8;
+    bytes[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn a_shape_above_max_dims_is_a_typed_error_raw_and_resealed() {
+    let mut bytes = over_rank_container();
+    check_mutant(&bytes, false, "raw rank-4 shape");
+    reseal(&mut bytes);
+    match Checkpoint::decode(&bytes) {
+        Err(CheckpointError::Format(m)) => assert!(m.contains("rank"), "{m}"),
+        other => panic!("resealed rank-{} shape: {other:?}", MAX_DIMS + 1),
+    }
+    let dims = ["1"; MAX_DIMS + 1].join(",");
+    let json = format!(
+        r#"{{"format_version":1,"params":[{{"name":"w","shape":[{dims}],"data":[0.5]}}]}}"#
+    );
+    match Checkpoint::decode(json.as_bytes()) {
+        Err(CheckpointError::Format(m)) => assert!(m.contains("rank"), "{m}"),
+        other => panic!("legacy rank-{} shape: {other:?}", MAX_DIMS + 1),
+    }
+    assert!(Tensor::from_vec(vec![0.5], &[1; MAX_DIMS + 1]).is_err());
 }

@@ -15,12 +15,14 @@ use std::fs;
 use std::path::PathBuf;
 
 use rpt::core::cleaning::{CheckpointOpts, CleaningConfig, RptC};
+use rpt::core::corpus::CorpusError;
 use rpt::core::train::{TrainOpts, TRAIN_STATE_FILE};
 use rpt::core::vocabulary::build_vocab;
 use rpt::datagen::standard_benchmarks;
 use rpt::par::ThreadPool;
 use rpt::table::Table;
-use rpt::tensor::ParamStore;
+use rpt::tensor::serialize::{Fault, FaultyIo};
+use rpt::tensor::{CheckpointError, ParamStore};
 use rpt_rng::{SeedableRng, SmallRng};
 
 const STEPS: usize = 10;
@@ -303,4 +305,53 @@ fn kill_inside_accumulation_window_resumes_across_thread_counts() {
             assert_eq!(bytes, straight_bytes, "{tag}: checkpoint bytes diverged");
         }
     }
+}
+
+/// A resume whose checkpoint read is torn or fails, through the loop's
+/// checkpoint IO, is a typed error before any step runs, and the last good
+/// `train_state.json` stays byte-identical (the loop writes nothing).
+#[test]
+fn faulty_resume_reads_are_typed_errors_and_keep_the_last_good_state() {
+    let c = corpus();
+    let dir = fresh_dir("faulty-read");
+    let pool = ThreadPool::new(1);
+    let tables: Vec<&Table> = c.tables.iter().collect();
+    let ckpt = CheckpointOpts {
+        dir: dir.clone(),
+        every: 1,
+    };
+    let mut cfg = equivalence_config();
+    cfg.train.steps = 2;
+    RptC::new(c.vocab.clone(), cfg)
+        .pretrain_on(&pool, &tables, Some(&ckpt), None)
+        .unwrap();
+    let path = dir.join(TRAIN_STATE_FILE);
+    let good = fs::read(&path).unwrap();
+    for fault in [
+        Fault::ReadTruncate(good.len() / 2),
+        Fault::ReadTruncate(good.len() - 1),
+        Fault::ReadFail,
+    ] {
+        let mut model = RptC::new(c.vocab.clone(), equivalence_config());
+        model.set_checkpoint_io(Box::new(FaultyIo::new(fault)));
+        let err = model
+            .pretrain_on(&pool, &tables, Some(&ckpt), Some(&path))
+            .expect_err("a faulty resume read must fail");
+        match (fault, &err) {
+            (Fault::ReadFail, CorpusError::Checkpoint(CheckpointError::Io(_))) => {}
+            (
+                Fault::ReadTruncate(_),
+                CorpusError::Checkpoint(
+                    CheckpointError::Checksum { .. } | CheckpointError::Format(_),
+                ),
+            ) => {}
+            _ => panic!("{fault:?}: unexpected error {err:?}"),
+        }
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            good,
+            "{fault:?} changed the last good train state"
+        );
+    }
+    fs::remove_dir_all(&dir).ok();
 }

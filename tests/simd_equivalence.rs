@@ -4,12 +4,14 @@
 //! The SIMD kernels are designed so that `RPT_SIMD=0` and `RPT_SIMD=1`
 //! produce byte-identical tensors (DESIGN.md §SIMD): vectorized stages use
 //! only operations whose per-lane rounding equals the scalar op (`vmulps`,
-//! `vsubps`, `vmaxps` — never FMA), and every order-sensitive reduction
-//! stays scalar. These tests force both kernel choices inside one process
+//! `vsubps`, `vmaxps`; FMA only in `exp`, whose scalar twin fuses the same
+//! operations), and every order-sensitive reduction stays scalar. These tests force both kernel choices inside one process
 //! (the env gate is cached, so toggling `RPT_SIMD` at runtime would not
 //! work) and compare raw bits over randomized shapes.
 
+use rpt::nn::metrics::log_sum_exp;
 use rpt::par::{hardware_threads, ThreadPool};
+use rpt::tensor::tensor::softmax_row;
 use rpt::tensor::{init, matmul_chunk_count, matmul_rows_blocked_force, simd, Tape, Tensor};
 use rpt_rng::{Rng, SeedableRng, SmallRng};
 
@@ -443,4 +445,200 @@ fn tanh_exhaustive_sweep_simd_matches_scalar() {
         workers.into_iter().map(|w| w.join().unwrap()).sum()
     });
     assert_eq!(mismatches, 0, "tanh: AVX2 and scalar disagree");
+}
+
+/// Runs `xs` through the scalar and the forced AVX2 `exp` and the
+/// platform's `f32::exp`, and returns the three results' bits (NaN
+/// payloads included: all three return `x + x` for a NaN).
+fn exp_all(xs: &[f32]) -> [Vec<u32>; 3] {
+    let mut scalar = xs.to_vec();
+    let mut vector = xs.to_vec();
+    simd::exp_scalar(&mut scalar);
+    assert!(simd::exp_force(&mut vector), "avx2 and fma available");
+    let libm: Vec<f32> = xs.iter().map(|x| x.exp()).collect();
+    [bits(&scalar), bits(&vector), bits(&libm)]
+}
+
+/// True when the exp kernels' AVX2+FMA twin can run here.
+fn exp_simd_available() -> bool {
+    simd::exp_force(&mut [])
+}
+
+/// The special cases of glibc's `expf` and the values either side of its
+/// thresholds: ±0, ±inf, NaN payloads of both signs, `|x| = 88` (where
+/// the early checks start), ln(2^128) ≈ 88.72 (overflow), ln(2^-149) ≈
+/// -103.28 and ln(2^-150) ≈ -103.97 (underflow), and inputs whose results
+/// are subnormal (x below about -87.34). Each value fills a whole 8-block
+/// and then every remainder length 0..=17 runs over the list, so both the
+/// full blocks and the masked remainder block see every value.
+#[test]
+fn exp_boundaries_simd_scalar_and_libm_are_bit_identical() {
+    if !exp_simd_available() {
+        eprintln!("skipping: AVX2+FMA not available on this host");
+        return;
+    }
+    let mut values: Vec<f32> = vec![
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0x7f80_0001), // signalling NaN
+        f32::from_bits(0xffc1_2345),
+        f32::from_bits(0x7fbf_ffff),
+        f32::from_bits(1),
+        -f32::from_bits(1),
+        f32::MIN_POSITIVE,
+        f32::MAX,
+        f32::MIN,
+    ];
+    for centre in [
+        88.0f32,
+        -88.0,
+        f32::from_bits(0x42b1_7217), // overflow threshold
+        f32::from_bits(0xc2ce_8ecf), // ln(2^-149)
+        f32::from_bits(0xc2cf_f1b4), // ln(2^-150)
+        -87.336_55,                  // ln(2^-126): subnormal results below
+        -95.0,
+        -100.0,
+        -103.0,
+    ] {
+        let c = centre.to_bits();
+        values.extend((c - 4..=c + 4).map(f32::from_bits));
+    }
+    // subnormal outputs all the way down
+    values.extend((0..64).map(|i| -87.4 - i as f32 * 0.26));
+    for &v in &values {
+        let [scalar, vector, libm] = exp_all(&[v; 8]);
+        assert_eq!(scalar, vector, "exp({v:e}) bits {:#010x}", v.to_bits());
+        assert_eq!(
+            scalar,
+            libm,
+            "exp({v:e}) vs libm, bits {:#010x}",
+            v.to_bits()
+        );
+    }
+    for len in 0..=17 {
+        for piece in values.chunks(len.max(1)) {
+            let piece = &piece[..len.min(piece.len())];
+            let [scalar, vector, libm] = exp_all(piece);
+            assert_eq!(scalar, vector, "exp over {piece:?}");
+            assert_eq!(scalar, libm, "exp vs libm over {piece:?}");
+        }
+    }
+}
+
+/// Every one of the 2^32 inputs: the scalar twin against the AVX2 twin
+/// and against the platform's `f32::exp`. About 25 s in release mode on
+/// two threads; `scripts/verify.sh` runs it with
+/// `cargo test --release --test simd_equivalence -- --ignored`. On a host
+/// whose libm is not glibc's FMA `expf` the libm comparison is skipped.
+#[test]
+#[ignore = "exhaustive: run in release mode with --ignored"]
+fn exp_exhaustive_sweep_simd_matches_scalar() {
+    if !exp_simd_available() {
+        eprintln!("skipping: AVX2+FMA not available on this host");
+        return;
+    }
+    // glibc's FMA `expf` on a value whose non-fused evaluation rounds
+    // the other way would be the better probe; equality on a sample of
+    // ordinary inputs is enough to tell a different libm apart.
+    let sample: Vec<f32> = (0..4096).map(|i| i as f32 * 0.0173 - 35.0).collect();
+    let [ours, _, libm] = exp_all(&sample);
+    let check_libm = ours == libm;
+    if !check_libm {
+        eprintln!("platform expf differs from glibc's; comparing the twins only");
+    }
+    let threads = hardware_threads().clamp(1, 4) as u64;
+    let per_thread = (1u64 << 32) / threads;
+    let mismatches: u64 = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                s.spawn(move || {
+                    let mut bad = 0u64;
+                    let mut block = vec![0.0f32; 4096];
+                    let (start, end) = (t * per_thread, (t + 1) * per_thread);
+                    for base in (start..end).step_by(block.len()) {
+                        for (i, x) in block.iter_mut().enumerate() {
+                            *x = f32::from_bits((base + i as u64) as u32);
+                        }
+                        let [scalar, vector, libm] = exp_all(&block);
+                        for i in 0..block.len() {
+                            let (s, v, l) = (scalar[i], vector[i], libm[i]);
+                            if s != v || (check_libm && s != l) {
+                                if bad < 8 {
+                                    eprintln!(
+                                        "exp mismatch at {:#010x}: scalar {s:#010x}, avx2 {v:#010x}, libm {l:#010x}",
+                                        base + i as u64
+                                    );
+                                }
+                                bad += 1;
+                            }
+                        }
+                    }
+                    bad
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).sum()
+    });
+    assert_eq!(mismatches, 0, "exp: AVX2, scalar and libm disagree");
+}
+
+/// `softmax_row` and `log_sum_exp` as run (under whatever `RPT_SIMD`
+/// says; `scripts/verify.sh` runs this suite under both settings) and
+/// with every stage forced onto AVX2, against the all-scalar composition:
+/// max, shift, `exp`, ascending sum, scale. Row lengths 1..=33 and 1000
+/// cover full 8-blocks, every remainder and several 256-element exp-sum
+/// blocks; planted `-inf` and `-1e9` entries (attention masks) take the
+/// underflow lanes.
+#[test]
+fn softmax_row_and_log_sum_exp_match_the_scalar_composition() {
+    let mut rng = SmallRng::seed_from_u64(46);
+    for n in (1..=33).chain([1000]) {
+        for trial in 0..4 {
+            let mut row: Vec<f32> = (0..n).map(|_| rng.gen::<f32>() * 40.0 - 20.0).collect();
+            if trial > 1 && n > 1 {
+                let at = rng.gen::<u32>() as usize % n;
+                row[at] = if trial == 2 { f32::NEG_INFINITY } else { -1e9 };
+            }
+            let max = simd::row_max_scalar(&row);
+            let mut want = row.clone();
+            simd::shift_in_place_scalar(&mut want, max);
+            simd::exp_scalar(&mut want);
+            let mut sum = 0.0f32;
+            for &e in &want {
+                sum += e;
+            }
+            simd::scale_in_place_scalar(&mut want, 1.0 / sum);
+            let want_lse = max + simd::exp_sum_scalar(&row, max).ln();
+            let what = format!("n={n} trial={trial}");
+
+            let mut got = row.clone();
+            softmax_row(&mut got);
+            assert_eq!(bits(&got), bits(&want), "softmax_row {what}");
+            assert_eq!(
+                log_sum_exp(&row).to_bits(),
+                want_lse.to_bits(),
+                "lse {what}"
+            );
+
+            if !exp_simd_available() {
+                continue;
+            }
+            let max_v = simd::row_max_force(&row).unwrap();
+            let mut forced = row.clone();
+            assert!(simd::shift_in_place_force(&mut forced, max_v));
+            assert!(simd::exp_force(&mut forced));
+            let mut sum = 0.0f32;
+            for &e in &forced {
+                sum += e;
+            }
+            assert!(simd::scale_in_place_force(&mut forced, 1.0 / sum));
+            assert_eq!(bits(&forced), bits(&want), "forced softmax {what}");
+            let lse_v = max_v + simd::exp_sum_force(&row, max_v).unwrap().ln();
+            assert_eq!(lse_v.to_bits(), want_lse.to_bits(), "forced lse {what}");
+        }
+    }
 }
