@@ -230,24 +230,29 @@ fn disconnect_mid_decode_reclaims_kv_slots() {
 
     // Soak: clients submit forced-scoring jobs — deterministically
     // `targets.len() + 1` fused steps, no early exit — and vanish
-    // without reading the response.
+    // without reading the response. All twelve are sent before any
+    // client leaves: with four KV slots the server needs three waves of
+    // 41 fused steps for them, so the disconnects land while later jobs
+    // are still queued or decoding, however fast one step is.
     let targets: Vec<String> = (0..40).map(|i| (9 + i % 3).to_string()).collect();
     let body = format!(
         r#"{{"src": [9, 10, 11], "targets": [{}]}}"#,
         targets.join(", ")
     );
-    for _ in 0..12 {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).unwrap();
-        write!(
-            stream,
-            "POST /v1/match HTTP/1.1\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("write request");
-        std::thread::sleep(std::time::Duration::from_millis(3));
-        drop(stream); // client gone before the decode finishes
-    }
+    let streams: Vec<TcpStream> = (0..12)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.set_nodelay(true).unwrap();
+            write!(
+                stream,
+                "POST /v1/match HTTP/1.1\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n{body}",
+                body.len()
+            )
+            .expect("write request");
+            stream
+        })
+        .collect();
+    drop(streams); // every client gone before its decode finishes
 
     // The batcher must reap every abandoned job; bound the wait by
     // attempts, keeping the server responsive throughout.

@@ -643,8 +643,8 @@ pub fn exp_scalar(xs: &mut [f32]) {
 /// Forced-SIMD [`exp`]; `false` when AVX2 or FMA is unavailable.
 pub fn exp_force(xs: &mut [f32]) -> bool {
     #[cfg(target_arch = "x86_64")]
-    if simd_available() && fma_available() {
-        // SAFETY: feature presence checked above.
+    if exp_available() {
+        // SAFETY: exp_available() checked AVX2 and FMA.
         unsafe { exp_avx2(xs) };
         return true;
     }
