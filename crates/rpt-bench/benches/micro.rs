@@ -105,11 +105,12 @@ fn bench_matmul() {
 /// and at one decode row `[1, 128]` (keeping nothing, as a forward-only
 /// tape does), each through the scalar and the forced AVX2 `tanh` twin;
 /// `exp` and a log-sum-exp over one 1000-wide logits row and a softmax
-/// over a 9-wide row (decode self-attention's short rows: one full 8-block
-/// and a masked remainder), each through the scalar and the forced AVX2
-/// kernels; then a `[64, 64]` softmax and a layer-norm forward and
-/// backward through the dispatched kernels. Checks every twin pair agrees
-/// bit for bit, then writes `bench_results/bench_elementwise.json`.
+/// over a 9-wide row (decode self-attention's short rows: the forced AVX2
+/// twin runs one 8-block, and its 1-element remainder runs the scalar FMA
+/// loop), each through the scalar and the forced AVX2 kernels; then a
+/// `[64, 64]` softmax and a layer-norm forward and backward through the
+/// dispatched kernels. Checks every twin pair agrees bit for bit, then
+/// writes `bench_results/bench_elementwise.json`.
 fn bench_elementwise() {
     let mut rng = SmallRng::seed_from_u64(2);
     let x = init::normal(&[64, 64], 1.0, &mut rng);

@@ -675,6 +675,40 @@ pub fn exp_sum_force(xs: &[f32], shift: f32) -> Option<f32> {
     })
 }
 
+/// `xs[i] = exp(xs[i] - shift)` in place, returning `Σ xs[i]` summed in
+/// ascending order, in one fused scalar pass. For rows shorter than one
+/// 8-block (decode self-attention at `t < 8`), where separate shift, `exp`
+/// and sum passes cost more than the exponentials; the bits equal those of
+/// [`shift_in_place`], [`exp`] and an ascending sum.
+pub fn exp_shift_sum_in_place(xs: &mut [f32], shift: f32) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: FMA checked above.
+        return unsafe { exp_shift_sum_fma(xs, shift) };
+    }
+    exp_shift_sum_loop(xs, shift)
+}
+
+#[inline(always)]
+fn exp_shift_sum_loop(xs: &mut [f32], shift: f32) -> f32 {
+    let mut sum = 0.0f32;
+    for x in xs.iter_mut() {
+        *x = expf(*x - shift);
+        sum += *x;
+    }
+    sum
+}
+
+/// [`exp_shift_sum_in_place`]'s loop compiled with FMA.
+///
+/// # Safety
+/// Caller must ensure FMA is available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn exp_shift_sum_fma(xs: &mut [f32], shift: f32) -> f32 {
+    exp_shift_sum_loop(xs, shift)
+}
+
 fn exp_sum_by(xs: &[f32], shift: f32, exp: impl Fn(&mut [f32])) -> f32 {
     let mut block = [0.0f32; 256];
     let mut sum = 0.0f32;

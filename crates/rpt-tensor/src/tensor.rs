@@ -507,15 +507,21 @@ impl Tensor {
 /// `exp` and the normalizing multiply take the SIMD path when enabled, each
 /// bit-identical to its scalar twin; the running sum stays one ascending
 /// scalar loop, so the summation order (and therefore every output bit) is
-/// identical under `RPT_SIMD=0` and `=1`.
+/// identical under `RPT_SIMD=0` and `=1`. A row shorter than 8 runs the
+/// shift, `exp` and sum as one fused scalar pass instead.
 pub fn softmax_row(row: &mut [f32]) {
     let max = crate::simd::row_max(row);
-    crate::simd::shift_in_place(row, max);
-    crate::simd::exp(row);
-    let mut sum = 0.0f32;
-    for &x in row.iter() {
-        sum += x;
-    }
+    let sum = if row.len() < 8 {
+        crate::simd::exp_shift_sum_in_place(row, max)
+    } else {
+        crate::simd::shift_in_place(row, max);
+        crate::simd::exp(row);
+        let mut sum = 0.0f32;
+        for &x in row.iter() {
+            sum += x;
+        }
+        sum
+    };
     crate::simd::scale_in_place(row, 1.0 / sum);
 }
 

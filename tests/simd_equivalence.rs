@@ -470,7 +470,8 @@ fn exp_simd_available() -> bool {
 /// -103.28 and ln(2^-150) ≈ -103.97 (underflow), and inputs whose results
 /// are subnormal (x below about -87.34). Each value fills a whole 8-block
 /// and then every remainder length 0..=17 runs over the list, so both the
-/// full blocks and the masked remainder block see every value.
+/// 8-lane blocks and the 1-7 element remainder, which runs the scalar FMA
+/// loop, see every value.
 #[test]
 fn exp_boundaries_simd_scalar_and_libm_are_bit_identical() {
     if !exp_simd_available() {
